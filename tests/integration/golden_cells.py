@@ -13,6 +13,12 @@ test recomputes each cell and compares digests.  Any divergence — a
 reordered float sum, a changed tie-break, a perturbed random stream —
 fails loudly with the cell name.
 
+The observed cells extend the contract to the observability plane:
+each one is run with pillars armed and digested part by part (result
+payload, trace spans, audit entries, stream lines, Prometheus text,
+attribution, SLO and, where armed, energy), so the arm-path wiring is
+pinned as tightly as the run itself (``observed_digests.json``).
+
 Regenerate (only when a PR *intends* a behavioural change) with::
 
     PYTHONPATH=src python tests/integration/golden_cells.py --regen
@@ -27,6 +33,9 @@ from pathlib import Path
 from repro.scenario.spec import ScenarioSpec, StageAllocation
 
 GOLDEN_PATH = Path(__file__).with_name("golden_digests.json")
+OBSERVED_PATH = Path(__file__).with_name("observed_digests.json")
+
+ALL_PILLARS = ("trace", "metrics", "audit", "attribution", "slo", "energy", "stream")
 
 
 def golden_cells() -> dict[str, ScenarioSpec]:
@@ -74,18 +83,86 @@ def golden_cells() -> dict[str, ScenarioSpec]:
     }
 
 
+def observed_cells() -> dict[str, ScenarioSpec]:
+    """Pillar-armed cells: one single stack, one sharded, one QoS."""
+    return {
+        "sirius-powerchief-observed": ScenarioSpec.latency(
+            "sirius",
+            "powerchief",
+            ("constant", 1.95),
+            150.0,
+            seed=3,
+            observe=ALL_PILLARS,
+            slo_target_s=3.0,
+        ),
+        "sirius-chaos-sharded-observed": ScenarioSpec.latency(
+            "sirius",
+            "powerchief",
+            ("constant", 3.0),
+            120.0,
+            seed=11,
+            chaos="crash-heavy",
+            shards=2,
+            drain_s=30.0,
+            observe=("trace", "metrics", "audit", "attribution", "slo", "stream"),
+            slo_target_s=3.0,
+        ),
+        "websearch-qos-powerchief-observed": ScenarioSpec.qos(
+            "websearch", "powerchief", 8.0, 150.0, seed=3, observe=ALL_PILLARS
+        ),
+    }
+
+
+def _digest(payload: object) -> str:
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
 def cell_digest(spec: ScenarioSpec) -> str:
     """SHA-256 over the canonical JSON of the cell's full result payload."""
     from repro.experiments.export import scenario_payload
     from repro.scenario import run_scenario
 
-    payload = scenario_payload(run_scenario(spec))
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return _digest(scenario_payload(run_scenario(spec)))
+
+
+def observed_parts(spec: ScenarioSpec) -> dict[str, str]:
+    """One digest per output of an observed run: the result payload and
+    every armed pillar's export."""
+    from repro.experiments.export import scenario_payload
+    from repro.scenario import StackBuilder
+
+    builder = StackBuilder(spec)
+    result = builder.execute()
+    obs = builder.observability
+    assert obs is not None
+    assert obs.tracer is not None and obs.metrics is not None
+    assert obs.audit is not None and obs.attribution is not None
+    assert obs.slo is not None and obs.stream is not None
+    parts = {
+        "payload": scenario_payload(result),
+        "spans": [span.to_dict() for span in obs.tracer.spans],
+        "audit": obs.audit.to_dicts(),
+        "stream": obs.stream.lines,
+        "prometheus": obs.metrics.render_prometheus(),
+        "attribution": {
+            "report": obs.attribution.report().to_dict(),
+            "dropped": obs.attribution.dropped,
+            "queries": [qa.to_dict() for qa in obs.attribution.attributions],
+        },
+        "slo": obs.slo.to_dict(),
+    }
+    if obs.energy is not None:
+        parts["energy"] = obs.energy.to_dict(result.queries_completed)
+    return {name: _digest(value) for name, value in parts.items()}
 
 
 def load_goldens() -> dict[str, str]:
     return json.loads(GOLDEN_PATH.read_text())
+
+
+def load_observed_goldens() -> dict[str, dict[str, str]]:
+    return json.loads(OBSERVED_PATH.read_text())
 
 
 def _regen() -> None:
@@ -95,6 +172,12 @@ def _regen() -> None:
         print(f"{name}: {goldens[name]}")
     GOLDEN_PATH.write_text(json.dumps(goldens, indent=2, sort_keys=True) + "\n")
     print(f"wrote {GOLDEN_PATH}")
+    observed = {}
+    for name, spec in observed_cells().items():
+        observed[name] = observed_parts(spec)
+        print(f"{name}: {observed[name]}")
+    OBSERVED_PATH.write_text(json.dumps(observed, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {OBSERVED_PATH}")
 
 
 if __name__ == "__main__":

@@ -18,10 +18,15 @@ from tests.integration.golden_cells import (
     cell_digest,
     golden_cells,
     load_goldens,
+    load_observed_goldens,
+    observed_cells,
+    observed_parts,
 )
 
 _CELLS = golden_cells()
 _GOLDENS = load_goldens()
+_OBSERVED = observed_cells()
+_OBSERVED_GOLDENS = load_observed_goldens()
 
 
 def test_golden_file_covers_every_cell() -> None:
@@ -37,4 +42,20 @@ def test_cell_matches_golden_digest(name: str) -> None:
     assert cell_digest(_CELLS[name]) == _GOLDENS[name], (
         f"cell {name!r} no longer reproduces its golden digest: the run's "
         f"outputs changed, not just its speed"
+    )
+
+
+def test_observed_golden_file_covers_every_cell() -> None:
+    assert sorted(_OBSERVED_GOLDENS) == sorted(_OBSERVED)
+
+
+@pytest.mark.parametrize("name", sorted(_OBSERVED))
+def test_observed_cell_matches_golden_parts(name: str) -> None:
+    parts = observed_parts(_OBSERVED[name])
+    expected = _OBSERVED_GOLDENS[name]
+    assert sorted(parts) == sorted(expected)
+    changed = sorted(part for part in parts if parts[part] != expected[part])
+    assert not changed, (
+        f"cell {name!r} no longer reproduces its pillar outputs: "
+        f"{', '.join(changed)} changed"
     )
