@@ -441,10 +441,6 @@ class ScenarioSpec:
                 raise ConfigurationError(
                     f"unknown guard option {key!r} (known: {known})"
                 )
-        if self.guard and self.shards != 1:
-            raise ConfigurationError(
-                "guard supervision is not available on sharded scenarios"
-            )
         if self.guard:
             # Full validation (rung names, threshold ranges) up front, so
             # a bad guard block fails at spec time, not at build time.

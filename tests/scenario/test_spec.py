@@ -283,10 +283,6 @@ class TestGuardBlock:
         with pytest.raises(ConfigurationError, match="demote_after"):
             latency_spec(guard=(("demote_after", 0),))
 
-    def test_guard_rejected_on_sharded_scenarios(self):
-        with pytest.raises(ConfigurationError, match="sharded"):
-            latency_spec(guard=(("demote_after", 1),), shards=2)
-
     def test_qos_rejects_guard(self):
         spec = ScenarioSpec.qos("sirius", "baseline", 2.0, 60.0)
         with pytest.raises(ConfigurationError):
