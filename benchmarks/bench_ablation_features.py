@@ -36,7 +36,7 @@ def run_variant(policy, trace, *, enable_withdraw=True, enable_deboost=True, see
             controller_config=config,
         )
 
-    import repro.experiments.runner as runner_module
+    from repro.scenario.builder import LATENCY_CONTROLLERS
 
     class NoDeboostController(PowerChiefController):
         def __init__(self, *args, **kwargs):
@@ -50,15 +50,15 @@ def run_variant(policy, trace, *, enable_withdraw=True, enable_deboost=True, see
                 enable_deboost_clone=False,
             )
 
-    original = runner_module.PowerChiefController
-    runner_module.PowerChiefController = NoDeboostController
+    original = LATENCY_CONTROLLERS["powerchief"]
+    LATENCY_CONTROLLERS["powerchief"] = NoDeboostController
     try:
         return run_latency_experiment(
             "sirius", policy, trace, FIG11_DURATION_S, seed=seed,
             controller_config=config,
         )
     finally:
-        runner_module.PowerChiefController = original
+        LATENCY_CONTROLLERS["powerchief"] = original
 
 
 def run_ablation():

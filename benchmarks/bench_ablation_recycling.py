@@ -58,10 +58,10 @@ def run_ablation(duration_s=600.0, seeds=(3, 5)):
                     )
                     self.engine.recycler = self.recycler
 
-            import repro.experiments.runner as runner_module
+            from repro.scenario.builder import LATENCY_CONTROLLERS
 
-            original = runner_module.PowerChiefController
-            runner_module.PowerChiefController = PatchedController
+            original = LATENCY_CONTROLLERS["powerchief"]
+            LATENCY_CONTROLLERS["powerchief"] = PatchedController
             try:
                 run = run_latency_experiment(
                     "sirius",
@@ -71,7 +71,7 @@ def run_ablation(duration_s=600.0, seeds=(3, 5)):
                     seed=seed,
                 )
             finally:
-                runner_module.PowerChiefController = original
+                LATENCY_CONTROLLERS["powerchief"] = original
             means.append(run.latency.mean)
         results[name] = sum(means) / len(means)
     return results

@@ -20,9 +20,9 @@ knowledge, and the stale oracle collapses by an order of magnitude.
 from __future__ import annotations
 
 from repro.core.oracle import best_static_allocation
-from repro.experiments.parallel import CellSpec, run_cells
+from repro.experiments.parallel import run_cells
 from repro.experiments.report import format_heading, format_table
-from repro.experiments.runner import StageAllocation
+from repro.scenario import ScenarioSpec, StageAllocation
 from repro.workloads.sirius import sirius_load_levels, sirius_profiles
 
 from benchmarks.conftest import engine_workers, run_once, show
@@ -50,21 +50,21 @@ def run_comparison(duration_s: float = 600.0, seed: int = 3):
     contenders = [
         (
             "oracle (knows the load)",
-            CellSpec.latency(
+            ScenarioSpec.latency(
                 "sirius", "static", trace, duration_s, seed=seed,
                 allocation=to_runner_allocation(clairvoyant),
             ),
         ),
         (
             "oracle (stale low-load forecast)",
-            CellSpec.latency(
+            ScenarioSpec.latency(
                 "sirius", "static", trace, duration_s, seed=seed,
                 allocation=to_runner_allocation(stale),
             ),
         ),
         (
             "powerchief (no forecast)",
-            CellSpec.latency("sirius", "powerchief", trace, duration_s, seed=seed),
+            ScenarioSpec.latency("sirius", "powerchief", trace, duration_s, seed=seed),
         ),
     ]
     report = run_cells(

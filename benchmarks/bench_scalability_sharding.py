@@ -19,25 +19,16 @@ from __future__ import annotations
 
 import time
 
-from repro.cluster.budget import PowerBudget
-from repro.cluster.dvfs import DvfsActuator
 from repro.cluster.frequency import HASWELL_LADDER
 from repro.cluster.machine import Machine
 from repro.core.bottleneck import BottleneckIdentifier
-from repro.core.controller import ControllerConfig, PowerChiefController
-from repro.experiments.parallel import fan_out
+from repro.core.controller import ControllerConfig
+from repro.experiments.parallel import run_cells
 from repro.experiments.report import format_heading, format_table
-from repro.scale.sharding import Shard, ShardedDeployment
-from repro.service.application import Application
+from repro.scenario import ScenarioSpec
 from repro.service.command_center import CommandCenter
 from repro.sim.engine import Simulator
-from repro.sim.rng import RandomStreams
-from repro.workloads.loadgen import ConstantLoad, PoissonLoadGenerator, QueryFactory
-from repro.workloads.sirius import (
-    build_sirius,
-    sirius_load_levels,
-    sirius_profiles,
-)
+from repro.workloads.sirius import build_sirius, sirius_load_levels
 
 from benchmarks.conftest import engine_workers, run_once, show
 
@@ -59,73 +50,38 @@ def ranking_cost(n_instances_per_stage: int, repeats: int = 200) -> float:
     return (time.perf_counter() - start) / repeats
 
 
-def sirius_shard_factory(sim: Simulator, index: int) -> Shard:
-    machine = Machine(sim, n_cores=16)
-    app = build_sirius(sim, machine, LEVEL_1_8)
-    command_center = CommandCenter(sim, app)
-    budget = PowerBudget(machine, 13.56)
-    controller = PowerChiefController(
-        sim,
-        app,
-        command_center,
-        budget,
-        DvfsActuator(sim),
-        ControllerConfig(adjust_interval_s=25.0, balance_threshold_s=0.25),
-    )
-    return Shard(
-        index=index,
-        application=app,
-        command_center=command_center,
-        budget=budget,
-        controller=controller,
-    )
-
-
-def run_sharded(n_shards: int, duration_s: float = 400.0, seed: int = 3):
+def sharded_spec(
+    n_shards: int, duration_s: float = 400.0, seed: int = 3
+) -> ScenarioSpec:
     """N shards under N x the single-replica high load."""
-    sim = Simulator()
-    deployment = ShardedDeployment(sim, n_shards, sirius_shard_factory)
-    deployment.start()
-    streams = RandomStreams(seed)
-    factory = QueryFactory(sirius_profiles(), streams)
-    rate = sirius_load_levels().high_qps * n_shards
-    arrival_stream = streams.stream("arrivals")
-
-    def arrive():
-        deployment.submit(factory.create())
-        gap = arrival_stream.exponential(1.0 / rate)
-        if sim.now + gap <= duration_s:
-            sim.schedule(gap, arrive)
-
-    sim.schedule(arrival_stream.exponential(1.0 / rate), arrive)
-    sim.run(until=duration_s)
-    deployment.stop()
-    deployment.assert_budgets()
-    return deployment
-
-
-def sharded_summary(n_shards: int, duration_s: float = 400.0, seed: int = 3):
-    """(completed, mean, p99) of one sharded run — primitives, so the two
-    deployments can run in separate worker processes via ``fan_out``."""
-    deployment = run_sharded(n_shards, duration_s, seed)
-    summary = deployment.summary()
-    return deployment.completed, summary.mean, summary.p99
+    return ScenarioSpec.latency(
+        "sirius",
+        "powerchief",
+        ("constant", sirius_load_levels().high_qps * n_shards),
+        duration_s,
+        seed=seed,
+        controller=ControllerConfig(adjust_interval_s=25.0, balance_threshold_s=0.25),
+        shards=n_shards,
+    )
 
 
 def run_all():
     # Ranking cost is a perf_counter micro-measure: keep it in-process so
     # pool scheduling noise cannot contaminate the timings.
     costs = {n: ranking_cost(n) for n in (1, 4, 16, 64)}
-    single, sharded = fan_out(
-        sharded_summary, [(1,), (4,)], max_workers=engine_workers(2)
+    report = run_cells(
+        [sharded_spec(1), sharded_spec(4)], max_workers=engine_workers(2)
     )
+    single, sharded = report.results()
     return costs, single, sharded
 
 
 def test_scalability_and_sharding(benchmark):
     costs, single, sharded = run_once(benchmark, run_all)
-    single_completed, single_mean, single_p99 = single
-    sharded_completed, sharded_mean, sharded_p99 = sharded
+    single_completed = single.queries_completed
+    single_mean, single_p99 = single.latency.mean, single.latency.p99
+    sharded_completed = sharded.queries_completed
+    sharded_mean, sharded_p99 = sharded.latency.mean, sharded.latency.p99
 
     show(
         format_heading("Per-decision ranking cost vs fleet size (one command center)")

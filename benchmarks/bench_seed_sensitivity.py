@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import statistics
 
-from repro.experiments.parallel import CellSpec, run_cells
+from repro.experiments.parallel import run_cells
 from repro.experiments.report import format_heading, format_table
+from repro.scenario import ScenarioSpec
 from repro.workloads.sirius import sirius_load_levels
 
 from benchmarks.conftest import engine_workers, run_once, show
@@ -23,7 +24,7 @@ SEEDS = (3, 5, 11, 23, 42)
 def run_all(duration_s: float = 600.0):
     rate = sirius_load_levels().high_qps
     specs = [
-        CellSpec.latency(
+        ScenarioSpec.latency(
             "sirius", policy, ("constant", rate), duration_s, seed=seed
         )
         for seed in SEEDS

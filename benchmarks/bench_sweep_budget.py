@@ -13,8 +13,9 @@ comfortable frequency.
 
 from __future__ import annotations
 
-from repro.experiments.parallel import CellSpec, run_cells
+from repro.experiments.parallel import run_cells
 from repro.experiments.report import format_heading, format_table
+from repro.scenario import ScenarioSpec
 from repro.workloads.sirius import sirius_load_levels
 
 from benchmarks.conftest import engine_workers, run_once, show
@@ -30,7 +31,7 @@ def equal_split_allocation(budget_watts: float):
     highest affordable level (Table 2's construction, generalised)."""
     from repro.cluster.frequency import HASWELL_LADDER
     from repro.cluster.power import DEFAULT_POWER_MODEL
-    from repro.experiments.runner import StageAllocation
+    from repro.scenario import StageAllocation
     from repro.workloads.sirius import SIRIUS_STAGES
 
     level = DEFAULT_POWER_MODEL.max_level_within(
@@ -43,7 +44,7 @@ def equal_split_allocation(budget_watts: float):
 def run_sweep(duration_s: float = 600.0, seed: int = 3):
     rate = sirius_load_levels().high_qps
     specs = [
-        CellSpec.latency(
+        ScenarioSpec.latency(
             "sirius",
             policy,
             ("constant", rate),

@@ -12,7 +12,8 @@ Run:  python examples/capacity_planning.py
 
 from repro.analysis import mg1_mean_wait, required_instances
 from repro.core import best_static_allocation
-from repro.experiments import StageAllocation, run_latency_experiment
+from repro.experiments import run_latency_experiment
+from repro.scenario import StageAllocation
 from repro.workloads import ConstantLoad, sirius_load_levels, sirius_profiles
 from repro.cluster import HASWELL_LADDER
 

@@ -9,7 +9,8 @@ timelines plus the power-saving summary.
 Run:  python examples/websearch_power_capping.py
 """
 
-from repro.experiments import TABLE3_WEBSEARCH, run_qos_experiment
+from repro.experiments import run_qos_experiment
+from repro.scenario.config import TABLE3_WEBSEARCH
 
 
 POLICIES = ("baseline", "pegasus", "powerchief")

@@ -1,16 +1,8 @@
-"""Experiment harness: configurations, runners and per-figure drivers."""
+"""Experiment harness: runners, the parallel cell engine and per-figure
+drivers.  Specs, configs and result types live in :mod:`repro.scenario`."""
 
-from repro.experiments.config import (
-    TABLE2_CONTROLLER_CONFIG,
-    TABLE2_INITIAL_FREQ_GHZ,
-    TABLE2_POWER_BUDGET_WATTS,
-    TABLE3_SIRIUS,
-    TABLE3_WEBSEARCH,
-    Table3Setup,
-)
 from repro.experiments.parallel import (
     CellOutcome,
-    CellSpec,
     EngineReport,
     ResultCache,
     fan_out,
@@ -18,32 +10,10 @@ from repro.experiments.parallel import (
     spec_digest,
 )
 from repro.experiments.report import format_heading, format_table
-from repro.experiments.runner import (
-    LATENCY_POLICIES,
-    QOS_POLICIES,
-    QosRunResult,
-    RunResult,
-    StageAllocation,
-    run_latency_experiment,
-    run_qos_experiment,
-)
-from repro.experiments.sampling import (
-    QosSample,
-    QosSampler,
-    StageSnapshot,
-    StateSample,
-    StateSampler,
-)
+from repro.experiments.runner import run_latency_experiment, run_qos_experiment
 
 __all__ = [
-    "TABLE2_CONTROLLER_CONFIG",
-    "TABLE2_INITIAL_FREQ_GHZ",
-    "TABLE2_POWER_BUDGET_WATTS",
-    "TABLE3_SIRIUS",
-    "TABLE3_WEBSEARCH",
-    "Table3Setup",
     "CellOutcome",
-    "CellSpec",
     "EngineReport",
     "ResultCache",
     "fan_out",
@@ -51,16 +21,6 @@ __all__ = [
     "spec_digest",
     "format_heading",
     "format_table",
-    "LATENCY_POLICIES",
-    "QOS_POLICIES",
-    "QosRunResult",
-    "RunResult",
-    "StageAllocation",
     "run_latency_experiment",
     "run_qos_experiment",
-    "QosSample",
-    "QosSampler",
-    "StageSnapshot",
-    "StateSample",
-    "StateSampler",
 ]

@@ -23,12 +23,7 @@ from typing import Callable, Mapping, Optional, Union
 
 from repro.errors import ExperimentError
 from repro.obs.metrics import MetricsRegistry
-from repro.experiments.parallel import (
-    CellOutcome,
-    CellSpec,
-    ResultCache,
-    run_cells,
-)
+from repro.experiments.parallel import CellOutcome, ResultCache, run_cells
 from repro.experiments.report import format_heading, format_table
 
 __all__ = ["CampaignResult", "default_registry", "run_campaign"]
@@ -125,7 +120,7 @@ def run_campaign(
     if registry is None:
         names = sorted(default_registry())
         report = run_cells(
-            [CellSpec.artefact(name) for name in names],
+            names,
             max_workers=max_workers,
             cache=cache_dir,
             progress=progress,

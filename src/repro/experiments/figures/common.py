@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from repro.errors import ExperimentError
-from repro.experiments.runner import RunResult, run_latency_experiment
+from repro.experiments.runner import run_latency_experiment
+from repro.scenario.results import RunResult
 from repro.workloads.loadgen import ConstantLoad
 
 __all__ = ["ImprovementCell", "seed_averaged_latency", "improvement_grid"]

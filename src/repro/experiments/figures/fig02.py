@@ -28,13 +28,14 @@ from typing import Sequence
 from repro.errors import ExperimentError
 from repro.cluster.frequency import HASWELL_LADDER
 from repro.cluster.power import DEFAULT_POWER_MODEL
-from repro.experiments.config import (
+from repro.scenario.config import (
     TABLE2_INITIAL_FREQ_GHZ,
     TABLE2_POWER_BUDGET_WATTS,
 )
 from repro.experiments.figures.common import DEFAULT_SEEDS
 from repro.experiments.report import format_heading, format_table
-from repro.experiments.runner import StageAllocation, run_latency_experiment
+from repro.experiments.runner import run_latency_experiment
+from repro.scenario.spec import StageAllocation
 from repro.workloads.loadgen import ConstantLoad
 from repro.workloads.sirius import SIRIUS_STAGES, sirius_load_levels
 

@@ -20,8 +20,9 @@ from dataclasses import dataclass
 from repro.errors import ExperimentError
 from repro.core.actions import InstanceLaunchAction, InstanceWithdrawAction
 from repro.experiments.report import format_heading, format_table
-from repro.experiments.runner import RunResult, run_latency_experiment
-from repro.experiments.sampling import StateSample
+from repro.experiments.runner import run_latency_experiment
+from repro.scenario.results import RunResult
+from repro.scenario.sampling import StateSample
 from repro.workloads.sirius import SIRIUS_STAGES, sirius_load_levels
 from repro.workloads.traces import FIG11_DURATION_S, fig11_trace
 

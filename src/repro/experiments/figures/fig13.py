@@ -13,9 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from repro.errors import ExperimentError
-from repro.experiments.config import TABLE3_SIRIUS, Table3Setup
+from repro.scenario.config import TABLE3_SIRIUS, Table3Setup
 from repro.experiments.report import format_heading, format_table
-from repro.experiments.runner import QosRunResult, run_qos_experiment
+from repro.experiments.runner import run_qos_experiment
+from repro.scenario.results import QosRunResult
 
 __all__ = ["QosFigureResult", "run_fig13", "render_qos_figure", "render_fig13"]
 

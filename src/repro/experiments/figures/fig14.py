@@ -11,7 +11,7 @@ instantaneous-latency bail-outs.
 
 from __future__ import annotations
 
-from repro.experiments.config import TABLE3_WEBSEARCH
+from repro.scenario.config import TABLE3_WEBSEARCH
 from repro.experiments.figures.fig13 import (
     POLICIES,
     QosFigureResult,

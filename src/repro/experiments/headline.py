@@ -21,7 +21,8 @@ from typing import Optional, Sequence, Union
 
 from repro.experiments.figures.fig10 import ImprovementFigureResult
 from repro.experiments.figures.fig13 import QosFigureResult
-from repro.experiments.parallel import CellSpec, ResultCache, run_cells
+from repro.experiments.parallel import ResultCache, run_cells
+from repro.scenario.spec import ScenarioSpec
 
 __all__ = ["Headline", "compute_headline", "run_headline", "format_headline"]
 
@@ -100,33 +101,31 @@ def run_headline(
     )
     qos_policies = ("baseline", "pegasus", "powerchief")
 
-    specs: list[CellSpec] = []
+    def latency_cell(app: str, policy: str, rate: float, seed: int) -> ScenarioSpec:
+        return ScenarioSpec.latency(
+            app, policy, ("constant", rate), duration_s, seed
+        )
+
+    def qos_cell(app: str, policy: str, rate: float) -> ScenarioSpec:
+        return ScenarioSpec.qos(app, policy, rate, qos_duration_s, qos_seed)
+
+    specs: list[ScenarioSpec] = []
     for app, levels in apps.items():
         for load in load_names:
             rate = getattr(levels, f"{load}_qps")
             for policy in ("static", "powerchief"):
                 for seed in seeds:
-                    specs.append(
-                        CellSpec.latency(
-                            app, policy, ("constant", rate), duration_s, seed
-                        )
-                    )
+                    specs.append(latency_cell(app, policy, rate, seed))
     for app, rate in qos_setups:
         for policy in qos_policies:
-            specs.append(
-                CellSpec.qos(app, policy, rate, qos_duration_s, qos_seed)
-            )
+            specs.append(qos_cell(app, policy, rate))
 
     report = run_cells(specs, max_workers=max_workers, cache=cache_dir)
     results = dict(zip(specs, report.outcomes))
 
     def mean_latencies(app: str, policy: str, rate: float) -> tuple[float, float]:
         runs = [
-            results[
-                CellSpec.latency(
-                    app, policy, ("constant", rate), duration_s, seed
-                )
-            ].result()
+            results[latency_cell(app, policy, rate, seed)].result()
             for seed in seeds
         ]
         mean = sum(run.latency.mean for run in runs) / len(runs)
@@ -150,9 +149,7 @@ def run_headline(
     savings: dict[tuple[str, str], float] = {}
     for app, rate in qos_setups:
         fractions = {
-            policy: results[
-                CellSpec.qos(app, policy, rate, qos_duration_s, qos_seed)
-            ]
+            policy: results[qos_cell(app, policy, rate)]
             .result()
             .average_power_fraction
             for policy in qos_policies

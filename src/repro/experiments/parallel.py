@@ -1,18 +1,19 @@
 """Parallel experiment execution with content-addressed result caching.
 
-Every cell of the evaluation — one ``(app, policy, trace, seed, budget,
-config)`` simulation — is an independent, deterministically seeded run, so
+Every cell of the evaluation — one scenario run, or one rendered
+artefact — is an independent, deterministically seeded computation, so
 a campaign is an embarrassingly parallel fan-out.  This module is the
 substrate the campaign driver, the headline aggregator and the sweep
 benchmarks execute on:
 
-* :class:`CellSpec` describes one cell as a picklable, hashable value
-  built from primitives only, so it can cross a process boundary and be
-  content-addressed.
-* :func:`spec_digest` derives a stable SHA-256 digest from a spec's
-  canonical JSON form; :class:`ResultCache` memoizes completed cells on
-  disk under that digest, so re-running a campaign only recomputes
-  changed cells.
+* a cell is either a :class:`~repro.scenario.spec.ScenarioSpec` (a
+  frozen, hashable, picklable run description) or the plain name of a
+  campaign artefact (a default-registry figure or table);
+* :func:`spec_digest` is a cell's cache key — a scenario's own
+  :meth:`~repro.scenario.spec.ScenarioSpec.digest`, so a campaign cell
+  and ``repro run --scenario`` share cache entries;
+  :class:`ResultCache` memoizes completed cells on disk under that
+  digest, so re-running a campaign only recomputes changed cells.
 * :func:`run_cells` fans cells out across worker processes via
   :class:`concurrent.futures.ProcessPoolExecutor` with a per-cell
   timeout, one in-process retry for cells whose worker crashed or timed
@@ -26,7 +27,6 @@ paths, so a cell's payload is byte-identical however it was executed —
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import os
@@ -41,31 +41,19 @@ from typing import Any, Callable, Optional, Sequence, Union
 from repro.errors import ConfigurationError, ExperimentError
 from repro.obs.metrics import MetricsRegistry
 from repro.experiments.export import (
-    qos_result_from_dict,
-    qos_result_to_dict,
-    run_result_from_dict,
-    run_result_to_dict,
+    scenario_payload,
+    scenario_result_from_payload,
 )
 from repro.experiments.report import format_heading, format_table
-from repro.scenario.config import TABLE3_SETUPS
-from repro.scenario.results import QosRunResult, RunResult
-from repro.scenario.spec import (
-    ScenarioSpec,
-    StageAllocation,
-    build_trace,
-    trace_to_spec,
-)
-from repro.workloads.loadgen import LoadTrace
+from repro.scenario.results import QosRunResult, RunResult, ShardedRunResult
+from repro.scenario.spec import ScenarioSpec
 
 __all__ = [
     "CACHE_VERSION",
-    "CellSpec",
+    "Cell",
     "CellOutcome",
     "EngineReport",
     "ResultCache",
-    "trace_to_spec",
-    "build_trace",
-    "cell_to_scenario",
     "spec_digest",
     "execute_cell",
     "run_cells",
@@ -73,210 +61,35 @@ __all__ = [
 ]
 
 #: Bumped whenever the payload layout or cell semantics change; part of
-#: every digest, so stale cache entries can never be mistaken for fresh.
-#: Version 2: latency/qos cells digest through the scenario layer's
+#: every cache entry, so stale entries can never be mistaken for fresh.
+#: Version 2: scenario cells digest through the scenario layer's
 #: canonical :meth:`~repro.scenario.spec.ScenarioSpec.digest`.
 CACHE_VERSION = 2
 
-_CELL_KINDS = ("latency", "qos", "artefact")
+#: One unit of campaign work: a scenario run, or an artefact's name.
+Cell = Union[ScenarioSpec, str]
 
-_SCALAR_TYPES = (bool, int, float, str, type(None))
+#: What a cell computes: a scenario result, or an artefact's render.
+CellResult = Union[RunResult, QosRunResult, ShardedRunResult, str]
 
 
-# ----------------------------------------------------------------------
-# Cell specs
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class CellSpec:
-    """One experiment cell, described entirely by primitives.
+def _label(cell: Cell) -> str:
+    """Short human-readable identity for progress/timing records."""
+    return f"artefact:{cell}" if isinstance(cell, str) else cell.label
 
-    A spec is hashable (usable as a dict key), picklable (crosses the
-    worker-process boundary) and canonically serialisable (its digest is
-    the cache key).  Use the :meth:`latency`, :meth:`qos` and
-    :meth:`artefact` constructors rather than the raw fields.
+
+def spec_digest(cell: Cell) -> str:
+    """Stable SHA-256 content address of a cell: its cache key.
+
+    A scenario cell's digest is :meth:`ScenarioSpec.digest`, so a
+    campaign cell and the equivalent ``repro run --scenario`` spec hit
+    the same cache entry; an artefact cell digests its name under
+    :data:`CACHE_VERSION`.
     """
-
-    kind: str
-    app: str
-    policy: str = ""
-    duration_s: float = 0.0
-    seed: int = 0
-    #: Trace spec tuple (latency cells only).
-    trace: tuple = ()
-    #: Arrival rate (QoS cells only).
-    rate_qps: float = 0.0
-    #: Power budget override; ``None`` keeps the runner's Table-2 default.
-    budget_watts: Optional[float] = None
-    #: ``((stage, count, level), ...)`` or ``None`` for the default.
-    allocation: Optional[tuple[tuple[str, int, int], ...]] = None
-    #: Extra scalar keyword arguments forwarded to the runner.
-    options: tuple[tuple[str, Any], ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.kind not in _CELL_KINDS:
-            raise ConfigurationError(
-                f"unknown cell kind {self.kind!r} "
-                f"(known: {', '.join(_CELL_KINDS)})"
-            )
-        for key, value in self.options:
-            if not isinstance(value, _SCALAR_TYPES):
-                raise ConfigurationError(
-                    f"cell option {key!r} must be a scalar, got "
-                    f"{type(value).__name__}"
-                )
-
-    @property
-    def label(self) -> str:
-        """Short human-readable identity for progress/timing records."""
-        if self.kind == "artefact":
-            return f"artefact:{self.app}"
-        return f"{self.kind}:{self.app}/{self.policy} seed={self.seed}"
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def latency(
-        cls,
-        app: str,
-        policy: str,
-        trace: Union[LoadTrace, tuple],
-        duration_s: float,
-        seed: int = 1,
-        budget_watts: Optional[float] = None,
-        allocation: Optional[dict[str, StageAllocation]] = None,
-        **options: Any,
-    ) -> "CellSpec":
-        """A Table-2 latency-mitigation cell (one ``run_latency_experiment``)."""
-        trace_spec = trace if isinstance(trace, tuple) else trace_to_spec(trace)
-        allocation_spec = None
-        if allocation is not None:
-            allocation_spec = tuple(
-                (name, alloc.count, alloc.level)
-                for name, alloc in sorted(allocation.items())
-            )
-        return cls(
-            kind="latency",
-            app=app,
-            policy=policy,
-            duration_s=float(duration_s),
-            seed=int(seed),
-            trace=trace_spec,
-            budget_watts=None if budget_watts is None else float(budget_watts),
-            allocation=allocation_spec,
-            options=tuple(sorted(options.items())),
-        )
-
-    @classmethod
-    def qos(
-        cls,
-        app: str,
-        policy: str,
-        rate_qps: float,
-        duration_s: float,
-        seed: int = 1,
-        **options: Any,
-    ) -> "CellSpec":
-        """A Table-3 QoS-mode cell; ``app`` names the Table-3 deployment."""
-        if app not in TABLE3_SETUPS:
-            known = ", ".join(sorted(TABLE3_SETUPS))
-            raise ConfigurationError(
-                f"unknown QoS deployment {app!r} (known: {known})"
-            )
-        return cls(
-            kind="qos",
-            app=app,
-            policy=policy,
-            duration_s=float(duration_s),
-            seed=int(seed),
-            rate_qps=float(rate_qps),
-            options=tuple(sorted(options.items())),
-        )
-
-    @classmethod
-    def artefact(cls, name: str) -> "CellSpec":
-        """A campaign artefact cell: render one default-registry figure."""
-        return cls(kind="artefact", app=name)
-
-
-#: Latency cell options that map onto first-class scenario fields.
-_LATENCY_FIELD_OPTIONS = (
-    "n_cores",
-    "sample_interval_s",
-    "stats_window_s",
-    "drain_s",
-    "initial_freq_ghz",
-)
-
-#: QoS cell options that map onto first-class scenario fields; the rest
-#: (conserve fractions, window override) ride in the scenario's options.
-_QOS_FIELD_OPTIONS = ("n_cores", "sample_interval_s")
-
-
-def cell_to_scenario(spec: CellSpec) -> ScenarioSpec:
-    """The :class:`~repro.scenario.spec.ScenarioSpec` a cell describes.
-
-    This is the one translation between the engine's historical cell
-    vocabulary and the scenario layer: the scenario's canonical digest is
-    the cache key, and the scenario builder is the execution path, so a
-    cell and a hand-written spec describing the same run share both.
-    Artefact cells have no scenario form (they render figures, not runs).
-    """
-    if spec.kind == "latency":
-        fields: dict[str, Any] = {}
-        for key, value in spec.options:
-            if key not in _LATENCY_FIELD_OPTIONS:
-                known = ", ".join(_LATENCY_FIELD_OPTIONS)
-                raise ConfigurationError(
-                    f"unknown latency cell option {key!r} (known: {known})"
-                )
-            fields[key] = value
-        return ScenarioSpec(
-            kind="latency",
-            app=spec.app,
-            policy=spec.policy,
-            duration_s=spec.duration_s,
-            seed=spec.seed,
-            trace=spec.trace,
-            budget_watts=spec.budget_watts,
-            allocation=spec.allocation,
-            **fields,
-        )
-    if spec.kind == "qos":
-        fields = {}
-        extras: list[tuple[str, Any]] = []
-        for key, value in spec.options:
-            if key in _QOS_FIELD_OPTIONS:
-                fields[key] = value
-            else:
-                extras.append((key, value))
-        return ScenarioSpec(
-            kind="qos",
-            app=spec.app,
-            policy=spec.policy,
-            duration_s=spec.duration_s,
-            seed=spec.seed,
-            rate_qps=spec.rate_qps,
-            options=tuple(extras),
-            **fields,
-        )
-    raise ConfigurationError(
-        f"{spec.kind!r} cells have no scenario form"
-    )
-
-
-def spec_digest(spec: CellSpec) -> str:
-    """Stable SHA-256 content address of a cell spec.
-
-    Two specs share a digest exactly when they describe the same cell
-    under the same :data:`CACHE_VERSION`; the digest is the cache key and
-    the cache file name.  Latency and QoS cells digest through the
-    scenario layer's canonical form, so a cell and the equivalent
-    ``repro run --scenario`` spec hit the same cache entry; artefact
-    cells (no scenario form) keep the engine's own scheme.
-    """
-    if spec.kind in ("latency", "qos"):
-        return cell_to_scenario(spec).digest()
+    if isinstance(cell, ScenarioSpec):
+        return cell.digest()
     canonical = json.dumps(
-        {"version": CACHE_VERSION, "spec": dataclasses.asdict(spec)},
+        {"version": CACHE_VERSION, "artefact": cell},
         sort_keys=True,
         separators=(",", ":"),
     )
@@ -286,43 +99,23 @@ def spec_digest(spec: CellSpec) -> str:
 # ----------------------------------------------------------------------
 # Cell execution (runs inside worker processes — module level, picklable)
 # ----------------------------------------------------------------------
-def execute_cell(spec: CellSpec) -> dict[str, Any]:
+def execute_cell(cell: Cell) -> dict[str, Any]:
     """Run one cell and return its JSON-serialisable payload."""
-    from repro.scenario.builder import run_scenario
+    if isinstance(cell, ScenarioSpec):
+        from repro.scenario.builder import run_scenario
 
-    if spec.kind == "latency":
-        result = run_scenario(cell_to_scenario(spec))
-        assert isinstance(result, RunResult)
-        return {"kind": "latency", "result": run_result_to_dict(result)}
-    if spec.kind == "qos":
-        qos_result = run_scenario(cell_to_scenario(spec))
-        assert isinstance(qos_result, QosRunResult)
-        return {"kind": "qos", "result": qos_result_to_dict(qos_result)}
+        return scenario_payload(run_scenario(cell))
     # Artefact cells resolve the campaign registry lazily so the campaign
     # module can itself be built on this engine without an import cycle.
     from repro.experiments.campaign import default_registry
 
     registry = default_registry()
-    if spec.app not in registry:
-        raise ExperimentError(f"campaign has no artefact {spec.app!r}")
-    return {"kind": "artefact", "render": registry[spec.app]()}
+    if cell not in registry:
+        raise ExperimentError(f"campaign has no artefact {cell!r}")
+    return {"kind": "artefact", "render": registry[cell]()}
 
 
-def payload_to_result(
-    payload: dict[str, Any],
-) -> Union[RunResult, QosRunResult, str]:
-    """Rebuild the first-class result object a cell payload encodes."""
-    kind = payload.get("kind")
-    if kind == "latency":
-        return run_result_from_dict(payload["result"])
-    if kind == "qos":
-        return qos_result_from_dict(payload["result"])
-    if kind == "artefact":
-        return payload["render"]
-    raise ExperimentError(f"unknown cell payload kind {kind!r}")
-
-
-def _timed_execute(spec: CellSpec) -> dict[str, Any]:
+def _timed_execute(cell: Cell) -> dict[str, Any]:
     """Worker entry point: execute one cell, recording wall clock and pid.
 
     The payload is normalised through a JSON round trip here, at the
@@ -331,7 +124,7 @@ def _timed_execute(spec: CellSpec) -> dict[str, Any]:
     worker, or read from the on-disk cache.
     """
     start = time.perf_counter()
-    payload = json.loads(json.dumps(execute_cell(spec)))
+    payload = json.loads(json.dumps(execute_cell(cell)))
     return {
         "payload": payload,
         "elapsed_s": time.perf_counter() - start,
@@ -385,29 +178,20 @@ class ResultCache:
         self.hits += 1
         return record
 
-    def put(
-        self,
-        spec: Union[CellSpec, "ScenarioSpec", dict[str, Any]],
-        digest: str,
-        record: dict[str, Any],
-    ) -> None:
+    def put(self, cell: Cell, digest: str, record: dict[str, Any]) -> None:
         """Store a computed cell; written atomically via a temp file.
 
-        ``spec`` may be a :class:`CellSpec`, a scenario spec, or an
-        already-serialised dict — whatever described the run the payload
-        came from; it is stored verbatim for provenance only (the digest
-        is the lookup key).
+        The cell is stored for provenance only (the digest is the lookup
+        key): a scenario as its dict form, an artefact as its name.
         """
-        if isinstance(spec, ScenarioSpec):
-            spec_payload: dict[str, Any] = spec.to_dict()
-        elif dataclasses.is_dataclass(spec) and not isinstance(spec, type):
-            spec_payload = dataclasses.asdict(spec)
-        else:
-            spec_payload = dict(spec)
         entry = {
             "version": CACHE_VERSION,
             "digest": digest,
-            "spec": spec_payload,
+            "spec": (
+                cell.to_dict()
+                if isinstance(cell, ScenarioSpec)
+                else {"artefact": cell}
+            ),
             "elapsed_s": record.get("elapsed_s", 0.0),
             "payload": record["payload"],
         }
@@ -442,7 +226,7 @@ class CellOutcome:
     (recomputed in-process after a worker crash or timeout).
     """
 
-    spec: CellSpec
+    spec: Cell
     digest: str
     payload: dict[str, Any]
     elapsed_s: float
@@ -450,8 +234,10 @@ class CellOutcome:
     attempts: int
     worker: Optional[int] = None
 
-    def result(self) -> Union[RunResult, QosRunResult, str]:
-        return payload_to_result(self.payload)
+    def result(self) -> CellResult:
+        if isinstance(self.spec, str):
+            return self.payload["render"]
+        return scenario_result_from_payload(self.payload)
 
 
 @dataclass
@@ -478,14 +264,14 @@ class EngineReport:
             if outcome.source != "cache"
         )
 
-    def results(self) -> list[Union[RunResult, QosRunResult, str]]:
+    def results(self) -> list[CellResult]:
         return [outcome.result() for outcome in self.outcomes]
 
     def format_timing(self) -> str:
         """A where-did-the-wall-clock-go table, slowest cells first."""
         rows = [
             (
-                outcome.spec.label,
+                _label(outcome.spec),
                 f"{outcome.elapsed_s:.2f}s",
                 outcome.source,
                 "-" if outcome.worker is None else str(outcome.worker),
@@ -514,7 +300,7 @@ _CELL_ELAPSED_BUCKETS_S = (0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0, 60.0, 180.
 
 
 def run_cells(
-    specs: Sequence[CellSpec],
+    specs: Sequence[Cell],
     max_workers: int = 1,
     cache: Union[ResultCache, str, Path, None] = None,
     timeout_s: Optional[float] = None,
@@ -574,7 +360,7 @@ def run_cells(
         if progress is not None:
             progress(outcome)
 
-    pending: list[tuple[int, CellSpec, str]] = []
+    pending: list[tuple[int, Cell, str]] = []
     for index, spec in enumerate(specs):
         digest = spec_digest(spec)
         record = store.get(digest) if store is not None else None
@@ -594,7 +380,7 @@ def run_cells(
             pending.append((index, spec, digest))
 
     def compute_serial(
-        index: int, spec: CellSpec, digest: str, source: str, attempts: int
+        index: int, spec: Cell, digest: str, source: str, attempts: int
     ) -> None:
         record = _timed_execute(spec)
         if store is not None:
@@ -681,8 +467,8 @@ def fan_out(
 ) -> list[Any]:
     """Run ``func(*args)`` for each tuple, in a pool when asked.
 
-    For independent jobs that are not :class:`CellSpec`-shaped (the
-    sharding benchmark's per-deployment simulations, for instance).
+    For independent jobs that are not cell-shaped (a benchmark's own
+    per-run measurements, for instance).
     ``func`` must be a module-level callable and both arguments and
     return values must pickle.  Results come back in argument order; the
     serial path and any pool failure fall back to direct calls.

@@ -35,29 +35,12 @@ from repro.scenario.config import (
     TABLE2_POWER_BUDGET_WATTS,
     Table3Setup,
 )
-from repro.scenario.builder import StackBuilder, _profiles_for  # noqa: F401
-from repro.scenario.results import (
-    QosRunResult,
-    RunResult,
-    ShardedRunResult,  # noqa: F401  (re-export for result consumers)
-)
-from repro.scenario.spec import (
-    LATENCY_POLICIES,
-    QOS_POLICIES,
-    ScenarioSpec,
-    StageAllocation,
-)
+from repro.scenario.builder import StackBuilder
+from repro.scenario.results import QosRunResult, RunResult
+from repro.scenario.spec import ScenarioSpec, StageAllocation
 from repro.workloads.loadgen import LoadTrace
 
-__all__ = [
-    "LATENCY_POLICIES",
-    "QOS_POLICIES",
-    "StageAllocation",
-    "RunResult",
-    "QosRunResult",
-    "run_latency_experiment",
-    "run_qos_experiment",
-]
+__all__ = ["run_latency_experiment", "run_qos_experiment"]
 
 
 # ----------------------------------------------------------------------

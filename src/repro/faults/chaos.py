@@ -41,7 +41,8 @@ if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.cluster.machine import Machine
     from repro.cluster.telemetry import PowerTelemetry
     from repro.core.controller import BaseController
-    from repro.experiments.runner import RunResult, StageAllocation
+    from repro.scenario.results import RunResult
+    from repro.scenario.spec import StageAllocation
     from repro.guard.config import GuardConfig
     from repro.service.application import Application
     from repro.workloads.loadgen import LoadTrace

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.core.controller import BaseController
-    from repro.experiments.runner import RunResult
+    from repro.scenario.results import RunResult
     from repro.faults.injector import FaultInjector
     from repro.faults.monitor import HealthMonitor
     from repro.service.application import Application

@@ -1,7 +1,7 @@
 """Parallel-engine safety: work crossing the process boundary must pickle.
 
 :func:`repro.experiments.parallel.run_cells` and ``fan_out`` ship
-callables and :class:`CellSpec` payloads through
+callables and their arguments (scenario specs, artefact names) through
 :class:`~concurrent.futures.ProcessPoolExecutor`.  Lambdas and closures
 do not pickle — the failure surfaces only on the ``--workers > 1`` path,
 which the serial test suite never exercises — so they are rejected
@@ -65,7 +65,7 @@ class PickleFanoutChecker(Checker):
     )
     hint = (
         "hoist the callable to module level; parameterise it through "
-        "argument tuples or CellSpec fields instead of captured state"
+        "argument tuples or scenario-spec fields instead of captured state"
     )
     scope = ("experiments/", "scale/")
 

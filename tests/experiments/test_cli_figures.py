@@ -11,7 +11,7 @@ from repro.cli import main
 @pytest.fixture
 def tiny_registry(monkeypatch):
     rendered = {"figX": lambda: "X RENDER", "figY": lambda: "Y RENDER"}
-    monkeypatch.setattr(cli_module, "_figure_registry", lambda: rendered)
+    monkeypatch.setattr(cli_module, "default_registry", lambda: rendered)
     return rendered
 
 
@@ -28,7 +28,7 @@ class TestFiguresCommand:
         assert out.index("X RENDER") < out.index("Y RENDER")
 
     def test_registry_covers_the_whole_evaluation(self):
-        registry = cli_module._figure_registry()
+        registry = cli_module.default_registry()
         assert set(registry) == {
             "fig02",
             "fig04",

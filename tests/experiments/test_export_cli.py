@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
-from repro.experiments.config import TABLE3_WEBSEARCH
+from repro.scenario.config import TABLE3_WEBSEARCH
 from repro.experiments.export import (
     qos_result_to_dict,
     run_result_to_dict,

@@ -13,17 +13,15 @@ from repro.errors import ConfigurationError, ExperimentError
 from repro.experiments import parallel
 from repro.experiments.parallel import (
     CACHE_VERSION,
-    CellSpec,
     ResultCache,
-    build_trace,
     execute_cell,
     fan_out,
     run_cells,
     spec_digest,
-    trace_to_spec,
 )
-from repro.experiments.runner import StageAllocation, run_latency_experiment
+from repro.experiments.runner import run_latency_experiment
 from repro.experiments.export import run_result_to_dict
+from repro.scenario import ScenarioSpec, StageAllocation, build_trace, trace_to_spec
 from repro.workloads.loadgen import (
     ConstantLoad,
     DiurnalLoad,
@@ -59,16 +57,18 @@ def _double(value):
     return 2 * value
 
 
-def latency_specs(count: int = 2) -> list[CellSpec]:
+def latency_specs(count: int = 2) -> list[ScenarioSpec]:
     return [
-        CellSpec.latency("sirius", "static", ("constant", RATE), DURATION, seed=seed)
+        ScenarioSpec.latency(
+            "sirius", "static", ("constant", RATE), DURATION, seed=seed
+        )
         for seed in range(1, count + 1)
     ]
 
 
-class TestCellSpec:
-    def test_hashable_and_picklable(self):
-        spec = CellSpec.latency(
+class TestCells:
+    def test_scenario_cells_are_hashable_and_picklable(self):
+        spec = ScenarioSpec.latency(
             "sirius",
             "powerchief",
             ConstantLoad(2.0),
@@ -81,26 +81,41 @@ class TestCellSpec:
         assert spec == pickle.loads(pickle.dumps(spec))
         assert len({spec, spec}) == 1
 
+    def test_scenario_cache_keys_are_pinned(self):
+        # Cache directories written before the engine took scenario specs
+        # keyed latency and QoS cells on these same digests.
+        latency = ScenarioSpec.latency(
+            "sirius", "static", ("constant", 1.0), 60.0, seed=1
+        )
+        qos = ScenarioSpec.qos("websearch", "powerchief", 8.0, 400.0, seed=3)
+        assert spec_digest(latency) == latency.digest() == (
+            "ec0ff7a16b052bd93cd6a0e595bf42d7c4a8916871c45de1dbfa978065a3964e"
+        )
+        assert spec_digest(qos) == qos.digest() == (
+            "9452206317e07688c8937db3e933fe79d59f820b2849f979d4470205fd98bf7b"
+        )
+
     def test_digest_is_stable_and_content_sensitive(self):
-        first = CellSpec.latency("sirius", "static", ("constant", 1.0), 60.0, seed=1)
-        same = CellSpec.latency("sirius", "static", ConstantLoad(1.0), 60.0, seed=1)
-        other = CellSpec.latency("sirius", "static", ("constant", 1.0), 60.0, seed=2)
+        first = ScenarioSpec.latency("sirius", "static", ("constant", 1.0), 60.0, seed=1)
+        same = ScenarioSpec.latency("sirius", "static", ConstantLoad(1.0), 60.0, seed=1)
+        other = ScenarioSpec.latency("sirius", "static", ("constant", 1.0), 60.0, seed=2)
         assert spec_digest(first) == spec_digest(same)
         assert spec_digest(first) != spec_digest(other)
 
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ConfigurationError):
-            CellSpec(kind="nosuch", app="sirius")
+    def test_artefact_cells_digest_by_name(self):
+        assert spec_digest("fig02") == spec_digest("fig02")
+        assert spec_digest("fig02") != spec_digest("fig04")
+        assert len(spec_digest("fig02")) == 64
 
     def test_non_scalar_option_rejected(self):
         with pytest.raises(ConfigurationError):
-            CellSpec.latency(
-                "sirius", "static", ("constant", 1.0), 60.0, contention=object()
+            ScenarioSpec.latency(
+                "sirius", "static", ("constant", 1.0), 60.0, budget=object()
             )
 
-    def test_unknown_qos_deployment_rejected(self):
-        with pytest.raises(ConfigurationError):
-            CellSpec.qos("nlp", "baseline", 4.0, 60.0)
+    def test_unknown_qos_deployment_fails_at_execution(self):
+        with pytest.raises(ConfigurationError, match="QoS deployment"):
+            execute_cell(ScenarioSpec.qos("nlp", "baseline", 4.0, 60.0))
 
     def test_trace_specs_round_trip(self):
         for trace in (
@@ -145,7 +160,9 @@ class TestResultCache:
         specs = latency_specs()
         run_cells(specs, max_workers=1, cache=cache)
         changed = specs[:1] + [
-            CellSpec.latency("sirius", "static", ("constant", RATE), DURATION, seed=99)
+            ScenarioSpec.latency(
+                "sirius", "static", ("constant", RATE), DURATION, seed=99
+            )
         ]
         report = run_cells(changed, max_workers=1, cache=cache)
         assert [o.source for o in report.outcomes] == ["cache", "serial"]
@@ -196,7 +213,7 @@ class TestEngine:
         assert report.outcomes[0].result() == direct
 
     def test_qos_cells_round_trip(self):
-        spec = CellSpec.qos("sirius", "baseline", 4.0, DURATION, seed=1)
+        spec = ScenarioSpec.qos("sirius", "baseline", 4.0, DURATION, seed=1)
         report = run_cells([spec], max_workers=1)
         result = report.outcomes[0].result()
         assert result.app == "sirius"
@@ -275,11 +292,12 @@ class TestEngine:
             "default_registry",
             lambda: {"figX": lambda: "RENDER X"},
         )
-        report = run_cells([CellSpec.artefact("figX")], max_workers=1)
+        report = run_cells(["figX"], max_workers=1)
         assert report.outcomes[0].payload["render"] == "RENDER X"
         assert report.outcomes[0].result() == "RENDER X"
+        assert "artefact:figX" in report.format_timing()
         with pytest.raises(ExperimentError):
-            execute_cell(CellSpec.artefact("nosuch"))
+            execute_cell("nosuch")
 
 
 class _FakeFuture:

@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.experiments.report import format_heading, format_table
-from repro.experiments.sampling import QosSampler, StateSampler
+from repro.scenario.sampling import QosSampler, StateSampler
 from repro.service.command_center import CommandCenter
 
 from tests.conftest import submit_two_stage_query

@@ -9,14 +9,9 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigurationError, ExperimentError
-from repro.experiments.config import TABLE3_SIRIUS, TABLE3_WEBSEARCH
-from repro.experiments.runner import (
-    LATENCY_POLICIES,
-    QOS_POLICIES,
-    StageAllocation,
-    run_latency_experiment,
-    run_qos_experiment,
-)
+from repro.experiments.runner import run_latency_experiment, run_qos_experiment
+from repro.scenario import LATENCY_POLICIES, QOS_POLICIES, StageAllocation
+from repro.scenario.config import TABLE3_SIRIUS, TABLE3_WEBSEARCH
 from repro.workloads.loadgen import ConstantLoad
 
 

@@ -10,16 +10,12 @@ from __future__ import annotations
 import pytest
 
 from repro.core.actions import FrequencyChangeAction, InstanceLaunchAction
-from repro.experiments.config import (
+from repro.experiments.runner import run_latency_experiment, run_qos_experiment
+from repro.scenario import LATENCY_POLICIES, QOS_POLICIES
+from repro.scenario.config import (
     TABLE2_POWER_BUDGET_WATTS,
     TABLE3_SIRIUS,
     TABLE3_WEBSEARCH,
-)
-from repro.experiments.runner import (
-    LATENCY_POLICIES,
-    QOS_POLICIES,
-    run_latency_experiment,
-    run_qos_experiment,
 )
 from repro.workloads.loadgen import ConstantLoad
 from repro.workloads.nlp import nlp_load_levels

@@ -9,7 +9,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.actions import InstanceLaunchAction, InstanceWithdrawAction
-from repro.experiments.config import TABLE3_SIRIUS, TABLE3_WEBSEARCH
+from repro.scenario.config import TABLE3_SIRIUS, TABLE3_WEBSEARCH
 from repro.experiments.runner import run_latency_experiment, run_qos_experiment
 from repro.workloads.loadgen import ConstantLoad
 from repro.workloads.sirius import sirius_load_levels

@@ -42,7 +42,7 @@ class TestApplyNoneDecision:
 
 class TestResultProperties:
     def test_completion_fraction(self):
-        from repro.experiments.runner import RunResult
+        from repro.scenario import RunResult
 
         result = RunResult(
             app="sirius",
@@ -58,7 +58,7 @@ class TestResultProperties:
         assert result.completion_fraction == pytest.approx(0.75)
 
     def test_completion_fraction_with_no_arrivals(self):
-        from repro.experiments.runner import RunResult
+        from repro.scenario import RunResult
 
         result = RunResult(
             app="sirius",
