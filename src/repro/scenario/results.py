@@ -1,11 +1,8 @@
 """Result records every scenario kind collects into.
 
-:class:`RunResult` and :class:`QosRunResult` are the historical records
-the experiment runners have always returned (they live here now so the
-scenario layer owns them; :mod:`repro.experiments.runner` re-exports them
-for compatibility).  :class:`ShardedRunResult` is new with the scenario
-layer: the pooled view of a multi-shard latency run plus a
-:class:`ShardResult` per replica.
+:class:`RunResult` and :class:`QosRunResult` are what a latency and a
+QoS run return; :class:`ShardedRunResult` is the pooled view of a
+multi-shard latency run plus a :class:`ShardResult` per replica.
 """
 
 from __future__ import annotations
