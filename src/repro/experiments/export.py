@@ -242,9 +242,8 @@ def scenario_payload(
 ) -> dict[str, Any]:
     """A kind-tagged payload for whatever a scenario run returned.
 
-    The shape matches the parallel engine's cell payloads, so a scenario
-    run's cache entry and a campaign cell's cache entry decode the same
-    way.
+    This is the one result format the campaign engine caches, ``repro
+    run --json`` writes and the daemon's ``result`` command serves.
     """
     if isinstance(result, ShardedRunResult):
         return {"kind": "sharded", "result": sharded_result_to_dict(result)}
