@@ -30,6 +30,7 @@ import hashlib
 import json
 from pathlib import Path
 
+from repro.guard.config import GuardConfig
 from repro.scenario.spec import ScenarioSpec, StageAllocation
 
 GOLDEN_PATH = Path(__file__).with_name("golden_digests.json")
@@ -84,7 +85,8 @@ def golden_cells() -> dict[str, ScenarioSpec]:
 
 
 def observed_cells() -> dict[str, ScenarioSpec]:
-    """Pillar-armed cells: one single stack, one sharded, one QoS."""
+    """Pillar-armed cells: one single stack, one sharded, one QoS, and
+    the guarded headline shape, whose SLO window holds ~2,400 settles."""
     return {
         "sirius-powerchief-observed": ScenarioSpec.latency(
             "sirius",
@@ -109,6 +111,23 @@ def observed_cells() -> dict[str, ScenarioSpec]:
         ),
         "websearch-qos-powerchief-observed": ScenarioSpec.qos(
             "websearch", "powerchief", 8.0, 150.0, seed=3, observe=ALL_PILLARS
+        ),
+        "sirius-headline-observed": ScenarioSpec.latency(
+            "sirius",
+            "powerchief",
+            ("constant", 40.0),
+            150.0,
+            seed=3,
+            budget_watts=1000.0,
+            allocation={
+                "ASR": StageAllocation(count=22, level=1),
+                "IMM": StageAllocation(count=21, level=1),
+                "QA": StageAllocation(count=21, level=1),
+            },
+            n_cores=64,
+            observe=ALL_PILLARS,
+            guard=GuardConfig(),
+            slo_target_s=5.0,
         ),
     }
 
