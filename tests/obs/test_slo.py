@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import math
+from collections import deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.obs.metrics import MetricsRegistry
@@ -74,6 +77,25 @@ class TestAccounting:
         assert tracker.windowed_attainment(now=109.0) == 1.0
         assert tracker.burn_rate(now=109.0) == 0.0
 
+    def test_late_report_still_counts_the_settles_behind_it(self):
+        # rpc-delay/rpc-loss faults can deliver a completion report after
+        # a later settle: 5.0 arrives after 10.0.  The window at 65 s is
+        # (5, 65], so it holds the violation at 10.0 and the ok at 50.0.
+        tracker = SloTracker(target_s=1.0, window_s=60.0)
+        for time, ok in [(10.0, False), (5.0, True), (50.0, True)]:
+            tracker._ingest(time, ok)
+        assert math.isclose(tracker.burn_rate(now=65.0), 50.0)
+        assert math.isclose(tracker.windowed_attainment(now=65.0), 0.5)
+
+    def test_event_bound_evicts_by_arrival_not_by_time(self):
+        # The cap drops the earliest *arrival* (the violation at 10.0),
+        # even though the late report at 5.0 is older.
+        tracker = SloTracker(target_s=1.0, window_s=60.0, max_events=2)
+        for time, ok in [(10.0, False), (5.0, True), (50.0, True)]:
+            tracker._ingest(time, ok)
+        assert tracker._window_counts(65.0) == (1, 1)
+        assert tracker._window_counts(50.0) == (2, 2)
+
     def test_timeline_buckets_burn(self):
         tracker = self._fed(
             [(float(i), i >= 10) for i in range(20)], goal=0.9
@@ -119,3 +141,124 @@ class TestMetricsExport:
             registry.gauge("repro_slo_attainment").value(), 0.5
         )
         assert registry.gauge("repro_slo_burn_rate").value() > 0.0
+
+
+# ----------------------------------------------------------------------
+# Property: the bisected window against the original backward scan.
+
+
+def _scan_counts(events, last_time, window_s, now):
+    """The original window count: walk back from the newest arrival and
+    stop at the first settle at or before the window's edge.  Exact only
+    when settles arrive in time order."""
+    at = last_time if now is None else now
+    horizon = at - window_s
+    ok = seen = 0
+    for time, was_ok in reversed(events):
+        if time <= horizon or time > at:
+            if time <= horizon:
+                break
+            continue
+        seen += 1
+        if was_ok:
+            ok += 1
+    return ok, seen
+
+
+def _exact_counts(events, last_time, window_s, now):
+    """Brute force over every retained settle, in any arrival order."""
+    at = last_time if now is None else now
+    inside = [ok for time, ok in events if at - window_s < time <= at]
+    return sum(inside), len(inside)
+
+
+# Coarse steps make settles share times and land exactly on window edges.
+_GAPS = st.one_of(
+    st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+    st.floats(min_value=0.0, max_value=5.0, allow_nan=False),
+)
+_WINDOWS = st.one_of(
+    st.sampled_from([1.0, 2.0, 5.0]),
+    st.floats(min_value=0.25, max_value=30.0, allow_nan=False),
+)
+
+
+@st.composite
+def _settle_runs(draw, jitter):
+    """(time, ok) settles on a rising clock; with ``jitter`` each may be
+    reported up to 3 s behind the clock, so arrivals go out of order."""
+    steps = draw(
+        st.lists(
+            st.tuples(
+                _GAPS,
+                st.booleans(),
+                st.floats(min_value=0.0, max_value=3.0, allow_nan=False)
+                if jitter
+                else st.just(0.0),
+            ),
+            min_size=1,
+            max_size=80,
+        )
+    )
+    clock = 3.0
+    settles = []
+    for gap, ok, behind in steps:
+        clock += gap
+        settles.append((clock - behind, ok))
+    return settles
+
+
+def _check_window(settles, window_s, max_events, in_order):
+    tracker = SloTracker(
+        target_s=1.0, window_s=window_s, max_events=max_events
+    )
+    retained: deque[tuple[float, bool]] = deque(maxlen=max_events)
+    last_time = 0.0
+
+    def agree(now):
+        counts = tracker._window_counts(now)
+        assert counts == _exact_counts(retained, last_time, window_s, now)
+        if in_order:
+            assert counts == _scan_counts(retained, last_time, window_s, now)
+
+    for time, ok in settles:
+        tracker._ingest(time, ok)
+        retained.append((time, ok))
+        last_time = max(last_time, time)
+        assert list(tracker._events) == list(retained)
+        agree(time)
+    first = min(time for time, _ in settles)
+    for now in (
+        None,
+        last_time,
+        last_time - window_s / 2.0,
+        last_time - window_s,
+        last_time + window_s / 2.0,
+        last_time + window_s,
+        last_time + 2.0 * window_s,
+        first,
+        first - 1.0,
+    ):
+        agree(now)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    settles=_settle_runs(jitter=False),
+    window_s=_WINDOWS,
+    max_events=st.integers(min_value=1, max_value=100),
+)
+def test_in_order_window_matches_the_scan(settles, window_s, max_events):
+    _check_window(settles, window_s, max_events, in_order=True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    settles=_settle_runs(jitter=True),
+    window_s=_WINDOWS,
+    max_events=st.integers(min_value=1, max_value=100),
+)
+def test_any_order_window_counts_every_retained_settle(
+    settles, window_s, max_events
+):
+    _check_window(settles, window_s, max_events, in_order=False)
