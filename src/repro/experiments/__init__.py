@@ -5,7 +5,6 @@ from repro.experiments.parallel import (
     CellOutcome,
     EngineReport,
     ResultCache,
-    fan_out,
     run_cells,
     spec_digest,
 )
@@ -16,7 +15,6 @@ __all__ = [
     "CellOutcome",
     "EngineReport",
     "ResultCache",
-    "fan_out",
     "run_cells",
     "spec_digest",
     "format_heading",

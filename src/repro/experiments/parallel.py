@@ -57,7 +57,6 @@ __all__ = [
     "spec_digest",
     "execute_cell",
     "run_cells",
-    "fan_out",
 ]
 
 #: Bumped whenever the payload layout or cell semantics change; part of
@@ -456,39 +455,3 @@ def run_cells(
     report.wall_clock_s = time.perf_counter() - started
     return report
 
-
-# ----------------------------------------------------------------------
-# Generic fan-out (for work that is not cell-shaped)
-# ----------------------------------------------------------------------
-def fan_out(
-    func: Callable[..., Any],
-    argument_tuples: Sequence[tuple],
-    max_workers: int = 1,
-) -> list[Any]:
-    """Run ``func(*args)`` for each tuple, in a pool when asked.
-
-    For independent jobs that are not cell-shaped (a benchmark's own
-    per-run measurements, for instance).
-    ``func`` must be a module-level callable and both arguments and
-    return values must pickle.  Results come back in argument order; the
-    serial path and any pool failure fall back to direct calls.
-    """
-    if max_workers < 1:
-        raise ConfigurationError(f"max_workers must be >= 1, got {max_workers}")
-    if max_workers == 1 or len(argument_tuples) <= 1:
-        return [func(*args) for args in argument_tuples]
-    try:
-        executor = ProcessPoolExecutor(max_workers=max_workers)
-    except (OSError, ValueError):
-        return [func(*args) for args in argument_tuples]
-    results: list[Any] = []
-    try:
-        futures = [executor.submit(func, *args) for args in argument_tuples]
-        for future, args in zip(futures, argument_tuples):
-            try:
-                results.append(future.result())
-            except Exception:
-                results.append(func(*args))
-    finally:
-        executor.shutdown(wait=False, cancel_futures=True)
-    return results

@@ -1,11 +1,12 @@
 """Parallel-engine safety: work crossing the process boundary must pickle.
 
-:func:`repro.experiments.parallel.run_cells` and ``fan_out`` ship
-callables and their arguments (scenario specs, artefact names) through
-:class:`~concurrent.futures.ProcessPoolExecutor`.  Lambdas and closures
-do not pickle — the failure surfaces only on the ``--workers > 1`` path,
-which the serial test suite never exercises — so they are rejected
-statically at every fan-out call site.
+:func:`repro.experiments.parallel.run_cells` ships its cells (scenario
+specs, artefact names) through
+:class:`~concurrent.futures.ProcessPoolExecutor`, and any
+``executor.submit``/``map`` call ships its callable and arguments.
+Lambdas and closures do not pickle — the failure surfaces only on the
+``--workers > 1`` path, which the serial test suite never exercises — so
+they are rejected statically at every fan-out call site.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from repro.lint.source import SourceModule
 __all__ = ["PickleFanoutChecker"]
 
 #: Call names whose arguments cross a process boundary.
-_FANOUT_NAMES = frozenset({"fan_out", "run_cells"})
+_FANOUT_NAMES = frozenset({"run_cells"})
 _FANOUT_METHODS = frozenset({"submit", "map"})
 
 
@@ -60,7 +61,7 @@ class PickleFanoutChecker(Checker):
 
     rule_id = "pickle-fanout"
     description = (
-        "callables handed to fan_out/run_cells/executor.submit must be "
+        "callables handed to run_cells/executor.submit must be "
         "module-level (no lambdas, no closures) so they pickle"
     )
     hint = (

@@ -15,7 +15,6 @@ from repro.experiments.parallel import (
     CACHE_VERSION,
     ResultCache,
     execute_cell,
-    fan_out,
     run_cells,
     spec_digest,
 )
@@ -51,10 +50,6 @@ def _sleep_in_worker(spec):
     if os.getpid() != MAIN_PID:
         time.sleep(5.0)
     return _REAL_EXECUTE(spec)
-
-
-def _double(value):
-    return 2 * value
 
 
 def latency_specs(count: int = 2) -> list[ScenarioSpec]:
@@ -419,20 +414,3 @@ class TestDeterministicRetryPath:
         retried = run_cells(specs, max_workers=2, timeout_s=0.01)
         assert retried.outcomes[0].payload == clean.outcomes[0].payload
 
-
-class TestFanOut:
-    def test_serial_path(self):
-        assert fan_out(_double, [(1,), (2,), (3,)], max_workers=1) == [2, 4, 6]
-
-    def test_pool_path_preserves_order(self):
-        assert fan_out(_double, [(i,) for i in range(5)], max_workers=2) == [
-            0,
-            2,
-            4,
-            6,
-            8,
-        ]
-
-    def test_rejects_zero_workers(self):
-        with pytest.raises(ConfigurationError):
-            fan_out(_double, [(1,)], max_workers=0)

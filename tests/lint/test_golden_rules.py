@@ -273,12 +273,12 @@ class TestPickleFanout:
             {
                 "experiments/bad.py": """\
                 def drive(cells):
-                    results = fan_out(lambda cell: cell, cells)
+                    results = run_cells(lambda cell: cell, cells)
 
                     def helper(cell):
                         return cell
 
-                    more = fan_out(helper, cells)
+                    more = run_cells(helper, cells)
                     return results, more
                 """
             },
@@ -310,7 +310,7 @@ class TestPickleFanout:
 
 
                 def drive(cells):
-                    return fan_out(run_one, cells)
+                    return run_cells(run_one, cells)
                 """
             },
         )
@@ -323,7 +323,7 @@ class TestPickleFanout:
             {
                 "core/helpers.py": """\
                 def drive(cells):
-                    return fan_out(lambda cell: cell, cells)
+                    return run_cells(lambda cell: cell, cells)
                 """
             },
         )
