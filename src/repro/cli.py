@@ -343,26 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print the rule catalog and exit",
     )
-    lint.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help="accepted-debt file: matched findings no longer fail the run",
-    )
-    lint.add_argument(
-        "--write-baseline",
-        metavar="FILE",
-        help="snapshot current findings as the accepted-debt baseline and exit",
-    )
-    lint.add_argument(
-        "--fix",
-        action="store_true",
-        help="apply the mechanically fixable subset, then re-lint",
-    )
-    lint.add_argument(
-        "--callgraph-cache",
-        metavar="FILE",
-        help="JSON cache for the cross-module call graph, reused across runs",
-    )
 
     bench = commands.add_parser(
         "bench",
@@ -924,16 +904,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     """Exit codes: 0 clean, 1 findings, 2 the linter itself crashed."""
     import json as json_module
 
-    from repro.lint import (
-        Baseline,
-        LintReport,
-        apply_baseline,
-        apply_fixes,
-        default_registry,
-        lint_paths,
-        report_to_sarif,
-        write_baseline,
-    )
+    from repro.lint import default_registry, lint_paths, report_to_sarif
 
     try:
         registry = default_registry()
@@ -942,44 +913,17 @@ def _cmd_lint(args: argparse.Namespace) -> int:
                 scoped = f" [{', '.join(scope)}]" if scope else ""
                 print(f"{rule}{scoped}: {description}")
             return 0
-
-        def run() -> LintReport:
-            return lint_paths(
-                args.paths,
-                registry=registry,
-                select=args.select,  # None = all; "" must error, not pass
-                callgraph_cache=args.callgraph_cache,
-            )
-
-        report = run()
-        if args.write_baseline:
-            count = write_baseline(report, args.write_baseline)
-            print(
-                f"wrote {count} baseline entr{'y' if count == 1 else 'ies'} "
-                f"to {args.write_baseline}"
-            )
-            return 0
-        if args.fix:
-            fixed = apply_fixes(report)
-            if fixed.files_changed:
-                report = run()  # line numbers moved; re-lint is the truth
-            print(fixed.summary(), file=sys.stderr)
-        stale = []
-        if args.baseline:
-            stale = apply_baseline(report, Baseline.load(args.baseline))
+        report = lint_paths(
+            args.paths,
+            registry=registry,
+            select=args.select,  # None = all; "" must error, not pass
+        )
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
     except Exception as error:  # a crash must never read as "clean"
         print(f"repro-lint internal error: {error!r}", file=sys.stderr)
         return 2
-    if stale:
-        print(
-            f"note: {len(stale)} stale baseline entr"
-            f"{'y' if len(stale) == 1 else 'ies'} no longer match "
-            f"anything — regenerate with --write-baseline",
-            file=sys.stderr,
-        )
     if args.format == "json":
         print(json_module.dumps(report.to_dict(), indent=2, sort_keys=True))
     elif args.format == "sarif":

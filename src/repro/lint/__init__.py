@@ -9,7 +9,7 @@ properties that must hold *everywhere* at the source level instead:
   simulator, controller or service layers (``wall-clock``,
   ``unseeded-random``);
 * unit discipline — no arithmetic mixing watts, gigahertz and seconds
-  (``unit-mismatch``), no ``==`` on computed floats (``float-equality``);
+  (``unit-mismatch``);
 * parallel-engine safety — everything crossing the
   :mod:`repro.experiments.parallel` process boundary must be module-level
   and picklable (``pickle-fanout``);
@@ -17,9 +17,10 @@ properties that must hold *everywhere* at the source level instead:
   the naming convention and registered consistently (``metric-name``,
   ``metric-duplicate``);
 * dataclass invariants — no mutable defaults, frozen where shared
-  (``dataclass-mutable-default``, ``dataclass-frozen-shared``), plus the
-  general-purpose ``mutable-default-arg`` and ``shadow-builtin`` rules;
-* flow-aware families (PR 8) — per-function CFGs, a forward-dataflow
+  (``dataclass-mutable-default``, ``dataclass-frozen-shared``);
+* stack assembly — experiment stacks come from the scenario layer
+  (``scenario-bypass``);
+* flow-aware families — per-function CFGs, a forward-dataflow
   framework and a cross-module call graph power ``unit-flow``,
   ``resource-pairing``, ``unordered-iteration``, ``rng-escape`` and
   ``observer-purity``.
@@ -27,36 +28,25 @@ properties that must hold *everywhere* at the source level instead:
 Entry points: :func:`repro.lint.runner.lint_paths` (API), ``repro lint``
 (CLI) and ``tests/lint/`` (the self-clean gate).  Findings are
 suppressed per line with ``# repro-lint: disable=RULE`` or per file with
-``# repro-lint: disable-file=RULE``; accepted pre-existing debt lives in
-a committed baseline file (:mod:`repro.lint.baseline`), output is
-human text, JSON or SARIF 2.1.0 (:mod:`repro.lint.sarif`), and the
-mechanically fixable subset rewrites itself via ``repro lint --fix``
-(:mod:`repro.lint.fixes`).
+``# repro-lint: disable-file=RULE``; output is human text, JSON or
+SARIF 2.1.0 (:mod:`repro.lint.sarif`).  General Python style (mutable
+default arguments, shadowed builtins) is ruff's job, not this package's.
 """
 
-from repro.lint.baseline import Baseline, apply_baseline, write_baseline
-from repro.lint.findings import Finding, Fix, LintReport, TextEdit
-from repro.lint.fixes import FixResult, apply_fixes
+from repro.lint.findings import Finding, LintReport
 from repro.lint.registry import Checker, CheckerRegistry, default_registry
 from repro.lint.runner import lint_paths
 from repro.lint.sarif import report_to_sarif, validate_sarif
 from repro.lint.source import SourceModule
 
 __all__ = [
-    "Baseline",
     "Checker",
     "CheckerRegistry",
     "Finding",
-    "Fix",
-    "FixResult",
     "LintReport",
     "SourceModule",
-    "TextEdit",
-    "apply_baseline",
-    "apply_fixes",
     "default_registry",
     "lint_paths",
     "report_to_sarif",
     "validate_sarif",
-    "write_baseline",
 ]

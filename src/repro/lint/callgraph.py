@@ -17,20 +17,12 @@ Resolution is deliberately syntactic and conservative:
   class, then fall back to any single same-module method of that name;
 * anything else (foreign libraries, dynamic dispatch) resolves to
   nothing and the trace simply stops there.
-
-Summaries are content-addressed, so the whole graph build can be cached
-on disk between runs (`--callgraph-cache`): a module whose bytes did not
-change is never re-summarised.  The CI lint job shares one cache file
-across its lint invocations for exactly this reason.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.lint.asthelpers import import_origins, resolve_call_target
@@ -45,8 +37,6 @@ __all__ = [
     "build_call_graph",
 ]
 
-_CACHE_VERSION = 1
-
 
 @dataclass(frozen=True)
 class CallSite:
@@ -60,23 +50,6 @@ class CallSite:
     def last(self) -> str:
         """The final dotted component (method/function name)."""
         return self.target.rpartition(".")[2]
-
-    def to_dict(self) -> dict:
-        return {
-            "target": self.target,
-            "lineno": self.lineno,
-            "col": self.col,
-            "has_args": self.has_args,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "CallSite":
-        return cls(
-            target=payload["target"],
-            lineno=payload["lineno"],
-            col=payload["col"],
-            has_args=payload["has_args"],
-        )
 
 
 @dataclass(frozen=True)
@@ -97,13 +70,6 @@ class FunctionSummary:
     def class_prefix(self) -> str:
         """``Class.`` for methods, empty for free functions."""
         return self.qualname.rpartition(".")[0]
-
-    def to_dict(self) -> dict:
-        return {
-            "qualname": self.qualname,
-            "lineno": self.lineno,
-            "calls": [site.to_dict() for site in self.calls],
-        }
 
 
 def _own_calls(
@@ -257,72 +223,8 @@ class CallGraph:
         return None
 
 
-# ----------------------------------------------------------------------
-# On-disk summary cache
-# ----------------------------------------------------------------------
-def _cache_key(module: SourceModule) -> str:
-    digest = hashlib.sha256(module.text.encode("utf-8")).hexdigest()
-    return f"{module.package_path}:{digest}"
-
-
-def build_call_graph(
-    modules: Iterable[SourceModule],
-    cache_path: Optional[Union[str, Path]] = None,
-) -> CallGraph:
-    """Build the graph, reusing cached summaries for unchanged files.
-
-    The cache file is plain JSON keyed by ``package_path:sha256(text)``;
-    a corrupt or version-mismatched cache is discarded silently (it is
-    an optimisation, never a source of truth).
-    """
-    cached: Dict[str, dict] = {}
-    path = Path(cache_path) if cache_path is not None else None
-    if path is not None and path.exists():
-        try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-            if payload.get("version") == _CACHE_VERSION:
-                cached = payload.get("modules", {})
-        except (OSError, ValueError):
-            cached = {}
-
-    summaries: List[FunctionSummary] = []
-    fresh: Dict[str, dict] = {}
-    dirty = False
-    for module in modules:
-        key = _cache_key(module)
-        entry = cached.get(key)
-        if entry is None:
-            module_summaries = summarize_module(module)
-            entry = {
-                "functions": [s.to_dict() for s in module_summaries],
-            }
-            dirty = True
-        else:
-            module_summaries = [
-                FunctionSummary(
-                    key=f"{module.package_path}::{f['qualname']}",
-                    package_path=module.package_path,
-                    qualname=f["qualname"],
-                    lineno=f["lineno"],
-                    calls=tuple(
-                        CallSite.from_dict(c) for c in f["calls"]
-                    ),
-                )
-                for f in entry["functions"]
-            ]
-        fresh[key] = entry
-        summaries.extend(module_summaries)
-
-    if path is not None and (dirty or set(fresh) != set(cached)):
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(
-                json.dumps(
-                    {"version": _CACHE_VERSION, "modules": fresh},
-                    sort_keys=True,
-                ),
-                encoding="utf-8",
-            )
-        except OSError:
-            pass  # read-only checkout: the cache is best-effort
-    return CallGraph(summaries)
+def build_call_graph(modules: Iterable[SourceModule]) -> CallGraph:
+    """Summarise every module and index the result."""
+    return CallGraph(
+        summary for module in modules for summary in summarize_module(module)
+    )

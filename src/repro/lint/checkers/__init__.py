@@ -1,10 +1,8 @@
 """Built-in checkers.  Importing this package registers every rule."""
 
 from repro.lint.checkers import (  # noqa: F401  (imports register rules)
-    builtins,
     dataclasses,
     determinism,
-    floatcmp,
     flowdeterminism,
     metrics,
     pairing,
@@ -16,10 +14,8 @@ from repro.lint.checkers import (  # noqa: F401  (imports register rules)
 )
 
 __all__ = [
-    "builtins",
     "dataclasses",
     "determinism",
-    "floatcmp",
     "flowdeterminism",
     "metrics",
     "pairing",

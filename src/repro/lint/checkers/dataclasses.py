@@ -6,8 +6,7 @@ smuggling).  ``dataclass-frozen-shared`` finds dataclasses that are
 value-like — every field annotation immutable, no method ever assigns to
 ``self`` — but not declared ``frozen=True``; those are the ones that get
 hashed, cached and shipped across process boundaries, where aliasing
-bugs are quietest.  ``mutable-default-arg`` is the general function-level
-companion.
+bugs are quietest.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from repro.lint.source import SourceModule
 __all__ = [
     "DataclassMutableDefaultChecker",
     "DataclassFrozenSharedChecker",
-    "MutableDefaultArgChecker",
 ]
 
 #: Constructors whose results are mutable containers.
@@ -278,30 +276,3 @@ class DataclassFrozenSharedChecker(Checker):
             if not names & self._stored_attrs:
                 yield finding
 
-
-@register
-class MutableDefaultArgChecker(Checker):
-    """Reject mutable default arguments on any function."""
-
-    rule_id = "mutable-default-arg"
-    description = "no mutable default arguments (list/dict/set literals or calls)"
-    hint = "default to None and create the container inside the function"
-    scope = ()
-
-    def check(self, module: SourceModule) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            defaults = list(node.args.defaults) + [
-                default
-                for default in node.args.kw_defaults
-                if default is not None
-            ]
-            for default in defaults:
-                if _is_mutable_default(default):
-                    yield self.finding(
-                        module,
-                        default,
-                        f"function {node.name!r} has a mutable default "
-                        f"argument shared across calls",
-                    )

@@ -12,8 +12,8 @@ leak paths the per-node rules (PR 3) cannot see:
   processes; once it feeds ``Simulator.schedule`` the event sequence —
   and therefore every downstream tiebreak — diverges.  The check is
   interprocedural: a loop body calling a helper that *transitively*
-  schedules is flagged too, via the cross-module call graph.  The fix
-  is mechanical (iterate ``sorted(...)``) and ``--fix`` applies it.
+  schedules is flagged too, via the cross-module call graph.  Iterating
+  ``sorted(...)`` fixes it.
 
 * ``rng-escape`` — a call from the simulated world (``sim/``, ``core/``,
   ``service/``, ``faults/``) into a helper *outside* it that draws from
@@ -30,7 +30,7 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.lint.callgraph import CallSite, FunctionSummary
 from repro.lint.cfg import function_defs
-from repro.lint.findings import Finding, Fix, TextEdit
+from repro.lint.findings import Finding
 from repro.lint.registry import Checker, register
 from repro.lint.source import SourceModule
 
@@ -212,7 +212,6 @@ class UnorderedIterationChecker(Checker):
                     node,
                     f"iterating an unordered set feeds {reason} — event "
                     f"order becomes insertion-history dependent",
-                    fix=self._sorted_fix(node),
                 )
 
     def _body_reaches(
@@ -256,33 +255,6 @@ class UnorderedIterationChecker(Checker):
                     f"({terminal_key.split('::')[0]}:{terminal.lineno})"
                 )
         return None
-
-    @staticmethod
-    def _sorted_fix(loop: ast.For) -> Optional[Fix]:
-        iter_node = loop.iter
-        end_lineno = getattr(iter_node, "end_lineno", None)
-        end_col = getattr(iter_node, "end_col_offset", None)
-        if end_lineno is None or end_col is None:
-            return None
-        return Fix(
-            description="iterate sorted(...) for a deterministic order",
-            edits=(
-                TextEdit(
-                    line=iter_node.lineno,
-                    col=iter_node.col_offset,
-                    end_line=iter_node.lineno,
-                    end_col=iter_node.col_offset,
-                    replacement="sorted(",
-                ),
-                TextEdit(
-                    line=end_lineno,
-                    col=end_col,
-                    end_line=end_lineno,
-                    end_col=end_col,
-                    replacement=")",
-                ),
-            ),
-        )
 
 
 @register

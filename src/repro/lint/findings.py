@@ -3,32 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional, Tuple
+from typing import Any
 
-__all__ = ["Finding", "Fix", "LintReport", "TextEdit"]
-
-
-@dataclass(frozen=True)
-class TextEdit:
-    """Replace one source range with ``replacement``.
-
-    Lines are 1-based, columns 0-based (AST convention).  A zero-width
-    range (``line == end_line`` and ``col == end_col``) is an insertion.
-    """
-
-    line: int
-    col: int
-    end_line: int
-    end_col: int
-    replacement: str
-
-
-@dataclass(frozen=True)
-class Fix:
-    """A mechanical rewrite that removes the finding."""
-
-    description: str
-    edits: Tuple[TextEdit, ...]
+__all__ = ["Finding", "LintReport"]
 
 
 @dataclass(frozen=True)
@@ -38,8 +15,7 @@ class Finding:
     ``path`` is the file as given to the runner; ``package_path`` is its
     location relative to the ``repro`` package root (``sim/engine.py``),
     which is what checker scopes match against.  ``hint`` says how to fix
-    the violation, not just what it is.  ``fix``, when present, is a
-    mechanical rewrite ``repro lint --fix`` can apply.
+    the violation, not just what it is.
     """
 
     path: str
@@ -49,7 +25,6 @@ class Finding:
     rule: str
     message: str
     hint: str = ""
-    fix: Optional[Fix] = None
 
     def sort_key(self) -> tuple[str, int, int, str]:
         return (self.path, self.line, self.column, self.rule)
@@ -70,7 +45,6 @@ class Finding:
             "rule": self.rule,
             "message": self.message,
             "hint": self.hint,
-            "fixable": self.fix is not None,
         }
 
 
@@ -78,17 +52,13 @@ class Finding:
 class LintReport:
     """Everything one lint run produced.
 
-    ``findings`` are the live violations; ``baselined`` holds findings
-    matched by an accepted-debt baseline file (see
-    :mod:`repro.lint.baseline`) — suppressed for exit-code purposes but
-    still carried so SARIF can mark them ``suppressed`` rather than
-    pretend they do not exist.
+    ``findings`` are the live violations; ``suppressed`` counts the
+    findings a ``# repro-lint: disable`` comment switched off.
     """
 
     findings: list[Finding] = field(default_factory=list)
     files_scanned: int = 0
     suppressed: int = 0
-    baselined: list[Finding] = field(default_factory=list)
 
     @property
     def clean(self) -> bool:
@@ -109,8 +79,6 @@ class LintReport:
         )
         if self.suppressed:
             summary += f", {self.suppressed} suppressed"
-        if self.baselined:
-            summary += f", {len(self.baselined)} baselined"
         if self.findings:
             by_rule = ", ".join(
                 f"{rule}: {count}" for rule, count in self.rules_fired().items()
@@ -125,6 +93,5 @@ class LintReport:
             "version": 1,
             "files_scanned": self.files_scanned,
             "suppressed": self.suppressed,
-            "baselined": len(self.baselined),
             "findings": [finding.to_dict() for finding in self.findings],
         }

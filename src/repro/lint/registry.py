@@ -26,7 +26,7 @@ from typing import (
 )
 
 from repro.errors import ConfigurationError
-from repro.lint.findings import Finding, Fix
+from repro.lint.findings import Finding
 from repro.lint.source import SourceModule
 
 if TYPE_CHECKING:
@@ -75,7 +75,6 @@ class Checker(ABC):
         node: ast.AST,
         message: str,
         hint: Optional[str] = None,
-        fix: Optional[Fix] = None,
     ) -> Finding:
         """Build a finding anchored at an AST node of ``module``."""
         return Finding(
@@ -86,7 +85,6 @@ class Checker(ABC):
             rule=self.rule_id,
             message=message,
             hint=self.hint if hint is None else hint,
-            fix=fix,
         )
 
 

@@ -2,10 +2,10 @@
 
 Since the flow-aware engine the run is two-phase: every file is parsed
 up front, the run-wide :class:`~repro.lint.context.LintContext` (module
-list + cross-module call graph, optionally disk-cached) is built from
-the parsed set, and only then do checkers see modules.  That ordering is
-what lets interprocedural rules resolve a helper defined in a file that
-happens to sort later.
+list + cross-module call graph) is built from the parsed set, and only
+then do checkers see modules.  That ordering is what lets
+interprocedural rules resolve a helper defined in a file that happens
+to sort later.
 """
 
 from __future__ import annotations
@@ -47,21 +47,34 @@ def discover_files(paths: Sequence[Union[str, Path]]) -> list[tuple[Path, Path]]
     return pairs
 
 
+def _enclosing_package(directory: Path) -> Optional[Path]:
+    """The innermost ``repro`` package directory at or above ``directory``."""
+    for candidate in (directory, *directory.parents):
+        if candidate.name == "repro" and (candidate / "__init__.py").is_file():
+            return candidate
+    return None
+
+
 def package_relative(file: Path, root: Path) -> str:
     """The path checker scopes match against.
 
     Strips everything up to and including the ``repro`` package directory
     when the file lives under one (``src/repro/sim/engine.py`` ->
-    ``sim/engine.py``); otherwise the path relative to the scanned root,
-    so golden-test trees mimic the layout with plain subdirectories.
-    Scanning a root literally named ``tests`` or ``examples`` keeps that
-    name as a prefix (``tests/sim/test_engine.py``), so simulator-scoped
-    rules never mistake a test tree for the simulator.
+    ``sim/engine.py``), whether that directory lies below the scan root
+    or is the root or one of its ancestors (``repro lint src/repro/sim``
+    still sees ``sim/engine.py``); otherwise the path relative to the
+    scanned root, so golden-test trees mimic the layout with plain
+    subdirectories.  Scanning a root literally named ``tests`` or
+    ``examples`` keeps that name as a prefix (``tests/sim/test_engine.py``),
+    so simulator-scoped rules never mistake a test tree for the simulator.
     """
-    relative = file.resolve().relative_to(root.resolve())
+    resolved_root = root.resolve()
+    relative = file.resolve().relative_to(resolved_root)
     parts = list(relative.parts)
     if "repro" in parts:
         parts = parts[parts.index("repro") + 1 :]
+    elif (package := _enclosing_package(resolved_root)) is not None:
+        parts = [*resolved_root.relative_to(package).parts, *parts]
     elif root.name in _PREFIXED_ROOTS:
         parts = [root.name, *parts]
     if not parts:  # the root itself was a file directly inside repro/
@@ -73,15 +86,12 @@ def lint_paths(
     paths: Sequence[Union[str, Path]],
     registry: Optional[CheckerRegistry] = None,
     select: Optional[Union[str, Iterable[str]]] = None,
-    callgraph_cache: Optional[Union[str, Path]] = None,
 ) -> LintReport:
     """Run the lint pass over files and directories.
 
     Unparsable files become ``parse-error`` findings rather than
     crashing the run; checker exceptions propagate (a crash in the tool
     itself must exit 2, not masquerade as a clean pass).
-    ``callgraph_cache`` names an optional JSON file reused across runs
-    so unchanged modules are never re-summarised.
     """
     registry = registry if registry is not None else default_registry()
     checkers = registry.instantiate(select)
@@ -111,10 +121,7 @@ def lint_paths(
         suppressions_by_path[str(file)] = module.suppressions
         modules.append(module)
 
-    context = LintContext(
-        modules=modules,
-        call_graph=build_call_graph(modules, cache_path=callgraph_cache),
-    )
+    context = LintContext(modules=modules, call_graph=build_call_graph(modules))
     for checker in checkers:
         checker.configure(context)
 

@@ -4,23 +4,29 @@
 interchange format GitHub code scanning ingests; ``repro lint --format
 sarif`` emits one run with the full rule catalog as
 ``reportingDescriptor`` objects and one ``result`` per finding.
-Baseline-matched findings are *not* dropped: they appear with a
-``suppressions`` entry of kind ``external`` so the dashboard shows them
-as accepted debt rather than pretending they never existed.
+
+Each result carries a content-addressed ``partialFingerprints`` value::
+
+    sha256("v1|rule|package_path|<stripped anchor line text>|occurrence")
+
+so code scanning keeps tracking a finding across reformatting and line
+moves, while a *new* finding of the same rule on the same line gets a
+fresh occurrence index.  Occurrence indices count findings sharing
+(rule, package path, line text) in source order.
 
 The container has no jsonschema package, so :func:`validate_sarif`
 implements a structural validator for the subset of the 2.1.0 schema the
 emitter uses (and that code scanning rejects uploads over): required
-top-level keys, rule/result/location shapes, level and kind enums,
-ruleIndex consistency.  Tests run every emitted payload through it.
+top-level keys, rule/result/location shapes, the level enum, ruleIndex
+consistency.  Tests run every emitted payload through it.
 """
 
 from __future__ import annotations
 
-from pathlib import PurePath
-from typing import Any, Dict, List, Optional
+import hashlib
+from pathlib import Path, PurePath
+from typing import Any, Dict, List, Optional, Sequence
 
-from repro.lint.baseline import compute_fingerprints
 from repro.lint.findings import Finding, LintReport
 from repro.lint.registry import CheckerRegistry
 
@@ -41,7 +47,63 @@ _PARSE_ERROR_RULE = {
 }
 
 _LEVELS = frozenset({"none", "note", "warning", "error"})
-_SUPPRESSION_KINDS = frozenset({"inSource", "external"})
+
+_FINGERPRINT_VERSION = "v1"
+
+
+class _LineCache:
+    """Stripped source lines per file, read at most once."""
+
+    def __init__(self) -> None:
+        self._lines: Dict[str, List[str]] = {}
+
+    def line(self, path: str, lineno: int) -> str:
+        if path not in self._lines:
+            try:
+                text = Path(path).read_text(encoding="utf-8")
+            except OSError:
+                text = ""
+            self._lines[path] = text.splitlines()
+        lines = self._lines[path]
+        if 1 <= lineno <= len(lines):
+            return lines[lineno - 1].strip()
+        return ""
+
+
+def compute_fingerprints(findings: Sequence[Finding]) -> List[str]:
+    """Fingerprints parallel to ``findings`` (same order).
+
+    Occurrence indices are assigned in source order — ``(line, column)``
+    within each (rule, package path, anchor text) group — so a second
+    violation appearing on a line that already has one hashes
+    differently from the first.
+    """
+    cache = _LineCache()
+    ordered = sorted(
+        range(len(findings)),
+        key=lambda i: (findings[i].line, findings[i].column, i),
+    )
+    counters: Dict[tuple, int] = {}
+    fingerprints: List[str] = [""] * len(findings)
+    for index in ordered:
+        finding = findings[index]
+        anchor = cache.line(finding.path, finding.line)
+        group = (finding.rule, finding.package_path, anchor)
+        occurrence = counters.get(group, 0)
+        counters[group] = occurrence + 1
+        payload = "|".join(
+            (
+                _FINGERPRINT_VERSION,
+                finding.rule,
+                finding.package_path,
+                anchor,
+                str(occurrence),
+            )
+        )
+        fingerprints[index] = hashlib.sha256(
+            payload.encode("utf-8")
+        ).hexdigest()
+    return fingerprints
 
 
 def _rule_catalog(
@@ -62,9 +124,7 @@ def _rule_catalog(
                 descriptor["properties"] = {"scope": list(scope)}
             rules.append(descriptor)
     known = {rule["id"] for rule in rules}
-    fired = {
-        finding.rule for finding in [*report.findings, *report.baselined]
-    }
+    fired = {finding.rule for finding in report.findings}
     for rule_id in sorted(fired - known):
         if rule_id == "parse-error":
             rules.append(dict(_PARSE_ERROR_RULE))
@@ -77,10 +137,7 @@ def _rule_catalog(
 
 
 def _result(
-    finding: Finding,
-    fingerprint: str,
-    rule_index: Dict[str, int],
-    suppressed: bool,
+    finding: Finding, fingerprint: str, rule_index: Dict[str, int]
 ) -> Dict[str, Any]:
     message = finding.message
     if finding.hint:
@@ -106,8 +163,6 @@ def _result(
     }
     if finding.rule in rule_index:
         result["ruleIndex"] = rule_index[finding.rule]
-    if suppressed:
-        result["suppressions"] = [{"kind": "external"}]
     return result
 
 
@@ -117,19 +172,10 @@ def report_to_sarif(
     """The full SARIF 2.1.0 payload for one lint run."""
     rules = _rule_catalog(registry, report)
     rule_index = {rule["id"]: index for index, rule in enumerate(rules)}
-    everything = [*report.findings, *report.baselined]
-    fingerprints = compute_fingerprints(everything)
-    live_count = len(report.findings)
+    fingerprints = compute_fingerprints(report.findings)
     results = [
-        _result(
-            finding,
-            fingerprint,
-            rule_index,
-            suppressed=index >= live_count,
-        )
-        for index, (finding, fingerprint) in enumerate(
-            zip(everything, fingerprints)
-        )
+        _result(finding, fingerprint, rule_index)
+        for finding, fingerprint in zip(report.findings, fingerprints)
     ]
     return {
         "$schema": SARIF_SCHEMA_URI,
@@ -265,15 +311,6 @@ def _validate_result(
                     lwhere,
                     "'region.startColumn' must be an int >= 1",
                 )
-    for si, suppression in enumerate(result.get("suppressions", [])):
-        swhere = f"{where}.suppressions[{si}]"
-        _expect(
-            errors,
-            isinstance(suppression, dict)
-            and suppression.get("kind") in _SUPPRESSION_KINDS,
-            swhere,
-            f"'kind' must be one of {sorted(_SUPPRESSION_KINDS)}",
-        )
     fingerprints = result.get("partialFingerprints")
     if fingerprints is not None and _expect(
         errors,

@@ -674,26 +674,34 @@ class ScenarioSpec:
                 f"unknown scenario keys: {', '.join(unknown)} "
                 f"(known: {', '.join(sorted(known))})"
             )
-        kwargs: dict[str, Any] = {}
-        for key, value in payload.items():
-            if key in ("trace", "contention"):
-                kwargs[key] = _deep_tuple(value or ())
-            elif key == "allocation":
-                kwargs[key] = None if value is None else _deep_tuple(value)
-            elif key in ("controller", "guard", "options"):
-                kwargs[key] = _sorted_items(value or {})
-            elif key == "observe":
-                kwargs[key] = tuple(value or ())
-            elif key == "chaos":
-                kwargs[key] = chaos_to_spec(value)
-            else:
-                kwargs[key] = value
         for required in ("kind", "app", "policy", "duration_s"):
-            if required not in kwargs:
+            if required not in payload:
                 raise ConfigurationError(
                     f"scenario spec needs a {required!r} key"
                 )
-        return cls(**kwargs)
+        kwargs: dict[str, Any] = {}
+        # A wrongly typed field (``"duration_s": null``) fails inside the
+        # conversions or the validating constructor with a TypeError,
+        # ValueError or LookupError; report it as the bad spec it is.
+        try:
+            for key, value in payload.items():
+                if key in ("trace", "contention"):
+                    kwargs[key] = _deep_tuple(value or ())
+                elif key == "allocation":
+                    kwargs[key] = None if value is None else _deep_tuple(value)
+                elif key in ("controller", "guard", "options"):
+                    kwargs[key] = _sorted_items(value or {})
+                elif key == "observe":
+                    kwargs[key] = tuple(value or ())
+                elif key == "chaos":
+                    kwargs[key] = chaos_to_spec(value)
+                else:
+                    kwargs[key] = value
+            return cls(**kwargs)
+        except (TypeError, ValueError, LookupError) as error:
+            raise ConfigurationError(
+                f"scenario spec has a wrongly typed field: {error}"
+            ) from error
 
     def to_json(self, indent: Optional[int] = None) -> str:
         """The spec as JSON; canonical (sorted, compact) when unindented."""

@@ -278,10 +278,20 @@ class ReproDaemon:
             spec_data = args["spec"]
             if not isinstance(spec_data, dict):
                 raise ProtocolError("'spec' must be a scenario spec object")
+            name = args.get("name")
+            if name is not None and not isinstance(name, str):
+                raise ProtocolError(f"run name must be a string, got {name!r}")
             spec = ScenarioSpec.from_dict(spec_data)
-            run = self.submit(
-                spec, args.get("name"), paused=bool(args.get("paused", False))
-            )
+            try:
+                run = self.submit(
+                    spec, name, paused=bool(args.get("paused", False))
+                )
+            except (TypeError, ValueError, LookupError) as error:
+                # A field the spec accepts can still fail the stack build
+                # ("seed": null); that is a bad submit, not a daemon crash.
+                raise ServeError(
+                    f"cannot build the submitted scenario: {error}"
+                ) from error
             return {
                 "run": run.name,
                 "digest": run.spec.digest(),

@@ -116,7 +116,9 @@ def decode_request(line: str) -> Request:
         )
     try:
         payload = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and CPython's integer digit
+        # limit; RecursionError is deeply nested arrays or objects.
         raise ProtocolError(f"request is not valid JSON: {exc}") from None
     if not isinstance(payload, dict):
         raise ProtocolError(
@@ -176,7 +178,7 @@ def decode_message(line: str) -> dict[str, Any]:
     """Parse one daemon-to-client line (response or event) on the client."""
     try:
         payload = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ProtocolError(f"daemon sent invalid JSON: {exc}") from None
     if not isinstance(payload, dict):
         raise ProtocolError(

@@ -20,11 +20,10 @@ Conventions
 
 Tolerance helpers
 -----------------
-Floating-point power/latency values must never be compared with ``==`` —
-that is the ``float-equality`` lint rule.  The approved idioms live here:
-:func:`approx_eq` for tolerance comparison and :func:`exactly` for the
-rare intentional bitwise sentinel check (for example "was this latency
-configured to literally ``0.0``?").
+Computed power/latency values should not be compared with ``==``.  The
+idioms live here: :func:`approx_eq` for tolerance comparison and
+:func:`exactly` for the rare intentional bitwise sentinel check (for
+example "was this latency configured to literally ``0.0``?").
 """
 
 from __future__ import annotations
@@ -95,7 +94,6 @@ def exactly(value: float, sentinel: float) -> bool:
 
     For sentinel checks where the value was *assigned*, never computed —
     "is the configured transition latency literally zero?".  Routing the
-    comparison through this helper documents the intent and satisfies the
-    ``float-equality`` lint rule.
+    comparison through this helper documents the intent.
     """
-    return value == sentinel  # repro-lint: disable=float-equality
+    return value == sentinel

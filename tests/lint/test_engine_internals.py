@@ -323,58 +323,6 @@ class TestCallGraph:
         graph = build_call_graph([module])
         assert graph.trace("util/cycle.py::ping", lambda site: False) is None
 
-    def test_cache_roundtrip_and_invalidation(self, tmp_path):
-        cache = tmp_path / "callgraph.json"
-        module = make_module(
-            tmp_path,
-            "util/cached.py",
-            """\
-            def f():
-                return g()
-
-
-            def g():
-                return 1
-            """,
-        )
-        first = build_call_graph([module], cache_path=cache)
-        assert cache.exists()
-        second = build_call_graph([module], cache_path=cache)
-        assert sorted(second.functions) == sorted(first.functions)
-        site = second.functions["util/cached.py::f"].calls[0]
-        assert site.target == "g"
-
-        # Changed content must re-summarise, not serve the stale entry.
-        changed = make_module(
-            tmp_path,
-            "util/cached.py",
-            """\
-            def f():
-                return h()
-
-
-            def h():
-                return 2
-            """,
-        )
-        third = build_call_graph([changed], cache_path=cache)
-        assert "util/cached.py::h" in third.functions
-        assert third.functions["util/cached.py::f"].calls[0].target == "h"
-
-    def test_corrupt_cache_is_discarded(self, tmp_path):
-        cache = tmp_path / "callgraph.json"
-        cache.write_text("{not json", encoding="utf-8")
-        module = make_module(
-            tmp_path,
-            "util/ok.py",
-            """\
-            def f():
-                return 1
-            """,
-        )
-        graph = build_call_graph([module], cache_path=cache)
-        assert "util/ok.py::f" in graph.functions
-
     def test_summarize_module_records_sites(self, tmp_path):
         module = make_module(
             tmp_path,

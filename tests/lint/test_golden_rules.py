@@ -211,57 +211,18 @@ class TestUnitMismatch:
         report = lint_paths([tmp_path], select=["unit-mismatch"])
         assert fired(report) == [("unit-mismatch", 5)]
 
-
-class TestFloatEquality:
-    def test_fires_on_exact_comparison(self, tmp_path):
-        write_tree(
-            tmp_path,
-            {
-                "cluster/bad.py": """\
-                def drained(power_watts: float) -> bool:
-                    return power_watts == 0.0
-
-
-                def changed(before_s: float, after_s: float) -> bool:
-                    return before_s != after_s
-                """
-            },
-        )
-        report = lint_paths([tmp_path], select=["float-equality"])
-        assert fired(report) == [("float-equality", 2), ("float-equality", 6)]
-
-    def test_tolerance_helpers_do_not_fire(self, tmp_path):
-        write_tree(
-            tmp_path,
-            {
-                "cluster/ok.py": """\
-                from repro.units import approx_eq, exactly
-
-
-                def drained(power_watts: float) -> bool:
-                    return exactly(power_watts, 0.0)
-
-
-                def close(left_watts: float, right_watts: float) -> bool:
-                    return approx_eq(left_watts, right_watts, 1e-6)
-                """
-            },
-        )
-        report = lint_paths([tmp_path], select=["float-equality"])
-        assert report.clean
-
     def test_file_wide_suppression(self, tmp_path):
         write_tree(
             tmp_path,
             {
                 "cluster/bad.py": """\
-                # repro-lint: disable-file=float-equality
-                def drained(power_watts: float) -> bool:
-                    return power_watts == 0.0
+                # repro-lint: disable-file=unit-mismatch
+                def headroom(budget_watts: float, freq_ghz: float) -> float:
+                    return budget_watts - freq_ghz
                 """
             },
         )
-        report = lint_paths([tmp_path], select=["float-equality"])
+        report = lint_paths([tmp_path], select=["unit-mismatch"])
         assert report.clean
         assert report.suppressed == 1
 
@@ -467,51 +428,6 @@ class TestDataclassRules:
             },
         )
         report = lint_paths([tmp_path], select=["dataclass-frozen-shared"])
-        assert report.clean
-
-    def test_mutable_default_arg_fires(self, tmp_path):
-        write_tree(
-            tmp_path,
-            {
-                "util/bad.py": """\
-                def collect(items=[]):
-                    return items
-                """
-            },
-        )
-        report = lint_paths([tmp_path], select=["mutable-default-arg"])
-        assert fired(report) == [("mutable-default-arg", 1)]
-
-
-class TestShadowBuiltin:
-    def test_fires_on_parameter_and_assignment(self, tmp_path):
-        write_tree(
-            tmp_path,
-            {
-                "analysis/bad.py": """\
-                def pick(list):
-                    id = 5
-                    return list, id
-                """
-            },
-        )
-        report = lint_paths([tmp_path], select=["shadow-builtin"])
-        assert fired(report) == [("shadow-builtin", 1), ("shadow-builtin", 2)]
-
-    def test_method_names_are_attribute_namespace(self, tmp_path):
-        write_tree(
-            tmp_path,
-            {
-                "obs/ok.py": """\
-                class Gauge:
-                    help: str = ""
-
-                    def set(self, value):
-                        self.value = value
-                """
-            },
-        )
-        report = lint_paths([tmp_path], select=["shadow-builtin"])
         assert report.clean
 
 

@@ -95,17 +95,17 @@ class TestDecoratedDefs:
             tmp_path,
             {
                 "sim/a.py": """\
-                import functools
+                from dataclasses import dataclass
 
 
-                # repro-lint: disable=mutable-default-arg
-                @functools.lru_cache(maxsize=None)
-                def build(registry={}):
-                    return registry
+                # repro-lint: disable=dataclass-frozen-shared
+                @dataclass(eq=True)
+                class Point:
+                    x: int
                 """
             },
         )
-        report = lint_paths([tmp_path], select=["mutable-default-arg"])
+        report = lint_paths([tmp_path], select=["dataclass-frozen-shared"])
         assert report.clean
         assert report.suppressed == 1
 
@@ -114,16 +114,16 @@ class TestDecoratedDefs:
             tmp_path,
             {
                 "sim/a.py": """\
-                import functools
+                from dataclasses import dataclass
 
 
-                @functools.lru_cache(maxsize=None)  # repro-lint: disable=mutable-default-arg
-                def build(registry={}):
-                    return registry
+                @dataclass(eq=True)  # repro-lint: disable=dataclass-frozen-shared
+                class Point:
+                    x: int
                 """
             },
         )
-        report = lint_paths([tmp_path], select=["mutable-default-arg"])
+        report = lint_paths([tmp_path], select=["dataclass-frozen-shared"])
         assert report.clean
         assert report.suppressed == 1
 

@@ -31,6 +31,27 @@ def latency_spec(**overrides) -> ScenarioSpec:
     return ScenarioSpec(**base)
 
 
+#: One wrongly typed value per field that ``from_dict`` used to let
+#: escape as a TypeError, ValueError or KeyError.
+WRONGLY_TYPED = [
+    ("allocation", 5),
+    ("contention", 5),
+    ("controller", "x"),
+    ("drain_s", None),
+    ("duration_s", None),
+    ("guard", "x"),
+    ("n_cores", None),
+    ("observe", 5),
+    ("options", "x"),
+    ("rate_qps", None),
+    ("sample_interval_s", None),
+    ("shards", None),
+    ("stats_window_s", None),
+    ("trace", 5),
+    ("trace", {"kind": "constant"}),
+]
+
+
 class TestValidation:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -150,6 +171,16 @@ class TestRoundTrip:
         payload = latency_spec().to_dict()
         payload["warp"] = True
         with pytest.raises(ConfigurationError):
+            ScenarioSpec.from_dict(payload)
+
+    @pytest.mark.parametrize("field, value", WRONGLY_TYPED)
+    def test_wrongly_typed_field_is_a_configuration_error(self, field, value):
+        if field == "rate_qps":
+            payload = ScenarioSpec.qos("sirius", "powerchief", 4.0, 120.0).to_dict()
+        else:
+            payload = latency_spec().to_dict()
+        payload[field] = value
+        with pytest.raises(ConfigurationError, match="wrongly typed"):
             ScenarioSpec.from_dict(payload)
 
     def test_trace_variants_round_trip(self):

@@ -283,7 +283,10 @@ class TestProtocolEdges:
             sock.sendall(payload)
             buffer = b""
             while b"\n" not in buffer:
-                buffer += sock.recv(65536)
+                chunk = sock.recv(65536)
+                if not chunk:
+                    raise AssertionError("the daemon hung up without a reply")
+                buffer += chunk
             return json.loads(buffer.split(b"\n", 1)[0])
 
     def test_junk_line_answers_protocol_error_with_null_id(self, daemon):
@@ -299,6 +302,32 @@ class TestProtocolEdges:
         answer = self._raw(path, line + b"\n")
         assert answer["ok"] is False
         assert "unknown command" in answer["error"]["message"]
+
+    def test_hostile_lines_leave_the_daemon_serving(self, daemon):
+        _, path = daemon
+        with _client(path) as ctl:
+            ctl.call("submit", spec=SPEC.to_dict(), name="held", paused=True)
+
+        def submit(spec, **args):
+            return json.dumps(
+                {"id": 1, "cmd": "submit", "args": {"spec": spec, **args}}
+            )
+
+        hostile = [
+            '{"id": ' + "9" * 5000 + ', "cmd": "ping"}',
+            "[" * 100_000 + "]" * 100_000,
+            submit(dict(SPEC.to_dict(), duration_s=None)),
+            submit(dict(SPEC.to_dict(), seed=None)),
+            submit(SPEC.to_dict(), name=[]),
+            submit(SPEC.to_dict(), name=5),
+        ]
+        for line in hostile:
+            answer = self._raw(path, line.encode() + b"\n")
+            assert answer["ok"] is False, line[:80]
+        with _client(path) as ctl:
+            assert ctl.call("ping") == {"pong": True, "runs": 1}
+            runs = ctl.call("status")["runs"]
+            assert [(r["name"], r["paused"]) for r in runs] == [("held", True)]
 
     def test_shutdown_command_stops_the_loop(self, tmp_path):
         path = str(tmp_path / "reprod.sock")

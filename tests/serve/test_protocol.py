@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ProtocolError, ServeError
 from repro.serve.protocol import (
@@ -16,6 +18,27 @@ from repro.serve.protocol import (
     encode_request,
     encode_response,
     validate_command,
+)
+
+#: Two short lines CPython's json module rejects with something other
+#: than a JSONDecodeError: an integer past the 4,300-digit conversion
+#: limit (ValueError) and arrays nested past the recursion limit.
+HUGE_INT_LINE = '{"id": ' + "9" * 5000 + ', "cmd": "ping"}'
+DEEP_NESTING_LINE = "[" * 100_000 + "]" * 100_000
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False)
+    | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(
+        st.sampled_from(["id", "cmd", "args", "run", "x"]) | st.text(max_size=4),
+        children,
+        max_size=4,
+    ),
+    max_leaves=12,
 )
 
 
@@ -90,6 +113,14 @@ class TestRequestFraming:
         request = decode_request(json.dumps({"id": 1, "cmd": "ping"}))
         assert request.args == {}
 
+    @pytest.mark.parametrize(
+        "line", [HUGE_INT_LINE, DEEP_NESTING_LINE], ids=["huge-int", "deep"]
+    )
+    def test_lines_json_rejects_without_decode_error(self, line):
+        assert len(line) < MAX_LINE_BYTES
+        with pytest.raises(ProtocolError, match="not valid JSON"):
+            decode_request(line)
+
     def test_oversized_line_rejected(self):
         padding = "x" * MAX_LINE_BYTES
         line = json.dumps({"id": 1, "cmd": "ping", "args": {"pad": padding}})
@@ -143,3 +174,35 @@ class TestEventFraming:
             decode_message("42")
         with pytest.raises(ProtocolError, match="neither"):
             decode_message(json.dumps({"hello": "world"}))
+
+    @pytest.mark.parametrize(
+        "line", [HUGE_INT_LINE, DEEP_NESTING_LINE], ids=["huge-int", "deep"]
+    )
+    def test_decode_message_rejects_lines_json_cannot_convert(self, line):
+        with pytest.raises(ProtocolError, match="invalid JSON"):
+            decode_message(line)
+
+
+def _decodes_or_rejects(line: str) -> None:
+    try:
+        request = decode_request(line)
+    except ProtocolError:
+        return
+    assert request.cmd in COMMANDS
+
+
+class TestHostileInput:
+    """Whatever a client sends, decoding yields a Request or a
+    ProtocolError — nothing else may escape into the serve loop."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text())
+    @example(HUGE_INT_LINE)
+    @example(DEEP_NESTING_LINE)
+    def test_arbitrary_text(self, line):
+        _decodes_or_rejects(line)
+
+    @settings(max_examples=200, deadline=None)
+    @given(JSON_VALUES)
+    def test_arbitrary_json_values(self, value):
+        _decodes_or_rejects(json.dumps(value))
