@@ -41,11 +41,6 @@ Commands:
 * ``lint`` — the domain-aware static-analysis pass (:mod:`repro.lint`)
   over source trees; exits 0 when clean, 1 on findings, 2 on a crash in
   the tool itself.
-* ``bench`` — the microbenchmark harness (:mod:`repro.bench`): times the
-  pinned cells, emits the canonical ``BENCH_v10.json`` artifact, embeds
-  the committed pre-PR baseline's speedup trajectory plus the prior
-  artifact's cells as a cross-PR trajectory, and with ``--check`` gates
-  against a committed baseline (exit 1 on a >15% wall-clock regression).
 * ``serve`` — the ``reprod`` control-plane daemon: hosts armed stacks,
   paces them against the wall clock (``--rate`` sim-seconds per real
   second, or ``--turbo``), takes live commands over a line-delimited
@@ -63,6 +58,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -86,23 +82,28 @@ from repro.workloads.sirius import sirius_load_levels
 __all__ = ["main", "build_parser"]
 
 
-def _positive_float(text: str) -> float:
-    """Argparse type: a strictly positive float."""
+def _finite_float(text: str) -> float:
+    """Argparse type: a finite float (``nan`` and ``inf`` are refused)."""
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    """Argparse type: a strictly positive finite float."""
+    value = _finite_float(text)
     if value <= 0.0:
         raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
     return value
 
 
 def _nonnegative_float(text: str) -> float:
-    """Argparse type: a float >= 0."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
+    """Argparse type: a finite float >= 0."""
+    value = _finite_float(text)
     if value < 0.0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
     return value
@@ -342,60 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--list-rules",
         action="store_true",
         help="print the rule catalog and exit",
-    )
-
-    bench = commands.add_parser(
-        "bench",
-        help="time the pinned microbenchmark cells and emit BENCH_v10.json",
-    )
-    bench.add_argument(
-        "--quick",
-        action="store_true",
-        help="short durations for CI (same cell shapes, scaled down)",
-    )
-    bench.add_argument(
-        "--repeat",
-        type=_positive_int,
-        default=1,
-        help="repetitions per cell; the fastest wins (default: 1)",
-    )
-    bench.add_argument(
-        "--scenario",
-        action="append",
-        dest="scenarios",
-        metavar="NAME",
-        help="run only the named cell (repeatable; default: all)",
-    )
-    bench.add_argument(
-        "--output",
-        default="BENCH_v10.json",
-        help="artifact path (default: BENCH_v10.json)",
-    )
-    bench.add_argument(
-        "--prior",
-        default="BENCH_v9.json",
-        help="prior bench artifact whose cells join the trajectory "
-        "section when it exists (default: BENCH_v9.json)",
-    )
-    bench.add_argument(
-        "--pre-pr-baseline",
-        default="benchmarks/micro/baseline_pre_pr.json",
-        help="committed pre-PR measurement embedded as the speedup "
-        "reference when it exists and matches the run's mode "
-        "(default: benchmarks/micro/baseline_pre_pr.json)",
-    )
-    bench.add_argument(
-        "--check",
-        metavar="BASELINE",
-        help="compare against this committed baseline artifact and exit 1 "
-        "on a regression past the threshold",
-    )
-    bench.add_argument(
-        "--threshold",
-        type=_positive_float,
-        default=0.15,
-        help="allowed fractional wall-clock slowdown for --check "
-        "(default: 0.15)",
     )
 
     chaos = commands.add_parser(
@@ -937,72 +884,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return 1 if report.findings else 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    import json as json_module
-
-    from repro.bench import (
-        compare_reports,
-        load_report,
-        run_bench,
-        trajectory_from_prior,
-    )
-
-    report = run_bench(
-        quick=args.quick,
-        repeats=args.repeat,
-        names=args.scenarios,
-        progress=print,
-    )
-    baseline = None
-    pre_pr_path = Path(args.pre_pr_baseline)
-    if pre_pr_path.exists():
-        pre_pr = load_report(pre_pr_path)
-        if pre_pr.quick == report.quick:
-            baseline = pre_pr
-        else:
-            print(
-                f"note: {pre_pr_path} is a "
-                f"{'quick' if pre_pr.quick else 'full'} baseline; this is a "
-                f"{'quick' if report.quick else 'full'} run, so no speedup "
-                f"trajectory is embedded"
-            )
-    trajectory = None
-    prior_path = Path(args.prior)
-    if prior_path.exists():
-        try:
-            prior_payload = json_module.loads(prior_path.read_text())
-        except ValueError as error:
-            raise ReproError(
-                f"prior bench artifact {prior_path} is not valid JSON: {error}"
-            ) from error
-        trajectory = trajectory_from_prior(prior_payload)
-        print(
-            f"trajectory: carrying {len(trajectory)} prior artifact "
-            f"generation(s) forward from {prior_path}"
-        )
-    path = report.write(args.output, baseline=baseline, trajectory=trajectory)
-    print(f"bench artifact written to {path}")
-    if baseline is not None:
-        payload = report.to_dict(baseline)
-        headline = payload.get("headline_speedup")
-        if headline is not None:
-            print(f"headline-cell speedup vs pre-PR baseline: {headline:.2f}x")
-    if args.check:
-        gate = load_report(args.check)
-        regressions = compare_reports(
-            report, gate, threshold=args.threshold
-        )
-        if regressions:
-            for regression in regressions:
-                print(f"REGRESSION {regression}", file=sys.stderr)
-            return 1
-        print(
-            f"gate ok: no cell more than {args.threshold * 100:.0f}% slower "
-            f"than {args.check}"
-        )
-    return 0
-
-
 def _resolve_rate(args: argparse.Namespace) -> float:
     if args.rate is not None:
         return args.rate
@@ -1226,7 +1107,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "headline": _cmd_headline,
         "trace": _cmd_trace,
         "explain": _cmd_explain,
-        "bench": _cmd_bench,
         "chaos": _cmd_chaos,
         "guard": _cmd_guard,
         "run": _cmd_run,

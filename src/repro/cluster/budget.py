@@ -9,6 +9,7 @@ and can assert the invariant after every reallocation.
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Protocol
 
 from repro.errors import ClusterError, PowerBudgetExceeded
@@ -45,8 +46,10 @@ class PowerBudget:
         budget_watts: float,
         scope: Optional[PowerScope] = None,
     ) -> None:
-        if budget_watts <= 0.0:
-            raise ClusterError(f"budget must be > 0 W, got {budget_watts}")
+        if not math.isfinite(budget_watts) or budget_watts <= 0.0:
+            raise ClusterError(
+                f"budget must be a finite number > 0 W, got {budget_watts}"
+            )
         self.machine = machine
         self.budget_watts = float(budget_watts)
         self._scope: PowerScope = scope if scope is not None else machine

@@ -20,6 +20,7 @@ gauges react from the next completion on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Optional
 
@@ -135,9 +136,9 @@ def apply_budget_change(
     frequencies; the controller spends the new headroom on its own
     schedule.
     """
-    if requested_watts <= 0.0:
+    if not math.isfinite(requested_watts) or requested_watts <= 0.0:
         raise ClusterError(
-            f"budget must be > 0 W, got {requested_watts}"
+            f"budget must be a finite number > 0 W, got {requested_watts}"
         )
     previous = float(budget.budget_watts)
     floor = feasible_floor_watts(budget, application)
@@ -199,8 +200,10 @@ def retarget_slo(
     Completions already in the attainment window keep the verdicts they
     were scored with; the new target applies from the next completion.
     """
-    if target_s <= 0.0:
-        raise ClusterError(f"SLO target must be > 0 s, got {target_s}")
+    if not math.isfinite(target_s) or target_s <= 0.0:
+        raise ClusterError(
+            f"SLO target must be a finite number > 0 s, got {target_s}"
+        )
     previous = float(slo.target_s)
     slo.target_s = float(target_s)
     retarget = SloRetarget(

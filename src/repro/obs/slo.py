@@ -28,6 +28,7 @@ completion report that arrives after a later settle is still counted.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right, insort
 from collections import deque
 from typing import TYPE_CHECKING, Any, Optional
@@ -52,9 +53,9 @@ class SloTracker:
         max_events: int = 500_000,
         registry: Optional["MetricsRegistry"] = None,
     ) -> None:
-        if target_s <= 0.0:
+        if not math.isfinite(target_s) or target_s <= 0.0:
             raise ConfigurationError(
-                f"SLO target must be > 0, got {target_s}"
+                f"SLO target must be a finite number > 0, got {target_s}"
             )
         if not 0.0 < attainment_goal < 1.0:
             raise ConfigurationError(

@@ -281,11 +281,14 @@ class ReproDaemon:
             name = args.get("name")
             if name is not None and not isinstance(name, str):
                 raise ProtocolError(f"run name must be a string, got {name!r}")
+            paused = args.get("paused", False)
+            if not isinstance(paused, bool):
+                raise ProtocolError(
+                    f"'paused' must be a boolean, got {paused!r}"
+                )
             spec = ScenarioSpec.from_dict(spec_data)
             try:
-                run = self.submit(
-                    spec, name, paused=bool(args.get("paused", False))
-                )
+                run = self.submit(spec, name, paused=paused)
             except (TypeError, ValueError, LookupError) as error:
                 # A field the spec accepts can still fail the stack build
                 # ("seed": null); that is a bad submit, not a daemon crash.
@@ -367,7 +370,12 @@ class ReproDaemon:
             return {"run": run.name, "watching": True}
         if cmd == "unwatch":
             if "run" in args:
-                conn.watching.pop(str(args["run"]), None)
+                name = args["run"]
+                if not isinstance(name, str):
+                    raise ProtocolError(
+                        f"run name must be a string, got {name!r}"
+                    )
+                conn.watching.pop(name, None)
             else:
                 conn.watching.clear()
             return {"watching": sorted(conn.watching)}

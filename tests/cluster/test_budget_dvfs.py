@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.errors import ClusterError, PowerBudgetExceeded
@@ -55,8 +57,10 @@ class TestPowerBudget:
         assert tight.available() == 0.0
 
     def test_nonpositive_budget_rejected(self, machine):
-        with pytest.raises(ClusterError):
-            PowerBudget(machine, 0.0)
+        # NaN slips past every ordered comparison and inf past the cap.
+        for watts in (0.0, -1.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(ClusterError):
+                PowerBudget(machine, watts)
 
 
 class TestDvfsActuator:

@@ -8,6 +8,8 @@ and the audit/metrics trail.  :func:`retarget_slo` rides along.
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.cluster.dvfs import DvfsActuator
@@ -111,10 +113,11 @@ class TestApplyBudgetChange:
             assert instance.level == instance.core.ladder.min_level
 
     def test_non_positive_request_refused(self, controller):
-        with pytest.raises(ClusterError, match="> 0 W"):
-            change(controller, 0.0)
-        with pytest.raises(ClusterError, match="> 0 W"):
-            change(controller, -5.0)
+        cap = controller.budget.budget_watts
+        for watts in (0.0, -5.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(ClusterError, match="> 0 W"):
+                change(controller, watts)
+        assert exactly(controller.budget.budget_watts, cap)
 
     def test_change_is_audited_and_counted(self, controller):
         audit = AuditLog()
@@ -174,6 +177,7 @@ class TestRetargetSlo:
 
     def test_non_positive_target_refused(self):
         slo = SloTracker(target_s=3.0)
-        with pytest.raises(ClusterError, match="> 0 s"):
-            retarget_slo(slo=slo, target_s=0.0, now=0.0)
+        for target in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ClusterError, match="> 0 s"):
+                retarget_slo(slo=slo, target_s=target, now=0.0)
         assert exactly(slo.target_s, 3.0)

@@ -16,8 +16,9 @@ from repro.obs.slo import SloTracker
 
 class TestValidation:
     def test_rejects_nonpositive_target(self):
-        with pytest.raises(ConfigurationError):
-            SloTracker(target_s=0.0)
+        for target in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ConfigurationError):
+                SloTracker(target_s=target)
 
     @pytest.mark.parametrize("goal", [0.0, 1.0, -0.5, 1.5])
     def test_rejects_goal_outside_open_interval(self, goal):

@@ -49,14 +49,24 @@ class TestLatencyFlags:
             ("--cores", "0"),
             ("--cores", "2.5"),
             ("--drain", "-1"),
+            ("--budget-watts", "inf"),
+            ("--budget-watts", "nan"),
+            ("--drain", "inf"),
+            ("watts", "nan"),
+            ("watts", "1e400"),
+            ("--poll", "inf"),
         ],
     )
     def test_bad_values_rejected_at_parse_time(self, flag, value, capsys):
+        # ``watts`` is ``repro ctl budget``'s positional, ``--poll`` a
+        # ``repro serve`` flag; the rest are latency flags.
+        argv = {
+            "watts": ["ctl", "budget", "run0"],
+            "--poll": ["serve", "--poll"],
+        }.get(flag, ["latency", "sirius", "static", flag])
         parser = build_parser()
         with pytest.raises(SystemExit) as excinfo:
-            parser.parse_args(
-                ["latency", "sirius", "static", flag, value]
-            )
+            parser.parse_args([*argv, value])
         assert excinfo.value.code == 2
         assert flag in capsys.readouterr().err
 
