@@ -25,6 +25,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional, Sequence, Union
 
@@ -335,21 +336,30 @@ class ScenarioSpec:
             raise ConfigurationError(
                 f"unknown policy {self.policy!r} (known: {', '.join(policies)})"
             )
-        if self.duration_s <= 0.0:
+        # NaN slips past every ordered comparison and inf past the
+        # bounds, so each number is checked finite before its range.
+        if not math.isfinite(self.duration_s) or self.duration_s <= 0.0:
             raise ConfigurationError(
-                f"duration must be > 0, got {self.duration_s}"
+                f"duration must be a finite number > 0, got {self.duration_s}"
             )
-        if self.drain_s < 0.0:
-            raise ConfigurationError(f"drain must be >= 0, got {self.drain_s}")
+        if not math.isfinite(self.drain_s) or self.drain_s < 0.0:
+            raise ConfigurationError(
+                f"drain must be a finite number >= 0, got {self.drain_s}"
+            )
         if self.n_cores < 1:
             raise ConfigurationError(f"n_cores must be >= 1, got {self.n_cores}")
-        if self.sample_interval_s <= 0.0:
+        if (
+            not math.isfinite(self.sample_interval_s)
+            or self.sample_interval_s <= 0.0
+        ):
             raise ConfigurationError(
-                f"sample interval must be > 0, got {self.sample_interval_s}"
+                f"sample interval must be a finite number > 0, got "
+                f"{self.sample_interval_s}"
             )
-        if self.stats_window_s <= 0.0:
+        if not math.isfinite(self.stats_window_s) or self.stats_window_s <= 0.0:
             raise ConfigurationError(
-                f"stats window must be > 0, got {self.stats_window_s}"
+                f"stats window must be a finite number > 0, got "
+                f"{self.stats_window_s}"
             )
         if self.shards < 1:
             raise ConfigurationError(f"shards must be >= 1, got {self.shards}")
@@ -394,9 +404,9 @@ class ScenarioSpec:
                     f"(known: {', '.join(_TRACE_KINDS)})"
                 )
         else:
-            if self.rate_qps <= 0.0:
+            if not math.isfinite(self.rate_qps) or self.rate_qps <= 0.0:
                 raise ConfigurationError(
-                    f"rate must be > 0, got {self.rate_qps}"
+                    f"rate must be a finite number > 0, got {self.rate_qps}"
                 )
             for name, value in (
                 ("trace", self.trace),

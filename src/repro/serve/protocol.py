@@ -107,6 +107,15 @@ def encode_request(request_id: int, cmd: str, args: Mapping[str, Any]) -> str:
     return _dumps({"id": int(request_id), "cmd": cmd, "args": dict(args)})
 
 
+def _double_range_int(text: str) -> int:
+    # Request numbers end up as floats (watts, seconds, spec fields); an
+    # integer past the double range would raise OverflowError at that
+    # first use, outside any error reply, and end the serve loop.
+    value = int(text)
+    float(value)
+    return value
+
+
 def decode_request(line: str) -> Request:
     """Parse and validate one request line."""
     if len(line) > MAX_LINE_BYTES:
@@ -115,11 +124,15 @@ def decode_request(line: str) -> Request:
             f"{MAX_LINE_BYTES}-byte limit"
         )
     try:
-        payload = json.loads(line)
+        payload = json.loads(line, parse_int=_double_range_int)
     except (ValueError, RecursionError) as exc:
         # ValueError covers JSONDecodeError and CPython's integer digit
         # limit; RecursionError is deeply nested arrays or objects.
         raise ProtocolError(f"request is not valid JSON: {exc}") from None
+    except OverflowError:
+        raise ProtocolError(
+            "request carries an integer beyond the range of a double"
+        ) from None
     if not isinstance(payload, dict):
         raise ProtocolError(
             f"request must be a JSON object, got {type(payload).__name__}"

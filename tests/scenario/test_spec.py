@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 
 import pytest
 
@@ -49,6 +50,21 @@ WRONGLY_TYPED = [
     ("stats_window_s", None),
     ("trace", 5),
     ("trace", {"kind": "constant"}),
+]
+
+#: NaN passes every ordered range check and inf every lower bound, so
+#: each of these used to be accepted: an infinite duration never ends a
+#: batch run, a NaN one fails the lifecycle after the arrivals ran.
+NON_FINITE = [
+    (field, value)
+    for field in (
+        "duration_s",
+        "drain_s",
+        "sample_interval_s",
+        "stats_window_s",
+        "rate_qps",
+    )
+    for value in (math.nan, math.inf)
 ]
 
 
@@ -133,6 +149,16 @@ class TestValidation:
             "sirius", "powerchief", 4.0, 60.0, observe=("slo",)
         )
         assert "slo" in spec.observe
+
+    @pytest.mark.parametrize("field, value", NON_FINITE)
+    def test_non_finite_number_rejected(self, field, value):
+        if field == "rate_qps":
+            payload = ScenarioSpec.qos("sirius", "powerchief", 4.0, 120.0).to_dict()
+        else:
+            payload = latency_spec().to_dict()
+        payload[field] = value
+        with pytest.raises(ConfigurationError, match="finite number"):
+            ScenarioSpec.from_dict(payload)
 
 
 class TestRoundTrip:

@@ -121,6 +121,20 @@ class TestRequestFraming:
         with pytest.raises(ProtocolError, match="not valid JSON"):
             decode_request(line)
 
+    def test_integer_beyond_the_double_range_rejected(self):
+        # It decodes as a Python int, then overflows wherever the daemon
+        # first turns it into a float.
+        def budget(watts: int) -> str:
+            return (
+                '{"id": 1, "cmd": "budget", '
+                '"args": {"run": "r", "watts": ' + str(watts) + "}}"
+            )
+
+        for watts in (10**400, -(10**400)):
+            with pytest.raises(ProtocolError, match="range of a double"):
+                decode_request(budget(watts))
+        assert decode_request(budget(10**308)).args["watts"] == 10**308
+
     def test_oversized_line_rejected(self):
         padding = "x" * MAX_LINE_BYTES
         line = json.dumps({"id": 1, "cmd": "ping", "args": {"pad": padding}})
