@@ -403,6 +403,10 @@ class ScenarioSpec:
                     f"unknown trace spec kind {self.trace[0]!r} "
                     f"(known: {', '.join(_TRACE_KINDS)})"
                 )
+            if self.trace[0] != "custom":
+                # The trace constructors hold the value checks (finite,
+                # positive rates; increasing segment starts).
+                build_trace(self.trace)
         else:
             if not math.isfinite(self.rate_qps) or self.rate_qps <= 0.0:
                 raise ConfigurationError(

@@ -13,6 +13,7 @@ query carried along.
 from __future__ import annotations
 
 import itertools
+from functools import partial
 from typing import Callable, Optional
 
 from typing import TYPE_CHECKING
@@ -123,10 +124,7 @@ class Application:
         )
         self._stages.append(stage)
         self._stage_by_name[profile.name] = stage
-        next_index = len(self._stages)
-        self._hop_callbacks.append(
-            lambda done, _next=next_index: self._hop(done, _next)
-        )
+        self._hop_callbacks.append(partial(self._hop, len(self._stages)))
         stage.add_crash_listener(self._on_instance_crash)
         return stage
 
@@ -222,14 +220,16 @@ class Application:
         """Inject a query into the first stage."""
         if not self._stages:
             raise StageError(f"application {self.name} has no stages")
-        missing = [
-            stage.name for stage in self._stages if stage.name not in query.demands
-        ]
-        if missing:
+        if not query.demands.keys() >= self._stage_by_name.keys():
+            missing = [
+                stage.name
+                for stage in self._stages
+                if stage.name not in query.demands
+            ]
             raise StageError(
                 f"query {query.qid} lacks demands for stages {missing}"
             )
-        query.arrival_time = self.sim.now
+        query.arrival_time = self.sim._now
         self._submitted += 1
         if self._metrics is not None:
             self._metrics.counter(
@@ -238,8 +238,9 @@ class Application:
         self._advance(query, 0)
 
     def _advance(self, query: Query, stage_index: int) -> None:
-        if stage_index >= len(self._stages):
-            query.completion_time = self.sim.now
+        stages = self._stages
+        if stage_index >= len(stages):
+            query.completion_time = self.sim._now
             self._completed += 1
             if query.retried:
                 self._retried_completed += 1
@@ -263,10 +264,10 @@ class Application:
             else:
                 self._notify(query)
             return
-        stage = self._stages[stage_index]
+        stage = stages[stage_index]
         on_stage_done = self._hop_callbacks[stage_index]
         if self._resilient:
-            stage.submit(query, on_stage_done, on_stage_failed=self._fail_query)
+            stage.submit(query, on_stage_done, self._fail_query)
         else:
             stage.submit(query, on_stage_done)
 
@@ -290,7 +291,7 @@ class Application:
         for listener in tuple(self._listeners):
             listener(query)
 
-    def _hop(self, query: Query, next_index: int) -> None:
+    def _hop(self, next_index: int, query: Query) -> None:
         """Route onward, paying the inter-stage network delay if any."""
         if self.fabric is not None:
             src = f"stage:{self._stages[next_index - 1].name}"

@@ -96,10 +96,12 @@ class CommandCenter:
         self._all_latencies.append(latency)
         if self.retain_queries:
             self._completed_queries.append(query)
-        self._recent_e2e.append((self.sim.now, latency))
-        cutoff = self.sim.now - self.e2e_window_s
-        while self._recent_e2e and self._recent_e2e[0][0] < cutoff:
-            self._recent_e2e.popleft()
+        now = self.sim._now
+        recent = self._recent_e2e
+        recent.append((now, latency))
+        cutoff = now - self.e2e_window_s
+        while recent and recent[0][0] < cutoff:
+            recent.popleft()
 
     # ------------------------------------------------------------------
     # Per-instance statistics (with fallbacks for fresh instances)

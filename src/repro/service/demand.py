@@ -9,10 +9,12 @@ scaled by the instance's speedup curve at its current frequency.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 
 from repro.errors import ConfigurationError
 from repro.sim.rng import SeededStream
+from repro.units import exactly
 
 __all__ = [
     "DemandDistribution",
@@ -102,9 +104,16 @@ class LogNormalDemand(DemandDistribution):
             raise ConfigurationError(f"sigma must be >= 0, got {sigma}")
         self._mean = float(mean_seconds)
         self._sigma = float(sigma)
+        # Solved once, with the expression and operand order
+        # :meth:`SeededStream.lognormal_mean` uses per draw, so every
+        # sample is the float that reference would return.
+        self._mu = math.log(self._mean) - 0.5 * self._sigma * self._sigma
+        self._degenerate = exactly(self._sigma, 0.0)
 
     def sample(self, rng: SeededStream) -> float:
-        return rng.lognormal_mean(self._mean, self._sigma)
+        if self._degenerate:
+            return self._mean
+        return rng.lognormvariate(self._mu, self._sigma)
 
     @property
     def mean(self) -> float:
@@ -116,8 +125,6 @@ class LogNormalDemand(DemandDistribution):
 
     @property
     def cv2(self) -> float:
-        import math
-
         return math.exp(self._sigma * self._sigma) - 1.0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

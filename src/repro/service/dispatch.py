@@ -23,6 +23,8 @@ __all__ = [
     "RandomDispatcher",
 ]
 
+_EMPTY_POOL = "cannot dispatch: stage has no running instances"
+
 
 class Dispatcher(ABC):
     """Chooses one instance out of a stage's running pool."""
@@ -31,26 +33,23 @@ class Dispatcher(ABC):
     def select(self, instances: Sequence[ServiceInstance]) -> ServiceInstance:
         """Pick the instance for the next query; ``instances`` is non-empty."""
 
-    def _require_instances(self, instances: Sequence[ServiceInstance]) -> None:
-        if not instances:
-            raise StageError("cannot dispatch: stage has no running instances")
-
 
 class ShortestQueueDispatcher(Dispatcher):
     """Join-the-shortest-queue; ties go to the earlier instance."""
 
     def select(self, instances: Sequence[ServiceInstance]) -> ServiceInstance:
-        self._require_instances(instances)
+        if not instances:
+            raise StageError(_EMPTY_POOL)
         # Manual argmin over (queue_length, iid).  This runs once per
         # query per stage; reading the queue fields directly instead of
         # building a key tuple through the queue_length property keeps
         # the whole scan in one bytecode loop.  Tie-break: strictly
-        # smaller iid wins, matching min()'s first-of-equals.
+        # smaller iid wins, matching min()'s first-of-equals (the first
+        # instance compares equal to itself and is kept).
         best = instances[0]
         best_len = best._qlen
         best_iid = best.iid
-        for index in range(1, len(instances)):
-            inst = instances[index]
+        for inst in instances:
             length = inst._qlen
             if length < best_len or (length == best_len and inst.iid < best_iid):
                 best = inst
@@ -75,7 +74,8 @@ class RoundRobinDispatcher(Dispatcher):
         self._next = 0
 
     def select(self, instances: Sequence[ServiceInstance]) -> ServiceInstance:
-        self._require_instances(instances)
+        if not instances:
+            raise StageError(_EMPTY_POOL)
         if self._next >= len(instances):
             self._next = 0
         choice = instances[self._next]
@@ -90,5 +90,6 @@ class RandomDispatcher(Dispatcher):
         self._rng = rng
 
     def select(self, instances: Sequence[ServiceInstance]) -> ServiceInstance:
-        self._require_instances(instances)
+        if not instances:
+            raise StageError(_EMPTY_POOL)
         return instances[self._rng.randrange(len(instances))]

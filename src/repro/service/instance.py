@@ -46,6 +46,8 @@ from repro.sim.events import Event, EventPriority
 
 __all__ = ["Job", "InstanceState", "ServiceInstance"]
 
+_COMPLETION = EventPriority.COMPLETION
+
 
 @dataclass(slots=True)
 class Job:
@@ -111,6 +113,7 @@ class ServiceInstance:
         "core",
         "sim",
         "_machine",
+        "_contended",
         "_tracer",
         "_state",
         "_queue",
@@ -150,6 +153,9 @@ class ServiceInstance:
         self.core = core
         self.sim = sim
         self._machine = machine
+        # Without a contention model the slowdown is exactly 1.0 and
+        # dividing by it is an identity, so the serving path skips it.
+        self._contended = machine is not None and not machine._no_contention
         self._tracer = tracer
         self._state = InstanceState.RUNNING
         self._queue: deque[Job] = deque()
@@ -276,14 +282,13 @@ class ServiceInstance:
             )
         if job.work < 0.0:
             raise InstanceStateError(f"job work must be >= 0, got {job.work}")
-        enqueue_time = self.sim.now if job.enqueue_time is None else job.enqueue_time
-        job.enqueue_time = enqueue_time
+        enqueue_time = job.enqueue_time
+        if enqueue_time is None:
+            enqueue_time = job.enqueue_time = self.sim._now
+        # Positional: instance_id, instance_name, stage_name, enqueue_time,
+        # start_time, finish_time, queue_at_arrival.
         job.record = StageRecord(
-            instance_id=self.iid,
-            instance_name=self.name,
-            stage_name=self.stage_name,
-            enqueue_time=enqueue_time,
-            queue_at_arrival=self.queue_length,
+            self.iid, self.name, self.stage_name, enqueue_time, None, None, self._qlen
         )
         self._queue.append(job)
         self._qlen += 1
@@ -518,51 +523,56 @@ class ServiceInstance:
     # ------------------------------------------------------------------
     # Serving internals
     # ------------------------------------------------------------------
-    def _work_rate(self) -> float:
-        """Work consumed per wall-clock second at the current conditions."""
+    def _start_segment(self) -> None:
+        """Open a constant-rate serving segment for the current job.
+
+        The work rate is the speedup at the core's level, divided by the
+        machine's contention slowdown when a contention model is active
+        (without one the divisor is exactly 1.0, so it is skipped), then
+        scaled by any fault degradation.
+        """
+        sim = self.sim
+        self._segment_start = sim._now
         level = self.core._level
-        cache = self._speedup_by_level
-        cached = cache.get(level)
-        if cached is None:
-            cached = cache[level] = self.profile.speedup.speedup(
+        try:
+            rate = self._speedup_by_level[level]
+        except KeyError:
+            rate = self._speedup_by_level[level] = self.profile.speedup.speedup(
                 self.core.frequency_ghz
             )
-        rate = cached
-        if self._machine is not None:
+        if self._contended:
             rate /= self._machine.contention_slowdown()
         if self._degraded:
             rate *= self._degrade_factor
-        return rate
-
-    def _start_segment(self) -> None:
-        """Open a constant-rate serving segment for the current job."""
-        self._segment_start = self.sim.now
-        self._segment_rate = self._work_rate()
-        duration = self._remaining_work / self._segment_rate
-        self._completion = self.sim.schedule(
-            duration, self._complete, priority=EventPriority.COMPLETION
+        self._segment_rate = rate
+        self._completion = sim.schedule(
+            self._remaining_work / rate, self._complete, priority=_COMPLETION
         )
 
     def _start_next(self) -> None:
         job = self._queue.popleft()
         self._current = job
         self._remaining_work = job.work
-        assert job.record is not None
-        job.record.start_time = self.sim.now
-        job.record.service_level = self.level
+        now = self.sim._now
+        record = job.record
+        assert record is not None
+        record.start_time = now
+        record.service_level = self.core._level
         if self._busy_since is None:
-            self._busy_since = self.sim.now
+            self._busy_since = now
         self._start_segment()
 
     def _complete(self) -> None:
         job = self._current
         assert job is not None
+        now = self.sim._now
         if not job.cancelled:
-            assert job.record is not None
-            job.record.finish_time = self.sim.now
-            job.query.append_record(job.record)
+            record = job.record
+            assert record is not None
+            record.finish_time = now
+            job.query.records.append(record)
             if self._tracer is not None:
-                self._tracer.emit_record(job.query.qid, job.work, job.record)
+                self._tracer.emit_record(job.query.qid, job.work, record)
             self._queries_served += 1
         self._current = None
         self._qlen -= 1
@@ -570,10 +580,9 @@ class ServiceInstance:
         self._remaining_work = 0.0
         if self._queue:
             self._start_next()
-        else:
-            if self._busy_since is not None:
-                self._busy_accumulated += self.sim.now - self._busy_since
-                self._busy_since = None
+        elif self._busy_since is not None:
+            self._busy_accumulated += now - self._busy_since
+            self._busy_since = None
         if not job.cancelled:
             job.on_done(job.query)
         if (

@@ -17,6 +17,8 @@ from repro.service.records import AttemptRecord, StageRecord
 
 __all__ = ["Query"]
 
+_INF = float("inf")
+
 
 @dataclass(slots=True)
 class Query:
@@ -47,9 +49,10 @@ class Query:
 
     def __post_init__(self) -> None:
         for stage, demand in self.demands.items():
-            if demand < 0.0:
+            if not 0.0 <= demand < _INF:
                 raise ServiceError(
-                    f"query {self.qid}: demand for stage {stage!r} is negative"
+                    f"query {self.qid}: demand for stage {stage!r} must be "
+                    f"finite and >= 0, got {demand}"
                 )
 
     # ------------------------------------------------------------------

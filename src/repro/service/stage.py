@@ -46,6 +46,9 @@ class StageKind(enum.Enum):
     SCATTER_GATHER = "scatter_gather"
 
 
+_PIPELINE = StageKind.PIPELINE
+
+
 class Stage:
     """One stage of a multi-stage application."""
 
@@ -312,23 +315,16 @@ class Stage:
                 )
             self._submit_resilient(query, on_stage_done, on_stage_failed)
             return
-        running = self._running()
+        running = self._running_cache
+        if running is None:
+            running = self._running()
         if not running:
             raise StageError(f"stage {self.name} has no running instances")
-        if self.kind is StageKind.PIPELINE:
-            self._submit_pipeline(query, running, on_stage_done)
+        if self.kind is _PIPELINE:
+            work = query.demand_for(self.name)
+            self.dispatcher.select(running).enqueue(Job(query, work, on_stage_done))
         else:
             self._submit_scatter_gather(query, running, on_stage_done)
-
-    def _submit_pipeline(
-        self,
-        query: Query,
-        running: list[ServiceInstance],
-        on_stage_done: Callable[[Query], None],
-    ) -> None:
-        work = query.demand_for(self.name)
-        instance = self.dispatcher.select(running)
-        instance.enqueue(Job(query=query, work=work, on_done=on_stage_done))
 
     def _submit_scatter_gather(
         self,

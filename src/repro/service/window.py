@@ -63,7 +63,10 @@ class LatencyWindow:
             times.append(time)
             self._samples.append((time, queuing, serving))
         self._total_ingested += 1
-        self._evict(time)
+        # Evict only when the oldest live sample is due; otherwise
+        # ``_evict`` would advance nothing.
+        if times[self._head] < time - self.window_s:
+            self._evict(time)
 
     def _evict(self, now: float) -> None:
         cutoff = now - self.window_s

@@ -23,8 +23,8 @@ events so ordering compares native floats and ints without entering
 
 from __future__ import annotations
 
-import heapq
 import itertools
+from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Optional
 
 from repro.errors import SchedulingError, SimulationError
@@ -37,6 +37,8 @@ __all__ = ["Simulator"]
 _COMPACT_MIN_CANCELLED = 32
 
 _HeapEntry = tuple[float, int, int, Event]
+
+_INF = float("inf")
 
 
 class Simulator:
@@ -102,7 +104,7 @@ class Simulator:
         """Time of the next pending event, or ``None`` if the queue is empty."""
         queue = self._queue
         while queue and queue[0][3]._cancelled:
-            heapq.heappop(queue)
+            heappop(queue)
             self._cancelled_in_queue -= 1
         if not queue:
             return None
@@ -118,10 +120,25 @@ class Simulator:
         *args: Any,
         priority: int = EventPriority.NORMAL,
     ) -> Event:
-        """Schedule ``action(*args)`` to run ``delay`` seconds from now."""
-        if delay < 0.0:
-            raise SchedulingError(f"cannot schedule {delay} s in the past")
-        return self.schedule_at(self._now + delay, action, *args, priority=priority)
+        """Schedule ``action(*args)`` to run ``delay`` seconds from now.
+
+        The body repeats :meth:`schedule_at`'s push rather than calling
+        it: this is the per-hop scheduling call, and a finite
+        ``delay >= 0`` already guarantees ``time >= now``.
+        """
+        if not 0.0 <= delay < _INF:
+            raise SchedulingError(
+                f"cannot schedule {delay} s ahead; the delay must be finite and >= 0"
+            )
+        if not callable(action):
+            raise SchedulingError(f"event action must be callable, got {action!r}")
+        time = self._now + delay
+        priority = int(priority)
+        seq = next(self._seq)
+        event = Event(time, priority, seq, action, args, self)
+        heappush(self._queue, (time, priority, seq, event))
+        self._pending += 1
+        return event
 
     def schedule_at(
         self,
@@ -131,16 +148,17 @@ class Simulator:
         priority: int = EventPriority.NORMAL,
     ) -> Event:
         """Schedule ``action(*args)`` to run at absolute simulated ``time``."""
-        if time < self._now:
+        if not self._now <= time < _INF:
             raise SchedulingError(
-                f"cannot schedule at t={time}; simulator is already at t={self._now}"
+                f"cannot schedule at t={time}; the time must be finite "
+                f"and >= now (t={self._now})"
             )
         if not callable(action):
             raise SchedulingError(f"event action must be callable, got {action!r}")
+        priority = int(priority)
         seq = next(self._seq)
-        event = Event(time, int(priority), seq, action, args)
-        event._owner = self
-        heapq.heappush(self._queue, (time, event.priority, seq, event))
+        event = Event(time, priority, seq, action, args, self)
+        heappush(self._queue, (time, priority, seq, event))
         self._pending += 1
         return event
 
@@ -154,7 +172,7 @@ class Simulator:
         """
         queue = self._queue
         while queue:
-            time, _priority, _seq, event = heapq.heappop(queue)
+            time, _priority, _seq, event = heappop(queue)
             if event._cancelled:
                 self._cancelled_in_queue -= 1
                 continue
@@ -220,13 +238,13 @@ class Simulator:
                 head = queue[0]
                 event = head[3]
                 if event._cancelled:
-                    heapq.heappop(queue)
+                    heappop(queue)
                     self._cancelled_in_queue -= 1
                     continue
                 time = head[0]
                 if until is not None and time > until:
                     break
-                heapq.heappop(queue)
+                heappop(queue)
                 self._pending -= 1
                 self._now = time
                 event._fired = True
@@ -280,7 +298,7 @@ class Simulator:
             and self._cancelled_in_queue * 2 > len(queue)
         ):
             queue[:] = [entry for entry in queue if not entry[3]._cancelled]
-            heapq.heapify(queue)
+            heapify(queue)
             self._cancelled_in_queue = 0
             self._compactions += 1
 

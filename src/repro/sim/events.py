@@ -60,6 +60,7 @@ class Event:
         seq: int,
         action: Callable[..., Any],
         args: tuple[Any, ...] = (),
+        owner: Optional["_EventOwner"] = None,
     ) -> None:
         self.time = time
         self.priority = priority
@@ -71,7 +72,7 @@ class Event:
         # The simulator whose queue holds this event, if any.  Cancelling
         # notifies it exactly once so it can keep its pending/cancelled
         # counters live instead of scanning the heap.
-        self._owner: Optional["_EventOwner"] = None
+        self._owner = owner
 
     @property
     def cancelled(self) -> bool:

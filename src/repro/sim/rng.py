@@ -39,7 +39,9 @@ class SeededStream(random.Random):
 
         ``sigma`` is the shape parameter of the underlying normal; ``mu``
         is solved so that ``E[X] == mean``, which makes demand profiles easy
-        to read ("mean serving demand is 0.8 s").
+        to read ("mean serving demand is 0.8 s").  This per-draw form is
+        the reference :class:`~repro.service.demand.LogNormalDemand`'s
+        draws are tested against; that class solves ``mu`` once.
         """
         if mean <= 0.0:
             raise ValueError(f"lognormal mean must be > 0, got {mean}")

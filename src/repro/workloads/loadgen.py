@@ -14,6 +14,7 @@ workloads.
 from __future__ import annotations
 
 import itertools
+import math
 from abc import ABC, abstractmethod
 from typing import Optional, Sequence
 
@@ -48,8 +49,10 @@ class ConstantLoad(LoadTrace):
     """A fixed arrival rate for the whole run."""
 
     def __init__(self, rate_qps: float) -> None:
-        if rate_qps <= 0.0:
-            raise ConfigurationError(f"rate must be > 0 qps, got {rate_qps}")
+        if not math.isfinite(rate_qps) or rate_qps <= 0.0:
+            raise ConfigurationError(
+                f"rate must be a finite number > 0 qps, got {rate_qps}"
+            )
         self.rate_qps = float(rate_qps)
 
     def rate_at(self, time: float) -> float:
@@ -75,12 +78,18 @@ class PiecewiseLoad(LoadTrace):
             )
         previous_start = -1.0
         for start, rate in segments:
+            if not math.isfinite(start):
+                raise ConfigurationError(
+                    f"segment start must be a finite number, got {start}"
+                )
             if start <= previous_start:
                 raise ConfigurationError(
                     "segment start times must be strictly increasing"
                 )
-            if rate <= 0.0:
-                raise ConfigurationError(f"segment rate must be > 0, got {rate}")
+            if not math.isfinite(rate) or rate <= 0.0:
+                raise ConfigurationError(
+                    f"segment rate must be a finite number > 0, got {rate}"
+                )
             previous_start = start
         self.segments = tuple((float(s), float(r)) for s, r in segments)
 
@@ -116,22 +125,28 @@ class DiurnalLoad(LoadTrace):
         period_s: float = 86_400.0,
         phase_rad: float = 0.0,
     ) -> None:
-        if base_qps <= 0.0:
-            raise ConfigurationError(f"base rate must be > 0, got {base_qps}")
+        if not math.isfinite(base_qps) or base_qps <= 0.0:
+            raise ConfigurationError(
+                f"base rate must be a finite number > 0, got {base_qps}"
+            )
         if not 0.0 <= amplitude < 1.0:
             raise ConfigurationError(
                 f"amplitude must be in [0, 1), got {amplitude}"
             )
-        if period_s <= 0.0:
-            raise ConfigurationError(f"period must be > 0, got {period_s}")
+        if not math.isfinite(period_s) or period_s <= 0.0:
+            raise ConfigurationError(
+                f"period must be a finite number > 0, got {period_s}"
+            )
+        if not math.isfinite(phase_rad):
+            raise ConfigurationError(
+                f"phase must be a finite number, got {phase_rad}"
+            )
         self.base_qps = float(base_qps)
         self.amplitude = float(amplitude)
         self.period_s = float(period_s)
         self.phase_rad = float(phase_rad)
 
     def rate_at(self, time: float) -> float:
-        import math
-
         swing = math.sin(2.0 * math.pi * time / self.period_s + self.phase_rad)
         return self.base_qps * (1.0 + self.amplitude * swing)
 
@@ -155,16 +170,23 @@ class QueryFactory:
         self.profiles = tuple(profiles)
         self.streams = streams
         self._qid = itertools.count(0)
+        # Each stage's sampler and stream, bound once: the stream is the
+        # same object ``streams.stream`` would return on every draw.
+        self._draws = tuple(
+            (
+                profile.name,
+                profile.demand.sample,
+                streams.stream(f"demand/{profile.name}"),
+            )
+            for profile in self.profiles
+        )
 
     def create(self) -> Query:
         """A fresh query with demands drawn for every stage."""
-        demands = {
-            profile.name: profile.demand.sample(
-                self.streams.stream(f"demand/{profile.name}")
-            )
-            for profile in self.profiles
-        }
-        return Query(qid=next(self._qid), demands=demands)
+        demands = {}
+        for name, sample, stream in self._draws:
+            demands[name] = sample(stream)
+        return Query(next(self._qid), demands)
 
 
 class PoissonLoadGenerator:
@@ -200,9 +222,10 @@ class PoissonLoadGenerator:
         self._schedule_next()
 
     def _schedule_next(self) -> None:
-        rate = self.trace.rate_at(self.sim.now)
+        now = self.sim._now
+        rate = self.trace.rate_at(now)
         gap = self._arrival_stream.exponential(1.0 / rate)
-        arrival_time = self.sim.now + gap
+        arrival_time = now + gap
         assert self._end_time is not None
         if arrival_time > self._end_time:
             return

@@ -10,6 +10,7 @@ explicit per-arrival demands).
 
 from __future__ import annotations
 
+import math
 from typing import Mapping, Optional, Sequence
 
 from repro.errors import ConfigurationError
@@ -37,8 +38,10 @@ class ReplayLoadGenerator:
             raise ConfigurationError("replay needs at least one arrival")
         previous = -1.0
         for time in arrival_times:
-            if time < 0.0:
-                raise ConfigurationError(f"arrival time must be >= 0, got {time}")
+            if not math.isfinite(time) or time < 0.0:
+                raise ConfigurationError(
+                    f"arrival time must be a finite number >= 0, got {time}"
+                )
             if time < previous:
                 raise ConfigurationError("arrival times must be non-decreasing")
             previous = time

@@ -3,6 +3,8 @@ validation: the substrate must agree with M/M/1 and M/G/1 theory."""
 
 from __future__ import annotations
 
+import statistics
+
 import pytest
 
 from repro.analysis.queueing import (
@@ -112,3 +114,72 @@ class TestSimulatorValidation:
         light = self.run_single_queue(ExponentialDemand(1.0), rate=0.3, duration=20_000.0)
         heavy = self.run_single_queue(ExponentialDemand(1.0), rate=0.7, duration=20_000.0)
         assert heavy > 2.0 * light
+
+
+def run_tandem(
+    seed: int,
+    duration: float,
+    mean_demand: float = 0.6,
+    rate: float = 0.5,
+    window: float = 60.0,
+) -> list[float]:
+    """End-to-end latencies of a raw three-stage pipeline: one instance
+    per stage at the ladder floor, exponential demand at every stage,
+    Poisson arrivals."""
+    sim = Simulator()
+    machine = Machine(sim, n_cores=3)
+    app = Application("tandem", sim, machine)
+    profiles = [
+        ServiceProfile(
+            name,
+            ExponentialDemand(mean_demand),
+            PowerLawSpeedup(HASWELL_LADDER.min_ghz, beta=1.0),
+        )
+        for name in ("A", "B", "C")
+    ]
+    for profile in profiles:
+        app.add_stage(profile).launch_instance(HASWELL_LADDER.min_level)
+    command_center = CommandCenter(
+        sim, app, window_s=window, e2e_window_s=window / 2.0
+    )
+    streams = RandomStreams(seed)
+    PoissonLoadGenerator(
+        sim, app, QueryFactory(profiles, streams), ConstantLoad(rate),
+        streams, duration,
+    ).start()
+    sim.run()
+    return command_center.all_latencies
+
+
+class TestTandemQueue:
+    """A pipeline of M/M/1 stages against Jackson/Burke product form.
+
+    By Burke's theorem each stage's departures are again Poisson, so the
+    stages are independent M/M/1 queues and the mean response is the sum
+    of theirs: 3 * s / (1 - rho) with s = 0.6 s and rho = 0.5 * 0.6.
+    """
+
+    def test_mean_latency_matches_jackson_network(self):
+        stats = pytest.importorskip("scipy.stats")
+        expected = 3 * mm1_mean_response(0.5, 0.6)
+        assert expected == pytest.approx(2.5714, abs=1e-4)
+        means = [statistics.fmean(run_tandem(seed, 10_000.0)) for seed in range(5)]
+        low, high = stats.t.interval(
+            0.99,
+            len(means) - 1,
+            loc=statistics.fmean(means),
+            scale=statistics.stdev(means) / len(means) ** 0.5,
+        )
+        assert low <= expected <= high, (means, low, high)
+
+    def test_doubling_every_time_constant_doubles_every_latency(self):
+        # Scaling by 2 is exact in binary floating point, so twice the
+        # demand means, duration and window at half the rate must replay
+        # the same events at exactly twice the times.  (At x3 the
+        # products round differently, so only x2 is pinned.)
+        base = run_tandem(1, 2_000.0)
+        doubled = run_tandem(
+            1, 4_000.0, mean_demand=1.2, rate=0.25, window=120.0
+        )
+        assert len(base) > 1000
+        assert doubled == [2.0 * latency for latency in base]

@@ -65,6 +65,16 @@ NON_FINITE = [
         "rate_qps",
     )
     for value in (math.nan, math.inf)
+] + [
+    # Load-trace values, checked by building the trace.
+    ("trace", ["constant", math.nan]),
+    ("trace", ["constant", math.inf]),
+    ("trace", ["piecewise", [[0, 2], [10, math.nan]]]),
+    ("trace", ["piecewise", [[0, 2], [math.nan, 3]]]),
+    ("trace", ["piecewise", [[0, 2], [math.inf, 3]]]),
+    ("trace", ["diurnal", math.inf, 0.5, 600.0, 0.0]),
+    ("trace", ["diurnal", 2.0, 0.5, math.nan, 0.0]),
+    ("trace", ["diurnal", 2.0, 0.5, 600.0, math.nan]),
 ]
 
 
@@ -214,7 +224,7 @@ class TestRoundTrip:
         piecewise = latency_spec(
             trace=("piecewise", ((0.0, 1.0), (60.0, 3.0), (120.0, 1.5)))
         )
-        diurnal = latency_spec(trace=("diurnal", 2.0, 1.0, 600.0, 0.0))
+        diurnal = latency_spec(trace=("diurnal", 2.0, 0.5, 600.0, 0.0))
         for spec in (constant, piecewise, diurnal):
             restored = ScenarioSpec.from_json(spec.to_json())
             assert restored == spec

@@ -362,6 +362,9 @@ class TestProtocolEdges:
             submit(dict(SPEC.to_dict(), budget_watts=math.nan)),
             submit(dict(SPEC.to_dict(), duration_s=math.inf)),
             submit(dict(SPEC.to_dict(), duration_s=10**400)),
+            submit(
+                dict(SPEC.to_dict(), trace=["piecewise", [[0, 2], [10, math.nan]]])
+            ),
             json.dumps({"id": 1, "cmd": "unwatch", "args": {"run": 5}}),
             budget("1e400"),
             budget("NaN"),

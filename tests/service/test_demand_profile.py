@@ -50,6 +50,19 @@ class TestDemandDistributions:
         mean = sum(demand.sample(rng) for _ in range(n)) / n
         assert mean == pytest.approx(0.8, rel=0.05)
 
+    @pytest.mark.parametrize(
+        "mean, sigma", [(0.8, 0.6), (1.7, 0.25), (0.05, 1.3), (2.0, 0.0)]
+    )
+    def test_lognormal_sample_matches_the_per_draw_reference(self, mean, sigma):
+        # ``sample`` solves mu once; every draw must still be the exact
+        # float ``SeededStream.lognormal_mean`` returns on a twin stream.
+        demand = LogNormalDemand(mean, sigma=sigma)
+        ours = RandomStreams(7).stream("demand")
+        reference = RandomStreams(7).stream("demand")
+        for _ in range(2000):
+            assert demand.sample(ours) == reference.lognormal_mean(mean, sigma)
+        assert ours.getstate() == reference.getstate()
+
     def test_lognormal_samples_positive(self, rng):
         demand = LogNormalDemand(0.3, sigma=1.0)
         assert all(demand.sample(rng) > 0 for _ in range(1000))

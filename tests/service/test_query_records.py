@@ -65,8 +65,10 @@ class TestQuery:
             query.demand_for("Z")
 
     def test_negative_demand_rejected(self):
-        with pytest.raises(ServiceError):
-            Query(qid=1, demands={"A": -0.5})
+        # NaN and infinite demands are refused with the negative ones.
+        for demand in (-0.5, float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ServiceError, match="finite and >= 0"):
+                Query(qid=1, demands={"A": 1.0, "B": demand})
 
     def test_end_to_end_latency(self):
         query = Query(qid=1, demands={"A": 1.0})

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.errors import SchedulingError, SimulationError
@@ -27,14 +29,21 @@ class TestScheduling:
         assert not event.cancelled
 
     def test_schedule_in_past_rejected(self, sim):
-        with pytest.raises(SchedulingError):
-            sim.schedule(-0.1, lambda: None)
+        # NaN passes every ordered comparison and infinity is never
+        # reached; neither may enter the heap.
+        for delay in (-0.1, math.nan, math.inf, -math.inf):
+            with pytest.raises(SchedulingError):
+                sim.schedule(delay, lambda: None)
+        assert sim.heap_size == 0
 
     def test_schedule_at_before_now_rejected(self, sim):
         sim.schedule(1.0, lambda: None)
         sim.run()
-        with pytest.raises(SchedulingError):
-            sim.schedule_at(0.5, lambda: None)
+        for time in (0.5, math.nan, math.inf, -math.inf):
+            with pytest.raises(SchedulingError):
+                sim.schedule_at(time, lambda: None)
+        assert sim.heap_size == 0
+        assert sim.now == 1.0
 
     def test_non_callable_action_rejected(self, sim):
         with pytest.raises(SchedulingError):

@@ -105,8 +105,9 @@ class TestReplay:
             ReplayLoadGenerator(sim, two_stage_app, factory, [])
         with pytest.raises(ConfigurationError):
             ReplayLoadGenerator(sim, two_stage_app, factory, [1.0, 0.5])
-        with pytest.raises(ConfigurationError):
-            ReplayLoadGenerator(sim, two_stage_app, factory, [-1.0])
+        for bad in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError):
+                ReplayLoadGenerator(sim, two_stage_app, factory, [bad])
         with pytest.raises(ConfigurationError):
             ReplayLoadGenerator(
                 sim, two_stage_app, factory, [0.0, 1.0], demands=[{"A": 1.0}]
