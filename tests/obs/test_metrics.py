@@ -27,6 +27,7 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
+    _label_key,
 )
 from repro.util.percentile import percentile
 
@@ -49,8 +50,16 @@ class TestCounter:
 
     def test_rejects_negative_increment(self):
         counter = Counter("c_total", "help")
-        with pytest.raises(ConfigurationError):
-            counter.inc(-1.0)
+        for amount in (-1.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(ConfigurationError):
+                counter.inc(amount)
+        assert counter.render()[2] == "c_total 0"
+
+    def test_label_key_is_the_sorted_pairs(self):
+        for labels in ({}, {"stage": 1}, {"stage": "1", "app": "sirius"}):
+            assert _label_key(labels) == tuple(
+                sorted((k, str(v)) for k, v in labels.items())
+            )
 
     def test_render_sorts_label_sets(self):
         counter = Counter("c_total", "queries")
@@ -94,6 +103,28 @@ class TestHistogram:
         assert hist.bucket_counts() == [(1.0, 2), (2.0, 3), (math.inf, 4)]
         assert hist.count == 4
         assert hist.sum == pytest.approx(101.7)
+
+    def test_rejects_non_finite_values(self):
+        hist = Histogram("h", "help", [1.0, 2.0])
+        hist.observe(0.5)
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ConfigurationError):
+                hist.observe(value)
+        assert hist.bucket_counts() == [(1.0, 1), (2.0, 1), (math.inf, 1)]
+        assert (hist.count, hist.sum) == (1, 0.5)
+
+    def test_value_on_a_bound_lands_in_that_bucket(self):
+        bounds = DEFAULT_LATENCY_BUCKETS_S
+        for index, bound in enumerate(bounds):
+            hist = Histogram("h", "help", bounds)
+            hist.observe(bound)
+            hist.observe(math.nextafter(bound, math.inf))
+            cumulative = [count for _, count in hist.bucket_counts()]
+            assert cumulative == [0] * index + [1] + [2] * (len(bounds) - index)
+        hist = Histogram("h", "help", [1.0])
+        hist.observe(-5.0)
+        hist.observe(1e300)
+        assert hist.bucket_counts() == [(1.0, 1), (math.inf, 2)]
 
     def test_render_prometheus_shape(self):
         hist = Histogram("h_seconds", "latency", [1.0])
