@@ -48,7 +48,7 @@ __all__ = [
 _US = 1e6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Span:
     """One query's visit to one service instance, fully timed.
 
@@ -70,13 +70,43 @@ class Span:
     service_level: int
     work: float
 
-    def __post_init__(self) -> None:
-        if not self.enqueue_time <= self.start_time <= self.finish_time:
+    # Written out, not generated: a profile files every generated
+    # dataclass ``__init__`` under one label, ``('<string>', 2,
+    # '__init__')``, so a ``__post_init__`` check would be charged to
+    # whichever of them the profiler kept, which varies from process
+    # to process.
+    def __init__(
+        self,
+        qid: int,
+        stage: str,
+        instance_id: int,
+        instance: str,
+        enqueue_time: float,
+        start_time: float,
+        finish_time: float,
+        queue_at_arrival: int,
+        service_level: int,
+        work: float,
+    ) -> None:
+        if not enqueue_time <= start_time <= finish_time:
             raise ConfigurationError(
-                f"span for query {self.qid} at {self.instance} is not "
-                f"ordered: enqueue={self.enqueue_time} start={self.start_time} "
-                f"finish={self.finish_time}"
+                f"span for query {qid} at {instance} is not "
+                f"ordered: enqueue={enqueue_time} start={start_time} "
+                f"finish={finish_time}"
             )
+        # Frozen: fields are set past the refusing ``__setattr__``, as
+        # the generated ``__init__`` sets them.
+        set_field = object.__setattr__
+        set_field(self, "qid", qid)
+        set_field(self, "stage", stage)
+        set_field(self, "instance_id", instance_id)
+        set_field(self, "instance", instance)
+        set_field(self, "enqueue_time", enqueue_time)
+        set_field(self, "start_time", start_time)
+        set_field(self, "finish_time", finish_time)
+        set_field(self, "queue_at_arrival", queue_at_arrival)
+        set_field(self, "service_level", service_level)
+        set_field(self, "work", work)
 
     @property
     def queuing_time(self) -> float:

@@ -9,6 +9,8 @@ records, never a second clock.
 
 from __future__ import annotations
 
+import dataclasses
+import inspect
 import json
 
 import pytest
@@ -62,6 +64,15 @@ class TestSpan:
     def test_dict_round_trip(self):
         span = make_span(qid=7)
         assert Span.from_dict(span.to_dict()) == span
+
+    def test_written_init_takes_every_field_in_order(self):
+        fields = [field.name for field in dataclasses.fields(Span)]
+        assert list(inspect.signature(Span).parameters) == fields
+        span = make_span(qid=7)
+        assert Span(*(getattr(span, name) for name in fields)) == span
+        assert dataclasses.replace(span, work=2.0).work == 2.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            span.qid = 8  # type: ignore[misc]
 
 
 class TestTraceBuffer:
