@@ -19,6 +19,11 @@ payload, trace spans, audit entries, stream lines, Prometheus text,
 attribution, SLO and, where armed, energy), so the arm-path wiring is
 pinned as tightly as the run itself (``observed_digests.json``).
 
+The output goldens pin what users read: every figure/table render of
+the default campaign registry at full size, the stdout and ``--json``
+payload of the single-run CLI commands, and every artifact ``repro
+trace`` writes (``output_digests.json``).
+
 Regenerate (only when a PR *intends* a behavioural change) with::
 
     PYTHONPATH=src python tests/integration/golden_cells.py --regen
@@ -26,8 +31,11 @@ Regenerate (only when a PR *intends* a behavioural change) with::
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
+import tempfile
 from pathlib import Path
 
 from repro.guard.config import GuardConfig
@@ -35,6 +43,7 @@ from repro.scenario.spec import ScenarioSpec, StageAllocation
 
 GOLDEN_PATH = Path(__file__).with_name("golden_digests.json")
 OBSERVED_PATH = Path(__file__).with_name("observed_digests.json")
+OUTPUT_PATH = Path(__file__).with_name("output_digests.json")
 
 ALL_PILLARS = ("trace", "metrics", "audit", "attribution", "slo", "energy", "stream")
 
@@ -176,12 +185,95 @@ def observed_parts(spec: ScenarioSpec) -> dict[str, str]:
     return {name: _digest(value) for name, value in parts.items()}
 
 
+#: Single-run CLI commands whose stdout and ``--json`` payload are
+#: pinned; ``guard`` is the CI smoke-guard command.
+CLI_COMMANDS: dict[str, list[str]] = {
+    "latency": [
+        "latency", "sirius", "powerchief",
+        "--rate", "1.95", "--duration", "150", "--seed", "3",
+    ],
+    "qos": ["qos", "websearch", "powerchief", "--duration", "150", "--seed", "3"],
+    "chaos": [
+        "chaos", "sirius", "powerchief", "--plan", "crash-heavy",
+        "--rate", "4", "--duration", "120", "--seed", "0",
+    ],
+    "guard": [
+        "guard", "sirius", "powerchief", "--rate", "3", "--duration", "600",
+        "--seed", "3", "--slo-target", "20", "--demote-after", "1",
+        "--probation", "60", "--storm-ticks", "2", "--no-baseline",
+    ],
+}
+
+#: The traced run whose every artifact is pinned.
+TRACE_COMMAND = ["trace", "sirius", "powerchief", "--duration", "120", "--seed", "3"]
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _run_cli(argv: list[str]) -> str:
+    """Run one ``repro`` command in-process; returns its stdout."""
+    from repro.cli import main
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    assert code == 0, f"repro {' '.join(argv)} exited {code}"
+    return out.getvalue()
+
+
+def render_digest(name: str) -> str:
+    """SHA-256 of one default-registry artefact rendered at full size."""
+    from repro.experiments.campaign import default_registry
+
+    return _sha256(default_registry()[name]().encode("utf-8"))
+
+
+def cli_parts(name: str) -> dict[str, str]:
+    """Digests of one CLI command's stdout (minus the line naming where
+    the ``--json`` file went) and of the ``--json`` file itself."""
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "out.json"
+        stdout = _run_cli(CLI_COMMANDS[name] + ["--json", str(path)])
+        kept = [line for line in stdout.splitlines(True) if " written to " not in line]
+        return {
+            "stdout": _sha256("".join(kept).encode("utf-8")),
+            "json": _sha256(path.read_bytes()),
+        }
+
+
+def trace_artifacts() -> dict[str, str]:
+    """Digests of every file ``repro trace`` writes for :data:`TRACE_COMMAND`."""
+    with tempfile.TemporaryDirectory() as scratch:
+        _run_cli(TRACE_COMMAND + ["--output", scratch])
+        return {
+            path.name: _sha256(path.read_bytes())
+            for path in sorted(Path(scratch).iterdir())
+        }
+
+
+def output_digests() -> dict[str, dict]:
+    """Every pinned user-facing output, grouped as ``output_digests.json``."""
+    from repro.experiments.campaign import default_registry
+
+    return {
+        "renders": {name: render_digest(name) for name in sorted(default_registry())},
+        "cli": {name: cli_parts(name) for name in sorted(CLI_COMMANDS)},
+        "trace": trace_artifacts(),
+    }
+
+
 def load_goldens() -> dict[str, str]:
     return json.loads(GOLDEN_PATH.read_text())
 
 
 def load_observed_goldens() -> dict[str, dict[str, str]]:
     return json.loads(OBSERVED_PATH.read_text())
+
+
+def load_output_goldens() -> dict[str, dict]:
+    return json.loads(OUTPUT_PATH.read_text())
 
 
 def _regen() -> None:
@@ -197,6 +289,10 @@ def _regen() -> None:
         print(f"{name}: {observed[name]}")
     OBSERVED_PATH.write_text(json.dumps(observed, indent=2, sort_keys=True) + "\n")
     print(f"wrote {OBSERVED_PATH}")
+    outputs = output_digests()
+    print(json.dumps(outputs, indent=2, sort_keys=True))
+    OUTPUT_PATH.write_text(json.dumps(outputs, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {OUTPUT_PATH}")
 
 
 if __name__ == "__main__":
