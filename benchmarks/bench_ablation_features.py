@@ -16,7 +16,7 @@ from __future__ import annotations
 from repro.core.boosting import BoostingDecisionEngine
 from repro.core.controller import ControllerConfig, PowerChiefController
 from repro.experiments.report import format_heading, format_table
-from repro.experiments.runner import run_latency_experiment
+from repro.scenario import ScenarioSpec, run_scenario
 from repro.workloads.sirius import sirius_load_levels
 from repro.workloads.traces import FIG11_DURATION_S, fig11_trace
 
@@ -30,11 +30,11 @@ def run_variant(policy, trace, *, enable_withdraw=True, enable_deboost=True, see
         withdraw_interval_s=150.0,
         enable_withdraw=enable_withdraw,
     )
+    spec = ScenarioSpec.latency(
+        "sirius", policy, trace, FIG11_DURATION_S, seed=seed, controller=config
+    )
     if enable_deboost:
-        return run_latency_experiment(
-            "sirius", policy, trace, FIG11_DURATION_S, seed=seed,
-            controller_config=config,
-        )
+        return run_scenario(spec)
 
     from repro.scenario.builder import LATENCY_CONTROLLERS
 
@@ -53,10 +53,7 @@ def run_variant(policy, trace, *, enable_withdraw=True, enable_deboost=True, see
     original = LATENCY_CONTROLLERS["powerchief"]
     LATENCY_CONTROLLERS["powerchief"] = NoDeboostController
     try:
-        return run_latency_experiment(
-            "sirius", policy, trace, FIG11_DURATION_S, seed=seed,
-            controller_config=config,
-        )
+        return run_scenario(spec)
     finally:
         LATENCY_CONTROLLERS["powerchief"] = original
 

@@ -22,8 +22,7 @@ from __future__ import annotations
 
 from repro.cluster.contention import LinearContention
 from repro.experiments.report import format_heading, format_table
-from repro.experiments.runner import run_latency_experiment
-from repro.workloads.loadgen import ConstantLoad
+from repro.scenario import ScenarioSpec, run_scenario
 from repro.workloads.sirius import sirius_load_levels
 
 from benchmarks.conftest import run_once, show
@@ -36,16 +35,20 @@ def run_comparison(duration_s: float = 600.0, seed: int = 3):
     rate = sirius_load_levels().high_qps
     results = {}
     for policy in POLICIES:
-        clean = run_latency_experiment(
-            "sirius", policy, ConstantLoad(rate), duration_s, seed=seed
+        clean = run_scenario(
+            ScenarioSpec.latency(
+                "sirius", policy, ("constant", rate), duration_s, seed=seed
+            )
         )
-        contended = run_latency_experiment(
-            "sirius",
-            policy,
-            ConstantLoad(rate),
-            duration_s,
-            seed=seed,
-            contention=LinearContention(INTENSITY),
+        contended = run_scenario(
+            ScenarioSpec.latency(
+                "sirius",
+                policy,
+                ("constant", rate),
+                duration_s,
+                seed=seed,
+                contention=LinearContention(INTENSITY),
+            )
         )
         results[policy] = (clean.latency.mean, contended.latency.mean)
     return results

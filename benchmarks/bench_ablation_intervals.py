@@ -13,8 +13,7 @@ from __future__ import annotations
 
 from repro.core.controller import ControllerConfig
 from repro.experiments.report import format_heading, format_table
-from repro.experiments.runner import run_latency_experiment
-from repro.workloads.loadgen import ConstantLoad
+from repro.scenario import ScenarioSpec, run_scenario
 from repro.workloads.sirius import sirius_load_levels
 
 from benchmarks.conftest import run_once, show
@@ -25,6 +24,19 @@ THRESHOLDS = (0.0, 0.25, 1.0, 1000.0)
 
 def run_sweep(duration_s=600.0, seed=3):
     rate = sirius_load_levels().medium_qps
+
+    def run(config):
+        return run_scenario(
+            ScenarioSpec.latency(
+                "sirius",
+                "powerchief",
+                ("constant", rate),
+                duration_s,
+                seed=seed,
+                controller=config,
+            )
+        )
+
     interval_results = {}
     for interval in ADJUST_INTERVALS:
         config = ControllerConfig(
@@ -32,15 +44,7 @@ def run_sweep(duration_s=600.0, seed=3):
             balance_threshold_s=0.25,
             withdraw_interval_s=150.0,
         )
-        run = run_latency_experiment(
-            "sirius",
-            "powerchief",
-            ConstantLoad(rate),
-            duration_s,
-            seed=seed,
-            controller_config=config,
-        )
-        interval_results[interval] = run.latency.mean
+        interval_results[interval] = run(config).latency.mean
     threshold_results = {}
     for threshold in THRESHOLDS:
         config = ControllerConfig(
@@ -48,15 +52,7 @@ def run_sweep(duration_s=600.0, seed=3):
             balance_threshold_s=threshold,
             withdraw_interval_s=150.0,
         )
-        run = run_latency_experiment(
-            "sirius",
-            "powerchief",
-            ConstantLoad(rate),
-            duration_s,
-            seed=seed,
-            controller_config=config,
-        )
-        threshold_results[threshold] = run.latency.mean
+        threshold_results[threshold] = run(config).latency.mean
     return interval_results, threshold_results
 
 

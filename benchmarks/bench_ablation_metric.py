@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from repro.core.controller import ControllerConfig
 from repro.core.metrics import MetricKind
-from repro.experiments.runner import run_latency_experiment
-from repro.workloads.loadgen import ConstantLoad
+from repro.scenario import ScenarioSpec, run_scenario
 from repro.workloads.sirius import sirius_load_levels
 
 from benchmarks.conftest import run_once, show
@@ -40,13 +39,15 @@ def run_ablation(duration_s=600.0, seeds=(3, 5)):
         means = []
         p99s = []
         for seed in seeds:
-            run = run_latency_experiment(
-                "sirius",
-                "powerchief",
-                ConstantLoad(rate),
-                duration_s,
-                seed=seed,
-                controller_config=config,
+            run = run_scenario(
+                ScenarioSpec.latency(
+                    "sirius",
+                    "powerchief",
+                    ("constant", rate),
+                    duration_s,
+                    seed=seed,
+                    controller=config,
+                )
             )
             means.append(run.latency.mean)
             p99s.append(run.latency.p99)

@@ -13,8 +13,7 @@ from __future__ import annotations
 from repro.core.controller import PowerChiefController
 from repro.core.recycling import PowerRecycler
 from repro.experiments.report import format_heading, format_table
-from repro.experiments.runner import run_latency_experiment
-from repro.workloads.loadgen import ConstantLoad
+from repro.scenario import ScenarioSpec, run_scenario
 from repro.workloads.sirius import sirius_load_levels
 
 from benchmarks.conftest import run_once, show
@@ -63,12 +62,10 @@ def run_ablation(duration_s=600.0, seeds=(3, 5)):
             original = LATENCY_CONTROLLERS["powerchief"]
             LATENCY_CONTROLLERS["powerchief"] = PatchedController
             try:
-                run = run_latency_experiment(
-                    "sirius",
-                    "powerchief",
-                    ConstantLoad(rate),
-                    duration_s,
-                    seed=seed,
+                run = run_scenario(
+                    ScenarioSpec.latency(
+                        "sirius", "powerchief", ("constant", rate), duration_s, seed=seed
+                    )
                 )
             finally:
                 LATENCY_CONTROLLERS["powerchief"] = original

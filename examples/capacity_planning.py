@@ -12,9 +12,8 @@ Run:  python examples/capacity_planning.py
 
 from repro.analysis import mg1_mean_wait, required_instances
 from repro.core import best_static_allocation
-from repro.experiments import run_latency_experiment
-from repro.scenario import StageAllocation
-from repro.workloads import ConstantLoad, sirius_load_levels, sirius_profiles
+from repro.scenario import ScenarioSpec, StageAllocation, run_scenario
+from repro.workloads import sirius_load_levels, sirius_profiles
 from repro.cluster import HASWELL_LADDER
 
 
@@ -68,13 +67,15 @@ def main() -> None:
         stage: StageAllocation(count, level)
         for stage, (count, level) in plan.allocation.items()
     }
-    result = run_latency_experiment(
-        "sirius",
-        "static",
-        ConstantLoad(levels.high_qps),
-        duration_s=600.0,
-        seed=3,
-        allocation=allocation,
+    result = run_scenario(
+        ScenarioSpec.latency(
+            "sirius",
+            "static",
+            ("constant", levels.high_qps),
+            duration_s=600.0,
+            seed=3,
+            allocation=allocation,
+        )
     )
     print(
         f"\nsimulated mean latency of the high-load plan: "

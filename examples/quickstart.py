@@ -9,19 +9,20 @@ power allocation against the PowerChief runtime.
 Run:  python examples/quickstart.py
 """
 
-from repro.experiments import run_latency_experiment
-from repro.workloads import ConstantLoad, sirius_load_levels
+from repro import ScenarioSpec, run_scenario
+from repro.workloads import sirius_load_levels
 
 
 def main() -> None:
     rate = sirius_load_levels().high_qps
     print(f"Sirius under high load ({rate:.2f} queries/s), 13.56 W budget\n")
 
-    baseline = run_latency_experiment(
-        "sirius", "static", ConstantLoad(rate), duration_s=600.0, seed=3
+    load = ("constant", rate)
+    baseline = run_scenario(
+        ScenarioSpec.latency("sirius", "static", load, duration_s=600.0, seed=3)
     )
-    powerchief = run_latency_experiment(
-        "sirius", "powerchief", ConstantLoad(rate), duration_s=600.0, seed=3
+    powerchief = run_scenario(
+        ScenarioSpec.latency("sirius", "powerchief", load, duration_s=600.0, seed=3)
     )
 
     print(f"{'policy':<12} {'mean':>9} {'p99':>9} {'avg power':>10}")

@@ -16,7 +16,7 @@ from repro.core import (
     InstanceWithdrawAction,
     SkipAction,
 )
-from repro.experiments import run_latency_experiment
+from repro.scenario import ScenarioSpec, run_scenario
 from repro.workloads import sirius_load_levels
 from repro.workloads.traces import FIG11_DURATION_S, fig11_trace
 
@@ -46,13 +46,15 @@ def main() -> None:
     trace = fig11_trace(sirius_load_levels().high_qps)
     print("Sirius under the Figure-11 fluctuating load trace (900 s)\n")
 
-    result = run_latency_experiment(
-        "sirius",
-        "powerchief",
-        trace,
-        FIG11_DURATION_S,
-        seed=3,
-        sample_interval_s=75.0,
+    result = run_scenario(
+        ScenarioSpec.latency(
+            "sirius",
+            "powerchief",
+            trace,
+            FIG11_DURATION_S,
+            seed=3,
+            sample_interval_s=75.0,
+        )
     )
 
     print("PowerChief decision log:")

@@ -9,7 +9,7 @@ timelines plus the power-saving summary.
 Run:  python examples/websearch_power_capping.py
 """
 
-from repro.experiments import run_qos_experiment
+from repro.scenario import ScenarioSpec, run_scenario
 from repro.scenario.config import TABLE3_WEBSEARCH
 
 
@@ -23,8 +23,8 @@ def main() -> None:
         f"adjust interval {TABLE3_WEBSEARCH.adjust_interval_s:g} s\n"
     )
     runs = {
-        policy: run_qos_experiment(
-            TABLE3_WEBSEARCH, policy, rate_qps=8.0, duration_s=200.0, seed=3
+        policy: run_scenario(
+            ScenarioSpec.qos("websearch", policy, 8.0, duration_s=200.0, seed=3)
         )
         for policy in POLICIES
     }

@@ -23,24 +23,16 @@ Quick start::
     controller.start()
     # ... submit queries, sim.run(...)
 
-or use the pre-wired experiment harness::
-
-    from repro.experiments import run_latency_experiment
-    from repro.workloads import ConstantLoad, sirius_load_levels
-
-    result = run_latency_experiment(
-        "sirius", "powerchief",
-        ConstantLoad(sirius_load_levels().high_qps), duration_s=600.0,
-    )
-    print(result.latency)
-
 or describe the whole run declaratively and let the scenario layer
-assemble it (the experiment harness itself goes through this path)::
+assemble it (every figure, CLI command and example goes through this
+path)::
 
     from repro import ScenarioSpec, run_scenario
+    from repro.workloads import sirius_load_levels
 
     spec = ScenarioSpec.latency(
-        "sirius", "powerchief", ("constant", 1.5), 600.0, shards=2,
+        "sirius", "powerchief",
+        ("constant", sirius_load_levels().high_qps), 600.0,
     )
     print(run_scenario(spec).latency)
 """

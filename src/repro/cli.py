@@ -61,7 +61,7 @@ import logging
 import math
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.errors import ReproError
 from repro.experiments.campaign import default_registry
@@ -71,13 +71,15 @@ from repro.experiments.export import (
     run_result_to_dict,
     write_json,
 )
-from repro.experiments.runner import run_latency_experiment, run_qos_experiment
-from repro.scenario.config import TABLE3_SIRIUS, TABLE3_WEBSEARCH
-from repro.scenario.spec import LATENCY_POLICIES, QOS_POLICIES
+from repro.scenario.builder import StackBuilder, run_scenario
+from repro.scenario.spec import LATENCY_POLICIES, QOS_POLICIES, ScenarioSpec
 from repro.workloads.levels import LoadLevel
-from repro.workloads.loadgen import ConstantLoad
 from repro.workloads.nlp import nlp_load_levels
 from repro.workloads.sirius import sirius_load_levels
+
+if TYPE_CHECKING:  # pragma: no cover - type-only imports
+    from repro.faults import FaultEvent, GoodputReport
+    from repro.scenario.results import RunResult
 
 __all__ = ["main", "build_parser"]
 
@@ -616,14 +618,16 @@ def _cmd_latency(args: argparse.Namespace) -> int:
         kwargs["budget_watts"] = args.budget_watts
     if args.cores is not None:
         kwargs["n_cores"] = args.cores
-    result = run_latency_experiment(
-        args.app,
-        args.policy,
-        ConstantLoad(_resolve_rate(args)),
-        args.duration,
-        seed=args.seed,
-        drain_s=args.drain,
-        **kwargs,
+    result = run_scenario(
+        ScenarioSpec.latency(
+            args.app,
+            args.policy,
+            ("constant", _resolve_rate(args)),
+            args.duration,
+            seed=args.seed,
+            drain_s=args.drain,
+            **kwargs,
+        )
     )
     print(_describe_scenario_result(result))
     if args.json:
@@ -632,9 +636,7 @@ def _cmd_latency(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_scenario(path: str) -> "ScenarioSpec":
-    from repro.scenario import ScenarioSpec
-
+def _load_scenario(path: str) -> ScenarioSpec:
     try:
         text = Path(path).read_text()
     except OSError as error:
@@ -767,12 +769,10 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         "tracing %s/%s at %.2f qps for %.0fs", args.app, args.policy,
         rate, args.duration,
     )
-    result = run_latency_experiment(
-        args.app,
-        args.policy,
-        ConstantLoad(rate),
-        args.duration,
-        seed=args.seed,
+    result = run_scenario(
+        ScenarioSpec.latency(
+            args.app, args.policy, ("constant", rate), args.duration, seed=args.seed
+        ),
         observability=observability,
     )
     tracer, metrics, audit = (
@@ -891,50 +891,73 @@ def _resolve_rate(args: argparse.Namespace) -> float:
     return levels.rate(LoadLevel(args.load))
 
 
-def _chaos_payload(
-    args: argparse.Namespace, plan: object, chaos_result: object
-) -> dict:
+def _run_chaos(
+    spec: ScenarioSpec, twin: Optional[ScenarioSpec]
+) -> tuple["GoodputReport", tuple["FaultEvent", ...], Optional["RunResult"]]:
+    """Run a chaos spec, then its fault-free twin when one is given.
+
+    Returns the goodput report, the fault event log and the twin's
+    result (``None`` without a twin).
+    """
+    builder = StackBuilder(spec)
+    result = builder.execute()
+    chaos = builder.chaos
+    assert chaos is not None and chaos.injector is not None
+    baseline = None if twin is None else run_scenario(twin)
+    return chaos.report(result), tuple(chaos.injector.events), baseline
+
+
+def _chaos_command(
+    args: argparse.Namespace, title: str, **chaos: object
+) -> tuple["GoodputReport", Optional["RunResult"]]:
+    """The shared body of ``chaos`` and ``guard``: run, print, archive.
+
+    Unless ``--no-baseline`` is given, the same cell also runs without
+    the plan.  Returns the goodput report and that baseline's result.
+    """
     import dataclasses
 
-    return {
-        "app": args.app,
-        "policy": args.policy,
-        "seed": args.seed,
-        "plan": plan.to_dict(),
-        "report": dataclasses.asdict(chaos_result.report),
-        "events": [dataclasses.asdict(event) for event in chaos_result.events],
-    }
+    from repro.faults import chaos_spec, load_plan
+
+    plan = load_plan(args.plan, args.duration)
+    trace = ("constant", _resolve_rate(args))
+    spec = chaos_spec(
+        args.app, args.policy, trace, args.duration, plan, seed=args.seed, **chaos
+    )
+    twin = None
+    if not args.no_baseline:
+        twin = ScenarioSpec.latency(
+            args.app, args.policy, trace, args.duration, seed=args.seed
+        )
+    report, events, baseline = _run_chaos(spec, twin)
+    print(f"{args.app}/{args.policy} under plan {plan.name!r}{title}:")
+    print()
+    print(report.render(baseline))
+    if args.json:
+        payload = {
+            "app": args.app,
+            "policy": args.policy,
+            "seed": args.seed,
+            "plan": plan.to_dict(),
+            "report": dataclasses.asdict(report),
+            "events": [dataclasses.asdict(event) for event in events],
+        }
+        path = write_json(args.json, payload)
+        print(f"report written to {path}")
+    return report, baseline
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
-    from repro.faults import load_plan, run_chaos_experiment
-
     if args.fail_on_goodput_delta is not None and args.no_baseline:
         raise ReproError(
             "--fail-on-goodput-delta needs the fault-free baseline; "
             "drop --no-baseline"
         )
-    plan = load_plan(args.plan, args.duration)
-    chaos_result = run_chaos_experiment(
-        args.app,
-        args.policy,
-        ConstantLoad(_resolve_rate(args)),
-        args.duration,
-        plan,
-        seed=args.seed,
-        with_baseline=not args.no_baseline,
-    )
-    print(f"{args.app}/{args.policy} under plan {plan.name!r}:")
-    print()
-    print(chaos_result.report.render(chaos_result.baseline))
-    if args.json:
-        path = write_json(args.json, _chaos_payload(args, plan, chaos_result))
-        print(f"report written to {path}")
+    report, baseline = _chaos_command(args, "")
     if args.fail_on_goodput_delta is not None:
-        baseline = chaos_result.baseline
         assert baseline is not None  # guarded above
         base_fraction = baseline.completion_fraction
-        faulty_fraction = chaos_result.report.goodput_fraction
+        faulty_fraction = report.goodput_fraction
         if base_fraction <= 0.0:
             raise ReproError(
                 "baseline completed no queries; goodput delta is undefined"
@@ -957,7 +980,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def _cmd_guard(args: argparse.Namespace) -> int:
-    from repro.faults import load_plan, run_chaos_experiment
     from repro.guard import GuardConfig
 
     guard_config = GuardConfig(
@@ -968,35 +990,19 @@ def _cmd_guard(args: argparse.Namespace) -> int:
         burn_threshold=args.burn_threshold,
         storm_ticks=args.storm_ticks,
     )
-    plan = load_plan(args.plan, args.duration)
-    chaos_result = run_chaos_experiment(
-        args.app,
-        args.policy,
-        ConstantLoad(_resolve_rate(args)),
-        args.duration,
-        plan,
-        seed=args.seed,
-        with_baseline=not args.no_baseline,
+    _chaos_command(
+        args,
+        f", supervised (ladder {args.ladder}, SLO target {args.slo_target:g}s)",
         guard=guard_config,
         slo_target_s=args.slo_target,
     )
-    print(
-        f"{args.app}/{args.policy} under plan {plan.name!r}, supervised "
-        f"(ladder {args.ladder}, SLO target {args.slo_target:g}s):"
-    )
-    print()
-    print(chaos_result.report.render(chaos_result.baseline))
-    if args.json:
-        path = write_json(args.json, _chaos_payload(args, plan, chaos_result))
-        print(f"report written to {path}")
     return 0
 
 
 def _cmd_qos(args: argparse.Namespace) -> int:
-    setup = TABLE3_SIRIUS if args.app == "sirius" else TABLE3_WEBSEARCH
     rate = args.rate if args.rate is not None else (7.0 if args.app == "sirius" else 8.0)
-    result = run_qos_experiment(
-        setup, args.policy, rate_qps=rate, duration_s=args.duration, seed=args.seed
+    result = run_scenario(
+        ScenarioSpec.qos(args.app, args.policy, rate, args.duration, seed=args.seed)
     )
     print(
         f"{result.app}/{result.policy}: latency {result.latency.mean:.3f}s "

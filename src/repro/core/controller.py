@@ -146,7 +146,7 @@ class BaseController(ABC):
         """Record every future decision (with its inputs) into ``audit``.
 
         Post-construction attachment keeps every subclass constructor
-        unchanged; the runner attaches before :meth:`start`.
+        unchanged; the stack builder attaches before :meth:`start`.
         """
         self.audit = audit
 

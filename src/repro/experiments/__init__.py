@@ -1,5 +1,8 @@
-"""Experiment harness: runners, the parallel cell engine and per-figure
-drivers.  Specs, configs and result types live in :mod:`repro.scenario`."""
+"""Experiment harness: the parallel cell engine and per-figure drivers.
+
+Every run is a :class:`~repro.scenario.spec.ScenarioSpec` handed to
+:func:`~repro.scenario.builder.run_scenario`; specs, configs and result
+types live in :mod:`repro.scenario`."""
 
 from repro.experiments.parallel import (
     CellOutcome,
@@ -9,7 +12,6 @@ from repro.experiments.parallel import (
     spec_digest,
 )
 from repro.experiments.report import format_heading, format_table
-from repro.experiments.runner import run_latency_experiment, run_qos_experiment
 
 __all__ = [
     "CellOutcome",
@@ -19,6 +21,4 @@ __all__ = [
     "spec_digest",
     "format_heading",
     "format_table",
-    "run_latency_experiment",
-    "run_qos_experiment",
 ]

@@ -6,12 +6,11 @@ renders plus a combined Markdown report to a directory.  This is what
 ``python -m repro campaign`` drives; the per-figure shape assertions live
 in the benchmark suite, not here.
 
-With the default registry the campaign executes through the parallel
-cell engine (:mod:`repro.experiments.parallel`): each artefact becomes a
-cell, ``max_workers`` fans them out across processes, and ``cache_dir``
-memoizes finished artefacts so a re-run only recomputes what changed.  A
-custom registry (arbitrary callables, not necessarily picklable) always
-runs serially in-process.
+The campaign executes through the parallel cell engine
+(:mod:`repro.experiments.parallel`): each artefact of
+:func:`default_registry` becomes a cell, ``max_workers`` fans them out
+across processes, and ``cache_dir`` memoizes finished artefacts so a
+re-run only recomputes what changed.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Mapping, Optional, Union
+from typing import Callable, Optional, Union
 
 from repro.errors import ExperimentError
 from repro.obs.metrics import MetricsRegistry
@@ -100,7 +99,6 @@ def default_registry() -> dict[str, Callable[[], str]]:
 
 def run_campaign(
     output_dir: Optional[str | Path] = None,
-    registry: Optional[Mapping[str, Callable[[], str]]] = None,
     max_workers: int = 1,
     cache_dir: Union[ResultCache, str, Path, None] = None,
     progress: Optional[Callable[[CellOutcome], None]] = None,
@@ -110,38 +108,25 @@ def run_campaign(
 
     When ``output_dir`` is given, each artefact is written as
     ``<name>.txt`` alongside a combined ``report.md``.  ``max_workers``
-    and ``cache_dir`` only apply to the default registry (artefact cells
-    run through the parallel engine); a custom registry runs serially.
-    ``metrics`` routes the engine's cache and timing bookkeeping through
-    a :class:`~repro.obs.metrics.MetricsRegistry`.
+    and ``cache_dir`` configure the parallel engine the artefact cells
+    run through.  ``metrics`` routes the engine's cache and timing
+    bookkeeping through a :class:`~repro.obs.metrics.MetricsRegistry`.
     """
     started = time.perf_counter()
     result = CampaignResult()
-    if registry is None:
-        names = sorted(default_registry())
-        report = run_cells(
-            names,
-            max_workers=max_workers,
-            cache=cache_dir,
-            progress=progress,
-            registry=metrics,
-        )
-        for name, outcome in zip(names, report.outcomes):
-            result.renders[name] = outcome.payload["render"]
-            result.timings.append((name, outcome.elapsed_s, outcome.source))
-        result.cache_hits = report.cache_hits
-        result.computed = report.computed
-    else:
-        chosen = dict(registry)
-        if not chosen:
-            raise ExperimentError("campaign registry is empty")
-        for name in sorted(chosen):
-            cell_started = time.perf_counter()
-            result.renders[name] = chosen[name]()
-            result.timings.append(
-                (name, time.perf_counter() - cell_started, "serial")
-            )
-        result.computed = len(chosen)
+    names = sorted(default_registry())
+    report = run_cells(
+        names,
+        max_workers=max_workers,
+        cache=cache_dir,
+        progress=progress,
+        registry=metrics,
+    )
+    for name, outcome in zip(names, report.outcomes):
+        result.renders[name] = outcome.payload["render"]
+        result.timings.append((name, outcome.elapsed_s, outcome.source))
+    result.cache_hits = report.cache_hits
+    result.computed = report.computed
     result.wall_clock_s = time.perf_counter() - started
     if output_dir is not None:
         target = Path(output_dir)

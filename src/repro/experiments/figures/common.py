@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from repro.errors import ExperimentError
-from repro.experiments.runner import run_latency_experiment
+from repro.scenario.builder import run_scenario
 from repro.scenario.results import RunResult
-from repro.workloads.loadgen import ConstantLoad
+from repro.scenario.spec import ScenarioSpec
 
 __all__ = ["ImprovementCell", "seed_averaged_latency", "improvement_grid"]
 
@@ -48,8 +48,10 @@ def seed_averaged_latency(
     if not seeds:
         raise ExperimentError("need at least one seed")
     runs = [
-        run_latency_experiment(
-            app, policy, ConstantLoad(rate_qps), duration_s, seed=seed, **kwargs
+        run_scenario(
+            ScenarioSpec.latency(
+                app, policy, ("constant", rate_qps), duration_s, seed=seed, **kwargs
+            )
         )
         for seed in seeds
     ]

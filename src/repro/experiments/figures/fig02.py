@@ -34,9 +34,8 @@ from repro.scenario.config import (
 )
 from repro.experiments.figures.common import DEFAULT_SEEDS
 from repro.experiments.report import format_heading, format_table
-from repro.experiments.runner import run_latency_experiment
-from repro.scenario.spec import StageAllocation
-from repro.workloads.loadgen import ConstantLoad
+from repro.scenario.builder import run_scenario
+from repro.scenario.spec import ScenarioSpec, StageAllocation
 from repro.workloads.sirius import SIRIUS_STAGES, sirius_load_levels
 
 __all__ = ["Fig02Bar", "Fig02Result", "run_fig02", "render_fig02"]
@@ -112,13 +111,15 @@ def run_fig02(
 
     def mean_for(allocation) -> float:
         runs = [
-            run_latency_experiment(
-                "sirius",
-                "static",
-                ConstantLoad(rate),
-                duration_s,
-                seed=seed,
-                allocation=allocation,
+            run_scenario(
+                ScenarioSpec.latency(
+                    "sirius",
+                    "static",
+                    ("constant", rate),
+                    duration_s,
+                    seed=seed,
+                    allocation=allocation,
+                )
             )
             for seed in seeds
         ]

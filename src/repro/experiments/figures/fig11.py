@@ -20,9 +20,10 @@ from dataclasses import dataclass
 from repro.errors import ExperimentError
 from repro.core.actions import InstanceLaunchAction, InstanceWithdrawAction
 from repro.experiments.report import format_heading, format_table
-from repro.experiments.runner import run_latency_experiment
+from repro.scenario.builder import run_scenario
 from repro.scenario.results import RunResult
 from repro.scenario.sampling import StateSample
+from repro.scenario.spec import ScenarioSpec
 from repro.workloads.sirius import SIRIUS_STAGES, sirius_load_levels
 from repro.workloads.traces import FIG11_DURATION_S, fig11_trace
 
@@ -64,13 +65,15 @@ def run_fig11(
     """Run the three boosting policies under the Figure-11 load trace."""
     trace = fig11_trace(sirius_load_levels().high_qps)
     runs = tuple(
-        run_latency_experiment(
-            "sirius",
-            policy,
-            trace,
-            duration_s,
-            seed=seed,
-            sample_interval_s=sample_interval_s,
+        run_scenario(
+            ScenarioSpec.latency(
+                "sirius",
+                policy,
+                trace,
+                duration_s,
+                seed=seed,
+                sample_interval_s=sample_interval_s,
+            )
         )
         for policy in POLICIES
     )

@@ -15,8 +15,9 @@ from dataclasses import dataclass
 from repro.errors import ExperimentError
 from repro.scenario.config import TABLE3_SIRIUS, Table3Setup
 from repro.experiments.report import format_heading, format_table
-from repro.experiments.runner import run_qos_experiment
+from repro.scenario.builder import run_scenario
 from repro.scenario.results import QosRunResult
+from repro.scenario.spec import ScenarioSpec
 
 __all__ = ["QosFigureResult", "run_fig13", "render_qos_figure", "render_fig13"]
 
@@ -54,8 +55,8 @@ def run_fig13(
 ) -> QosFigureResult:
     """Run the three QoS policies on the Table-3 Sirius deployment."""
     runs = tuple(
-        run_qos_experiment(
-            TABLE3_SIRIUS, policy, rate_qps=rate_qps, duration_s=duration_s, seed=seed
+        run_scenario(
+            ScenarioSpec.qos(TABLE3_SIRIUS.app, policy, rate_qps, duration_s, seed=seed)
         )
         for policy in POLICIES
     )

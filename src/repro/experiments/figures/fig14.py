@@ -17,7 +17,8 @@ from repro.experiments.figures.fig13 import (
     QosFigureResult,
     render_qos_figure,
 )
-from repro.experiments.runner import run_qos_experiment
+from repro.scenario.builder import run_scenario
+from repro.scenario.spec import ScenarioSpec
 
 __all__ = ["run_fig14", "render_fig14", "WEBSEARCH_QOS_RATE_QPS"]
 
@@ -33,12 +34,10 @@ def run_fig14(
 ) -> QosFigureResult:
     """Run the three QoS policies on the Table-3 Web Search deployment."""
     runs = tuple(
-        run_qos_experiment(
-            TABLE3_WEBSEARCH,
-            policy,
-            rate_qps=rate_qps,
-            duration_s=duration_s,
-            seed=seed,
+        run_scenario(
+            ScenarioSpec.qos(
+                TABLE3_WEBSEARCH.app, policy, rate_qps, duration_s, seed=seed
+            )
         )
         for policy in POLICIES
     )

@@ -11,14 +11,16 @@ The package splits cleanly into *breaking things* and *surviving them*:
   power-aware respawn of crashed instances;
 * :mod:`repro.faults.report` — the goodput ledger that proves the
   zero-orphan invariant;
-* :mod:`repro.faults.chaos` — the harness wiring it all into a runner,
-  and the turnkey :func:`~repro.faults.chaos.run_chaos_experiment`.
+* :mod:`repro.faults.chaos` — :class:`ChaosHarness`, which the stack
+  builder uses to wire it all into a run, and
+  :func:`~repro.faults.chaos.chaos_spec`, the scenario recipe behind
+  ``repro chaos`` and ``repro guard``.
 
-Everything is opt-in: a run without a :class:`ChaosHarness` never
-imports this package and stays bit-identical to the pre-fault codebase.
+Everything is opt-in: a scenario without a ``chaos`` plan builds no
+:class:`ChaosHarness` and stays bit-identical to the pre-fault codebase.
 """
 
-from repro.faults.chaos import ChaosHarness, ChaosRunResult, run_chaos_experiment
+from repro.faults.chaos import ChaosHarness, chaos_spec
 from repro.faults.injector import FaultEvent, FaultInjector
 from repro.faults.monitor import HealthMonitor, ResilienceConfig
 from repro.faults.plan import (
@@ -33,7 +35,6 @@ from repro.faults.report import GoodputReport
 
 __all__ = [
     "ChaosHarness",
-    "ChaosRunResult",
     "FaultEvent",
     "FaultInjector",
     "FaultKind",
@@ -43,7 +44,7 @@ __all__ = [
     "HealthMonitor",
     "PlanValidationError",
     "ResilienceConfig",
+    "chaos_spec",
     "load_plan",
     "named_plans",
-    "run_chaos_experiment",
 ]

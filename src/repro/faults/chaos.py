@@ -1,34 +1,30 @@
 """The chaos harness: one object that arms the whole fault subsystem.
 
-:class:`ChaosHarness` is what :func:`~repro.experiments.runner.run_latency_experiment`
-accepts via its ``chaos`` parameter.  It owns the plan and the resilience
-config, builds the optional RPC fabric, and at install time wires
-together everything the fault subsystem needs: the per-stage retry
-layers, the :class:`~repro.faults.injector.FaultInjector`, the
+A :class:`~repro.scenario.spec.ScenarioSpec` with a ``chaos`` plan makes
+the :class:`~repro.scenario.builder.StackBuilder` build one
+:class:`ChaosHarness` per stack.  The harness owns the plan, builds the
+optional RPC fabric, and at install time wires together everything the
+fault subsystem needs: the per-stage retry layers, the
+:class:`~repro.faults.injector.FaultInjector`, the
 :class:`~repro.faults.monitor.HealthMonitor`, and the controller's
-graceful-degradation hooks (metrics, telemetry staleness guard).
+graceful-degradation hooks (metrics, telemetry staleness guard).  After
+the run, :meth:`ChaosHarness.report` folds it all into a
+:class:`~repro.faults.report.GoodputReport`.
 
-:func:`run_chaos_experiment` is the turnkey entry point behind
-``repro chaos``: it runs the faulty cell (with a drain window so every
-retry settles), optionally the fault-free baseline of the same cell, and
-folds both into a :class:`~repro.faults.report.GoodputReport`.
+:func:`chaos_spec` is the recipe behind ``repro chaos`` and ``repro
+guard``: the faulty run of one latency cell, with a drain window so
+every retry settles.  The same cell without the plan is its fault-free
+baseline.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Optional
+from typing import TYPE_CHECKING, Optional, Union
 
-from repro.errors import ExperimentError
 from repro.obs import Observability
-from repro.core.controller import ControllerConfig
-from repro.scenario.config import (
-    TABLE2_CONTROLLER_CONFIG,
-    TABLE2_INITIAL_FREQ_GHZ,
-    TABLE2_POWER_BUDGET_WATTS,
-)
-from repro.faults.injector import FaultEvent, FaultInjector
+from repro.scenario.config import TABLE2_CONTROLLER_CONFIG
+from repro.faults.injector import FaultInjector
 from repro.faults.monitor import HealthMonitor, ResilienceConfig
 from repro.faults.plan import FaultPlan
 from repro.faults.report import GoodputReport
@@ -41,38 +37,31 @@ if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.cluster.machine import Machine
     from repro.cluster.telemetry import PowerTelemetry
     from repro.core.controller import BaseController
-    from repro.scenario.results import RunResult
-    from repro.scenario.spec import StageAllocation
     from repro.guard.config import GuardConfig
+    from repro.scenario.results import RunResult
+    from repro.scenario.spec import ScenarioSpec
     from repro.service.application import Application
     from repro.workloads.loadgen import LoadTrace
 
-__all__ = ["ChaosHarness", "ChaosRunResult", "run_chaos_experiment"]
+__all__ = ["ChaosHarness", "chaos_spec"]
 
 #: Telemetry samples older than this mark the controller's power view dark.
 _TELEMETRY_STALENESS_S = 15.0
 
+#: Retry, health-check and respawn settings every chaos run uses.
+_RESILIENCE = ResilienceConfig()
+
 
 class ChaosHarness:
-    """Plan + resilience config, ready to be threaded into a runner."""
+    """A fault plan plus the resilience stack that survives it."""
 
-    def __init__(
-        self,
-        plan: FaultPlan,
-        resilience: Optional[ResilienceConfig] = None,
-    ) -> None:
+    def __init__(self, plan: FaultPlan) -> None:
         self.plan = plan
-        self.resilience = resilience if resilience is not None else ResilienceConfig()
         self.injector: Optional[FaultInjector] = None
         self.monitor: Optional[HealthMonitor] = None
         self.application: Optional["Application"] = None
         self.controller: Optional["BaseController"] = None
         self._fabric: Optional[RpcFabric] = None
-
-    @property
-    def fabric(self) -> Optional[RpcFabric]:
-        """The zero-latency fabric built for RPC faults, if the plan has any."""
-        return self._fabric
 
     def build_fabric(
         self, sim: Simulator, streams: RandomStreams
@@ -102,7 +91,7 @@ class ChaosHarness:
     ) -> None:
         """Wire the fault subsystem into a freshly built run."""
         metrics = None if observability is None else observability.metrics
-        application.attach_resilience(self.resilience.retry, streams, metrics)
+        application.attach_resilience(_RESILIENCE.retry, streams, metrics)
         self.injector = FaultInjector(
             sim,
             self.plan,
@@ -116,7 +105,7 @@ class ChaosHarness:
             sim,
             application,
             budget,
-            config=self.resilience,
+            config=_RESILIENCE,
             observability=observability,
         )
         if metrics is not None:
@@ -135,17 +124,22 @@ class ChaosHarness:
         if self.monitor is not None:
             self.monitor.stop()
 
-
-@dataclass
-class ChaosRunResult:
-    """A faulty run, its goodput ledger, and the optional clean twin."""
-
-    plan: FaultPlan
-    result: "RunResult"
-    report: GoodputReport
-    events: tuple[FaultEvent, ...]
-    baseline: Optional["RunResult"]
-    observability: Observability
+    def report(self, result: "RunResult") -> GoodputReport:
+        """The goodput ledger of the finished run this harness armed."""
+        assert (
+            self.application is not None
+            and self.injector is not None
+            and self.monitor is not None
+            and self.controller is not None
+        ), "the harness was never installed"
+        return GoodputReport.from_run(
+            self.plan.name,
+            result,
+            self.application,
+            self.injector,
+            self.monitor,
+            self.controller,
+        )
 
 
 def drain_window_s(resilience: ResilienceConfig, n_stages: int) -> float:
@@ -160,98 +154,51 @@ def drain_window_s(resilience: ResilienceConfig, n_stages: int) -> float:
     return n_stages * per_stage + resilience.health_interval_s
 
 
-def run_chaos_experiment(
+def chaos_spec(
     app: str,
     policy: str,
-    trace: "LoadTrace",
+    trace: Union["LoadTrace", tuple],
     duration_s: float,
-    plan: FaultPlan,
+    plan: Union[str, FaultPlan],
     seed: int = 1,
-    resilience: Optional[ResilienceConfig] = None,
-    with_baseline: bool = True,
-    budget_watts: float = TABLE2_POWER_BUDGET_WATTS,
-    initial_freq_ghz: float = TABLE2_INITIAL_FREQ_GHZ,
-    controller_config: ControllerConfig = TABLE2_CONTROLLER_CONFIG,
-    allocation: Optional[Mapping[str, "StageAllocation"]] = None,
-    n_cores: int = 16,
     guard: Optional["GuardConfig"] = None,
     slo_target_s: Optional[float] = None,
-) -> ChaosRunResult:
-    """Run one latency cell under a fault plan (plus a clean twin).
+) -> "ScenarioSpec":
+    """One latency cell under a fault plan, with the resilience recipe.
 
-    The faulty run gets the full resilience stack and the controller's
-    stale-metric guard; the baseline (same app/policy/trace/seed, no
-    chaos) goes through the untouched fault-free path, so its numbers are
-    bit-identical to a normal :func:`run_latency_experiment` call.
+    On top of ``ScenarioSpec.latency(app, policy, trace, duration_s,
+    seed=seed)`` — the fault-free baseline of the same cell — the faulty
+    run arms ``plan``, the controller's stale-metric guard, a
+    :func:`drain_window_s` drain so every retry settles, and the trace,
+    metrics and audit pillars (power telemetry, which the telemetry
+    faults act on, only runs alongside a metrics registry).
 
-    ``guard`` supervises the faulty run's controller (monitors + the
-    degradation ladder; the report grows a guard section).
-    ``slo_target_s`` arms an SLO tracker on the faulty run so the
-    guard's SLO-storm monitor has a burn-rate gauge to watch.
+    ``guard`` supervises the controller (monitors + the degradation
+    ladder; the report grows a guard section).  ``slo_target_s`` arms
+    an SLO tracker so the guard's SLO-storm monitor has a burn-rate
+    gauge to watch.
     """
-    from repro.experiments.runner import run_latency_experiment
-    from repro.obs.slo import SloTracker
+    # Deferred: repro.scenario imports this package while it loads.
     from repro.scenario.builder import _profiles_for
+    from repro.scenario.spec import ScenarioSpec
 
-    config = resilience if resilience is not None else ResilienceConfig()
-    harness = ChaosHarness(plan, config)
-    observability = Observability.enabled()
+    observe: tuple[str, ...] = ("trace", "metrics", "audit")
+    options: dict[str, float] = {}
     if slo_target_s is not None:
-        observability.slo = SloTracker(
-            target_s=float(slo_target_s), registry=observability.metrics
-        )
-    guarded_config = dataclasses.replace(controller_config, stale_metric_guard=True)
-    drain_s = drain_window_s(config, len(_profiles_for(app)))
-    result = run_latency_experiment(
+        observe += ("slo",)
+        options["slo_target_s"] = float(slo_target_s)
+    return ScenarioSpec.latency(
         app,
         policy,
         trace,
         duration_s,
         seed=seed,
-        budget_watts=budget_watts,
-        initial_freq_ghz=initial_freq_ghz,
-        controller_config=guarded_config,
-        allocation=allocation,
-        n_cores=n_cores,
-        observability=observability,
-        chaos=harness,
-        drain_s=drain_s,
+        controller=dataclasses.replace(
+            TABLE2_CONTROLLER_CONFIG, stale_metric_guard=True
+        ),
         guard=guard,
-    )
-    if (
-        harness.application is None
-        or harness.injector is None
-        or harness.monitor is None
-        or harness.controller is None
-    ):
-        raise ExperimentError("chaos harness was never installed by the runner")
-    report = GoodputReport.from_run(
-        plan.name,
-        result,
-        harness.application,
-        harness.injector,
-        harness.monitor,
-        harness.controller,
-    )
-    baseline: Optional["RunResult"] = None
-    if with_baseline:
-        baseline = run_latency_experiment(
-            app,
-            policy,
-            trace,
-            duration_s,
-            seed=seed,
-            budget_watts=budget_watts,
-            initial_freq_ghz=initial_freq_ghz,
-            controller_config=controller_config,
-            allocation=allocation,
-            n_cores=n_cores,
-        )
-    return ChaosRunResult(
-        plan=plan,
-        result=result,
-        report=report,
-        events=tuple(harness.injector.events),
-        baseline=baseline,
-        observability=observability,
+        chaos=plan,
+        drain_s=drain_window_s(_RESILIENCE, len(_profiles_for(app))),
+        observe=observe,
+        **options,
     )

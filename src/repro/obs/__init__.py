@@ -21,7 +21,7 @@ The attribution-and-accounting plane rides on top of them:
 * :mod:`repro.obs.stream` — incremental JSONL snapshots on a simulated
   cadence, tail-able while the run is still going.
 
-:class:`Observability` bundles them so runners thread one object.
+:class:`Observability` bundles them so a run threads one object.
 Every pillar is optional and every producer guards its emit on ``is not
 None`` — a run without observability pays a single attribute check per
 potential emit point and nothing else.  The accounting pillars are
@@ -128,12 +128,12 @@ __all__ = [
 
 @dataclass
 class Observability:
-    """The bundle a runner threads through the system it builds.
+    """The bundle the stack builder threads through the system it builds.
 
     Any pillar may be ``None``; :meth:`enabled` builds the three core
     pillars with bounded defaults.  The accounting pillars (attribution,
     SLO, energy, stream) default off — set the fields before handing the
-    bundle to a runner and the stack builder arms them.
+    bundle to the stack builder and it arms them.
     """
 
     tracer: Optional[TraceBuffer] = None

@@ -5,10 +5,10 @@ log through the same handler with the same structured line format::
 
     2026-08-06 12:00:00,123 INFO    repro.cli [sim=184.250s] boosting IMM_1
 
-The simulated-time column is fed by :func:`bind_simulator`: the runner
-binds the active :class:`~repro.sim.engine.Simulator` and every record
-logged while it is bound carries the simulation clock.  Records logged
-outside a run (argument parsing, artifact writing) show ``-``.
+The simulated-time column is fed by :func:`bind_simulator`: the stack
+builder binds the active :class:`~repro.sim.engine.Simulator` and every
+record logged while it is bound carries the simulation clock.  Records
+logged outside a run (argument parsing, artifact writing) show ``-``.
 """
 
 from __future__ import annotations

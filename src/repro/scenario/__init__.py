@@ -5,9 +5,9 @@ of one experiment; :class:`StackBuilder` is the *only* place the repo
 turns such a description into a live stack (simulator, machine(s),
 application(s), budget, command center, controller, loadgen, chaos,
 observability), through an explicit ``build → arm → start → run → drain
-→ collect`` lifecycle.  The experiment runners, the parallel cell
-engine's cache digests, the sharded deployments and the ``repro run
---scenario`` CLI all sit on top of this package.
+→ collect`` lifecycle.  The figures, every CLI run, the parallel cell
+engine's cache digests, the sharded deployments and the ``reprod``
+daemon all sit on top of this package.
 """
 
 from repro.scenario.builder import (

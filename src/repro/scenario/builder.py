@@ -35,9 +35,11 @@ phase boundaries, and :meth:`StackBuilder.abort` releases every live
 resource (periodic processes, telemetry listeners, observability
 hooks) from any phase when a run must be torn down early.
 
-Anything a spec cannot content-address (a custom load trace, a custom
-contention model, a pre-armed chaos harness, an observability bundle the
-caller wants to keep) is handed to the builder as a live override.
+The spec is the whole input: trace, contention, chaos plan and Table-3
+deployment all come from it.  The one live input is an optional
+:class:`~repro.obs.Observability` bundle, for a caller that needs
+pillar settings a spec does not carry (``repro trace`` bounds its span
+buffer with ``--max-spans``).
 """
 
 from __future__ import annotations
@@ -52,7 +54,6 @@ if TYPE_CHECKING:  # pragma: no cover - type-only import
 
 from repro.errors import ConfigurationError, ExperimentError
 from repro.cluster.budget import PowerBudget
-from repro.cluster.contention import ContentionModel
 from repro.cluster.dvfs import DvfsActuator
 from repro.cluster.frequency import HASWELL_LADDER
 from repro.cluster.machine import Machine
@@ -114,7 +115,6 @@ from repro.sim.rng import RandomStreams
 from repro.util.percentile import LatencySummary, summarize
 from repro.workloads.loadgen import (
     ConstantLoad,
-    LoadTrace,
     PoissonLoadGenerator,
     QueryFactory,
 )
@@ -228,12 +228,8 @@ def _uniform_allocation(
     return allocation
 
 
-def _table3_setup(
-    spec: ScenarioSpec, override: Optional[Table3Setup]
-) -> Table3Setup:
-    """The Table-3 deployment a QoS scenario runs (an override wins)."""
-    if override is not None:
-        return override
+def _table3_setup(spec: ScenarioSpec) -> Table3Setup:
+    """The Table-3 deployment a QoS scenario runs."""
     try:
         return TABLE3_SETUPS[spec.app]
     except KeyError:
@@ -333,43 +329,21 @@ class StackBuilder:
 
     The phases must be walked in order; calling one out of order raises
     :class:`~repro.errors.ExperimentError`.  :meth:`execute` walks the
-    whole lifecycle with the same try/finally discipline the old runners
-    had, so observability hooks unwind even when the run raises.
+    whole lifecycle and aborts the stack when a phase raises, so
+    observability hooks unwind even then.
+
+    ``observability`` replaces the bundle the spec's ``observe`` pillars
+    would build; the spec is otherwise the builder's only input.
     """
 
     def __init__(
         self,
         spec: ScenarioSpec,
         *,
-        trace: Optional[LoadTrace] = None,
-        contention: Optional[ContentionModel] = None,
         observability: Optional[Observability] = None,
-        chaos: Optional["ChaosHarness"] = None,
-        table3_setup: Optional[Table3Setup] = None,
     ) -> None:
-        if spec.kind == "qos" and (
-            trace is not None or contention is not None or chaos is not None
-        ):
-            raise ConfigurationError(
-                "qos scenarios take no trace/contention/chaos overrides"
-            )
-        if chaos is not None and spec.shards > 1:
-            raise ConfigurationError(
-                "a live chaos harness cannot be shared across shards; "
-                "put the plan in the spec's 'chaos' field instead"
-            )
-        if chaos is not None and spec.chaos is not None:
-            raise ConfigurationError(
-                "give the chaos plan either in the spec or as a live "
-                "harness, not both"
-            )
         self.spec = spec
-        self._trace_override = trace
-        self._contention_override = contention
-        self._chaos_override = chaos
-        self._setup = (
-            _table3_setup(spec, table3_setup) if spec.kind == "qos" else None
-        )
+        self._setup = _table3_setup(spec) if spec.kind == "qos" else None
         self._observability = (
             observability
             if observability is not None
@@ -442,7 +416,7 @@ class StackBuilder:
         trace = (
             ConstantLoad(spec.rate_qps)
             if self._setup is not None
-            else self._resolve_trace()
+            else build_trace(spec.trace)
         )
         sim = Simulator()
         # Streams are name-derived (creation order never shifts seeds).
@@ -503,16 +477,6 @@ class StackBuilder:
         )
         self.sim = sim
         return self
-
-    def _resolve_trace(self) -> LoadTrace:
-        if self._trace_override is not None:
-            return self._trace_override
-        return build_trace(self.spec.trace)
-
-    def _resolve_contention(self) -> Optional[ContentionModel]:
-        if self._contention_override is not None:
-            return self._contention_override
-        return contention_from_spec(self.spec.contention)
 
     def _plan(self) -> _StackPlan:
         """The data this run's stacks are built from."""
@@ -609,13 +573,15 @@ class StackBuilder:
     ) -> _Stack:
         """Build one stack (a whole run's, or one shard's) from the plan."""
         spec = self.spec
-        harness = self._chaos_override
-        if harness is None and spec.chaos is not None:
+        harness = None
+        if spec.chaos is not None:
             from repro.faults.chaos import ChaosHarness
 
             harness = ChaosHarness(spec.chaos_plan())
         machine = Machine(
-            sim, n_cores=spec.n_cores, contention=self._resolve_contention()
+            sim,
+            n_cores=spec.n_cores,
+            contention=contention_from_spec(spec.contention),
         )
         application = _build_app(
             plan.app,
@@ -1049,8 +1015,7 @@ class StackBuilder:
     def execute(self) -> Union[RunResult, QosRunResult, ShardedRunResult]:
         """Walk the whole lifecycle: build, arm, start, run, drain, collect.
 
-        Observability hooks unwind even when the run raises, exactly as
-        the pre-scenario runners guaranteed.
+        Observability hooks unwind even when the run raises.
         """
         self.build()
         self.arm()
@@ -1080,18 +1045,7 @@ def _summarize_completed(latencies: list[float], context: str) -> LatencySummary
 def run_scenario(
     spec: ScenarioSpec,
     *,
-    trace: Optional[LoadTrace] = None,
-    contention: Optional[ContentionModel] = None,
     observability: Optional[Observability] = None,
-    chaos: Optional["ChaosHarness"] = None,
-    table3_setup: Optional[Table3Setup] = None,
 ) -> Union[RunResult, QosRunResult, ShardedRunResult]:
     """Build and run the stack one scenario describes, end to end."""
-    return StackBuilder(
-        spec,
-        trace=trace,
-        contention=contention,
-        observability=observability,
-        chaos=chaos,
-        table3_setup=table3_setup,
-    ).execute()
+    return StackBuilder(spec, observability=observability).execute()

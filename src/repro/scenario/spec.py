@@ -7,17 +7,17 @@ shard count and splitter, observability switches.  It is frozen,
 hashable, built from primitives only, and JSON round-trippable, so the
 same value serves three masters at once:
 
-* the experiment runners (:mod:`repro.experiments.runner`), which build
-  a spec from their keyword arguments and hand it to the
-  :class:`~repro.scenario.builder.StackBuilder`;
+* the :class:`~repro.scenario.builder.StackBuilder`, which assembles and
+  drives exactly the stack a spec describes — every figure, CLI run and
+  example builds a spec and hands it over;
 * the parallel cell engine, whose content-addressed cache keys on
   :meth:`ScenarioSpec.digest`;
 * the CLI (``repro run --scenario spec.json``), which loads a spec
   straight from a file and runs it — sharded, chaos-armed, cached.
 
-Everything non-primitive (a live :class:`~repro.workloads.loadgen.LoadTrace`
-subclass, a custom contention model, an :class:`~repro.obs.Observability`
-bundle) stays out of the spec and travels as a builder override instead.
+Every field describes the run completely: a trace or contention model
+the spec cannot name is refused when the spec is made, so a spec that
+validates always runs.
 """
 
 from __future__ import annotations
@@ -73,9 +73,9 @@ QOS_POLICIES = ("baseline", "pegasus", "powerchief")
 
 _KINDS = ("latency", "qos")
 
-_TRACE_KINDS = ("constant", "piecewise", "diurnal", "custom")
+_TRACE_KINDS = ("constant", "piecewise", "diurnal")
 
-_CONTENTION_KINDS = ("none", "linear", "custom")
+_CONTENTION_KINDS = ("none", "linear")
 
 _SPLITTERS = ("round-robin", "least-in-flight")
 
@@ -116,9 +116,8 @@ class StageAllocation:
 def trace_to_spec(trace: LoadTrace) -> tuple:
     """A load trace as a hashable tuple of primitives.
 
-    Only the built-in trace families are supported; a custom trace class
-    has no stable content address and must travel as a live builder
-    override instead.
+    Only the built-in trace families are supported; any other trace class
+    has no stable content address and is refused.
     """
     if isinstance(trace, ConstantLoad):
         return ("constant", trace.rate_qps)
@@ -149,11 +148,6 @@ def build_trace(spec: Sequence) -> LoadTrace:
         return PiecewiseLoad(tuple((start, rate) for start, rate in spec[1]))
     if kind == "diurnal":
         return DiurnalLoad(*spec[1:])
-    if kind == "custom":
-        raise ConfigurationError(
-            "a 'custom' trace spec carries no parameters; pass the live "
-            "trace object to the StackBuilder instead"
-        )
     raise ConfigurationError(f"unknown trace spec kind {kind!r}")
 
 
@@ -168,7 +162,10 @@ def contention_to_spec(model: Optional[ContentionModel]) -> tuple:
         return ("none",)
     if isinstance(model, LinearContention):
         return ("linear", model.intensity)
-    return ("custom", type(model).__name__)
+    raise ConfigurationError(
+        f"cannot describe contention model {model!r} as a scenario spec; "
+        f"use NoContention or LinearContention"
+    )
 
 
 def contention_from_spec(spec: Sequence) -> Optional[ContentionModel]:
@@ -180,11 +177,6 @@ def contention_from_spec(spec: Sequence) -> Optional[ContentionModel]:
         return NoContention()
     if kind == "linear":
         return LinearContention(spec[1])
-    if kind == "custom":
-        raise ConfigurationError(
-            "a 'custom' contention spec carries no parameters; pass the "
-            "live model to the StackBuilder instead"
-        )
     raise ConfigurationError(f"unknown contention spec kind {kind!r}")
 
 
@@ -289,8 +281,7 @@ class ScenarioSpec:
     policy: str
     duration_s: float
     seed: int = 1
-    #: Trace spec tuple (latency scenarios; ``("custom", ...)`` means a
-    #: live trace override is required at build time).
+    #: Trace spec tuple (latency scenarios only).
     trace: tuple = ()
     #: Arrival rate (QoS scenarios only).
     rate_qps: float = 0.0
@@ -403,10 +394,9 @@ class ScenarioSpec:
                     f"unknown trace spec kind {self.trace[0]!r} "
                     f"(known: {', '.join(_TRACE_KINDS)})"
                 )
-            if self.trace[0] != "custom":
-                # The trace constructors hold the value checks (finite,
-                # positive rates; increasing segment starts).
-                build_trace(self.trace)
+            # The trace constructors hold the value checks (finite,
+            # positive rates; increasing segment starts).
+            build_trace(self.trace)
         else:
             if not math.isfinite(self.rate_qps) or self.rate_qps <= 0.0:
                 raise ConfigurationError(
@@ -499,13 +489,7 @@ class ScenarioSpec:
         **options: Any,
     ) -> "ScenarioSpec":
         """A latency-mitigation scenario (Sections 8.2/8.3)."""
-        if isinstance(trace, tuple):
-            trace_spec = trace
-        else:
-            try:
-                trace_spec = trace_to_spec(trace)
-            except ConfigurationError:
-                trace_spec = ("custom", type(trace).__name__)
+        trace_spec = trace if isinstance(trace, tuple) else trace_to_spec(trace)
         if isinstance(contention, tuple) or contention is None:
             contention_spec = contention if contention else ()
         else:

@@ -7,28 +7,24 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
-from repro.scenario.config import TABLE3_WEBSEARCH
 from repro.experiments.export import (
     qos_result_to_dict,
     run_result_to_dict,
     write_json,
 )
-from repro.experiments.runner import run_latency_experiment, run_qos_experiment
-from repro.workloads.loadgen import ConstantLoad
+from repro.scenario import ScenarioSpec, run_scenario
 
 
 @pytest.fixture(scope="module")
 def latency_result():
-    return run_latency_experiment(
-        "sirius", "powerchief", ConstantLoad(1.5), 200.0, seed=3
+    return run_scenario(
+        ScenarioSpec.latency("sirius", "powerchief", ("constant", 1.5), 200.0, seed=3)
     )
 
 
 @pytest.fixture(scope="module")
 def qos_result():
-    return run_qos_experiment(
-        TABLE3_WEBSEARCH, "powerchief", rate_qps=6.0, duration_s=60.0, seed=3
-    )
+    return run_scenario(ScenarioSpec.qos("websearch", "powerchief", 6.0, 60.0, seed=3))
 
 
 class TestExport:

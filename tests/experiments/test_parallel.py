@@ -18,9 +18,14 @@ from repro.experiments.parallel import (
     run_cells,
     spec_digest,
 )
-from repro.experiments.runner import run_latency_experiment
 from repro.experiments.export import run_result_to_dict
-from repro.scenario import ScenarioSpec, StageAllocation, build_trace, trace_to_spec
+from repro.scenario import (
+    ScenarioSpec,
+    StageAllocation,
+    build_trace,
+    run_scenario,
+    trace_to_spec,
+)
 from repro.workloads.loadgen import (
     ConstantLoad,
     DiurnalLoad,
@@ -199,9 +204,7 @@ class TestEngine:
     def test_engine_payload_matches_direct_run(self):
         spec = latency_specs(1)[0]
         report = run_cells([spec], max_workers=1)
-        direct = run_latency_experiment(
-            "sirius", "static", ConstantLoad(RATE), DURATION, seed=1
-        )
+        direct = run_scenario(spec)
         assert report.outcomes[0].payload["result"] == json.loads(
             json.dumps(run_result_to_dict(direct))
         )

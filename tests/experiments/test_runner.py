@@ -1,4 +1,4 @@
-"""Unit tests for the experiment runners.
+"""Unit tests for single latency and QoS runs through ``run_scenario``.
 
 These use short durations: they verify plumbing and determinism, not the
 paper's shapes (the integration tests and benches do that).
@@ -9,21 +9,32 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigurationError, ExperimentError
-from repro.experiments.runner import run_latency_experiment, run_qos_experiment
-from repro.scenario import LATENCY_POLICIES, QOS_POLICIES, StageAllocation
-from repro.scenario.config import TABLE3_SIRIUS, TABLE3_WEBSEARCH
-from repro.workloads.loadgen import ConstantLoad
+from repro.scenario import (
+    LATENCY_POLICIES,
+    QOS_POLICIES,
+    ScenarioSpec,
+    StageAllocation,
+    run_scenario,
+)
 
 
 DURATION = 120.0
 RATE = 1.0
 
 
+def latency_run(app, policy, duration_s=DURATION, rate=RATE, **kwargs):
+    return run_scenario(
+        ScenarioSpec.latency(app, policy, ("constant", rate), duration_s, **kwargs)
+    )
+
+
+def qos_run(app, policy, rate_qps=4.0, duration_s=DURATION, seed=1):
+    return run_scenario(ScenarioSpec.qos(app, policy, rate_qps, duration_s, seed=seed))
+
+
 class TestLatencyRunner:
     def test_produces_complete_result(self):
-        result = run_latency_experiment(
-            "sirius", "static", ConstantLoad(RATE), DURATION, seed=1
-        )
+        result = latency_run("sirius", "static", seed=1)
         assert result.app == "sirius"
         assert result.policy == "static"
         assert result.queries_completed > 0
@@ -33,35 +44,23 @@ class TestLatencyRunner:
         assert result.state_samples
 
     def test_same_seed_is_deterministic(self):
-        first = run_latency_experiment(
-            "sirius", "powerchief", ConstantLoad(RATE), DURATION, seed=9
-        )
-        second = run_latency_experiment(
-            "sirius", "powerchief", ConstantLoad(RATE), DURATION, seed=9
-        )
+        first = latency_run("sirius", "powerchief", seed=9)
+        second = latency_run("sirius", "powerchief", seed=9)
         assert first.latency == second.latency
         assert first.queries_submitted == second.queries_submitted
 
     def test_different_seeds_differ(self):
-        first = run_latency_experiment(
-            "sirius", "static", ConstantLoad(RATE), DURATION, seed=1
-        )
-        second = run_latency_experiment(
-            "sirius", "static", ConstantLoad(RATE), DURATION, seed=2
-        )
+        first = latency_run("sirius", "static", seed=1)
+        second = latency_run("sirius", "static", seed=2)
         assert first.latency.mean != second.latency.mean
 
     def test_every_policy_runs(self):
         for policy in LATENCY_POLICIES:
-            result = run_latency_experiment(
-                "sirius", policy, ConstantLoad(RATE), DURATION, seed=1
-            )
+            result = latency_run("sirius", policy, seed=1)
             assert result.policy == policy
 
     def test_nlp_app_runs(self):
-        result = run_latency_experiment(
-            "nlp", "powerchief", ConstantLoad(RATE), DURATION, seed=1
-        )
+        result = latency_run("nlp", "powerchief", seed=1)
         assert result.app == "nlp"
         assert result.queries_completed > 0
 
@@ -71,14 +70,7 @@ class TestLatencyRunner:
             "IMM": StageAllocation(1, 0),
             "QA": StageAllocation(2, 6),
         }
-        result = run_latency_experiment(
-            "sirius",
-            "static",
-            ConstantLoad(RATE),
-            DURATION,
-            seed=1,
-            allocation=allocation,
-        )
+        result = latency_run("sirius", "static", seed=1, allocation=allocation)
         qa_counts = [
             sample.stage("QA").instance_count for sample in result.state_samples
         ]
@@ -86,31 +78,21 @@ class TestLatencyRunner:
 
     def test_incomplete_allocation_rejected(self):
         with pytest.raises(ConfigurationError):
-            run_latency_experiment(
-                "sirius",
-                "static",
-                ConstantLoad(RATE),
-                DURATION,
-                allocation={"ASR": StageAllocation(1, 0)},
+            latency_run(
+                "sirius", "static", allocation={"ASR": StageAllocation(1, 0)}
             )
 
     def test_unknown_app_rejected(self):
         with pytest.raises(ConfigurationError):
-            run_latency_experiment(
-                "nosuch", "static", ConstantLoad(RATE), DURATION
-            )
+            latency_run("nosuch", "static")
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ConfigurationError):
-            run_latency_experiment(
-                "sirius", "nosuch", ConstantLoad(RATE), DURATION
-            )
+            latency_run("sirius", "nosuch")
 
     def test_no_completions_raises_experiment_error(self):
         with pytest.raises(ExperimentError):
-            run_latency_experiment(
-                "sirius", "static", ConstantLoad(0.001), duration_s=1.0
-            )
+            latency_run("sirius", "static", duration_s=1.0, rate=0.001)
 
     def test_invalid_allocation_count(self):
         with pytest.raises(ConfigurationError):
@@ -119,9 +101,7 @@ class TestLatencyRunner:
 
 class TestQosRunner:
     def test_produces_complete_result(self):
-        result = run_qos_experiment(
-            TABLE3_SIRIUS, "baseline", rate_qps=4.0, duration_s=DURATION, seed=1
-        )
+        result = qos_run("sirius", "baseline")
         assert result.qos_target_s == 2.0
         assert result.queries_completed > 0
         assert result.average_power_fraction == pytest.approx(1.0)
@@ -130,28 +110,20 @@ class TestQosRunner:
 
     def test_every_policy_runs(self):
         for policy in QOS_POLICIES:
-            result = run_qos_experiment(
-                TABLE3_SIRIUS, policy, rate_qps=4.0, duration_s=DURATION, seed=1
-            )
+            result = qos_run("sirius", policy)
             assert result.policy == policy
 
     def test_websearch_setup_runs(self):
-        result = run_qos_experiment(
-            TABLE3_WEBSEARCH, "powerchief", rate_qps=6.0, duration_s=60.0, seed=1
-        )
+        result = qos_run("websearch", "powerchief", rate_qps=6.0, duration_s=60.0)
         assert result.app == "websearch"
         assert result.average_power_fraction < 1.0
 
     def test_conserving_policies_save_power(self):
-        conserving = run_qos_experiment(
-            TABLE3_SIRIUS, "powerchief", rate_qps=4.0, duration_s=300.0, seed=1
-        )
+        conserving = qos_run("sirius", "powerchief", duration_s=300.0)
         assert conserving.average_power_fraction < 1.0
 
     def test_reference_power_is_initial_deployment(self):
-        result = run_qos_experiment(
-            TABLE3_SIRIUS, "baseline", rate_qps=4.0, duration_s=60.0, seed=1
-        )
+        result = qos_run("sirius", "baseline", duration_s=60.0)
         # 11 instances at 2.4 GHz.
         from repro.cluster.power import DEFAULT_POWER_MODEL
 
@@ -161,8 +133,8 @@ class TestQosRunner:
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ConfigurationError):
-            run_qos_experiment(TABLE3_SIRIUS, "nosuch", rate_qps=4.0, duration_s=10.0)
+            qos_run("sirius", "nosuch", duration_s=10.0)
 
     def test_invalid_rate_rejected(self):
         with pytest.raises(ConfigurationError):
-            run_qos_experiment(TABLE3_SIRIUS, "baseline", rate_qps=0.0, duration_s=10.0)
+            qos_run("sirius", "baseline", rate_qps=0.0, duration_s=10.0)

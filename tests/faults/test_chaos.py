@@ -9,49 +9,52 @@ after it crashed.
 
 from __future__ import annotations
 
-import pytest
-
-from repro.faults import ChaosHarness, run_chaos_experiment
-from repro.faults.plan import FaultKind, load_plan
-from repro.obs import Observability
-from repro.workloads.loadgen import ConstantLoad
+from repro.faults import chaos_spec
+from repro.faults.plan import FaultKind
+from repro.scenario import ScenarioSpec, StackBuilder
 
 DURATION_S = 60.0
 RATE_QPS = 3.0
 
 
 def run_once(plan_name, seed=0, policy="powerchief"):
-    return run_chaos_experiment(
-        "sirius",
-        policy,
-        ConstantLoad(RATE_QPS),
-        DURATION_S,
-        load_plan(plan_name, DURATION_S),
-        seed=seed,
-        with_baseline=False,
+    """One chaos run: the finished builder and its goodput report."""
+    builder = StackBuilder(
+        chaos_spec(
+            "sirius",
+            policy,
+            ("constant", RATE_QPS),
+            DURATION_S,
+            plan_name,
+            seed=seed,
+        )
     )
+    result = builder.execute()
+    return builder, builder.chaos.report(result)
 
 
 class TestDeterminism:
     def test_same_seed_and_plan_replays_identically(self):
-        one = run_once("all-faults")
-        two = run_once("all-faults")
-        assert one.events == two.events
-        assert one.report == two.report
+        one, one_report = run_once("all-faults")
+        two, two_report = run_once("all-faults")
+        assert one.chaos.injector.events == two.chaos.injector.events
+        assert one_report == two_report
         assert one.observability.audit.entries == two.observability.audit.entries
 
     def test_different_seed_diverges(self):
-        one = run_once("crash-heavy", seed=0)
-        two = run_once("crash-heavy", seed=1)
+        one, one_report = run_once("crash-heavy", seed=0)
+        two, two_report = run_once("crash-heavy", seed=1)
         # Same plan, different seed: victims and timings must differ
         # somewhere — identical ledgers would mean the seed is ignored.
-        assert one.report != two.report or one.events != two.events
+        assert (
+            one_report != two_report
+            or one.chaos.injector.events != two.chaos.injector.events
+        )
 
 
 class TestAccounting:
     def test_all_faults_run_loses_no_queries(self):
-        chaos = run_once("all-faults", seed=0)
-        report = chaos.report
+        builder, report = run_once("all-faults", seed=0)
         assert report.submitted > 0
         assert report.accounted, (
             f"unaccounted queries: in_flight={report.in_flight} "
@@ -62,14 +65,17 @@ class TestAccounting:
         assert report.completed + report.timed_out == report.submitted
         # The plan fired everything it promised (repair/restore events
         # from windowed faults make the log longer than the spec list).
-        assert report.faults_injected >= len(chaos.plan.specs)
+        assert report.faults_injected >= len(builder.chaos.plan.specs)
         assert report.crashes > 0
         assert report.respawns > 0
 
     def test_fault_event_log_matches_plan_schedule(self):
-        chaos = run_once("crash-heavy", seed=0)
+        builder, _ = run_once("crash-heavy", seed=0)
+        chaos = builder.chaos
         fired = [
-            e for e in chaos.events if e.kind == FaultKind.INSTANCE_CRASH.value
+            e
+            for e in chaos.injector.events
+            if e.kind == FaultKind.INSTANCE_CRASH.value
         ]
         planned = [s for s in chaos.plan.specs if s.kind is FaultKind.INSTANCE_CRASH]
         assert [e.time for e in fired] == [s.at_s for s in planned]
@@ -85,31 +91,29 @@ class TestControllerSafety:
         reused, so a name seen in a crash event identifies exactly one
         victim.
         """
-        from repro.faults.monitor import ResilienceConfig
-        from repro.experiments.runner import run_latency_experiment
-
-        plan = load_plan("crash-heavy", DURATION_S)
-        harness = ChaosHarness(plan, ResilienceConfig())
-        run_latency_experiment(
-            "sirius",
-            "powerchief",
-            ConstantLoad(RATE_QPS),
-            DURATION_S,
-            seed=0,
-            observability=Observability.enabled(),
-            chaos=harness,
-            drain_s=30.0,
+        builder = StackBuilder(
+            ScenarioSpec.latency(
+                "sirius",
+                "powerchief",
+                ("constant", RATE_QPS),
+                DURATION_S,
+                seed=0,
+                chaos="crash-heavy",
+                drain_s=30.0,
+                observe=("trace", "metrics", "audit"),
+            )
         )
+        builder.execute()
         crashed_at = {
             event.target: event.time
-            for event in harness.injector.events
+            for event in builder.chaos.injector.events
             if event.kind == FaultKind.INSTANCE_CRASH.value
             and event.target != "none"
         }
         assert crashed_at, "crash-heavy plan fired no crashes"
         offenders = [
             action
-            for action in harness.controller.actions
+            for action in builder.controller.actions
             if getattr(action, "instance_name", None) in crashed_at
             and action.time > crashed_at[action.instance_name]
         ]

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
-import repro.faults
+import repro.cli
 from repro.cli import build_parser, main
 from repro.units import exactly
 
@@ -23,10 +23,11 @@ class _StubReport:
 
 
 def _stub_chaos(goodput_fraction: float, baseline_fraction: float = 1.0):
-    return SimpleNamespace(
-        report=_StubReport(goodput_fraction),
-        baseline=SimpleNamespace(completion_fraction=baseline_fraction),
-        events=[],
+    """What the CLI's chaos seam returns: report, event log, baseline."""
+    return (
+        _StubReport(goodput_fraction),
+        (),
+        SimpleNamespace(completion_fraction=baseline_fraction),
     )
 
 
@@ -37,7 +38,7 @@ def _arm_stub(monkeypatch, chaos_result):
         calls.append((args, kwargs))
         return chaos_result
 
-    monkeypatch.setattr(repro.faults, "run_chaos_experiment", fake_run)
+    monkeypatch.setattr(repro.cli, "_run_chaos", fake_run)
     return calls
 
 
@@ -64,12 +65,17 @@ class TestGoodputGate:
         assert excinfo.value.code == 2
 
     def test_delta_within_the_gate_passes(self, monkeypatch, capsys):
-        _arm_stub(monkeypatch, _stub_chaos(goodput_fraction=0.98))
+        calls = _arm_stub(monkeypatch, _stub_chaos(goodput_fraction=0.98))
         code = main(
             ["chaos", "sirius", "--fail-on-goodput-delta", "5"]
         )
         captured = capsys.readouterr()
         assert code == 0
+        # The seam got the chaos spec and its fault-free twin.
+        (spec, twin), _ = calls[0]
+        assert spec.chaos is not None and spec.drain_s > 0.0
+        assert twin.chaos is None and exactly(twin.drain_s, 0.0)
+        assert (twin.app, twin.trace, twin.seed) == (spec.app, spec.trace, spec.seed)
         assert "goodput delta vs baseline: +2.00% (gate: 5.00%)" in captured.out
         assert "breached" not in captured.err
 

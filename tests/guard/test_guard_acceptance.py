@@ -16,11 +16,10 @@ import json
 import pytest
 
 from repro.experiments.export import run_result_to_dict
-from repro.experiments.runner import run_latency_experiment
-from repro.faults import run_chaos_experiment
-from repro.faults.plan import load_plan, named_plans
+from repro.faults import chaos_spec
+from repro.faults.plan import named_plans
 from repro.guard import GuardConfig
-from repro.workloads.loadgen import ConstantLoad
+from repro.scenario import ScenarioSpec, StackBuilder, run_scenario
 
 DURATION_S = 60.0
 RATE_QPS = 3.0
@@ -35,35 +34,45 @@ RECOVERY_GUARD = GuardConfig(
 )
 
 
-def supervised_chaos(plan_name, seed, guard=None, **kwargs):
-    return run_chaos_experiment(
-        "sirius",
-        "powerchief",
-        ConstantLoad(RATE_QPS),
-        DURATION_S,
-        load_plan(plan_name, DURATION_S),
-        seed=seed,
-        with_baseline=False,
-        guard=guard if guard is not None else GuardConfig(),
-        **kwargs,
+def supervised_chaos(
+    plan_name, seed, guard=None, rate_qps=RATE_QPS, duration_s=DURATION_S, **kwargs
+):
+    """One supervised chaos run's goodput report."""
+    builder = StackBuilder(
+        chaos_spec(
+            "sirius",
+            "powerchief",
+            ("constant", rate_qps),
+            duration_s,
+            plan_name,
+            seed=seed,
+            guard=guard if guard is not None else GuardConfig(),
+            **kwargs,
+        )
     )
+    result = builder.execute()
+    return builder.chaos.report(result)
 
 
 class TestByteIdenticalGolden:
     def test_violation_free_supervised_run_matches_unsupervised_twin(self):
         kwargs = dict(duration_s=120.0, seed=3)
-        trace = ConstantLoad(2.0)
-        plain = run_latency_experiment("sirius", "powerchief", trace, **kwargs)
-        guarded = run_latency_experiment(
-            "sirius", "powerchief", trace, guard=GuardConfig(), **kwargs
+        trace = ("constant", 2.0)
+        plain = run_scenario(
+            ScenarioSpec.latency("sirius", "powerchief", trace, **kwargs)
+        )
+        guarded = run_scenario(
+            ScenarioSpec.latency(
+                "sirius", "powerchief", trace, guard=GuardConfig(), **kwargs
+            )
         )
         plain_payload = json.dumps(run_result_to_dict(plain), sort_keys=True)
         guarded_payload = json.dumps(run_result_to_dict(guarded), sort_keys=True)
         assert guarded_payload == plain_payload
 
     def test_healthy_supervised_run_reports_zero_guard_activity(self):
-        result = supervised_chaos("telemetry-dark", seed=3)
-        guard = result.report.guard
+        report = supervised_chaos("telemetry-dark", seed=3)
+        guard = report.guard
         assert guard is not None
         # No SLO tracker armed and no faults that breach invariants:
         # the guard watched the whole run and had nothing to do.
@@ -78,38 +87,33 @@ class TestInvariantSweep:
     def test_supervised_run_never_ends_a_tick_over_cap(self, plan_name, seed):
         # budget.assert_within() runs after every supervised tick and
         # raises on breach — a completed run is the invariant holding.
-        result = supervised_chaos(plan_name, seed=seed)
-        assert result.report.accounted, (
-            f"plan {plan_name} seed {seed} lost queries"
-        )
-        guard = result.report.guard
+        report = supervised_chaos(plan_name, seed=seed)
+        assert report.accounted, f"plan {plan_name} seed {seed} lost queries"
+        guard = report.guard
         assert guard is not None
         assert guard["modes"] == ["powerchief", "conserve", "safe"]
 
 
 class TestLadderDeterminism:
     def _recovery_run(self, seed):
-        return run_chaos_experiment(
-            "sirius",
-            "powerchief",
-            ConstantLoad(3.0),
-            600.0,
-            load_plan("telemetry-dark", 600.0),
-            seed=seed,
-            with_baseline=False,
+        return supervised_chaos(
+            "telemetry-dark",
+            seed,
             guard=RECOVERY_GUARD,
+            rate_qps=3.0,
+            duration_s=600.0,
             slo_target_s=20.0,
         )
 
     def test_engages_and_recovers_identically_per_seed(self):
         first = self._recovery_run(seed=3)
         second = self._recovery_run(seed=3)
-        guard_one = first.report.guard
-        guard_two = second.report.guard
+        guard_one = first.guard
+        guard_two = second.guard
         assert guard_one is not None and guard_two is not None
         assert guard_one["transitions"] == guard_two["transitions"]
         assert guard_one["safe_mode_engaged"]
         assert guard_one["recovered"]
         modes_walked = [t["to_mode"] for t in guard_one["transitions"]]
         assert modes_walked == ["conserve", "safe", "conserve", "powerchief"]
-        assert first.report.accounted
+        assert first.accounted

@@ -10,14 +10,12 @@ from __future__ import annotations
 import pytest
 
 from repro.core.actions import FrequencyChangeAction, InstanceLaunchAction
-from repro.experiments.runner import run_latency_experiment, run_qos_experiment
-from repro.scenario import LATENCY_POLICIES, QOS_POLICIES
+from repro.scenario import LATENCY_POLICIES, QOS_POLICIES, ScenarioSpec, run_scenario
 from repro.scenario.config import (
     TABLE2_POWER_BUDGET_WATTS,
     TABLE3_SIRIUS,
     TABLE3_WEBSEARCH,
 )
-from repro.workloads.loadgen import ConstantLoad
 from repro.workloads.nlp import nlp_load_levels
 from repro.workloads.sirius import sirius_load_levels
 
@@ -31,12 +29,14 @@ DURATION = 300.0
 class TestLatencyRunInvariants:
     @pytest.fixture()
     def result(self, app, policy):
-        return run_latency_experiment(
-            app,
-            policy,
-            ConstantLoad(LEVELS[app].medium_qps),
-            DURATION,
-            seed=7,
+        return run_scenario(
+            ScenarioSpec.latency(
+                app,
+                policy,
+                ("constant", LEVELS[app].medium_qps),
+                DURATION,
+                seed=7,
+            )
         )
 
     def test_budget_never_exceeded_in_any_sample(self, app, policy, result):
@@ -79,8 +79,8 @@ class TestLatencyRunInvariants:
 class TestQosRunInvariants:
     @pytest.fixture()
     def result(self, setup, rate, policy):
-        return run_qos_experiment(
-            setup, policy, rate_qps=rate, duration_s=150.0, seed=7
+        return run_scenario(
+            ScenarioSpec.qos(setup.app, policy, rate, 150.0, seed=7)
         )
 
     def test_power_fraction_bounded(self, setup, rate, policy, result):

@@ -1,17 +1,21 @@
 """Integration tests: full runs exercising the paper's headline shapes.
 
 These are the qualitative claims the reproduction must uphold; exact
-factors vary with the simulation seed and are pinned loosely.
+factors vary with the simulation seed and are pinned loosely.  The last
+test runs every script in ``examples/`` end to end.
 """
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.core.actions import InstanceLaunchAction, InstanceWithdrawAction
-from repro.scenario.config import TABLE3_SIRIUS, TABLE3_WEBSEARCH
-from repro.experiments.runner import run_latency_experiment, run_qos_experiment
-from repro.workloads.loadgen import ConstantLoad
+from repro.scenario import ScenarioSpec, run_scenario
 from repro.workloads.sirius import sirius_load_levels
 from repro.workloads.traces import fig11_trace
 
@@ -19,16 +23,27 @@ from repro.workloads.traces import fig11_trace
 DURATION = 500.0
 SEED = 3
 
+ROOT = Path(__file__).resolve().parents[2]
+
 
 @pytest.fixture(scope="module")
 def levels():
     return sirius_load_levels()
 
 
-def run(policy, rate, **kwargs):
-    return run_latency_experiment(
-        "sirius", policy, ConstantLoad(rate), DURATION, seed=SEED, **kwargs
+def run(policy, rate):
+    return run_scenario(
+        ScenarioSpec.latency("sirius", policy, ("constant", rate), DURATION, seed=SEED)
     )
+
+
+def qos_runs(app, rate_qps, duration_s):
+    return {
+        policy: run_scenario(
+            ScenarioSpec.qos(app, policy, rate_qps, duration_s, seed=SEED)
+        )
+        for policy in ("baseline", "pegasus", "powerchief")
+    }
 
 
 class TestHighLoadShape:
@@ -38,9 +53,7 @@ class TestHighLoadShape:
     def results(self, levels):
         rate = levels.high_qps
         return {
-            policy: run_latency_experiment(
-                "sirius", policy, ConstantLoad(rate), DURATION, seed=SEED
-            )
+            policy: run(policy, rate)
             for policy in ("static", "freq-boost", "inst-boost", "powerchief")
         }
 
@@ -97,8 +110,8 @@ class TestFig11Dynamics:
     def trace_runs(self, levels):
         trace = fig11_trace(levels.high_qps)
         return {
-            policy: run_latency_experiment(
-                "sirius", policy, trace, 900.0, seed=SEED
+            policy: run_scenario(
+                ScenarioSpec.latency("sirius", policy, trace, 900.0, seed=SEED)
             )
             for policy in ("freq-boost", "inst-boost", "powerchief")
         }
@@ -137,12 +150,7 @@ class TestQosShape:
 
     @pytest.fixture(scope="class")
     def sirius_runs(self):
-        return {
-            policy: run_qos_experiment(
-                TABLE3_SIRIUS, policy, rate_qps=7.0, duration_s=600.0, seed=SEED
-            )
-            for policy in ("baseline", "pegasus", "powerchief")
-        }
+        return qos_runs("sirius", 7.0, 600.0)
 
     def test_powerchief_saves_more_than_pegasus(self, sirius_runs):
         assert (
@@ -161,15 +169,28 @@ class TestQosShape:
             assert sirius_runs[policy].violation_fraction < 0.15
 
     def test_websearch_ordering_matches_figure14(self):
-        runs = {
-            policy: run_qos_experiment(
-                TABLE3_WEBSEARCH, policy, rate_qps=8.0, duration_s=200.0, seed=SEED
-            )
-            for policy in ("baseline", "pegasus", "powerchief")
-        }
+        runs = qos_runs("websearch", 8.0, 200.0)
         assert (
             runs["powerchief"].average_power_fraction
             < runs["pegasus"].average_power_fraction
             <= runs["baseline"].average_power_fraction
         )
         assert runs["powerchief"].power_saving_fraction > 0.25
+
+
+@pytest.mark.parametrize(
+    "example", sorted((ROOT / "examples").glob("*.py")), ids=lambda path: path.stem
+)
+def test_example_runs(example):
+    """Every example script runs to completion and prints its report."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, str(example)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        cwd=ROOT,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip()

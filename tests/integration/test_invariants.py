@@ -17,7 +17,7 @@ from repro.cluster.budget import PowerBudget
 from repro.cluster.dvfs import DvfsActuator
 from repro.cluster.frequency import HASWELL_LADDER
 from repro.core.controller import BaseController, ControllerConfig
-from repro.experiments.runner import run_latency_experiment
+from repro.scenario import ScenarioSpec, run_scenario
 from repro.service.command_center import CommandCenter
 from repro.sim.rng import RandomStreams
 from repro.workloads.loadgen import (
@@ -25,7 +25,7 @@ from repro.workloads.loadgen import (
     PoissonLoadGenerator,
     QueryFactory,
 )
-from repro.workloads.sirius import sirius_load_levels, sirius_profiles
+from repro.workloads.sirius import sirius_load_levels
 
 from tests.conftest import make_profile, submit_two_stage_query
 
@@ -150,8 +150,10 @@ def test_serving_time_conserves_work_across_dvfs_changes(sim, two_stage_app):
 
 def test_latency_decomposition_matches_end_to_end():
     levels = sirius_load_levels()
-    result = run_latency_experiment(
-        "sirius", "powerchief", ConstantLoad(levels.medium_qps), 300.0, seed=5
+    result = run_scenario(
+        ScenarioSpec.latency(
+            "sirius", "powerchief", ("constant", levels.medium_qps), 300.0, seed=5
+        )
     )
     assert result.queries_completed > 50
 
@@ -159,8 +161,10 @@ def test_latency_decomposition_matches_end_to_end():
 def test_query_conservation_under_every_policy():
     levels = sirius_load_levels()
     for policy in ("static", "freq-boost", "inst-boost", "powerchief"):
-        result = run_latency_experiment(
-            "sirius", policy, ConstantLoad(levels.medium_qps), 200.0, seed=11
+        result = run_scenario(
+            ScenarioSpec.latency(
+                "sirius", policy, ("constant", levels.medium_qps), 200.0, seed=11
+            )
         )
         assert result.queries_completed <= result.queries_submitted
         assert result.queries_completed > 0

@@ -11,8 +11,7 @@ import pytest
 
 from repro.core.actions import FrequencyChangeAction, SkipAction
 from repro.core.controller import ControllerConfig
-from repro.experiments.runner import run_latency_experiment
-from repro.workloads.loadgen import ConstantLoad
+from repro.scenario import ScenarioSpec, run_scenario
 from repro.workloads.sirius import sirius_load_levels
 
 
@@ -29,13 +28,15 @@ def run_with_threshold(threshold: float, seed: int = 3):
         balance_threshold_s=threshold,
         withdraw_interval_s=150.0,
     )
-    return run_latency_experiment(
-        "sirius",
-        "powerchief",
-        ConstantLoad(sirius_load_levels().low_qps),
-        600.0,
-        seed=seed,
-        controller_config=config,
+    return run_scenario(
+        ScenarioSpec.latency(
+            "sirius",
+            "powerchief",
+            ("constant", sirius_load_levels().low_qps),
+            600.0,
+            seed=seed,
+            controller=config,
+        )
     )
 
 

@@ -15,8 +15,7 @@ from repro.cli import main
 from repro.obs import Observability
 from repro.obs.audit import BottleneckEntry
 from repro.obs.trace import spans_from_chrome_trace, spans_from_jsonl
-from repro.experiments.runner import run_latency_experiment
-from repro.workloads.loadgen import ConstantLoad
+from repro.scenario import ScenarioSpec, run_scenario
 
 SPAN_KEYS = {
     "qid",
@@ -36,12 +35,10 @@ class TestObservedRunner:
     @pytest.fixture(scope="class")
     def observed_run(self):
         observability = Observability.enabled()
-        result = run_latency_experiment(
-            "sirius",
-            "powerchief",
-            ConstantLoad(1.5),
-            120.0,
-            seed=3,
+        result = run_scenario(
+            ScenarioSpec.latency(
+                "sirius", "powerchief", ("constant", 1.5), 120.0, seed=3
+            ),
             observability=observability,
         )
         return observability, result
@@ -74,8 +71,8 @@ class TestObservedRunner:
         assert observability.audit.of_kind(BottleneckEntry)
 
     def test_observability_defaults_off(self):
-        result = run_latency_experiment(
-            "sirius", "static", ConstantLoad(1.0), 30.0, seed=3
+        result = run_scenario(
+            ScenarioSpec.latency("sirius", "static", ("constant", 1.0), 30.0, seed=3)
         )
         assert result.queries_completed > 0
 

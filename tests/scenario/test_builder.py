@@ -1,7 +1,7 @@
 """StackBuilder: seed-equivalence goldens, lifecycle and sharded runs.
 
-The golden values pin the pre-refactor behaviour of the experiment
-runners: the scenario layer must reproduce them bit for bit, because the
+The golden values pin the behaviour of the keyword runners the scenario
+layer replaced: it must reproduce them bit for bit, because the
 content-addressed result cache and every published figure depend on the
 runs being byte-identical for a pinned seed.
 """
@@ -13,8 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.errors import ConfigurationError, ExperimentError
-from repro.experiments.runner import run_latency_experiment, run_qos_experiment
+from repro.errors import ExperimentError
 from repro.scenario import (
     QosRunResult,
     RunResult,
@@ -23,9 +22,7 @@ from repro.scenario import (
     StackBuilder,
     run_scenario,
 )
-from repro.scenario.config import TABLE3_SIRIUS
 from repro.units import exactly
-from repro.workloads.loadgen import ConstantLoad
 
 EXAMPLES = Path(__file__).resolve().parents[2] / "examples" / "scenarios"
 
@@ -81,18 +78,6 @@ class TestSeedEquivalence:
         assert len(result.actions) == LATENCY_GOLDEN["n_actions"]
         assert len(result.state_samples) == LATENCY_GOLDEN["n_samples"]
 
-    def test_wrapper_and_scenario_agree(self, latency_result):
-        via_wrapper = run_latency_experiment(
-            "sirius", "powerchief", ConstantLoad(1.5), 180.0, seed=7
-        )
-        assert via_wrapper.queries_submitted == latency_result.queries_submitted
-        assert via_wrapper.latency.mean == latency_result.latency.mean
-        assert via_wrapper.latency.p99 == latency_result.latency.p99
-        assert (
-            via_wrapper.average_power_watts
-            == latency_result.average_power_watts
-        )
-
     def test_qos_run_matches_pre_refactor_golden(self):
         spec = ScenarioSpec.qos(
             "sirius",
@@ -112,13 +97,6 @@ class TestSeedEquivalence:
         )
         assert result.violation_fraction == QOS_GOLDEN["violation_fraction"]
         assert len(result.actions) == QOS_GOLDEN["n_actions"]
-        via_wrapper = run_qos_experiment(
-            TABLE3_SIRIUS, "powerchief", rate_qps=4.0, duration_s=120.0, seed=5
-        )
-        assert via_wrapper.latency.mean == result.latency.mean
-        assert (
-            via_wrapper.average_power_fraction == result.average_power_fraction
-        )
 
 
 class TestLifecycle:
@@ -136,11 +114,6 @@ class TestLifecycle:
 
     def test_execute_walks_every_phase(self, latency_result):
         assert isinstance(latency_result, RunResult)
-
-    def test_qos_rejects_latency_overrides(self):
-        spec = ScenarioSpec.qos("sirius", "powerchief", 4.0, 60.0)
-        with pytest.raises(ConfigurationError):
-            StackBuilder(spec, trace=ConstantLoad(1.0))
 
 
 class TestShardedFromJson:

@@ -93,6 +93,23 @@ class TestScenarioCommand:
         assert main(["scenario", "validate", str(bad)]) == 1
         assert "invalid" in capsys.readouterr().out
 
+    def test_validate_rejects_a_spec_run_cannot_build(self, tmp_path, capsys):
+        custom = tmp_path / "custom.json"
+        custom.write_text(
+            json.dumps(
+                {
+                    "kind": "latency",
+                    "app": "sirius",
+                    "policy": "static",
+                    "duration_s": 10,
+                    "trace": ["custom", "X"],
+                }
+            ),
+            encoding="utf-8",
+        )
+        assert main(["scenario", "validate", str(custom)]) == 1
+        assert "invalid" in capsys.readouterr().out
+
     def test_validate_missing_file(self, tmp_path, capsys):
         missing = tmp_path / "nope.json"
         assert main(["scenario", "validate", str(missing)]) != 0

@@ -8,6 +8,7 @@ import math
 
 import pytest
 
+from repro.cluster.contention import ContentionModel
 from repro.core.controller import ControllerConfig
 from repro.errors import ConfigurationError
 from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
@@ -16,7 +17,7 @@ from repro.scenario import (
     ScenarioSpec,
     StageAllocation,
 )
-from repro.workloads.loadgen import ConstantLoad, PiecewiseLoad
+from repro.workloads.loadgen import ConstantLoad, LoadTrace, PiecewiseLoad
 
 
 def latency_spec(**overrides) -> ScenarioSpec:
@@ -159,6 +160,31 @@ class TestValidation:
             "sirius", "powerchief", 4.0, 60.0, observe=("slo",)
         )
         assert "slo" in spec.observe
+
+    @pytest.mark.parametrize("field", ["trace", "contention"])
+    def test_custom_kind_rejected_at_spec_time(self, field):
+        # A "custom" marker names a type but carries no parameters, so a
+        # spec holding one could never run; it must not validate either.
+        payload = latency_spec().to_dict()
+        payload[field] = ["custom", "X"]
+        with pytest.raises(ConfigurationError, match="kind 'custom'"):
+            ScenarioSpec.from_dict(payload)
+
+    def test_unnameable_trace_and_contention_objects_rejected(self):
+        class Custom(LoadTrace):
+            def rate_at(self, time: float) -> float:
+                return 1.0
+
+        class Crowding(ContentionModel):
+            def slowdown(self, active_cores: int, total_cores: int) -> float:
+                return 1.0
+
+        with pytest.raises(ConfigurationError, match="cannot describe trace"):
+            ScenarioSpec.latency("sirius", "static", Custom(), 60.0)
+        with pytest.raises(ConfigurationError, match="cannot describe contention"):
+            ScenarioSpec.latency(
+                "sirius", "static", ("constant", 1.0), 60.0, contention=Crowding()
+            )
 
     @pytest.mark.parametrize("field, value", NON_FINITE)
     def test_non_finite_number_rejected(self, field, value):
