@@ -496,19 +496,22 @@ def build_parser() -> argparse.ArgumentParser:
         "--turbo",
         action="store_true",
         help="ignore the wall clock: advance a fixed quantum per loop "
-        "iteration, as fast as the host allows",
+        "iteration, as fast as the host allows (one core busy while a "
+        "run is live)",
     )
     serve.add_argument(
         "--quantum",
         type=_positive_float,
-        default=10.0,
-        help="simulated seconds per --turbo chunk (default: 10)",
+        default=0.25,
+        help="simulated seconds per --turbo chunk; a command waits at "
+        "most one chunk's compute (default: 0.25)",
     )
     serve.add_argument(
         "--poll",
         type=_positive_float,
         default=0.05,
-        help="socket poll interval in real seconds (default: 0.05)",
+        help="real seconds an idle loop waits for commands, and the "
+        "--rate step (default: 0.05)",
     )
     serve.add_argument(
         "--spec",

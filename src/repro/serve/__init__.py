@@ -15,9 +15,9 @@ daemon shape of nrmd:
   stays pure and every pacing decision lives in the daemon;
 * :mod:`repro.serve.daemon` — :class:`ReproDaemon`, the single-threaded
   selector loop that owns the socket(s), paces hosted runs against the
-  wall clock (``--rate`` sim-seconds per real second, or ``--turbo``
-  quantum-chunked), dispatches commands and fans stream snapshots out
-  to watchers;
+  wall clock (``--rate`` sim-seconds per real second, or ``--turbo``:
+  quantum-chunked, never sleeping while a run can advance), dispatches
+  commands and fans stream snapshots out to watchers;
 * :mod:`repro.serve.client` — :class:`CtlClient`, the blocking client
   the ``repro ctl`` CLI and the tests drive the daemon with.
 

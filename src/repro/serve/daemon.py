@@ -10,14 +10,18 @@ the event sequence it actually executed.
 Pacing is the one place wall clock is allowed (the sim core stays pure
 under ``repro lint``): each loop iteration converts elapsed real time
 into a simulated-time deadline per run (``rate`` sim-seconds per real
-second) and ticks the run there.  ``turbo`` ignores the wall clock and
-advances a fixed simulated quantum per iteration instead — as fast as
-the host can go while still draining the command socket between
-chunks.
+second) and ticks the run there, blocking up to ``poll_interval_s`` in
+``select`` between iterations.  ``turbo`` ignores the wall clock and
+advances a fixed simulated quantum per iteration instead, without
+sleeping in ``select`` while any run can advance: it goes as fast as
+the host allows (one core busy) and drains the command socket between
+chunks, so a command waits at most one quantum's compute.  Only an idle
+loop (every run paused or done) blocks for ``poll_interval_s``.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import selectors
 import socket
@@ -92,22 +96,18 @@ class ReproDaemon:
         port: Optional[int] = None,
         rate: float = 1.0,
         turbo: bool = False,
-        quantum_s: float = 10.0,
+        quantum_s: float = 0.25,
         poll_interval_s: float = 0.05,
     ) -> None:
         if socket_path is None and host is None:
             raise ServeError("the daemon needs a unix socket path or a TCP host")
-        if rate <= 0.0:
-            raise ServeError(f"rate must be > 0 sim-seconds/second, got {rate}")
-        if quantum_s <= 0.0:
-            raise ServeError(f"turbo quantum must be > 0 s, got {quantum_s}")
         self.socket_path = socket_path
         self.host = host
         self.port = port
-        self.rate = float(rate)
+        self.rate = _positive(rate, "rate", "sim-seconds/second")
         self.turbo = bool(turbo)
-        self.quantum_s = float(quantum_s)
-        self.poll_interval_s = float(poll_interval_s)
+        self.quantum_s = _positive(quantum_s, "turbo quantum", "s")
+        self.poll_interval_s = _positive(poll_interval_s, "poll interval", "s")
         self.runs: dict[str, HostedRun] = {}
         self._targets: dict[str, float] = {}
         self._serial = 0
@@ -162,7 +162,7 @@ class ReproDaemon:
         last = time.monotonic()
         try:
             while self._running:
-                events = self._selector.select(timeout=self.poll_interval_s)
+                events = self._selector.select(timeout=self._select_timeout())
                 for key, mask in events:
                     if key.data is None:
                         self._accept(key.fileobj)
@@ -181,6 +181,15 @@ class ReproDaemon:
     def shutdown(self) -> None:
         """Ask the loop to exit after the current iteration."""
         self._running = False
+
+    def _select_timeout(self) -> float:
+        """Zero while a turbo run can advance, so the loop never idles
+        with work to do; otherwise the poll interval."""
+        if self.turbo and any(
+            not (run.done or run.paused) for run in self.runs.values()
+        ):
+            return 0.0
+        return self.poll_interval_s
 
     def _bind(self) -> None:
         assert self._selector is not None
@@ -235,6 +244,14 @@ class ReproDaemon:
             self._drop(conn)
             return
         conn.buffer += chunk
+        while b"\n" in conn.buffer:
+            raw, conn.buffer = conn.buffer.split(b"\n", 1)
+            line = raw.decode("utf-8", errors="replace").strip()
+            if not line:
+                continue
+            self._handle_line(conn, line)
+        # Complete lines answer for themselves (decode_request refuses an
+        # over-long one); only an unterminated one can outgrow the limit.
         if len(conn.buffer) > MAX_LINE_BYTES:
             conn.send_line(
                 encode_response(
@@ -245,13 +262,6 @@ class ReproDaemon:
                 )
             )
             self._drop(conn)
-            return
-        while b"\n" in conn.buffer:
-            raw, conn.buffer = conn.buffer.split(b"\n", 1)
-            line = raw.decode("utf-8", errors="replace").strip()
-            if not line:
-                continue
-            self._handle_line(conn, line)
 
     def _handle_line(self, conn: _Connection, line: str) -> None:
         try:
@@ -469,6 +479,15 @@ class ReproDaemon:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         where = self.socket_path or f"{self.host}:{self.port}"
         return f"ReproDaemon({where}, {len(self.runs)} runs)"
+
+
+def _positive(value: float, name: str, unit: str) -> float:
+    # NaN would stall a run (or crash select), and a zero or negative
+    # poll would spin an idle loop.
+    value = float(value)
+    if not (math.isfinite(value) and value > 0.0):
+        raise ServeError(f"{name} must be finite and > 0 {unit}, got {value}")
+    return value
 
 
 def _number(value: Any, name: str) -> float:

@@ -9,8 +9,11 @@ advances those, so the whole exchange is reproducible.
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import json
 import math
+import selectors
 import socket
 import threading
 import time
@@ -20,6 +23,7 @@ import pytest
 from repro.errors import ProtocolError, ServeError
 from repro.scenario.spec import ScenarioSpec, StageAllocation
 from repro.serve import CtlClient, ReproDaemon
+from repro.serve.protocol import MAX_LINE_BYTES
 from repro.units import exactly
 
 SPEC = ScenarioSpec.latency(
@@ -47,7 +51,14 @@ BIG_SPEC = ScenarioSpec.latency(
 @pytest.fixture
 def daemon(tmp_path):
     path = str(tmp_path / "reprod.sock")
-    server = ReproDaemon(path, turbo=True, quantum_s=30.0, poll_interval_s=0.005)
+    with _serving(path, quantum_s=30.0, poll_interval_s=0.005) as server:
+        yield server, path
+
+
+@contextlib.contextmanager
+def _serving(path, **options):
+    """A turbo daemon serving ``path`` from a background thread."""
+    server = ReproDaemon(path, turbo=True, **options)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     deadline = time.monotonic() + 5.0
@@ -56,7 +67,7 @@ def daemon(tmp_path):
             raise RuntimeError("daemon never bound its socket")
         time.sleep(0.01)
     try:
-        yield server, path
+        yield server
     finally:
         server.shutdown()
         thread.join(timeout=5.0)
@@ -310,13 +321,7 @@ class TestProtocolEdges:
             sock.settimeout(10.0)
             sock.connect(path)
             sock.sendall(payload)
-            buffer = b""
-            while b"\n" not in buffer:
-                chunk = sock.recv(65536)
-                if not chunk:
-                    raise AssertionError("the daemon hung up without a reply")
-                buffer += chunk
-            return json.loads(buffer.split(b"\n", 1)[0])
+            return _read_lines(sock, 1)[0]
 
     def test_junk_line_answers_protocol_error_with_null_id(self, daemon):
         _, path = daemon
@@ -382,6 +387,42 @@ class TestProtocolEdges:
             audit = ctl.call("audit", run="held", kind="budget-change")
             assert audit["count"] == 0
 
+    def test_line_limit_applies_per_line_not_per_read(self, daemon):
+        _, path = daemon
+
+        def ping(request_id: int, size: int) -> bytes:
+            # Whitespace pads a valid request to exactly ``size`` bytes.
+            head = b'{"id": %d, "cmd": "ping"' % request_id
+            return head + b" " * (size - len(head) - 1) + b"}"
+
+        big = ping(1, MAX_LINE_BYTES - 97)  # just inside the limit
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+            sock.settimeout(10.0)
+            sock.connect(path)
+            sock.sendall(big[:-5000])
+            # Together the three lines outgrow the limit; each is inside it.
+            sock.sendall(big[-5000:] + b"\n" + ping(2, 60_000) + b"\n")
+            sock.sendall(ping(3, 30) + b"\n")
+            replies = _read_lines(sock, 3)
+            assert [(r["id"], r["ok"]) for r in replies] == [
+                (1, True),
+                (2, True),
+                (3, True),
+            ]
+            sock.sendall(ping(4, 30) + b"\n")
+            assert _read_lines(sock, 1)[0]["id"] == 4
+
+    def test_unterminated_line_past_the_limit_drops_the_client(self, daemon):
+        _, path = daemon
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+            sock.settimeout(10.0)
+            sock.connect(path)
+            sock.sendall(b"{" + b" " * MAX_LINE_BYTES)
+            (answer,) = _read_lines(sock, 1)
+            assert answer["id"] is None
+            assert "line limit" in answer["error"]["message"]
+            assert sock.recv(65536) == b""  # the daemon hung up
+
     def test_shutdown_command_stops_the_loop(self, tmp_path):
         path = str(tmp_path / "reprod.sock")
         server = ReproDaemon(path, turbo=True, poll_interval_s=0.005)
@@ -399,21 +440,82 @@ class TestProtocolEdges:
         assert not _exists(path)  # the socket file was unlinked
 
 
+class TestTurboLoop:
+    def test_live_run_advances_without_client_traffic(self, tmp_path):
+        # A slow poll: a loop that slept between quanta would be only a
+        # few quanta into the run when the status arrives.
+        path = str(tmp_path / "reprod.sock")
+        with _serving(path, quantum_s=1.0, poll_interval_s=0.5):
+            with _client(path) as ctl:
+                ctl.call("submit", spec=SPEC.to_dict(), name="solo")
+                time.sleep(1.0)
+                status = ctl.call("status", run="solo")
+        assert status["result_ready"] is True
+        assert exactly(status["now_s"], 30.0)
+
+    def test_loop_blocks_only_when_no_run_can_advance(
+        self, tmp_path, monkeypatch
+    ):
+        timeouts: list[float] = []
+
+        class RecordingSelector(selectors.DefaultSelector):
+            def select(self, timeout=None):
+                timeouts.append(timeout)
+                return super().select(timeout)
+
+        monkeypatch.setattr(selectors, "DefaultSelector", RecordingSelector)
+        poll = 0.05
+        path = str(tmp_path / "reprod.sock")
+        with _serving(path, quantum_s=1.0, poll_interval_s=poll):
+            with _client(path) as ctl:
+                ctl.call("submit", spec=SPEC.to_dict(), name="held", paused=True)
+                ctl.call("watch", run="held")
+                time.sleep(5 * poll)
+                resumed_at = len(timeouts)
+                ctl.call("resume", run="held")
+                _await_finished(ctl, "held")
+                time.sleep(5 * poll)
+        seen = [(value, len(list(same))) for value, same in itertools.groupby(timeouts)]
+        # Idle and paused, live for one quantum per iteration, finished.
+        assert [value for value, _ in seen] == [poll, 0, poll]
+        assert resumed_at <= seen[0][1]
+        # The resume's own iteration advances the first of 30 quanta.
+        assert seen[1][1] == 29
+
+
 class TestConstruction:
     def test_daemon_needs_an_endpoint(self):
         with pytest.raises(ServeError, match="unix socket path or a TCP host"):
             ReproDaemon()
 
-    def test_rate_and_quantum_must_be_positive(self, tmp_path):
+    @pytest.mark.parametrize(
+        "value",
+        [math.nan, math.inf, 0.0, -1.0],
+        ids=["nan", "inf", "zero", "negative"],
+    )
+    @pytest.mark.parametrize(
+        "option, word",
+        [("rate", "rate"), ("quantum_s", "quantum"), ("poll_interval_s", "poll")],
+    )
+    def test_rate_and_quantum_must_be_positive(self, tmp_path, option, word, value):
         path = str(tmp_path / "s.sock")
-        with pytest.raises(ServeError, match="rate"):
-            ReproDaemon(path, rate=0.0)
-        with pytest.raises(ServeError, match="quantum"):
-            ReproDaemon(path, quantum_s=-1.0)
+        with pytest.raises(ServeError, match=word):
+            ReproDaemon(path, **{option: value})
 
     def test_client_needs_an_endpoint(self):
         with pytest.raises(ServeError, match="unix socket path or a TCP host"):
             CtlClient()
+
+
+def _read_lines(sock: socket.socket, count: int) -> list[dict]:
+    """The next ``count`` reply lines on a raw connection."""
+    buffer = b""
+    while buffer.count(b"\n") < count:
+        chunk = sock.recv(65536)
+        if not chunk:
+            raise AssertionError("the daemon hung up without a reply")
+        buffer += chunk
+    return [json.loads(line) for line in buffer.split(b"\n")[:count]]
 
 
 def _await_finished(ctl: CtlClient, run: str) -> dict:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import json
 
 import pytest
@@ -11,7 +12,12 @@ from repro.experiments.export import scenario_payload
 from repro.guard import feasible_floor_watts
 from repro.scenario.builder import run_scenario
 from repro.scenario.spec import ScenarioSpec
-from repro.serve import SERVE_PILLARS, HostedRun, ensure_serve_pillars
+from repro.serve import (
+    SERVE_PILLARS,
+    HostedRun,
+    ReproDaemon,
+    ensure_serve_pillars,
+)
 from repro.units import exactly
 
 SPEC = ScenarioSpec.latency(
@@ -47,12 +53,19 @@ class TestEnsureServePillars:
         assert armed.observe == ("trace", "audit", "metrics", "stream")
 
 
+#: The daemon's default ``--turbo`` quantum.
+DEFAULT_QUANTUM_S = (
+    inspect.signature(ReproDaemon).parameters["quantum_s"].default
+)
+
+
 class TestAdvancement:
-    def test_hosted_run_matches_batch_byte_for_byte(self):
+    @pytest.mark.parametrize("step_s", [7.3, DEFAULT_QUANTUM_S])
+    def test_hosted_run_matches_batch_byte_for_byte(self, step_s):
         batch = run_scenario(ensure_serve_pillars(SPEC))
         run = HostedRun("eq", SPEC)
         while not run.done:
-            run.advance_by(7.3)
+            run.advance_by(step_s)
         assert run.error is None
         assert run.result_payload is not None
         assert (
