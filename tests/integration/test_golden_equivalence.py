@@ -8,7 +8,7 @@ actions, QoS violations — not just its speed.
 
 The output goldens (``output_digests.json``) pin what a user reads: the
 figure renders, the single-run CLI commands' stdout and ``--json``
-payloads, and the ``repro trace`` artifacts.
+payloads, the ``repro trace`` artifacts and the headline numbers.
 
 If a PR intends a behavioural change, regenerate the goldens (see
 ``golden_cells.py``) and say so in the PR description.
@@ -23,6 +23,7 @@ from tests.integration.golden_cells import (
     cell_digest,
     cli_parts,
     golden_cells,
+    headline_digest,
     load_goldens,
     load_observed_goldens,
     load_output_goldens,
@@ -95,3 +96,9 @@ def test_cli_output_matches_golden(name: str) -> None:
 
 def test_trace_artifacts_match_golden() -> None:
     assert trace_artifacts() == _OUTPUT_GOLDENS["trace"]
+
+
+def test_headline_matches_golden() -> None:
+    assert headline_digest() == _OUTPUT_GOLDENS["headline"], (
+        "run_headline no longer reproduces its pinned numbers"
+    )
