@@ -7,13 +7,15 @@ decisions is large — the paper's motivation for intelligent boosting.
 
 from __future__ import annotations
 
-from repro.experiments.figures import render_fig02, run_fig02
+from repro.experiments.figures import fig02, render_fig02
 
-from benchmarks.conftest import run_once, show
+from benchmarks.conftest import run_figures_once, show
 
 
 def test_fig02_single_stage_boosting(benchmark):
-    result = run_once(benchmark, run_fig02, duration_s=600.0, seeds=(3, 5))
+    (result,) = run_figures_once(
+        benchmark, fig02.figure(duration_s=600.0, seeds=(3, 5))
+    )
     show(render_fig02(result))
 
     best = result.best()

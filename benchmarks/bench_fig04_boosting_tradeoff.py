@@ -8,13 +8,15 @@ disappears.
 
 from __future__ import annotations
 
-from repro.experiments.figures import render_fig04, run_fig04
+from repro.experiments.figures import fig04, render_fig04
 
-from benchmarks.conftest import run_once, show
+from benchmarks.conftest import run_figures_once, show
 
 
 def test_fig04_boosting_tradeoff(benchmark):
-    result = run_once(benchmark, run_fig04, duration_s=600.0, seeds=(3, 5))
+    (result,) = run_figures_once(
+        benchmark, fig04.figure(duration_s=600.0, seeds=(3, 5))
+    )
     show(render_fig04(result))
 
     low_freq = result.cell("freq-boost", "low")

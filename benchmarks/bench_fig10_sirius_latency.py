@@ -9,13 +9,15 @@ across loads on their testbed).
 
 from __future__ import annotations
 
-from repro.experiments.figures import render_improvement_figure, run_fig10
+from repro.experiments.figures import fig10, render_improvement_figure
 
-from benchmarks.conftest import run_once, show
+from benchmarks.conftest import run_figures_once, show
 
 
 def test_fig10_sirius_improvement_grid(benchmark):
-    result = run_once(benchmark, run_fig10, duration_s=600.0, seeds=(3, 5))
+    (result,) = run_figures_once(
+        benchmark, fig10.figure(duration_s=600.0, seeds=(3, 5))
+    )
     show(render_improvement_figure(result))
 
     high_chief = result.cell("powerchief", "high")

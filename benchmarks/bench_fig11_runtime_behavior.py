@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.figures import render_fig11, run_fig11
+from repro.experiments.figures import fig11, render_fig11
 
-from benchmarks.conftest import run_once, show
+from benchmarks.conftest import run_figures_once, show
 
 
 def test_fig11_runtime_behavior(benchmark):
-    result = run_once(benchmark, run_fig11, seed=3)
+    (result,) = run_figures_once(benchmark, fig11.figure(seed=3))
     show(render_fig11(result))
 
     # (a) Frequency boosting: no instance ever launched.

@@ -9,13 +9,15 @@ frequency boosting at low load and instance boosting at medium load.
 
 from __future__ import annotations
 
-from repro.experiments.figures import render_fig12, run_fig12
+from repro.experiments.figures import fig12, render_fig12
 
-from benchmarks.conftest import run_once, show
+from benchmarks.conftest import run_figures_once, show
 
 
 def test_fig12_nlp_improvement_grid(benchmark):
-    result = run_once(benchmark, run_fig12, duration_s=600.0, seeds=(3, 5))
+    (result,) = run_figures_once(
+        benchmark, fig12.figure(duration_s=600.0, seeds=(3, 5))
+    )
     show(render_fig12(result))
 
     high_chief = result.cell("powerchief", "high")

@@ -8,13 +8,15 @@ with the QoS held for almost the entire timeline.
 
 from __future__ import annotations
 
-from repro.experiments.figures import render_fig13, run_fig13
+from repro.experiments.figures import fig13, render_fig13
 
-from benchmarks.conftest import run_once, show
+from benchmarks.conftest import run_figures_once, show
 
 
 def test_fig13_sirius_power_saving(benchmark):
-    result = run_once(benchmark, run_fig13, duration_s=800.0, seed=3)
+    (result,) = run_figures_once(
+        benchmark, fig13.figure(duration_s=800.0, seed=3)
+    )
     show(render_fig13(result))
 
     baseline = result.run_for("baseline")

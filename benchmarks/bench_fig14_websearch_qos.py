@@ -8,13 +8,15 @@ while Pegasus saves a modest amount.
 
 from __future__ import annotations
 
-from repro.experiments.figures import render_fig14, run_fig14
+from repro.experiments.figures import fig14, render_fig14
 
-from benchmarks.conftest import run_once, show
+from benchmarks.conftest import run_figures_once, show
 
 
 def test_fig14_websearch_power_saving(benchmark):
-    result = run_once(benchmark, run_fig14, duration_s=200.0, seed=3)
+    (result,) = run_figures_once(
+        benchmark, fig14.figure(duration_s=200.0, seed=3)
+    )
     show(render_fig14(result))
 
     baseline = result.run_for("baseline")

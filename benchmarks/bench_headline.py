@@ -8,22 +8,22 @@ power saved than Pegasus on both QoS deployments.
 
 from __future__ import annotations
 
-from repro.experiments.figures import run_fig10, run_fig12, run_fig13, run_fig14
+from repro.experiments.figures import fig10, fig12, fig13, fig14
 from repro.experiments.headline import compute_headline, format_headline
 
-from benchmarks.conftest import run_once, show
-
-
-def run_all():
-    fig10 = run_fig10(duration_s=600.0, seeds=(3, 5))
-    fig12 = run_fig12(duration_s=600.0, seeds=(3, 5))
-    fig13 = run_fig13(duration_s=800.0, seed=3)
-    fig14 = run_fig14(duration_s=200.0, seed=3)
-    return compute_headline(fig10, fig12, fig13, fig14)
+from benchmarks.conftest import run_figures_once, show
 
 
 def test_headline(benchmark):
-    headline = run_once(benchmark, run_all)
+    headline = compute_headline(
+        *run_figures_once(
+            benchmark,
+            fig10.figure(duration_s=600.0, seeds=(3, 5)),
+            fig12.figure(duration_s=600.0, seeds=(3, 5)),
+            fig13.figure(duration_s=800.0, seed=3),
+            fig14.figure(duration_s=200.0, seed=3),
+        )
+    )
     show(format_headline(headline))
 
     # Order-of-magnitude across-load improvement on both applications.

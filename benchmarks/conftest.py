@@ -35,6 +35,14 @@ def run_once(benchmark, func, *args, **kwargs):
     return benchmark.pedantic(func, args=args, kwargs=kwargs, rounds=1, iterations=1)
 
 
+def run_figures_once(benchmark, *figures):
+    """Benchmark one pass of the figure runner; each figure's result."""
+    from repro.experiments.campaign import run_figures
+
+    results, _ = run_once(benchmark, run_figures, list(figures))
+    return results
+
+
 def show(text: str) -> None:
     """Print a rendered figure with surrounding blank lines."""
     print()

@@ -3,16 +3,20 @@
 Commands:
 
 * ``figures`` — regenerate a paper figure/table (or ``all``) and print
-  its ASCII rendering.
+  its ASCII rendering; serial and uncached, through the same figure
+  runner as ``campaign``.
 * ``latency`` — one latency-mitigation run (Table-2 scenario) with a
   chosen application, policy and load level.
 * ``qos`` — one power-conservation run (Table-3 scenario) with a chosen
   deployment and policy.
-* ``campaign`` — the whole evaluation; ``--workers N`` fans the
-  artefacts across processes and ``--cache-dir`` memoizes finished cells
-  so re-runs only recompute what changed.
-* ``headline`` — the abstract's four claims, measured through the
-  parallel cell engine (same ``--workers`` / ``--cache-dir`` knobs).
+* ``campaign`` — the whole evaluation: the union of every figure's
+  scenario cells, each distinct run once; ``--workers N`` fans the cells
+  across processes and ``--cache-dir`` memoizes each run by its spec
+  digest, so re-runs only recompute changed cells and every render is
+  rebuilt from results.
+* ``headline`` — the abstract's four claims, measured through the same
+  figure runner (same ``--workers`` / ``--cache-dir`` knobs, shared
+  cache entries).
 * ``trace`` — one fully observed run: writes the query trace (JSONL +
   Chrome trace-event JSON for Perfetto), a Prometheus-style metrics
   dump, the controller decision audit log and the accounting-plane
@@ -223,17 +227,17 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="worker processes for the artefact fan-out (default: 1, serial)",
+        help="worker processes for the cell fan-out (default: 1, serial)",
     )
     campaign.add_argument(
         "--cache-dir",
-        help="content-addressed result cache; re-runs only recompute "
-        "changed artefacts",
+        help="content-addressed result cache keyed on each cell's scenario "
+        "digest; re-runs only recompute changed cells",
     )
 
     headline = commands.add_parser(
         "headline",
-        help="measure the paper's abstract numbers via the parallel cell engine",
+        help="measure the paper's abstract numbers via the figure runner",
     )
     headline.add_argument("--duration", type=float, default=600.0)
     headline.add_argument("--qos-duration", type=float, default=800.0)
@@ -607,10 +611,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_figures(args: argparse.Namespace) -> int:
+    from repro.experiments.campaign import run_figures
+
     registry = default_registry()
     names = sorted(registry) if args.which == "all" else [args.which]
-    for name in names:
-        print(registry[name]())
+    figures = [registry[name] for name in names]
+    results, _ = run_figures(figures)
+    for figure, result in zip(figures, results):
+        print(figure.render(result))
         print()
     return 0
 
@@ -720,7 +728,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     for name in result.artefacts:
         print(result.render(name))
         print()
-    print(result.timing_report())
+    print(result.report.format_timing())
     if result.output_dir is not None:
         print(f"campaign archived to {result.output_dir}")
     return 0

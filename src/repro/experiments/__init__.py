@@ -1,15 +1,16 @@
-"""Experiment harness: the parallel cell engine and per-figure drivers.
+"""Experiment harness: the parallel cell engine and the figure definitions.
 
 Every run is a :class:`~repro.scenario.spec.ScenarioSpec` handed to
 :func:`~repro.scenario.builder.run_scenario`; specs, configs and result
-types live in :mod:`repro.scenario`."""
+types live in :mod:`repro.scenario`.  Every figure is cells plus a
+reducer (:mod:`repro.experiments.figures`), run by
+:func:`repro.experiments.campaign.run_figures`."""
 
 from repro.experiments.parallel import (
     CellOutcome,
     EngineReport,
     ResultCache,
     run_cells,
-    spec_digest,
 )
 from repro.experiments.report import format_heading, format_table
 
@@ -18,7 +19,6 @@ __all__ = [
     "EngineReport",
     "ResultCache",
     "run_cells",
-    "spec_digest",
     "format_heading",
     "format_table",
 ]

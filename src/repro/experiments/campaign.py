@@ -6,39 +6,39 @@ renders plus a combined Markdown report to a directory.  This is what
 ``python -m repro campaign`` drives; the per-figure shape assertions live
 in the benchmark suite, not here.
 
-The campaign executes through the parallel cell engine
-(:mod:`repro.experiments.parallel`): each artefact of
-:func:`default_registry` becomes a cell, ``max_workers`` fans them out
-across processes, and ``cache_dir`` memoizes finished artefacts so a
-re-run only recomputes what changed.
+Every figure of :func:`default_registry` is a
+:class:`~repro.experiments.figures.common.Figure`: scenario cells plus a
+reducer.  :func:`run_figures` is the one runner for figures — the
+campaign, ``repro figures``, the headline summary, the figure tests and
+benches all go through it.  It runs the union of the figures' cells
+through the parallel cell engine (:mod:`repro.experiments.parallel`)
+once per distinct digest, so ``max_workers`` fans out cells and
+``cache_dir`` memoizes each run: a changed figure recomputes exactly its
+changed cells, and every render is rebuilt from results.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Optional, Union
+from typing import TYPE_CHECKING, Any, Optional, Sequence, Union
 
 from repro.errors import ExperimentError
-from repro.obs.metrics import MetricsRegistry
-from repro.experiments.parallel import CellOutcome, ResultCache, run_cells
-from repro.experiments.report import format_heading, format_table
+from repro.experiments.parallel import EngineReport, ResultCache, run_cells
 
-__all__ = ["CampaignResult", "default_registry", "run_campaign"]
+if TYPE_CHECKING:  # pragma: no cover - type-only imports
+    from repro.experiments.figures.common import Figure
+
+__all__ = ["CampaignResult", "default_registry", "run_campaign", "run_figures"]
 
 
 @dataclass
 class CampaignResult:
-    """Rendered artefacts of one campaign run, plus where the time went."""
+    """Rendered artefacts of one campaign run, plus its cells' report."""
 
     renders: dict[str, str] = field(default_factory=dict)
+    report: EngineReport = field(default_factory=EngineReport)
     output_dir: Optional[Path] = None
-    #: (artefact, elapsed seconds, source) per artefact, in artefact order.
-    timings: list[tuple[str, float, str]] = field(default_factory=list)
-    cache_hits: int = 0
-    computed: int = 0
-    wall_clock_s: float = 0.0
 
     @property
     def artefacts(self) -> list[str]:
@@ -51,83 +51,93 @@ class CampaignResult:
             raise ExperimentError(f"campaign has no artefact {name!r}") from None
 
     def combined_report(self) -> str:
-        """All renders concatenated into one Markdown document."""
+        """All renders and the per-cell timing in one Markdown document."""
         sections = ["# PowerChief reproduction — evaluation campaign\n"]
         for name in self.artefacts:
             sections.append(f"## {name}\n\n```\n{self.renders[name]}\n```\n")
-        if self.timings:
-            sections.append(f"## timing\n\n```\n{self.timing_report()}\n```\n")
+        sections.append(f"## timing\n\n```\n{self.report.format_timing()}\n```\n")
         return "\n".join(sections)
 
-    def timing_report(self) -> str:
-        """Per-artefact wall-clock breakdown, slowest first."""
-        rows = [
-            (name, f"{elapsed:.2f}s", source)
-            for name, elapsed, source in sorted(
-                self.timings, key=lambda item: item[1], reverse=True
-            )
-        ]
-        summary = (
-            f"{len(self.timings)} artefacts: {self.cache_hits} cached, "
-            f"{self.computed} computed, {self.wall_clock_s:.2f}s wall clock"
-        )
-        return (
-            format_heading("Campaign timing")
-            + "\n"
-            + format_table(["artefact", "elapsed", "source"], rows)
-            + "\n"
-            + summary
-        )
 
-
-def default_registry() -> dict[str, Callable[[], str]]:
+def default_registry() -> dict[str, Figure]:
     """The full evaluation: every figure/table keyed by artefact id."""
-    from repro.experiments import figures as fig
+    from repro.experiments.figures import (
+        fig02,
+        fig04,
+        fig10,
+        fig11,
+        fig12,
+        fig13,
+        fig14,
+        tables,
+    )
 
     return {
-        "fig02": lambda: fig.render_fig02(fig.run_fig02()),
-        "fig04": lambda: fig.render_fig04(fig.run_fig04()),
-        "fig10": lambda: fig.render_improvement_figure(fig.run_fig10()),
-        "fig11": lambda: fig.render_fig11(fig.run_fig11()),
-        "fig12": lambda: fig.render_fig12(fig.run_fig12()),
-        "fig13": lambda: fig.render_fig13(fig.run_fig13()),
-        "fig14": lambda: fig.render_fig14(fig.run_fig14()),
-        "table1": fig.render_table1,
-        "table4": fig.render_table4,
+        "fig02": fig02.figure(),
+        "fig04": fig04.figure(),
+        "fig10": fig10.figure(),
+        "fig11": fig11.figure(),
+        "fig12": fig12.figure(),
+        "fig13": fig13.figure(),
+        "fig14": fig14.figure(),
+        "table1": tables.static_table(tables.render_table1),
+        "table4": tables.static_table(tables.render_table4),
     }
+
+
+def run_figures(
+    figures: Sequence[Figure],
+    max_workers: int = 1,
+    cache: Union[ResultCache, str, Path, None] = None,
+) -> tuple[list[Any], EngineReport]:
+    """Run the figures' cells, then reduce each figure from its results.
+
+    The union of every figure's cells goes through one :func:`run_cells`
+    call with each distinct digest once, so a run two figures share is
+    computed, or read from ``cache``, once.  Each reducer receives its
+    own cells' results in cell order, decoded from their payloads — the
+    form a cache hit takes — so a fresh and a warm run reduce the same
+    values.  Returns each figure's result in figure order, and the
+    engine's report.
+    """
+    digests = [[cell.digest() for cell in figure.cells] for figure in figures]
+    unique = {
+        digest: cell
+        for figure, keys in zip(figures, digests)
+        for digest, cell in zip(keys, figure.cells)
+    }
+    report = run_cells(list(unique.values()), max_workers=max_workers, cache=cache)
+    results = {outcome.digest: outcome.result() for outcome in report.outcomes}
+    reduced = [
+        figure.reduce([results[digest] for digest in keys])
+        for figure, keys in zip(figures, digests)
+    ]
+    return reduced, report
 
 
 def run_campaign(
     output_dir: Optional[str | Path] = None,
     max_workers: int = 1,
     cache_dir: Union[ResultCache, str, Path, None] = None,
-    progress: Optional[Callable[[CellOutcome], None]] = None,
-    metrics: Optional[MetricsRegistry] = None,
 ) -> CampaignResult:
-    """Run every registered artefact; optionally archive the renders.
+    """Run every registered figure; optionally archive the renders.
 
     When ``output_dir`` is given, each artefact is written as
     ``<name>.txt`` alongside a combined ``report.md``.  ``max_workers``
-    and ``cache_dir`` configure the parallel engine the artefact cells
-    run through.  ``metrics`` routes the engine's cache and timing
-    bookkeeping through a :class:`~repro.obs.metrics.MetricsRegistry`.
+    and ``cache_dir`` configure the parallel engine the figures' cells
+    run through.
     """
-    started = time.perf_counter()
-    result = CampaignResult()
-    names = sorted(default_registry())
-    report = run_cells(
-        names,
-        max_workers=max_workers,
-        cache=cache_dir,
-        progress=progress,
-        registry=metrics,
+    registry = default_registry()
+    names = sorted(registry)
+    figures = [registry[name] for name in names]
+    values, report = run_figures(figures, max_workers=max_workers, cache=cache_dir)
+    result = CampaignResult(
+        renders={
+            name: figure.render(value)
+            for name, figure, value in zip(names, figures, values)
+        },
+        report=report,
     )
-    for name, outcome in zip(names, report.outcomes):
-        result.renders[name] = outcome.payload["render"]
-        result.timings.append((name, outcome.elapsed_s, outcome.source))
-    result.cache_hits = report.cache_hits
-    result.computed = report.computed
-    result.wall_clock_s = time.perf_counter() - started
     if output_dir is not None:
         target = Path(output_dir)
         target.mkdir(parents=True, exist_ok=True)

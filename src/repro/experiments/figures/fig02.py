@@ -32,13 +32,13 @@ from repro.scenario.config import (
     TABLE2_INITIAL_FREQ_GHZ,
     TABLE2_POWER_BUDGET_WATTS,
 )
-from repro.experiments.figures.common import DEFAULT_SEEDS
+from repro.experiments.figures.common import DEFAULT_SEEDS, Figure, seed_means
 from repro.experiments.report import format_heading, format_table
-from repro.scenario.builder import run_scenario
+from repro.scenario.results import RunResult
 from repro.scenario.spec import ScenarioSpec, StageAllocation
 from repro.workloads.sirius import SIRIUS_STAGES, sirius_load_levels
 
-__all__ = ["Fig02Bar", "Fig02Result", "run_fig02", "render_fig02"]
+__all__ = ["Fig02Bar", "Fig02Result", "figure", "render_fig02"]
 
 
 @dataclass(frozen=True)
@@ -97,52 +97,54 @@ def _boost_allocations(stage: str) -> dict[str, dict[str, StageAllocation]]:
     return {"frequency": freq_alloc, "instance": inst_alloc}
 
 
-def run_fig02(
+def figure(
     duration_s: float = 600.0,
     seeds: Sequence[int] = DEFAULT_SEEDS,
-) -> Fig02Result:
-    """Run every static single-stage boost under low load.
+) -> Figure:
+    """Every static single-stage boost under low load, plus the baseline.
 
     Low load keeps the floored non-boosted stages out of saturation, so
     a wrong boosting decision degrades latency by tens of percent (as in
     the figure) rather than driving an unbounded queue.
     """
     rate = sirius_load_levels().low_qps
-
-    def mean_for(allocation) -> float:
-        runs = [
-            run_scenario(
-                ScenarioSpec.latency(
-                    "sirius",
-                    "static",
-                    ("constant", rate),
-                    duration_s,
-                    seed=seed,
-                    allocation=allocation,
-                )
-            )
-            for seed in seeds
-        ]
-        return sum(run.latency.mean for run in runs) / len(runs)
-
     baseline_level = HASWELL_LADDER.level_of(TABLE2_INITIAL_FREQ_GHZ)
     baseline_alloc = {
         name: StageAllocation(1, baseline_level) for name in SIRIUS_STAGES
     }
-    baseline_mean = mean_for(baseline_alloc)
+    boosts = [
+        (stage, technique, allocation)
+        for stage in SIRIUS_STAGES
+        for technique, allocation in _boost_allocations(stage).items()
+    ]
+    cells = tuple(
+        ScenarioSpec.latency(
+            "sirius",
+            "static",
+            ("constant", rate),
+            duration_s,
+            seed=seed,
+            allocation=allocation,
+        )
+        for allocation in [baseline_alloc] + [alloc for _, _, alloc in boosts]
+        for seed in seeds
+    )
 
-    bars = []
-    for stage in SIRIUS_STAGES:
-        for technique, allocation in _boost_allocations(stage).items():
-            bars.append(
-                Fig02Bar(
-                    stage=stage,
-                    technique=technique,
-                    normalized_latency=mean_for(allocation) / baseline_mean,
-                    allocation=allocation,
-                )
+    def reduce(results: Sequence[RunResult]) -> Fig02Result:
+        means = seed_means(results, len(seeds))
+        baseline_mean, _ = next(means)
+        bars = tuple(
+            Fig02Bar(
+                stage=stage,
+                technique=technique,
+                normalized_latency=next(means)[0] / baseline_mean,
+                allocation=allocation,
             )
-    return Fig02Result(baseline_mean_s=baseline_mean, bars=tuple(bars))
+            for stage, technique, allocation in boosts
+        )
+        return Fig02Result(baseline_mean_s=baseline_mean, bars=bars)
+
+    return Figure(cells=cells, reduce=reduce, render=render_fig02)
 
 
 def render_fig02(result: Fig02Result) -> str:

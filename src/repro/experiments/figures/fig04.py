@@ -16,13 +16,17 @@ from typing import Sequence
 from repro.errors import ExperimentError
 from repro.experiments.figures.common import (
     DEFAULT_SEEDS,
+    Figure,
     ImprovementCell,
-    improvement_grid,
+    improvement_cells,
+    reduce_improvement,
 )
 from repro.experiments.report import format_heading, format_table
 from repro.workloads.sirius import sirius_load_levels
 
-__all__ = ["Fig04Result", "run_fig04", "render_fig04"]
+__all__ = ["Fig04Result", "figure", "render_fig04"]
+
+POLICIES = ("freq-boost", "inst-boost")
 
 
 @dataclass(frozen=True)
@@ -36,20 +40,22 @@ class Fig04Result:
         raise ExperimentError(f"no cell for {policy}@{load}")
 
 
-def run_fig04(
+def figure(
     duration_s: float = 600.0,
     seeds: Sequence[int] = DEFAULT_SEEDS,
-) -> Fig04Result:
-    """Run frequency and instance boosting at low and high Sirius load."""
+) -> Figure:
+    """Frequency and instance boosting at low and high Sirius load."""
     levels = sirius_load_levels()
-    cells = improvement_grid(
-        app="sirius",
-        loads={"low": levels.low_qps, "high": levels.high_qps},
-        policies=("freq-boost", "inst-boost"),
-        duration_s=duration_s,
-        seeds=seeds,
+    loads = {"low": levels.low_qps, "high": levels.high_qps}
+    return Figure(
+        cells=improvement_cells("sirius", loads, POLICIES, duration_s, seeds),
+        reduce=lambda results: Fig04Result(
+            cells=reduce_improvement(
+                "sirius", loads, POLICIES, len(seeds), results
+            )
+        ),
+        render=render_fig04,
     )
-    return Fig04Result(cells=tuple(cells))
 
 
 def render_fig04(result: Fig04Result) -> str:
@@ -57,7 +63,7 @@ def render_fig04(result: Fig04Result) -> str:
     sections = [format_heading("Figure 4: boosting-technique tradeoff (Sirius)")]
     for load in ("low", "high"):
         rows = []
-        for policy in ("freq-boost", "inst-boost"):
+        for policy in POLICIES:
             cell = result.cell(policy, load)
             rows.append(
                 (

@@ -16,13 +16,21 @@ from typing import Sequence
 from repro.errors import ExperimentError
 from repro.experiments.figures.common import (
     DEFAULT_SEEDS,
+    Figure,
     ImprovementCell,
-    improvement_grid,
+    improvement_cells,
+    reduce_improvement,
 )
 from repro.experiments.report import format_heading, format_table
+from repro.workloads.levels import LoadLevels
 from repro.workloads.sirius import sirius_load_levels
 
-__all__ = ["ImprovementFigureResult", "run_fig10", "render_improvement_figure"]
+__all__ = [
+    "ImprovementFigureResult",
+    "figure",
+    "improvement_figure",
+    "render_improvement_figure",
+]
 
 POLICIES = ("freq-boost", "inst-boost", "powerchief")
 LOADS = ("low", "medium", "high")
@@ -52,25 +60,40 @@ class ImprovementFigureResult:
         return avg, p99
 
 
-def run_fig10(
+def improvement_figure(
+    app: str,
+    name: str,
+    levels: LoadLevels,
+    duration_s: float,
+    seeds: Sequence[int],
+    policies: Sequence[str],
+) -> Figure:
+    """The Figure-10/12 grid: each policy against the static baseline at
+    the application's three load levels."""
+    loads = {
+        "low": levels.low_qps,
+        "medium": levels.medium_qps,
+        "high": levels.high_qps,
+    }
+    return Figure(
+        cells=improvement_cells(app, loads, policies, duration_s, seeds),
+        reduce=lambda results: ImprovementFigureResult(
+            app=app,
+            figure=name,
+            cells=reduce_improvement(app, loads, policies, len(seeds), results),
+        ),
+        render=render_improvement_figure,
+    )
+
+
+def figure(
     duration_s: float = 600.0,
     seeds: Sequence[int] = DEFAULT_SEEDS,
-) -> ImprovementFigureResult:
-    """Run the full Figure-10 grid for Sirius."""
-    levels = sirius_load_levels()
-    cells = improvement_grid(
-        app="sirius",
-        loads={
-            "low": levels.low_qps,
-            "medium": levels.medium_qps,
-            "high": levels.high_qps,
-        },
-        policies=POLICIES,
-        duration_s=duration_s,
-        seeds=seeds,
-    )
-    return ImprovementFigureResult(
-        app="sirius", figure="Figure 10", cells=tuple(cells)
+    policies: Sequence[str] = POLICIES,
+) -> Figure:
+    """The Figure-10 grid for Sirius."""
+    return improvement_figure(
+        "sirius", "Figure 10", sirius_load_levels(), duration_s, seeds, policies
     )
 
 

@@ -19,15 +19,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from repro.errors import ExperimentError
 from repro.core.actions import InstanceLaunchAction, InstanceWithdrawAction
+from repro.experiments.figures.common import Figure
 from repro.experiments.report import format_heading, format_table
-from repro.scenario.builder import run_scenario
 from repro.scenario.results import RunResult
 from repro.scenario.sampling import StateSample
 from repro.scenario.spec import ScenarioSpec
 from repro.workloads.sirius import SIRIUS_STAGES, sirius_load_levels
 from repro.workloads.traces import FIG11_DURATION_S, fig11_trace
 
-__all__ = ["Fig11Result", "run_fig11", "render_fig11"]
+__all__ = ["Fig11Result", "figure", "render_fig11"]
 
 POLICIES = ("freq-boost", "inst-boost", "powerchief")
 
@@ -57,15 +57,15 @@ class Fig11Result:
         )
 
 
-def run_fig11(
+def figure(
     duration_s: float = FIG11_DURATION_S,
     seed: int = 3,
     sample_interval_s: float = 25.0,
-) -> Fig11Result:
-    """Run the three boosting policies under the Figure-11 load trace."""
+) -> Figure:
+    """The three boosting policies under the Figure-11 load trace."""
     trace = fig11_trace(sirius_load_levels().high_qps)
-    runs = tuple(
-        run_scenario(
+    return Figure(
+        cells=tuple(
             ScenarioSpec.latency(
                 "sirius",
                 policy,
@@ -74,10 +74,11 @@ def run_fig11(
                 seed=seed,
                 sample_interval_s=sample_interval_s,
             )
-        )
-        for policy in POLICIES
+            for policy in POLICIES
+        ),
+        reduce=lambda results: Fig11Result(runs=tuple(results)),
+        render=render_fig11,
     )
-    return Fig11Result(runs=runs)
 
 
 def _format_sample(sample: StateSample) -> tuple[str, ...]:

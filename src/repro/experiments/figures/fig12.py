@@ -11,35 +11,27 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.experiments.figures.common import DEFAULT_SEEDS, improvement_grid
+from repro.experiments.figures.common import DEFAULT_SEEDS, Figure
 from repro.experiments.figures.fig10 import (
     POLICIES,
     ImprovementFigureResult,
+    improvement_figure,
     render_improvement_figure,
 )
 from repro.workloads.nlp import nlp_load_levels
 
-__all__ = ["run_fig12", "render_fig12"]
+__all__ = ["figure", "render_fig12"]
 
 
-def run_fig12(
+def figure(
     duration_s: float = 600.0,
     seeds: Sequence[int] = DEFAULT_SEEDS,
-) -> ImprovementFigureResult:
-    """Run the full Figure-12 grid for the NLP application."""
-    levels = nlp_load_levels()
-    cells = improvement_grid(
-        app="nlp",
-        loads={
-            "low": levels.low_qps,
-            "medium": levels.medium_qps,
-            "high": levels.high_qps,
-        },
-        policies=POLICIES,
-        duration_s=duration_s,
-        seeds=seeds,
+    policies: Sequence[str] = POLICIES,
+) -> Figure:
+    """The Figure-12 grid for the NLP application."""
+    return improvement_figure(
+        "nlp", "Figure 12", nlp_load_levels(), duration_s, seeds, policies
     )
-    return ImprovementFigureResult(app="nlp", figure="Figure 12", cells=tuple(cells))
 
 
 def render_fig12(result: ImprovementFigureResult) -> str:

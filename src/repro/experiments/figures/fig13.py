@@ -14,12 +14,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from repro.errors import ExperimentError
 from repro.scenario.config import TABLE3_SIRIUS, Table3Setup
+from repro.experiments.figures.common import Figure
 from repro.experiments.report import format_heading, format_table
-from repro.scenario.builder import run_scenario
 from repro.scenario.results import QosRunResult
 from repro.scenario.spec import ScenarioSpec
 
-__all__ = ["QosFigureResult", "run_fig13", "render_qos_figure", "render_fig13"]
+__all__ = [
+    "QosFigureResult",
+    "figure",
+    "qos_figure",
+    "render_qos_figure",
+    "render_fig13",
+]
 
 POLICIES = ("baseline", "pegasus", "powerchief")
 
@@ -48,19 +54,29 @@ class QosFigureResult:
         return (baseline - self.run_for(policy).average_power_fraction) / baseline
 
 
-def run_fig13(
+def qos_figure(
+    name: str, setup: Table3Setup, rate_qps: float, duration_s: float, seed: int
+) -> Figure:
+    """The three QoS policies on one Table-3 deployment (Figures 13/14)."""
+    return Figure(
+        cells=tuple(
+            ScenarioSpec.qos(setup.app, policy, rate_qps, duration_s, seed=seed)
+            for policy in POLICIES
+        ),
+        reduce=lambda results: QosFigureResult(
+            figure=name, setup=setup, runs=tuple(results)
+        ),
+        render=render_qos_figure,
+    )
+
+
+def figure(
     duration_s: float = 800.0,
     seed: int = 3,
     rate_qps: float = SIRIUS_QOS_RATE_QPS,
-) -> QosFigureResult:
-    """Run the three QoS policies on the Table-3 Sirius deployment."""
-    runs = tuple(
-        run_scenario(
-            ScenarioSpec.qos(TABLE3_SIRIUS.app, policy, rate_qps, duration_s, seed=seed)
-        )
-        for policy in POLICIES
-    )
-    return QosFigureResult(figure="Figure 13", setup=TABLE3_SIRIUS, runs=runs)
+) -> Figure:
+    """The three QoS policies on the Table-3 Sirius deployment."""
+    return qos_figure("Figure 13", TABLE3_SIRIUS, rate_qps, duration_s, seed)
 
 
 def render_qos_figure(result: QosFigureResult, every_nth_sample: int = 8) -> str:

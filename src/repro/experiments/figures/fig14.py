@@ -12,36 +12,27 @@ instantaneous-latency bail-outs.
 from __future__ import annotations
 
 from repro.scenario.config import TABLE3_WEBSEARCH
+from repro.experiments.figures.common import Figure
 from repro.experiments.figures.fig13 import (
-    POLICIES,
     QosFigureResult,
+    qos_figure,
     render_qos_figure,
 )
-from repro.scenario.builder import run_scenario
-from repro.scenario.spec import ScenarioSpec
 
-__all__ = ["run_fig14", "render_fig14", "WEBSEARCH_QOS_RATE_QPS"]
+__all__ = ["figure", "render_fig14", "WEBSEARCH_QOS_RATE_QPS"]
 
 #: Arrival rate for the Web Search QoS runs: ~40% leaf utilisation,
 #: matching the figure's baseline latency fraction of ~0.45.
 WEBSEARCH_QOS_RATE_QPS = 8.0
 
 
-def run_fig14(
+def figure(
     duration_s: float = 200.0,
     seed: int = 3,
     rate_qps: float = WEBSEARCH_QOS_RATE_QPS,
-) -> QosFigureResult:
-    """Run the three QoS policies on the Table-3 Web Search deployment."""
-    runs = tuple(
-        run_scenario(
-            ScenarioSpec.qos(
-                TABLE3_WEBSEARCH.app, policy, rate_qps, duration_s, seed=seed
-            )
-        )
-        for policy in POLICIES
-    )
-    return QosFigureResult(figure="Figure 14", setup=TABLE3_WEBSEARCH, runs=runs)
+) -> Figure:
+    """The three QoS policies on the Table-3 Web Search deployment."""
+    return qos_figure("Figure 14", TABLE3_WEBSEARCH, rate_qps, duration_s, seed)
 
 
 def render_fig14(result: QosFigureResult) -> str:

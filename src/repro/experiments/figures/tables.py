@@ -2,14 +2,17 @@
 
 Table 1 lists the candidate latency metrics for bottleneck identification
 (all implemented in :mod:`repro.core.metrics`); Table 4 is the capability
-comparison between PowerChief and prior work.
+comparison between PowerChief and prior work.  Neither runs a scenario:
+:func:`static_table` makes each a :class:`Figure` with no cells.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.core.metrics import MetricKind
+from repro.experiments.figures.common import Figure
 from repro.experiments.report import format_heading, format_table
 
 __all__ = [
@@ -18,7 +21,13 @@ __all__ = [
     "SystemCapabilities",
     "TABLE4_SYSTEMS",
     "render_table4",
+    "static_table",
 ]
+
+
+def static_table(render: Callable[[], str]) -> Figure:
+    """A table that needs no runs, as a figure: no cells, a fixed render."""
+    return Figure(cells=(), reduce=lambda results: None, render=lambda _: render())
 
 #: Table 1: metric name, its calculation, and the implementing MetricKind.
 TABLE1_ROWS: tuple[tuple[str, str, MetricKind], ...] = (

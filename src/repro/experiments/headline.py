@@ -9,8 +9,8 @@ the baseline" for Sirius and Web Search "whereas Pegasus saves 2% and
 
 :func:`compute_headline` derives the same aggregates from this
 reproduction's figure results so EXPERIMENTS.md (and the abstract-style
-summary printed by ``python -m repro figures all``) always reflect the
-measured values.
+summary printed by ``python -m repro headline``) always reflect the
+measured values; :func:`run_headline` runs those figures for it.
 """
 
 from __future__ import annotations
@@ -19,10 +19,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
+from repro.experiments.campaign import run_figures
+from repro.experiments.figures.common import DEFAULT_SEEDS
 from repro.experiments.figures.fig10 import ImprovementFigureResult
 from repro.experiments.figures.fig13 import QosFigureResult
-from repro.experiments.parallel import ResultCache, run_cells
-from repro.scenario.spec import ScenarioSpec
+from repro.experiments.parallel import ResultCache
 
 __all__ = ["Headline", "compute_headline", "run_headline", "format_headline"]
 
@@ -77,97 +78,26 @@ def run_headline(
     max_workers: int = 1,
     cache_dir: Union[ResultCache, str, Path, None] = None,
 ) -> Headline:
-    """Measure the headline numbers through the parallel cell engine.
+    """Measure the headline numbers through the figure runner.
 
-    Fans the underlying experiment cells — (app, policy, load, seed) for
-    the Figure-10/12 improvement grids plus the Figure-13/14 QoS
-    timelines — across ``max_workers`` processes, memoizing each cell in
-    ``cache_dir``.  The aggregation mirrors the figure modules exactly:
-    latencies are averaged across seeds before ratios are taken, and
-    per-policy improvements are averaged across load levels.
+    Runs the Figure-10/12 grids restricted to the static baseline and
+    PowerChief, plus Figures 13 and 14 at ``qos_duration_s`` and
+    ``qos_seed``, as one deduplicated set of cells fanned across
+    ``max_workers`` processes and memoized in ``cache_dir`` — so it
+    shares cache entries with ``repro campaign`` — and hands the
+    reduced figures to :func:`compute_headline`.
     """
-    from repro.experiments.figures.common import DEFAULT_SEEDS
-    from repro.experiments.figures.fig13 import SIRIUS_QOS_RATE_QPS
-    from repro.experiments.figures.fig14 import WEBSEARCH_QOS_RATE_QPS
-    from repro.workloads.nlp import nlp_load_levels
-    from repro.workloads.sirius import sirius_load_levels
+    from repro.experiments.figures import fig10, fig12, fig13, fig14
 
     seeds = tuple(seeds) if seeds is not None else DEFAULT_SEEDS
-    apps = {"sirius": sirius_load_levels(), "nlp": nlp_load_levels()}
-    load_names = ("low", "medium", "high")
-    qos_setups = (
-        ("sirius", SIRIUS_QOS_RATE_QPS),
-        ("websearch", WEBSEARCH_QOS_RATE_QPS),
-    )
-    qos_policies = ("baseline", "pegasus", "powerchief")
-
-    def latency_cell(app: str, policy: str, rate: float, seed: int) -> ScenarioSpec:
-        return ScenarioSpec.latency(
-            app, policy, ("constant", rate), duration_s, seed
-        )
-
-    def qos_cell(app: str, policy: str, rate: float) -> ScenarioSpec:
-        return ScenarioSpec.qos(app, policy, rate, qos_duration_s, qos_seed)
-
-    specs: list[ScenarioSpec] = []
-    for app, levels in apps.items():
-        for load in load_names:
-            rate = getattr(levels, f"{load}_qps")
-            for policy in ("static", "powerchief"):
-                for seed in seeds:
-                    specs.append(latency_cell(app, policy, rate, seed))
-    for app, rate in qos_setups:
-        for policy in qos_policies:
-            specs.append(qos_cell(app, policy, rate))
-
-    report = run_cells(specs, max_workers=max_workers, cache=cache_dir)
-    results = dict(zip(specs, report.outcomes))
-
-    def mean_latencies(app: str, policy: str, rate: float) -> tuple[float, float]:
-        runs = [
-            results[latency_cell(app, policy, rate, seed)].result()
-            for seed in seeds
-        ]
-        mean = sum(run.latency.mean for run in runs) / len(runs)
-        p99 = sum(run.latency.p99 for run in runs) / len(runs)
-        return mean, p99
-
-    improvements: dict[str, tuple[float, float]] = {}
-    for app, levels in apps.items():
-        avg_ratios, p99_ratios = [], []
-        for load in load_names:
-            rate = getattr(levels, f"{load}_qps")
-            base_mean, base_p99 = mean_latencies(app, "static", rate)
-            chief_mean, chief_p99 = mean_latencies(app, "powerchief", rate)
-            avg_ratios.append(base_mean / chief_mean)
-            p99_ratios.append(base_p99 / chief_p99)
-        improvements[app] = (
-            sum(avg_ratios) / len(avg_ratios),
-            sum(p99_ratios) / len(p99_ratios),
-        )
-
-    savings: dict[tuple[str, str], float] = {}
-    for app, rate in qos_setups:
-        fractions = {
-            policy: results[qos_cell(app, policy, rate)]
-            .result()
-            .average_power_fraction
-            for policy in qos_policies
-        }
-        baseline = fractions["baseline"]
-        for policy in ("powerchief", "pegasus"):
-            savings[(app, policy)] = (baseline - fractions[policy]) / baseline
-
-    return Headline(
-        sirius_avg_improvement=improvements["sirius"][0],
-        sirius_p99_improvement=improvements["sirius"][1],
-        nlp_avg_improvement=improvements["nlp"][0],
-        nlp_p99_improvement=improvements["nlp"][1],
-        sirius_power_saving=savings[("sirius", "powerchief")],
-        websearch_power_saving=savings[("websearch", "powerchief")],
-        sirius_pegasus_saving=savings[("sirius", "pegasus")],
-        websearch_pegasus_saving=savings[("websearch", "pegasus")],
-    )
+    figures = [
+        fig10.figure(duration_s, seeds, policies=("powerchief",)),
+        fig12.figure(duration_s, seeds, policies=("powerchief",)),
+        fig13.figure(qos_duration_s, qos_seed),
+        fig14.figure(qos_duration_s, qos_seed),
+    ]
+    results, _ = run_figures(figures, max_workers=max_workers, cache=cache_dir)
+    return compute_headline(*results)
 
 
 def format_headline(headline: Headline) -> str:

@@ -1,17 +1,15 @@
 """Parallel experiment execution with content-addressed result caching.
 
-Every cell of the evaluation — one scenario run, or one rendered
-artefact — is an independent, deterministically seeded computation, so
-a campaign is an embarrassingly parallel fan-out.  This module is the
-substrate the campaign driver, the headline aggregator and the sweep
-benchmarks execute on:
+Every cell of the evaluation is one scenario run: an independent,
+deterministically seeded computation, so a campaign is an embarrassingly
+parallel fan-out.  This module is the substrate the figure runner (and
+through it the campaign, ``repro figures`` and the headline summary),
+``repro run`` and the sweep benchmarks execute on:
 
-* a cell is either a :class:`~repro.scenario.spec.ScenarioSpec` (a
-  frozen, hashable, picklable run description) or the plain name of a
-  campaign artefact (a default-registry figure or table);
-* :func:`spec_digest` is a cell's cache key — a scenario's own
-  :meth:`~repro.scenario.spec.ScenarioSpec.digest`, so a campaign cell
-  and ``repro run --scenario`` share cache entries;
+* a cell is a :class:`~repro.scenario.spec.ScenarioSpec` (a frozen,
+  hashable, picklable run description), and its cache key is the spec's
+  own :meth:`~repro.scenario.spec.ScenarioSpec.digest`, so a campaign
+  cell and ``repro run --scenario`` share cache entries;
   :class:`ResultCache` memoizes completed cells on disk under that
   digest, so re-running a campaign only recomputes changed cells.
 * :func:`run_cells` fans cells out across worker processes via
@@ -27,7 +25,6 @@ paths, so a cell's payload is byte-identical however it was executed —
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import time
@@ -38,7 +35,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Optional, Sequence, Union
 
-from repro.errors import ConfigurationError, ExperimentError
+from repro.errors import ConfigurationError
 from repro.obs.metrics import MetricsRegistry
 from repro.experiments.export import (
     scenario_payload,
@@ -50,11 +47,9 @@ from repro.scenario.spec import ScenarioSpec
 
 __all__ = [
     "CACHE_VERSION",
-    "Cell",
     "CellOutcome",
     "EngineReport",
     "ResultCache",
-    "spec_digest",
     "execute_cell",
     "run_cells",
 ]
@@ -65,56 +60,21 @@ __all__ = [
 #: canonical :meth:`~repro.scenario.spec.ScenarioSpec.digest`.
 CACHE_VERSION = 2
 
-#: One unit of campaign work: a scenario run, or an artefact's name.
-Cell = Union[ScenarioSpec, str]
-
-#: What a cell computes: a scenario result, or an artefact's render.
-CellResult = Union[RunResult, QosRunResult, ShardedRunResult, str]
-
-
-def _label(cell: Cell) -> str:
-    """Short human-readable identity for progress/timing records."""
-    return f"artefact:{cell}" if isinstance(cell, str) else cell.label
-
-
-def spec_digest(cell: Cell) -> str:
-    """Stable SHA-256 content address of a cell: its cache key.
-
-    A scenario cell's digest is :meth:`ScenarioSpec.digest`, so a
-    campaign cell and the equivalent ``repro run --scenario`` spec hit
-    the same cache entry; an artefact cell digests its name under
-    :data:`CACHE_VERSION`.
-    """
-    if isinstance(cell, ScenarioSpec):
-        return cell.digest()
-    canonical = json.dumps(
-        {"version": CACHE_VERSION, "artefact": cell},
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+#: What a cell computes.
+CellResult = Union[RunResult, QosRunResult, ShardedRunResult]
 
 
 # ----------------------------------------------------------------------
 # Cell execution (runs inside worker processes — module level, picklable)
 # ----------------------------------------------------------------------
-def execute_cell(cell: Cell) -> dict[str, Any]:
+def execute_cell(spec: ScenarioSpec) -> dict[str, Any]:
     """Run one cell and return its JSON-serialisable payload."""
-    if isinstance(cell, ScenarioSpec):
-        from repro.scenario.builder import run_scenario
+    from repro.scenario.builder import run_scenario
 
-        return scenario_payload(run_scenario(cell))
-    # Artefact cells resolve the campaign registry lazily so the campaign
-    # module can itself be built on this engine without an import cycle.
-    from repro.experiments.campaign import default_registry
-
-    registry = default_registry()
-    if cell not in registry:
-        raise ExperimentError(f"campaign has no artefact {cell!r}")
-    return {"kind": "artefact", "render": registry[cell]()}
+    return scenario_payload(run_scenario(spec))
 
 
-def _timed_execute(cell: Cell) -> dict[str, Any]:
+def _timed_execute(spec: ScenarioSpec) -> dict[str, Any]:
     """Worker entry point: execute one cell, recording wall clock and pid.
 
     The payload is normalised through a JSON round trip here, at the
@@ -123,7 +83,7 @@ def _timed_execute(cell: Cell) -> dict[str, Any]:
     worker, or read from the on-disk cache.
     """
     start = time.perf_counter()
-    payload = json.loads(json.dumps(execute_cell(cell)))
+    payload = json.loads(json.dumps(execute_cell(spec)))
     return {
         "payload": payload,
         "elapsed_s": time.perf_counter() - start,
@@ -139,9 +99,12 @@ class ResultCache:
 
     A cache entry records the spec it was computed from, its payload and
     the compute time, versioned by :data:`CACHE_VERSION`.  Corrupt,
-    mismatched or stale-version entries read as misses and are
-    overwritten on the next store, so a cache directory can never poison
-    a campaign.
+    mismatched or stale-version entries — anything that is not a JSON
+    object with this version, this digest and an object payload — read
+    as misses and are overwritten on the next store, so a cache
+    directory can never poison a campaign.  Each store writes through a
+    temp file of its own, so processes sharing a directory never trip
+    over each other's writes.
     """
 
     def __init__(self, directory: Union[str, Path]) -> None:
@@ -168,36 +131,42 @@ class ResultCache:
             self.misses += 1
             return None
         if (
-            record.get("version") != CACHE_VERSION
+            not isinstance(record, dict)
+            or record.get("version") != CACHE_VERSION
             or record.get("digest") != digest
-            or "payload" not in record
+            or not isinstance(record.get("payload"), dict)
         ):
             self.misses += 1
             return None
         self.hits += 1
         return record
 
-    def put(self, cell: Cell, digest: str, record: dict[str, Any]) -> None:
+    def put(self, spec: ScenarioSpec, digest: str, record: dict[str, Any]) -> None:
         """Store a computed cell; written atomically via a temp file.
 
-        The cell is stored for provenance only (the digest is the lookup
-        key): a scenario as its dict form, an artefact as its name.
+        The spec is stored as its dict form for provenance only (the
+        digest is the lookup key).
         """
+        import tempfile
+
         entry = {
             "version": CACHE_VERSION,
             "digest": digest,
-            "spec": (
-                cell.to_dict()
-                if isinstance(cell, ScenarioSpec)
-                else {"artefact": cell}
-            ),
+            "spec": spec.to_dict(),
             "elapsed_s": record.get("elapsed_s", 0.0),
             "payload": record["payload"],
         }
-        path = self.path_for(digest)
-        scratch = path.with_suffix(".tmp")
-        scratch.write_text(json.dumps(entry, sort_keys=True) + "\n")
-        scratch.replace(path)
+        handle, name = tempfile.mkstemp(
+            prefix=f"{digest}.", suffix=".tmp", dir=self.directory
+        )
+        scratch = Path(name)
+        try:
+            with os.fdopen(handle, "w") as stream:
+                stream.write(json.dumps(entry, sort_keys=True) + "\n")
+            scratch.replace(self.path_for(digest))
+        except BaseException:
+            scratch.unlink(missing_ok=True)
+            raise
         self.stores += 1
 
     def __len__(self) -> int:
@@ -225,7 +194,7 @@ class CellOutcome:
     (recomputed in-process after a worker crash or timeout).
     """
 
-    spec: Cell
+    spec: ScenarioSpec
     digest: str
     payload: dict[str, Any]
     elapsed_s: float
@@ -234,8 +203,6 @@ class CellOutcome:
     worker: Optional[int] = None
 
     def result(self) -> CellResult:
-        if isinstance(self.spec, str):
-            return self.payload["render"]
         return scenario_result_from_payload(self.payload)
 
 
@@ -267,10 +234,15 @@ class EngineReport:
         return [outcome.result() for outcome in self.outcomes]
 
     def format_timing(self) -> str:
-        """A where-did-the-wall-clock-go table, slowest cells first."""
+        """A where-did-the-wall-clock-go table, slowest cells first.
+
+        Each row carries the digest prefix ``repro run`` prints, since
+        cells that differ only in, say, their rate share a label.
+        """
         rows = [
             (
-                _label(outcome.spec),
+                outcome.spec.label,
+                outcome.digest[:16],
                 f"{outcome.elapsed_s:.2f}s",
                 outcome.source,
                 "-" if outcome.worker is None else str(outcome.worker),
@@ -287,19 +259,19 @@ class EngineReport:
         return (
             format_heading("Campaign execution timing")
             + "\n"
-            + format_table(["cell", "elapsed", "source", "worker"], rows)
+            + format_table(["cell", "digest", "elapsed", "source", "worker"], rows)
             + "\n"
             + summary
         )
 
 
-#: Elapsed-time buckets for per-cell compute (sub-second figure renders
-#: up to multi-minute QoS timelines).
+#: Elapsed-time buckets for per-cell compute (sub-second short runs up
+#: to multi-minute QoS timelines).
 _CELL_ELAPSED_BUCKETS_S = (0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0, 60.0, 180.0)
 
 
 def run_cells(
-    specs: Sequence[Cell],
+    specs: Sequence[ScenarioSpec],
     max_workers: int = 1,
     cache: Union[ResultCache, str, Path, None] = None,
     timeout_s: Optional[float] = None,
@@ -359,9 +331,9 @@ def run_cells(
         if progress is not None:
             progress(outcome)
 
-    pending: list[tuple[int, Cell, str]] = []
+    pending: list[tuple[int, ScenarioSpec, str]] = []
     for index, spec in enumerate(specs):
-        digest = spec_digest(spec)
+        digest = spec.digest()
         record = store.get(digest) if store is not None else None
         if record is not None:
             finish(
@@ -379,7 +351,7 @@ def run_cells(
             pending.append((index, spec, digest))
 
     def compute_serial(
-        index: int, spec: Cell, digest: str, source: str, attempts: int
+        index: int, spec: ScenarioSpec, digest: str, source: str, attempts: int
     ) -> None:
         record = _timed_execute(spec)
         if store is not None:

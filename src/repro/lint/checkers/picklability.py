@@ -1,7 +1,7 @@
 """Parallel-engine safety: work crossing the process boundary must pickle.
 
 :func:`repro.experiments.parallel.run_cells` ships its cells (scenario
-specs, artefact names) through
+specs) through
 :class:`~concurrent.futures.ProcessPoolExecutor`, and any
 ``executor.submit``/``map`` call ships its callable and arguments.
 Lambdas and closures do not pickle — the failure surfaces only on the

@@ -6,11 +6,15 @@ import pytest
 
 import repro.cli as cli_module
 from repro.cli import main
+from repro.experiments.figures import static_table
 
 
 @pytest.fixture
 def tiny_registry(monkeypatch):
-    rendered = {"figX": lambda: "X RENDER", "figY": lambda: "Y RENDER"}
+    rendered = {
+        "figX": static_table(lambda: "X RENDER"),
+        "figY": static_table(lambda: "Y RENDER"),
+    }
     monkeypatch.setattr(cli_module, "default_registry", lambda: rendered)
     return rendered
 

@@ -1,7 +1,8 @@
-"""Unit tests for the per-figure drivers (structure, not shapes).
+"""Unit tests for the per-figure definitions (structure, not shapes).
 
 Shapes are asserted by the benchmarks at full duration; these tests run
-short campaigns and verify the result structures and renderings.
+short figures through the figure runner and verify the result structures
+and renderings.
 """
 
 from __future__ import annotations
@@ -9,7 +10,15 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ExperimentError
+from repro.experiments.campaign import run_figures
 from repro.experiments.figures import (
+    Figure,
+    fig02,
+    fig04,
+    fig10,
+    fig11,
+    fig13,
+    fig14,
     render_fig02,
     render_fig04,
     render_fig11,
@@ -17,22 +26,22 @@ from repro.experiments.figures import (
     render_improvement_figure,
     render_table1,
     render_table4,
-    run_fig02,
-    run_fig04,
-    run_fig10,
-    run_fig11,
-    run_fig13,
-    run_fig14,
 )
 
 SHORT = 200.0
 SEEDS = (3,)
 
 
+def run(figure: Figure):
+    """One figure's result, through the runner every caller uses."""
+    (result,), _ = run_figures([figure])
+    return result
+
+
 class TestFig02:
     @pytest.fixture(scope="class")
     def result(self):
-        return run_fig02(duration_s=SHORT, seeds=SEEDS)
+        return run(fig02.figure(duration_s=SHORT, seeds=SEEDS))
 
     def test_six_bars(self, result):
         assert len(result.bars) == 6
@@ -64,7 +73,7 @@ class TestFig02:
 
 class TestFig04:
     def test_cells_and_render(self):
-        result = run_fig04(duration_s=SHORT, seeds=SEEDS)
+        result = run(fig04.figure(duration_s=SHORT, seeds=SEEDS))
         assert len(result.cells) == 4
         text = render_fig04(result)
         assert "(low load)" in text and "(high load)" in text
@@ -73,7 +82,7 @@ class TestFig04:
 class TestFig10Family:
     @pytest.fixture(scope="class")
     def result(self):
-        return run_fig10(duration_s=SHORT, seeds=SEEDS)
+        return run(fig10.figure(duration_s=SHORT, seeds=SEEDS))
 
     def test_grid_is_complete(self, result):
         assert len(result.cells) == 9  # 3 policies x 3 loads
@@ -104,7 +113,7 @@ class TestFig10Family:
 
 class TestFig11:
     def test_runs_and_renders(self):
-        result = run_fig11(duration_s=300.0, seed=3, sample_interval_s=50.0)
+        result = run(fig11.figure(duration_s=300.0, seed=3, sample_interval_s=50.0))
         assert {run.policy for run in result.runs} == {
             "freq-boost",
             "inst-boost",
@@ -119,7 +128,7 @@ class TestFig11:
 
 class TestQosFigures:
     def test_fig13_structure(self):
-        result = run_fig13(duration_s=150.0, seed=3)
+        result = run(fig13.figure(duration_s=150.0, seed=3))
         assert result.run_for("baseline").average_power_fraction == pytest.approx(1.0)
         assert 0.0 <= result.saving_over_baseline("powerchief") <= 1.0
         text = render_fig13(result)
@@ -127,7 +136,7 @@ class TestQosFigures:
         assert "saving vs baseline" in text
 
     def test_fig14_structure(self):
-        result = run_fig14(duration_s=80.0, seed=3)
+        result = run(fig14.figure(duration_s=80.0, seed=3))
         assert result.setup.qos_target_s == pytest.approx(0.25)
         assert result.run_for("powerchief").qos_samples
 

@@ -6,17 +6,17 @@ import json
 import os
 import pickle
 import time
+from pathlib import Path
 
 import pytest
 
-from repro.errors import ConfigurationError, ExperimentError
+from repro.errors import ConfigurationError
 from repro.experiments import parallel
 from repro.experiments.parallel import (
     CACHE_VERSION,
     ResultCache,
     execute_cell,
     run_cells,
-    spec_digest,
 )
 from repro.experiments.export import run_result_to_dict
 from repro.scenario import (
@@ -88,10 +88,10 @@ class TestCells:
             "sirius", "static", ("constant", 1.0), 60.0, seed=1
         )
         qos = ScenarioSpec.qos("websearch", "powerchief", 8.0, 400.0, seed=3)
-        assert spec_digest(latency) == latency.digest() == (
+        assert latency.digest() == (
             "ec0ff7a16b052bd93cd6a0e595bf42d7c4a8916871c45de1dbfa978065a3964e"
         )
-        assert spec_digest(qos) == qos.digest() == (
+        assert qos.digest() == (
             "9452206317e07688c8937db3e933fe79d59f820b2849f979d4470205fd98bf7b"
         )
 
@@ -99,13 +99,8 @@ class TestCells:
         first = ScenarioSpec.latency("sirius", "static", ("constant", 1.0), 60.0, seed=1)
         same = ScenarioSpec.latency("sirius", "static", ConstantLoad(1.0), 60.0, seed=1)
         other = ScenarioSpec.latency("sirius", "static", ("constant", 1.0), 60.0, seed=2)
-        assert spec_digest(first) == spec_digest(same)
-        assert spec_digest(first) != spec_digest(other)
-
-    def test_artefact_cells_digest_by_name(self):
-        assert spec_digest("fig02") == spec_digest("fig02")
-        assert spec_digest("fig02") != spec_digest("fig04")
-        assert len(spec_digest("fig02")) == 64
+        assert first.digest() == same.digest()
+        assert first.digest() != other.digest()
 
     def test_non_scalar_option_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -167,19 +162,58 @@ class TestResultCache:
         report = run_cells(changed, max_workers=1, cache=cache)
         assert [o.source for o in report.outcomes] == ["cache", "serial"]
 
-    def test_corrupt_entry_reads_as_miss(self, tmp_path):
+    @pytest.mark.parametrize(
+        "text",
+        ["{not json", "[]", "1", '"x"', "null", None],
+        ids=["invalid", "list", "number", "string", "null", "scalar-payload"],
+    )
+    def test_corrupt_entry_reads_as_miss(self, tmp_path, text):
         cache = ResultCache(tmp_path)
         spec = latency_specs(1)[0]
-        digest = spec_digest(spec)
-        cache.path_for(digest).write_text("{not json")
+        digest = spec.digest()
+        if text is None:
+            text = json.dumps(
+                {"version": CACHE_VERSION, "digest": digest, "payload": 5}
+            )
+        cache.path_for(digest).write_text(text)
         assert cache.get(digest) is None
         assert cache.misses == 1
+        report = run_cells([spec], max_workers=1, cache=cache)
+        assert report.outcomes[0].source == "serial"
+        record = cache.get(digest)
+        assert record is not None
+        assert record["payload"] == report.outcomes[0].payload
+
+    def test_concurrent_puts_of_one_digest_both_land(self, tmp_path, monkeypatch):
+        # Two writers sharing a directory store the same digest; the
+        # second's whole put runs between the first's write and rename.
+        first, second = ResultCache(tmp_path), ResultCache(tmp_path)
+        spec = latency_specs(1)[0]
+        digest = spec.digest()
+        record = {"payload": {"kind": "latency", "result": {}}, "elapsed_s": 0.5}
+        real_replace = Path.replace
+        nested = []
+
+        def replace_after_second_put(self, target):
+            if not nested:
+                nested.append(target)
+                second.put(spec, digest, record)
+            return real_replace(self, target)
+
+        monkeypatch.setattr(Path, "replace", replace_after_second_put)
+        first.put(spec, digest, record)
+        assert nested and first.stores == second.stores == 1
+        entry = first.get(digest)
+        assert entry is not None and entry["payload"] == record["payload"]
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            f"{digest}.json"
+        ]
 
     def test_version_mismatch_reads_as_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
         spec = latency_specs(1)[0]
         run_cells([spec], max_workers=1, cache=cache)
-        digest = spec_digest(spec)
+        digest = spec.digest()
         entry = json.loads(cache.path_for(digest).read_text())
         entry["version"] = CACHE_VERSION + 1
         cache.path_for(digest).write_text(json.dumps(entry))
@@ -282,20 +316,18 @@ class TestEngine:
         assert f"{report.computed} computed" in timing
         assert report.compute_seconds > 0.0
 
-    def test_artefact_cells_render_the_registry(self, monkeypatch):
-        import repro.experiments.campaign as campaign_module
-
-        monkeypatch.setattr(
-            campaign_module,
-            "default_registry",
-            lambda: {"figX": lambda: "RENDER X"},
-        )
-        report = run_cells(["figX"], max_workers=1)
-        assert report.outcomes[0].payload["render"] == "RENDER X"
-        assert report.outcomes[0].result() == "RENDER X"
-        assert "artefact:figX" in report.format_timing()
-        with pytest.raises(ExperimentError):
-            execute_cell("nosuch")
+    def test_timing_rows_tell_cells_apart(self):
+        # Same label, different rate: only the digest column separates them.
+        specs = [
+            ScenarioSpec.latency("sirius", "static", ("constant", rate), DURATION)
+            for rate in (1.0, 1.5)
+        ]
+        assert specs[0].label == specs[1].label
+        timing = run_cells(specs, max_workers=1).format_timing()
+        rows = [line for line in timing.splitlines() if specs[0].label in line]
+        assert len(rows) == 2
+        for spec in specs:
+            assert sum(spec.digest()[:16] in row for row in rows) == 1
 
 
 class _FakeFuture:
