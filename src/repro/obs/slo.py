@@ -61,8 +61,10 @@ class SloTracker:
             raise ConfigurationError(
                 f"attainment goal must be in (0, 1), got {attainment_goal}"
             )
-        if window_s <= 0.0:
-            raise ConfigurationError(f"window must be > 0, got {window_s}")
+        if not (math.isfinite(window_s) and window_s > 0.0):
+            raise ConfigurationError(
+                f"window must be a finite number > 0, got {window_s}"
+            )
         if max_events <= 0:
             raise ConfigurationError(
                 f"max_events must be > 0, got {max_events}"

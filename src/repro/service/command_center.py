@@ -6,16 +6,24 @@ identifier then calculates the latency metrics such as average and 99%
 percentile queuing and serving delay of each service instance using the
 latency statistics." (Section 4.1)
 
-The command center keeps a moving :class:`LatencyWindow` per instance and
-per stage.  A freshly launched instance has no history, so lookups fall
-back from the instance window to its stage's pooled window and finally to
-the offline profile's expectation — without the fallback a new instance
+The command center hears from each query once, on completion, but its
+statistics are read only when a controller or monitor ticks.  So
+:meth:`CommandCenter.ingest` just queues the query; its records are
+filed into a moving :class:`LatencyWindow` per instance when a statistic
+is next read, or once the oldest queued query is older than the window,
+so a center that nobody reads stays bounded.
+
+A freshly launched instance has no history, so lookups fall back from
+the instance window to its stage's pooled samples and finally to the
+offline profile's expectation — without the fallback a new instance
 would report a zero latency metric and immediately be chosen as a power
-recycling victim.
+recycling victim.  The stage pool is merged from the stage's instance
+windows at read time and cached while simulated time stands still.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from typing import Optional
 
@@ -23,6 +31,7 @@ from repro.errors import ConfigurationError
 from repro.service.application import Application
 from repro.service.instance import ServiceInstance
 from repro.service.query import Query
+from repro.service.records import StageRecord
 from repro.service.window import LatencyWindow
 from repro.sim.engine import Simulator
 from repro.util.percentile import LatencySummary, summarize
@@ -41,24 +50,28 @@ class CommandCenter:
         e2e_window_s: float = 30.0,
         retain_queries: bool = False,
     ) -> None:
-        if window_s <= 0.0:
-            raise ConfigurationError(f"window must be > 0 s, got {window_s}")
-        if e2e_window_s <= 0.0:
-            raise ConfigurationError(
-                f"e2e window must be > 0 s, got {e2e_window_s}"
-            )
+        for name, span in (("window", window_s), ("e2e window", e2e_window_s)):
+            if not (math.isfinite(span) and span > 0.0):
+                raise ConfigurationError(
+                    f"{name} must be a finite number > 0 s, got {span}"
+                )
         self.sim = sim
         self.application = application
         self.window_s = float(window_s)
         self.e2e_window_s = float(e2e_window_s)
+        #: The record lists of completed queries not yet filed into the
+        #: windows, and the completion time of the oldest of them.
+        self._pending: list[list[StageRecord]] = []
+        self._pending_since = 0.0
         self._instance_windows: dict[str, LatencyWindow] = {}
-        self._stage_windows: dict[str, LatencyWindow] = {}
+        self._windows_by_stage: dict[str, list[LatencyWindow]] = {}
+        #: Stage name -> (time, pooled avg queuing, pooled avg serving).
+        self._pooled: dict[str, tuple[float, Optional[float], Optional[float]]] = {}
         self._all_latencies: list[float] = []
         self._recent_e2e: deque[tuple[float, float]] = deque()
         self.retain_queries = retain_queries
         self._completed_queries: list[Query] = []
         self._stats_messages = 0
-        self._records_ingested = 0
         application.add_completion_listener(self.ingest)
 
     # ------------------------------------------------------------------
@@ -69,39 +82,78 @@ class CommandCenter:
 
         One ingest call is one statistics message: the query carried every
         instance's record along, so the command center hears from the
-        pipeline exactly once per query.
+        pipeline exactly once per query.  Its records wait in a queue
+        until :meth:`_file_pending` files them.
         """
         self._stats_messages += 1
-        instance_windows = self._instance_windows
-        stage_windows = self._stage_windows
-        for record in query.records:
-            start = record.start_time
-            finish = record.finish_time
-            if start is None or finish is None:
-                continue
-            self._records_ingested += 1
-            queuing = start - record.enqueue_time
-            serving = finish - start
-            window = instance_windows.get(record.instance_name)
-            if window is None:
-                window = LatencyWindow(self.window_s)
-                instance_windows[record.instance_name] = window
-            window.add(finish, queuing, serving)
-            stage_window = stage_windows.get(record.stage_name)
-            if stage_window is None:
-                stage_window = LatencyWindow(self.window_s)
-                stage_windows[record.stage_name] = stage_window
-            stage_window.add(finish, queuing, serving)
+        now = self.sim._now
+        pending = self._pending
+        if not pending:
+            self._pending_since = now
+        pending.append(query.records)
+        if now - self._pending_since > self.window_s:
+            self._file_pending()
         latency = query.end_to_end_latency
         self._all_latencies.append(latency)
         if self.retain_queries:
             self._completed_queries.append(query)
-        now = self.sim._now
         recent = self._recent_e2e
         recent.append((now, latency))
         cutoff = now - self.e2e_window_s
         while recent and recent[0][0] < cutoff:
             recent.popleft()
+
+    def _file_pending(self) -> None:
+        """File the queued records into their instance windows.
+
+        Then trim every window to the current time, read or not: no
+        later read can see an older sample.
+        """
+        windows = self._instance_windows
+        for records in self._pending:
+            for record in records:
+                start = record.start_time
+                finish = record.finish_time
+                if start is None or finish is None:
+                    continue
+                window = windows.get(record.instance_name)
+                if window is None:
+                    window = LatencyWindow(self.window_s)
+                    windows[record.instance_name] = window
+                    self._windows_by_stage.setdefault(record.stage_name, []).append(
+                        window
+                    )
+                window.add(finish, start - record.enqueue_time, finish - start)
+        self._pending.clear()
+        self._pooled.clear()
+        now = self.sim._now
+        for window in windows.values():
+            window.trim(now)
+
+    def _window(self, instance: ServiceInstance) -> Optional[LatencyWindow]:
+        if self._pending:
+            self._file_pending()
+        return self._instance_windows.get(instance.name)
+
+    def _stage_pool(
+        self, instance: ServiceInstance, now: float
+    ) -> tuple[Optional[float], Optional[float]]:
+        """The (avg queuing, avg serving) of the instance's whole stage.
+
+        The stage's instance windows are merged in (finish time, ingest
+        sequence) order, the order one window fed every record of the
+        stage would hold, so the averages sum in the same order.  The
+        result is kept until the clock moves or records are filed.
+        """
+        stage = instance.stage_name
+        pooled = self._pooled.get(stage)
+        if pooled is None or pooled[0] != now:
+            pool = LatencyWindow.merged(
+                self.window_s, self._windows_by_stage.get(stage, ()), now
+            )
+            pooled = (now, pool.avg_queuing(now), pool.avg_serving(now))
+            self._pooled[stage] = pooled
+        return pooled[1], pooled[2]
 
     # ------------------------------------------------------------------
     # Per-instance statistics (with fallbacks for fresh instances)
@@ -109,40 +161,34 @@ class CommandCenter:
     def avg_queuing(self, instance: ServiceInstance) -> float:
         """Windowed average queuing time ``q_i`` of an instance."""
         now = self.sim.now
-        window = self._instance_windows.get(instance.name)
+        window = self._window(instance)
         if window is not None:
             value = window.avg_queuing(now)
             if value is not None:
                 return value
-        stage_window = self._stage_windows.get(instance.stage_name)
-        if stage_window is not None:
-            value = stage_window.avg_queuing(now)
-            if value is not None:
-                return value
-        return 0.0
+        value = self._stage_pool(instance, now)[0]
+        return 0.0 if value is None else value
 
     def avg_serving(self, instance: ServiceInstance) -> float:
         """Windowed average serving time ``s_i`` of an instance.
 
-        Falls back to the stage's pooled window and finally to the offline
-        profile's expected serving time at the instance's current
+        Falls back to the stage's pooled samples and finally to the
+        offline profile's expected serving time at the instance's current
         frequency.
         """
         now = self.sim.now
-        window = self._instance_windows.get(instance.name)
+        window = self._window(instance)
         if window is not None:
             value = window.avg_serving(now)
             if value is not None:
                 return value
-        stage_window = self._stage_windows.get(instance.stage_name)
-        if stage_window is not None:
-            value = stage_window.avg_serving(now)
-            if value is not None:
-                return value
+        value = self._stage_pool(instance, now)[1]
+        if value is not None:
+            return value
         return instance.profile.mean_serving_time(instance.frequency_ghz)
 
     def p99_queuing(self, instance: ServiceInstance) -> float:
-        window = self._instance_windows.get(instance.name)
+        window = self._window(instance)
         if window is not None:
             value = window.p99_queuing(self.sim.now)
             if value is not None:
@@ -150,7 +196,7 @@ class CommandCenter:
         return self.avg_queuing(instance)
 
     def p99_serving(self, instance: ServiceInstance) -> float:
-        window = self._instance_windows.get(instance.name)
+        window = self._window(instance)
         if window is not None:
             value = window.p99_serving(self.sim.now)
             if value is not None:
@@ -166,7 +212,7 @@ class CommandCenter:
         that waited long often hits a recently-drained, fast instance), so
         summing the marginal percentiles overstates the tail.
         """
-        window = self._instance_windows.get(instance.name)
+        window = self._window(instance)
         if window is not None:
             value = window.p99_processing(self.sim.now)
             if value is not None:
@@ -175,7 +221,7 @@ class CommandCenter:
 
     def sample_count(self, instance: ServiceInstance) -> int:
         """Windowed sample count for the instance (0 if fresh)."""
-        window = self._instance_windows.get(instance.name)
+        window = self._window(instance)
         if window is None:
             return 0
         return window.count(self.sim.now)
@@ -213,7 +259,11 @@ class CommandCenter:
     @property
     def naive_stats_messages(self) -> int:
         """Messages a report-per-instance-visit design would have sent."""
-        return self._records_ingested
+        if self._pending:
+            self._file_pending()
+        return sum(
+            window.total_ingested for window in self._instance_windows.values()
+        )
 
     @property
     def completed_queries(self) -> list[Query]:

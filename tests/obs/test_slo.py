@@ -25,9 +25,10 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             SloTracker(target_s=1.0, attainment_goal=goal)
 
-    def test_rejects_nonpositive_window(self):
+    @pytest.mark.parametrize("window_s", [math.nan, math.inf, 0.0, -1.0])
+    def test_rejects_nonpositive_window(self, window_s):
         with pytest.raises(ConfigurationError):
-            SloTracker(target_s=1.0, window_s=0.0)
+            SloTracker(target_s=1.0, window_s=window_s)
 
     def test_rejects_nonpositive_event_bound(self):
         with pytest.raises(ConfigurationError):

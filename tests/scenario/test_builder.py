@@ -9,11 +9,12 @@ runs being byte-identical for a pinned seed.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import pytest
 
-from repro.errors import ExperimentError
+from repro.errors import ConfigurationError, ExperimentError
 from repro.scenario import (
     QosRunResult,
     RunResult,
@@ -114,6 +115,20 @@ class TestLifecycle:
 
     def test_execute_walks_every_phase(self, latency_result):
         assert isinstance(latency_result, RunResult)
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {"e2e_window_s": math.nan},
+            {"observe": ("slo",), "slo_window_s": math.nan},
+        ],
+    )
+    def test_nan_window_is_refused(self, options):
+        # A NaN window never trims, so such a run would have completed
+        # with unbounded windows.
+        spec = ScenarioSpec.qos("sirius", "pegasus", 1.0, 120.0, seed=3, **options)
+        with pytest.raises(ConfigurationError, match="finite"):
+            StackBuilder(spec).build()
 
 
 class TestShardedFromJson:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -76,28 +78,30 @@ class TestLatencyWindow:
                 )
                 assert window.p99_serving(now) == pytest.approx(2.0 * max(live))
 
-    def test_head_compaction_keeps_aggregates_exact(self):
-        # Enough evictions to trip the dead-prefix compaction (>= 64).
+    def test_long_stream_keeps_aggregates_exact(self):
         window = LatencyWindow(1.0)
         for step in range(500):
             window.add(float(step), queuing=float(step), serving=1.0)
         assert window.total_ingested == 500
         assert window.count(499.0) == 2  # t=498 and t=499 survive
         assert window.avg_queuing(499.0) == pytest.approx(498.5)
-        assert len(window._times) < 500  # the dead prefix was compacted
 
-    def test_equal_timestamps_insert_after_existing(self):
+    def test_equal_timestamps_keep_arrival_order(self):
         window = LatencyWindow(10.0)
-        window.add(5.0, 1.0, 1.0)
-        window.add(7.0, 2.0, 2.0)
-        window.add(5.0, 3.0, 3.0)  # late duplicate timestamp
-        # bisect_right semantics: the late sample lands *after* the first
-        # t=5 sample, so the stored order is (1.0, 3.0, 2.0) by queuing.
-        assert [s[1] for s in window._samples[window._head :]] == [1.0, 3.0, 2.0]
+        window.add(4.0, 1e16, 0.0)
+        window.add(5.0, 1.0, 0.0)
+        window.add(7.0, 0.0, 0.0)
+        window.add(5.0, -1e16, 0.0)  # late duplicate timestamp
+        # The late sample sorts *after* the first t=5 sample, so the sum
+        # runs ((1e16 + 1.0) - 1e16) + 0.0 == 0.0 and the average is 0.0;
+        # the other tie order sums ((1e16 - 1e16) + 1.0) + 0.0 == 1.0, an
+        # average of 0.25.
+        assert window.avg_queuing(7.0) == 0.0
 
-    def test_nonpositive_window_rejected(self):
+    @pytest.mark.parametrize("window_s", [math.nan, math.inf, 0.0, -1.0])
+    def test_nonpositive_window_rejected(self, window_s):
         with pytest.raises(ConfigurationError):
-            LatencyWindow(0.0)
+            LatencyWindow(window_s)
 
 
 class TestCommandCenterIngestion:
@@ -144,6 +148,24 @@ class TestCommandCenterIngestion:
         sim.run()
         assert command_center.recent_latency_max() > command_center.recent_latency_avg()
 
+    def test_unread_center_stays_bounded(self, sim, two_stage_app):
+        # Nothing reads this center, so only ingest itself, filing the
+        # queue once its oldest query is a window old, keeps it bounded.
+        center = CommandCenter(sim, two_stage_app, window_s=10.0)
+        peak = 0
+        for qid in range(100):  # one query a second for ten windows
+            submit_two_stage_query(two_stage_app, qid)
+            sim.run(until=qid + 1.0)
+            queued = sum(len(records) for records in center._pending)
+            stored = sum(
+                len(window._samples) for window in center._instance_windows.values()
+            )
+            peak = max(peak, queued + stored)
+        assert center.stats_messages == 100
+        # Two records a query; at most 11 queries wait in the queue and
+        # the windows keep at most 11 queries' samples: two windows' worth.
+        assert 0 < peak <= 2 * 2 * 11
+
 
 class TestFreshInstanceFallbacks:
     """A new instance must not report a zero metric (DESIGN.md rationale)."""
@@ -173,8 +195,9 @@ class TestFreshInstanceFallbacks:
             instance_b
         )
 
-    def test_invalid_windows_rejected(self, sim, two_stage_app):
+    @pytest.mark.parametrize("span", [math.nan, math.inf, 0.0, -1.0])
+    def test_invalid_windows_rejected(self, sim, two_stage_app, span):
         with pytest.raises(ConfigurationError):
-            CommandCenter(sim, two_stage_app, window_s=0.0)
+            CommandCenter(sim, two_stage_app, window_s=span)
         with pytest.raises(ConfigurationError):
-            CommandCenter(sim, two_stage_app, e2e_window_s=-1.0)
+            CommandCenter(sim, two_stage_app, e2e_window_s=span)

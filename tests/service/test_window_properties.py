@@ -1,23 +1,37 @@
-"""Property test: the optimized LatencyWindow tracks a naive reference.
+"""Property tests: the windows and the command center track naive references.
 
-The production window keeps sorted parallel lists with a head-offset and
-bisect insertion; the reference below re-derives everything the slow,
+The production window appends samples and sorts and trims them at read
+time; the reference below re-derives everything the slow,
 obviously-correct way (scan-insert into a plain list, destructive
 front-eviction).  Over random ingest sequences — in-order, out-of-order,
-duplicate timestamps, eviction storms long enough to trip compaction —
-every aggregate must match the reference *exactly*: both implementations
-iterate the identical time-sorted sample order, so their floating-point
-sums are bit-equal, which is precisely the byte-identity contract the
-golden seed-equivalence suite relies on.
+duplicate timestamps, long eviction runs — every aggregate must match
+the reference *exactly*: both implementations iterate the identical
+time-sorted sample order, so their floating-point sums are bit-equal,
+which is precisely the byte-identity contract the golden
+seed-equivalence suite relies on.
+
+The command center files records into its windows only when it is read
+and pools a stage's samples at read time; its reference feeds one
+reference window per instance and one per stage on every ingest.
 """
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.cluster.frequency import HASWELL_LADDER
+from repro.cluster.machine import Machine
+from repro.service.application import Application
+from repro.service.command_center import CommandCenter
+from repro.service.instance import ServiceInstance
+from repro.service.query import Query
+from repro.service.records import StageRecord
 from repro.service.window import LatencyWindow
+from repro.sim.engine import Simulator
 from repro.util.percentile import percentile
+
+from tests.conftest import make_profile
 
 
 class ReferenceWindow:
@@ -112,8 +126,8 @@ def test_optimized_window_matches_reference(window_s, ingest):
 
 @settings(max_examples=25, deadline=None)
 @given(step=st.floats(min_value=0.01, max_value=0.2, allow_nan=False))
-def test_long_monotone_stream_trips_compaction(step):
-    """A long in-order stream exercises the head-offset compaction path."""
+def test_long_monotone_stream_matches_reference(step):
+    """400 in-order samples, sorted and trimmed in one read, match the reference."""
     optimized = LatencyWindow(1.0)
     reference = ReferenceWindow(1.0)
     time = 0.0
@@ -123,3 +137,168 @@ def test_long_monotone_stream_trips_compaction(step):
         reference.add(time, float(index % 7), float(index % 11))
     _assert_windows_agree(optimized, reference, time)
     assert optimized.total_ingested == 400
+
+
+class ReferenceCenter:
+    """The eager command center: every record feeds two reference windows."""
+
+    def __init__(self, window_s: float) -> None:
+        self.window_s = window_s
+        self.instances: dict[str, ReferenceWindow] = {}
+        self.stages: dict[str, ReferenceWindow] = {}
+
+    def ingest(self, query: Query) -> None:
+        for record in query.records:
+            queuing = record.start_time - record.enqueue_time
+            serving = record.finish_time - record.start_time
+            for windows, key in (
+                (self.instances, record.instance_name),
+                (self.stages, record.stage_name),
+            ):
+                window = windows.setdefault(key, ReferenceWindow(self.window_s))
+                window.add(record.finish_time, queuing, serving)
+
+    def _chain(self, instance: ServiceInstance, now: float, index: int):
+        for window in (
+            self.instances.get(instance.name),
+            self.stages.get(instance.stage_name),
+        ):
+            if window is not None:
+                value = window.avg(now, index)
+                if value is not None:
+                    return value
+        return None
+
+    def avg_queuing(self, instance: ServiceInstance, now: float) -> float:
+        value = self._chain(instance, now, 1)
+        return 0.0 if value is None else value
+
+    def avg_serving(self, instance: ServiceInstance, now: float) -> float:
+        value = self._chain(instance, now, 2)
+        if value is None:
+            return instance.profile.mean_serving_time(instance.frequency_ghz)
+        return value
+
+    def statistics(self, instance: ServiceInstance, now: float) -> dict:
+        window = self.instances.get(instance.name)
+        count = 0 if window is None else window.count(now)
+        avg_q = self.avg_queuing(instance, now)
+        avg_s = self.avg_serving(instance, now)
+        if count:
+            p99s = (window.p99(now, 1), window.p99(now, 2), window.p99_processing(now))
+        else:
+            p99s = (avg_q, avg_s, avg_q + avg_s)
+        return {
+            "avg_queuing": avg_q,
+            "avg_serving": avg_s,
+            "p99_queuing": p99s[0],
+            "p99_serving": p99s[1],
+            "p99_processing": p99s[2],
+            "sample_count": count,
+        }
+
+
+def _assert_centers_agree(
+    center: CommandCenter,
+    reference: ReferenceCenter,
+    instances: list[ServiceInstance],
+    now: float,
+) -> None:
+    for instance in instances:
+        assert {
+            "avg_queuing": center.avg_queuing(instance),
+            "avg_serving": center.avg_serving(instance),
+            "p99_queuing": center.p99_queuing(instance),
+            "p99_serving": center.p99_serving(instance),
+            "p99_processing": center.p99_processing(instance),
+            "sample_count": center.sample_count(instance),
+        } == reference.statistics(instance, now)
+
+
+#: One stage record: (instance index, finish time in half-seconds before
+#: the batch completes, queuing, serving).  The coarse grid makes equal
+#: finish times on two instances of one stage common.
+_record = st.tuples(
+    st.integers(min_value=0, max_value=1),
+    st.integers(min_value=0, max_value=8),
+    st.floats(min_value=0.0, max_value=5.0, allow_nan=False),
+    st.floats(min_value=0.0, max_value=5.0, allow_nan=False),
+)
+#: One batch: advance the clock (half-seconds), complete the queries in
+#: arrival order (their records out of finish-time order), then read or not.
+_batch = st.tuples(
+    st.integers(min_value=0, max_value=30),
+    st.lists(st.tuples(_record, _record), max_size=4),
+    st.booleans(),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    window_s=st.floats(min_value=0.5, max_value=20.0, allow_nan=False),
+    batches=st.lists(_batch, min_size=1, max_size=12),
+)
+# Three stage-A samples at t=0 on instances 0, 1, 0, in ingest order: the
+# pool sums (0.1 + 0.2) + 0.4, while pooling by instance would sum
+# (0.1 + 0.4) + 0.2, which rounds differently.
+@example(
+    window_s=10.0,
+    batches=[
+        (
+            0,
+            [
+                ((0, 0, 0.1, 0.0), (0, 0, 0.0, 0.0)),
+                ((1, 0, 0.2, 0.0), (0, 0, 0.0, 0.0)),
+                ((0, 0, 0.4, 0.0), (0, 0, 0.0, 0.0)),
+            ],
+            True,
+        )
+    ],
+)
+def test_deferred_center_matches_eager_reference(window_s, batches):
+    """Filing at read time and pooling stages at read time change no value.
+
+    Stage A and B each run three instances; records go to the first two,
+    so the third always reads its stage's pool, and so does any instance
+    whose own samples have all aged out.
+    """
+    sim = Simulator()
+    app = Application("props", sim, Machine(sim, n_cores=8))
+    level = HASWELL_LADDER.level_of(1.8)
+    stages = []
+    for name in ("A", "B"):
+        stage = app.add_stage(make_profile(name, mean=0.5))
+        stages.append([stage.launch_instance(level) for _ in range(3)])
+    center = CommandCenter(sim, app, window_s=window_s)
+    reference = ReferenceCenter(window_s)
+    qid = 0
+    for advance, queries, read in batches:
+        sim.run_until(sim.now + 0.5 * advance)
+        now = sim.now
+        for records in queries:
+            query = Query(qid=qid, demands={"A": 0.0, "B": 0.0})
+            qid += 1
+            for instances, (index, back, queuing, serving) in zip(stages, records):
+                instance = instances[index]
+                finish = now - 0.5 * back
+                start = finish - serving
+                query.records.append(
+                    StageRecord(
+                        instance.iid,
+                        instance.name,
+                        instance.stage_name,
+                        start - queuing,
+                        start,
+                        finish,
+                    )
+                )
+            query.arrival_time = min(r.enqueue_time for r in query.records)
+            query.completion_time = now
+            center.ingest(query)
+            reference.ingest(query)
+        if read:
+            _assert_centers_agree(center, reference, stages[0] + stages[1], now)
+    sim.run_until(sim.now + window_s / 2.0)
+    _assert_centers_agree(center, reference, stages[0] + stages[1], sim.now)
+    assert center.naive_stats_messages == 2 * qid
+    assert center.stats_messages == qid
