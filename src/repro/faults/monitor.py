@@ -193,7 +193,6 @@ class HealthMonitor:
                 # The reservation intentionally outlives this method: it
                 # is carried in _pending_respawns and handed back at the
                 # top of the next tick's attempt.
-                # repro-lint: disable=resource-pairing
                 self.budget.reserve(reserved)
                 still_pending.append((stage, level, reserved))
         self._pending_respawns = still_pending

@@ -3,9 +3,8 @@
 Each monitor observes the live stack — budget, instances, estimator
 windows, the shared action log, the SLO tracker — and returns zero or
 more :class:`~repro.guard.violations.GuardViolation`\\ s.  Monitors never
-schedule events or mutate state (the observer-purity lint rule covers
-``guard/`` exactly as it covers ``obs/``); acting on what they find is
-the supervisor's job.
+schedule events or mutate state; acting on what they find is the
+supervisor's job.
 """
 
 from __future__ import annotations

@@ -5,9 +5,10 @@ Equation 1 bottleneck metrics, Equation 2/3 boost estimates, budget
 conservation across recycle/withdraw — so this package checks the
 properties that must hold *everywhere* at the source level instead:
 
-* determinism — no wall clock or unseeded randomness inside the
-  simulator, controller or service layers (``wall-clock``,
-  ``unseeded-random``);
+* determinism — no wall clock inside the simulator, controller or
+  service layers, no unseeded randomness anywhere, and no iteration over
+  sets where loops feed the event queue (``wall-clock``,
+  ``unseeded-random``, ``unordered-iteration``);
 * unit discipline — no arithmetic mixing watts, gigahertz and seconds
   (``unit-mismatch``);
 * parallel-engine safety — everything crossing the
@@ -16,21 +17,21 @@ properties that must hold *everywhere* at the source level instead:
 * observability hygiene — metric names are literal constants matching
   the naming convention and registered consistently (``metric-name``,
   ``metric-duplicate``);
-* dataclass invariants — no mutable defaults, frozen where shared
-  (``dataclass-mutable-default``, ``dataclass-frozen-shared``);
+* dataclass invariants — frozen where shared
+  (``dataclass-frozen-shared``);
 * stack assembly — experiment stacks come from the scenario layer
-  (``scenario-bypass``);
-* flow-aware families — per-function CFGs, a forward-dataflow
-  framework and a cross-module call graph power ``unit-flow``,
-  ``resource-pairing``, ``unordered-iteration``, ``rng-escape`` and
-  ``observer-purity``.
+  (``scenario-bypass``).
+
+Every rule is one pass over each module's AST, plus an optional
+cross-module ``finish()``.
 
 Entry points: :func:`repro.lint.runner.lint_paths` (API), ``repro lint``
 (CLI) and ``tests/lint/`` (the self-clean gate).  Findings are
 suppressed per line with ``# repro-lint: disable=RULE`` or per file with
 ``# repro-lint: disable-file=RULE``; output is human text, JSON or
 SARIF 2.1.0 (:mod:`repro.lint.sarif`).  General Python style (mutable
-default arguments, shadowed builtins) is ruff's job, not this package's.
+default arguments, shadowed builtins) is ruff's job, not this package's,
+and mutable dataclass defaults are rejected by ``@dataclass`` itself.
 """
 
 from repro.lint.findings import Finding, LintReport

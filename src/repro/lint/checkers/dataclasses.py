@@ -1,12 +1,11 @@
-"""Dataclass invariants: no mutable defaults, frozen where shared.
+"""Dataclass invariant: frozen where shared.
 
-``dataclass-mutable-default`` rejects field defaults that alias one
-mutable object across every instance (including ``field(default=...)``
-smuggling).  ``dataclass-frozen-shared`` finds dataclasses that are
-value-like — every field annotation immutable, no method ever assigns to
-``self`` — but not declared ``frozen=True``; those are the ones that get
-hashed, cached and shipped across process boundaries, where aliasing
-bugs are quietest.
+``dataclass-frozen-shared`` finds dataclasses that are value-like — every
+field annotation immutable, no method ever assigns to ``self`` — but not
+declared ``frozen=True``; those are the ones that get hashed, cached and
+shipped across process boundaries, where aliasing bugs are quietest.
+Mutable field defaults need no rule: since Python 3.11 ``@dataclass``
+itself raises ``ValueError`` for any unhashable default.
 """
 
 from __future__ import annotations
@@ -18,15 +17,7 @@ from repro.lint.findings import Finding
 from repro.lint.registry import Checker, register
 from repro.lint.source import SourceModule
 
-__all__ = [
-    "DataclassMutableDefaultChecker",
-    "DataclassFrozenSharedChecker",
-]
-
-#: Constructors whose results are mutable containers.
-_MUTABLE_CONSTRUCTORS = frozenset(
-    {"list", "dict", "set", "bytearray", "deque", "defaultdict", "Counter"}
-)
+__all__ = ["DataclassFrozenSharedChecker"]
 
 #: Annotation heads considered immutable (value types).
 _IMMUTABLE_NAMES = frozenset(
@@ -53,15 +44,6 @@ _IMMUTABLE_NAMES = frozenset(
 _IMMUTABLE_GENERICS = frozenset(
     {"tuple", "Tuple", "frozenset", "FrozenSet", "Optional", "Union", "Literal", "Final"}
 )
-
-
-def _is_mutable_default(node: ast.expr) -> bool:
-    """Whether a default expression aliases a mutable object."""
-    if isinstance(node, (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)):
-        return True
-    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-        return node.func.id in _MUTABLE_CONSTRUCTORS
-    return False
 
 
 def _dataclass_decorator(node: ast.ClassDef) -> Optional[ast.expr]:
@@ -156,54 +138,6 @@ def _mutates_self(node: ast.ClassDef) -> bool:
             ):
                 return True
     return False
-
-
-@register
-class DataclassMutableDefaultChecker(Checker):
-    """Reject dataclass field defaults that alias a mutable object."""
-
-    rule_id = "dataclass-mutable-default"
-    description = (
-        "dataclass fields must not default to a shared mutable object; "
-        "use field(default_factory=...)"
-    )
-    hint = "use field(default_factory=list) (or dict/set) instead"
-    scope = ()
-
-    def check(self, module: SourceModule) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            if _dataclass_decorator(node) is None:
-                continue
-            for statement in node.body:
-                if not isinstance(statement, ast.AnnAssign):
-                    continue
-                default = statement.value
-                if default is None:
-                    continue
-                if _is_mutable_default(default):
-                    yield self.finding(
-                        module,
-                        statement,
-                        "dataclass field defaults to a mutable object "
-                        "shared across instances",
-                    )
-                elif (
-                    isinstance(default, ast.Call)
-                    and isinstance(default.func, ast.Name)
-                    and default.func.id == "field"
-                ):
-                    for keyword in default.keywords:
-                        if keyword.arg == "default" and _is_mutable_default(
-                            keyword.value
-                        ):
-                            yield self.finding(
-                                module,
-                                statement,
-                                "field(default=...) smuggles a shared "
-                                "mutable default",
-                            )
 
 
 @register

@@ -1,24 +1,31 @@
-"""Determinism rules: the simulated world must not read the host's clock
-or the process-global random state.
+"""Determinism rules: the simulated world must not read the host's clock,
+the process-global random state, or a set's iteration order.
 
-Scope: ``sim/``, ``core/`` and ``service/`` — everything that executes
-inside the simulation.  Wall-clock time must route through the sim clock
-(:attr:`repro.sim.engine.Simulator.now`) and randomness through the named
-streams of :mod:`repro.sim.rng`; otherwise two runs of the same seed
-diverge and the content-addressed result cache silently lies.
+``wall-clock`` covers ``sim/``, ``core/`` and ``service/`` — everything
+that executes inside the simulation: wall-clock time must route through
+the sim clock (:attr:`repro.sim.engine.Simulator.now`).
+``unseeded-random`` covers every file: randomness routes through the
+named streams of :mod:`repro.sim.rng`, and a helper anywhere in the tree
+can be called from the simulation.  ``unordered-iteration`` covers the
+packages whose loops feed the event queue.  Otherwise two runs of the
+same seed diverge and the content-addressed result cache silently lies.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator
+from typing import Iterator, Optional
 
-from repro.lint.asthelpers import import_origins, resolve_call_target
+from repro.lint.asthelpers import dotted_name, import_origins, resolve_call_target
 from repro.lint.findings import Finding
 from repro.lint.registry import Checker, register
 from repro.lint.source import SourceModule
 
-__all__ = ["WallClockChecker", "UnseededRandomChecker"]
+__all__ = [
+    "WallClockChecker",
+    "UnseededRandomChecker",
+    "UnorderedIterationChecker",
+]
 
 _SIM_SCOPE = ("sim/", "core/", "service/")
 
@@ -79,18 +86,18 @@ class WallClockChecker(Checker):
 
 @register
 class UnseededRandomChecker(Checker):
-    """Forbid the global random stream inside the simulated world."""
+    """Forbid the global random stream and unseeded generators."""
 
     rule_id = "unseeded-random"
     description = (
-        "no global random/numpy.random draws inside sim/, core/ or "
-        "service/ — randomness routes through sim/rng.py named streams"
+        "no global random/numpy.random draws anywhere — randomness routes "
+        "through sim/rng.py named streams"
     )
     hint = (
         "draw from a named stream (RandomStreams.stream(...)) or accept a "
         "seeded random.Random"
     )
-    scope = _SIM_SCOPE
+    scope = ()  # a helper anywhere can be called from the simulation
 
     def check(self, module: SourceModule) -> Iterator[Finding]:
         origins = import_origins(module.tree)
@@ -117,3 +124,104 @@ class UnseededRandomChecker(Checker):
                     f"call to {target}() uses the process-global random "
                     f"stream",
                 )
+
+
+#: Annotation heads that declare a set.
+_SET_TYPES = frozenset({"set", "frozenset", "Set", "FrozenSet", "AbstractSet"})
+_SET_METHODS = frozenset({"union", "intersection", "difference", "symmetric_difference"})
+_SET_OPERATORS = (ast.BitOr, ast.BitAnd, ast.Sub, ast.BitXor)
+_SCOPE_NODES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+_COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _is_set_annotation(node: Optional[ast.expr]) -> bool:
+    if isinstance(node, ast.Subscript):
+        node = node.value
+    name = dotted_name(node) if node is not None else None
+    return name is not None and name.rsplit(".", 1)[-1] in _SET_TYPES
+
+
+def _is_set(node: ast.expr, names: set[str]) -> bool:
+    """Whether ``node`` is confidently set-valued."""
+    if isinstance(node, (ast.Set, ast.SetComp)):
+        return True
+    if isinstance(node, ast.Name):
+        return node.id in names
+    if isinstance(node, ast.BinOp) and isinstance(node.op, _SET_OPERATORS):
+        return _is_set(node.left, names) or _is_set(node.right, names)
+    if isinstance(node, ast.Call):
+        func = node.func
+        if isinstance(func, ast.Name):
+            return func.id in ("set", "frozenset")
+        if isinstance(func, ast.Attribute) and func.attr in _SET_METHODS:
+            return _is_set(func.value, names)
+    return False
+
+
+def _own_nodes(scope: ast.AST) -> list[ast.AST]:
+    """The nodes of ``scope``, not descending into nested scopes."""
+    nodes: list[ast.AST] = []
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        nodes.append(node := stack.pop())
+        if not isinstance(node, _SCOPE_NODES):
+            stack.extend(ast.iter_child_nodes(node))
+    return nodes
+
+
+def _set_names(scope: ast.AST, nodes: list[ast.AST]) -> set[str]:
+    """Locals and parameters bound to, or annotated as, a set."""
+    args = getattr(scope, "args", None)
+    params = (
+        [*args.posonlyargs, *args.args, *args.kwonlyargs]
+        if isinstance(args, ast.arguments)
+        else []
+    )
+    names = {arg.arg for arg in params if _is_set_annotation(arg.annotation)}
+    bindings: list[tuple[str, ast.expr]] = []
+    for node in nodes:
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            if _is_set_annotation(node.annotation):
+                names.add(node.target.id)
+            elif node.value is not None:
+                bindings.append((node.target.id, node.value))
+        elif isinstance(node, ast.Assign):
+            bindings += [(t.id, node.value) for t in node.targets if isinstance(t, ast.Name)]
+    while True:  # a name bound from another set-bound name is a set too
+        fresh = {name for name, value in bindings if _is_set(value, names)} - names
+        if not fresh:
+            return names
+        names |= fresh
+
+
+@register
+class UnorderedIterationChecker(Checker):
+    """Forbid iterating a set where its order can reach the event queue."""
+
+    rule_id = "unordered-iteration"
+    description = (
+        "no for loop or comprehension over a set/frozenset — set order "
+        "depends on insertion history and hash seeds"
+    )
+    hint = "iterate sorted(the_set) (or an explicitly ordered container)"
+    scope = ("sim/", "core/", "service/", "faults/", "scenario/")
+
+    def check(self, module: SourceModule) -> Iterator[Finding]:
+        tree = module.tree
+        for scope in [tree, *(n for n in ast.walk(tree) if isinstance(n, _SCOPE_NODES))]:
+            nodes = _own_nodes(scope)
+            names = _set_names(scope, nodes)
+            for node in nodes:
+                if isinstance(node, (ast.For, ast.AsyncFor)):
+                    iterables = [node.iter]
+                elif isinstance(node, _COMPREHENSIONS):
+                    iterables = [generator.iter for generator in node.generators]
+                else:
+                    continue
+                if any(_is_set(iterable, names) for iterable in iterables):
+                    yield self.finding(
+                        module,
+                        node,
+                        "iterating an unordered set: its order depends on "
+                        "insertion history and hash seeds",
+                    )

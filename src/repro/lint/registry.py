@@ -1,36 +1,22 @@
 """The pluggable checker registry.
 
-One checker class per rule id.  Checkers see each in-scope module through
-:meth:`Checker.check` and may hold state across modules for a final
-cross-module pass in :meth:`Checker.finish` (the ``metric-duplicate``
-rule works that way).  Flow-aware rules additionally receive the whole
-run's :class:`~repro.lint.context.LintContext` (parsed modules plus the
-cross-module call graph) through :meth:`Checker.configure` before the
-first ``check`` call.  Instances are single-use: the runner builds a
-fresh registry per run so ``finish`` state can never leak between runs.
+One checker class per rule id.  Every rule is a single AST pass: it
+sees each in-scope module once through :meth:`Checker.check` and may
+hold state across modules for a final cross-module pass in
+:meth:`Checker.finish` (the ``metric-duplicate`` rule works that way).
+Instances are single-use: the runner instantiates fresh checkers per
+run so ``finish`` state can never leak between runs.
 """
 
 from __future__ import annotations
 
 import ast
 from abc import ABC, abstractmethod
-from typing import (
-    TYPE_CHECKING,
-    Callable,
-    ClassVar,
-    Iterable,
-    Iterator,
-    Optional,
-    Type,
-    Union,
-)
+from typing import ClassVar, Iterable, Iterator, Optional, Type, Union
 
 from repro.errors import ConfigurationError
 from repro.lint.findings import Finding
 from repro.lint.source import SourceModule
-
-if TYPE_CHECKING:
-    from repro.lint.context import LintContext
 
 __all__ = [
     "Checker",
@@ -53,13 +39,6 @@ class Checker(ABC):
     hint: ClassVar[str] = ""
     #: Package-path prefixes this rule applies to; empty means all files.
     scope: ClassVar[tuple[str, ...]] = ()
-
-    #: The run-wide context; set by :meth:`configure` before any check.
-    context: Optional["LintContext"] = None
-
-    def configure(self, context: "LintContext") -> None:
-        """Receive the run-wide context (modules + call graph)."""
-        self.context = context
 
     @abstractmethod
     def check(self, module: SourceModule) -> Iterator[Finding]:
@@ -193,7 +172,3 @@ def default_registry() -> CheckerRegistry:
     import repro.lint.checkers  # noqa: F401  (import populates _DEFAULT)
 
     return _DEFAULT
-
-
-#: Convenience alias so checkers can type progress callbacks uniformly.
-ProgressCallback = Callable[[SourceModule], None]

@@ -1,11 +1,8 @@
 """Discover files, run every checker, aggregate the report.
 
-Since the flow-aware engine the run is two-phase: every file is parsed
-up front, the run-wide :class:`~repro.lint.context.LintContext` (module
-list + cross-module call graph) is built from the parsed set, and only
-then do checkers see modules.  That ordering is what lets
-interprocedural rules resolve a helper defined in a file that happens
-to sort later.
+One pass: each file is parsed once and handed to every in-scope checker
+before the next file is read; cross-module rules decide in ``finish()``
+after the last file.
 """
 
 from __future__ import annotations
@@ -14,8 +11,6 @@ from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
 
 from repro.errors import ConfigurationError
-from repro.lint.callgraph import build_call_graph
-from repro.lint.context import LintContext
 from repro.lint.findings import Finding, LintReport
 from repro.lint.registry import CheckerRegistry, default_registry
 from repro.lint.source import SourceModule, Suppressions
@@ -99,7 +94,6 @@ def lint_paths(
     raw_findings: list[Finding] = []
     suppressions_by_path: dict[str, Suppressions] = {}
 
-    modules: list[SourceModule] = []
     for file, root in discover_files(paths):
         package_path = package_relative(file, root)
         report.files_scanned += 1
@@ -119,13 +113,6 @@ def lint_paths(
             )
             continue
         suppressions_by_path[str(file)] = module.suppressions
-        modules.append(module)
-
-    context = LintContext(modules=modules, call_graph=build_call_graph(modules))
-    for checker in checkers:
-        checker.configure(context)
-
-    for module in modules:
         for checker in checkers:
             if module.in_scope(checker.scope):
                 raw_findings.extend(checker.check(module))

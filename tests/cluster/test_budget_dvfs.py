@@ -149,6 +149,26 @@ class TestTelemetry:
         fractions = telemetry.fractions_of(9.04)
         assert all(value == pytest.approx(0.5) for _, value in fractions)
 
+    def test_noise_perturbs_samples_inside_its_window_only(self, sim, machine):
+        from repro.cluster.telemetry import PowerTelemetry
+        from repro.sim.rng import SeededStream
+
+        telemetry = PowerTelemetry(sim, machine, sample_interval_s=1.0)
+        machine.acquire_core(LEVEL_1_8)
+        # A fraction above 1 can push a sample below zero: it clamps.
+        telemetry.inject_noise(4.0, 1.5, SeededStream(1, "noise"))
+        telemetry.start()
+        sim.run(until=7.0)
+        draws = SeededStream(1, "noise")
+        watts = machine.total_power()
+        inside = [
+            max(0.0, watts * (1.0 + 1.5 * draws.uniform(-1.0, 1.0)))
+            for _ in range(4)
+        ]
+        assert [s.time for s in telemetry.samples] == [float(t) for t in range(8)]
+        assert [s.watts for s in telemetry.samples] == inside + [watts] * 4
+        assert 0.0 in inside and len(set(inside)) == 4
+
     def test_empty_summaries(self, sim, machine):
         from repro.cluster.telemetry import PowerTelemetry
 

@@ -201,7 +201,7 @@ class TestSloStormMonitor:
         burn_box = {"burn": 5.0}
         monitor = SloStormMonitor(2.0, storm_ticks=2)
         # Arming is permanent by design: there is no detach.
-        monitor.attach(self._tracker(burn_box))  # repro-lint: disable=resource-pairing
+        monitor.attach(self._tracker(burn_box))
         assert monitor.check(1.0) == []
         burn_box["burn"] = 1.0
         assert monitor.check(2.0) == []  # streak broken

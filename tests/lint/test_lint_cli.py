@@ -22,19 +22,13 @@ REPO_SRC = REPO_ROOT / "src"
 EXPECTED_RULES = {
     "wall-clock",
     "unseeded-random",
+    "unordered-iteration",
     "unit-mismatch",
     "pickle-fanout",
     "metric-name",
     "metric-duplicate",
-    "dataclass-mutable-default",
     "dataclass-frozen-shared",
     "scenario-bypass",
-    # Flow-aware families (PR 8).
-    "unit-flow",
-    "resource-pairing",
-    "unordered-iteration",
-    "rng-escape",
-    "observer-purity",
 }
 
 #: One wall-clock read and one unit mismatch, both in scope under core/.

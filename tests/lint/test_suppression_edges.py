@@ -137,15 +137,15 @@ class TestMultilineStatements:
             {
                 "core/a.py": """\
                 def mix(budget_watts, window_s):
-                    draw = budget_watts
-                    total = draw + (
-                        window_s  # repro-lint: disable=unit-flow
+                    limit_watts = budget_watts
+                    total = limit_watts + (
+                        window_s  # repro-lint: disable=unit-mismatch
                     )
                     return total
                 """
             },
         )
-        report = lint_paths([tmp_path], select=["unit-flow"])
+        report = lint_paths([tmp_path], select=["unit-mismatch"])
         assert report.clean
         assert report.suppressed == 1
 
@@ -155,15 +155,15 @@ class TestMultilineStatements:
             {
                 "core/a.py": """\
                 def mix(budget_watts, window_s):
-                    draw = budget_watts
-                    total = draw + (
+                    limit_watts = budget_watts
+                    total = limit_watts + (
                         window_s
                     )
                     return total
                 """
             },
         )
-        report = lint_paths([tmp_path], select=["unit-flow"])
+        report = lint_paths([tmp_path], select=["unit-mismatch"])
         assert [f.line for f in report.findings] == [3]
 
 

@@ -318,3 +318,47 @@ class TestAbort:
             builder.tick(10.0)
         with pytest.raises(ExperimentError, match="lifecycle"):
             builder.collect()
+
+
+
+#: Every observability pillar; the SLO tracker needs a target.
+ALL_PILLARS = ("trace", "metrics", "audit", "attribution", "slo", "energy", "stream")
+
+
+class TestTeardownLeavesNothingAttached:
+    """A finished or aborted run unhooks every observer it attached."""
+
+    @pytest.mark.parametrize(
+        "pillars, finish",
+        [
+            (("metrics", "energy"), "execute"),
+            (ALL_PILLARS, "execute"),
+            (ALL_PILLARS, "abort"),
+        ],
+        ids=["execute-metrics-energy", "execute-all-pillars", "abort-from-started"],
+    )
+    def test_nothing_stays_attached(self, pillars, finish):
+        from repro.obs import logging as obs_logging
+
+        spec = ScenarioSpec.latency(
+            "sirius",
+            "powerchief",
+            ("constant", 1.5),
+            30.0,
+            seed=3,
+            observe=pillars,
+            slo_target_s=20.0,
+        )
+        builder = StackBuilder(spec)
+        if finish == "execute":
+            builder.execute()
+        else:
+            builder.build().arm().start().tick(10.0)
+            assert builder.phase == "started"
+            builder.abort()
+        obs = builder.observability
+        assert builder.sim._event_hooks == []
+        assert builder.telemetry._sample_listeners == []
+        assert obs.energy._telemetry is None
+        assert obs.stream is None or obs.stream.attached is False
+        assert obs_logging._clock is None
