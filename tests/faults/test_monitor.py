@@ -113,6 +113,32 @@ class TestRespawn:
         assert monitor.respawns == 1
         assert budget.reserved_watts == pytest.approx(0.0)
 
+    def test_pending_respawn_keeps_its_reservation_across_ticks(
+        self, sim, machine
+    ):
+        # The reservation outlives the crash listener: each tick hands it
+        # back for the attempt and takes it again when nothing fits, so it
+        # stays put until the replacement launches.
+        app, stage = build_app(sim, machine, count=2, level=HIGH)
+        budget = PowerBudget(machine, 2 * power_at(machine, HIGH) + 0.1)
+        monitor = HealthMonitor(sim, app, budget, config=CONFIG)
+        monitor.start()
+        stage.crash_instance(stage.running_instances()[0])
+        reserved = budget.reserved_watts
+        assert reserved == pytest.approx(power_at(machine, HIGH))
+        # A co-tenant takes the freed core's power: no level fits now.
+        tenant = machine.acquire_core(HIGH)
+        sim.run(until=3.5)
+        assert monitor.respawns == 0
+        assert monitor.pending_respawns == 1
+        assert budget.reserved_watts == reserved
+        machine.release_core(tenant)
+        sim.run(until=5.0)
+        monitor.stop()
+        assert monitor.respawns == 1
+        assert monitor.pending_respawns == 0
+        assert budget.reserved_watts == pytest.approx(0.0)
+
     def test_respawn_disabled(self, sim, machine):
         app, stage = build_app(sim, machine)
         budget = PowerBudget(machine, machine.peak_power())

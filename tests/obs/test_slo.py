@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from collections import deque
 
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from repro.errors import ConfigurationError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.slo import SloTracker
+from repro.service.query import Query
 
 
 class TestValidation:
@@ -126,6 +128,19 @@ class TestAccounting:
             tracker._ingest(float(i), False)
         assert tracker.total == 10
         assert tracker.violations == 10
+
+    def test_judging_a_query_leaves_it_untouched(self):
+        # The tracker is a completion/failure listener: the queries it
+        # judges go on to the run's results, so it reads and never writes.
+        tracker = SloTracker(target_s=1.0)
+        late = Query(1, {"ASR": 1.0}, arrival_time=2.0, completion_time=5.0)
+        failed = Query(2, {"ASR": 1.0}, arrival_time=3.0, failed_time=6.0)
+        before = [dataclasses.asdict(query) for query in (late, failed)]
+        tracker.observe(late)
+        tracker.observe_failure(failed)
+        assert [dataclasses.asdict(query) for query in (late, failed)] == before
+        assert tracker.total == 2
+        assert tracker.violations == 2
 
 
 class TestMetricsExport:
