@@ -72,7 +72,6 @@ from repro.core import (
 )
 from repro.cluster.calibration import fit_cubic_model, reference_power_table
 from repro.errors import ReproError
-from repro.scale import LeastInFlightSplitter, RoundRobinSplitter, Shard, ShardedDeployment
 from repro.scenario import (
     ScenarioSpec,
     ShardedRunResult,
@@ -117,11 +116,6 @@ __all__ = [
     # calibration
     "fit_cubic_model",
     "reference_power_table",
-    # scale
-    "Shard",
-    "ShardedDeployment",
-    "RoundRobinSplitter",
-    "LeastInFlightSplitter",
     # scenario
     "ScenarioSpec",
     "StackBuilder",

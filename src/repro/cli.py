@@ -70,11 +70,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 from repro.errors import ReproError
 from repro.experiments.campaign import default_registry
 from repro.obs import Observability, setup_logging
-from repro.experiments.export import (
-    qos_result_to_dict,
-    run_result_to_dict,
-    write_json,
-)
+from repro.experiments.export import scenario_payload, write_json
 from repro.scenario.builder import StackBuilder, run_scenario
 from repro.scenario.spec import LATENCY_POLICIES, QOS_POLICIES, ScenarioSpec
 from repro.workloads.levels import LoadLevel
@@ -642,7 +638,7 @@ def _cmd_latency(args: argparse.Namespace) -> int:
     )
     print(_describe_scenario_result(result))
     if args.json:
-        path = write_json(args.json, run_result_to_dict(result))
+        path = write_json(args.json, scenario_payload(result)["result"])
         print(f"result written to {path}")
     return 0
 
@@ -1023,7 +1019,7 @@ def _cmd_qos(args: argparse.Namespace) -> int:
         f"violations {result.violation_fraction * 100:.1f}%"
     )
     if args.json:
-        path = write_json(args.json, qos_result_to_dict(result))
+        path = write_json(args.json, scenario_payload(result)["result"])
         print(f"result written to {path}")
     return 0
 
@@ -1077,6 +1073,12 @@ def _cmd_ctl(args: argparse.Namespace) -> int:
         port=port,
         timeout_s=args.timeout,
     )
+    try:
+        client.connect()
+    except OSError as error:
+        where = args.socket if host is None else args.tcp
+        print(f"error: cannot reach reprod at {where}: {error}", file=sys.stderr)
+        return 1
     with client as ctl:
         if args.action == "watch":
             ctl.call("watch", run=args.run)

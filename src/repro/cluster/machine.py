@@ -82,11 +82,6 @@ class Machine:
         """Cores currently allocated to service instances."""
         return [core for core in self._cores if core.active]
 
-    @property
-    def active_core_count(self) -> int:
-        """Number of allocated cores (maintained, never scanned)."""
-        return self._active_count
-
     def free_core_count(self) -> int:
         return len(self._cores) - self._active_count
 

@@ -236,20 +236,3 @@ class PowerTelemetry:
                 f"reference power must be > 0, got {reference_watts}"
             )
         return [(s.time, s.watts / reference_watts) for s in self.samples]
-
-    def level_distribution(self, since: float = 0.0) -> dict[int, float]:
-        """Mean active-core count per DVFS level from ``since`` onward.
-
-        Averaged over samples: ``{level: mean core count}``.  Empty when
-        nothing was sampled.
-        """
-        chosen = [s for s in self.samples if s.time >= since]
-        if not chosen:
-            return {}
-        totals: dict[int, int] = {}
-        for sample in chosen:
-            for level, count in sample.level_counts:
-                totals[level] = totals.get(level, 0) + count
-        return {
-            level: total / len(chosen) for level, total in sorted(totals.items())
-        }

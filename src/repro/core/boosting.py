@@ -86,10 +86,6 @@ class BoostingDecision:
     expected_delay_frequency: Optional[float] = None
     reason: str = ""
 
-    @property
-    def is_actionable(self) -> bool:
-        return self.kind is not BoostKind.NONE
-
 
 class BoostingDecisionEngine:
     """Implements Algorithm 1 over live command-center statistics."""

@@ -1,240 +1,141 @@
 """Result export: experiment results as plain dicts / JSON files.
 
 Experiment campaigns are cheap to re-run but their outputs should be
-archivable and diffable; these helpers flatten the result dataclasses
-(including action logs and timeline samples) into JSON-serialisable
-structures.
+archivable and diffable.  One codec covers every result record: the
+encoder turns each dataclass field into its JSON value (tagging each
+:class:`~repro.core.actions.ActionRecord` with its ``type``), and the
+decoder is derived once per class from the result dataclasses' field
+types, so a new field or action record needs no codec edit.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
+import operator
+import typing
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable, Optional, Union
 
-from repro.core.actions import (
-    ActionRecord,
-    FrequencyChangeAction,
-    InstanceLaunchAction,
-    InstanceWithdrawAction,
-    SkipAction,
-)
+from repro.core.actions import ActionRecord
 from repro.errors import ExperimentError
-from repro.scenario.results import (
-    QosRunResult,
-    RunResult,
-    ShardResult,
-    ShardedRunResult,
-)
-from repro.scenario.sampling import QosSample, StageSnapshot, StateSample
-from repro.util.percentile import LatencySummary
+from repro.scenario.results import QosRunResult, RunResult, ShardedRunResult
 
 __all__ = [
-    "run_result_to_dict",
-    "run_result_from_dict",
-    "qos_result_to_dict",
-    "qos_result_from_dict",
-    "sharded_result_to_dict",
-    "sharded_result_from_dict",
     "scenario_payload",
     "scenario_result_from_payload",
     "write_json",
 ]
 
-_ACTION_TYPES: dict[str, type[ActionRecord]] = {
-    cls.__name__: cls
-    for cls in (
-        FrequencyChangeAction,
-        InstanceLaunchAction,
-        InstanceWithdrawAction,
-        SkipAction,
-    )
+#: Payload ``kind`` -> the result record it encodes.
+_KINDS: dict[str, type] = {
+    "latency": RunResult,
+    "qos": QosRunResult,
+    "sharded": ShardedRunResult,
 }
+_KIND_OF = {cls: kind for kind, cls in _KINDS.items()}
+
+#: Field types a JSON value already holds as-is.
+_JSON_SCALARS = (str, int, float, bool)
+
+_Decoder = Callable[[Any], Any]
 
 
-def _action_to_dict(action: Any) -> dict[str, Any]:
-    payload = dataclasses.asdict(action)
-    payload["type"] = type(action).__name__
-    return payload
+@functools.cache
+def _field_names(cls: type) -> tuple[str, ...]:
+    return tuple(field.name for field in dataclasses.fields(cls))
 
 
-def _action_from_dict(payload: dict[str, Any]) -> ActionRecord:
-    fields = dict(payload)
-    type_name = fields.pop("type", None)
-    try:
-        action_type = _ACTION_TYPES[type_name]
-    except KeyError:
-        raise ExperimentError(f"unknown action type {type_name!r}") from None
-    return action_type(**fields)
+def _encode(value: Any) -> Any:
+    """A dataclass tree as JSON values: records become dicts, tuples lists."""
+    if dataclasses.is_dataclass(value):
+        payload = {
+            name: _encode(getattr(value, name)) for name in _field_names(type(value))
+        }
+        if isinstance(value, ActionRecord):
+            payload["type"] = type(value).__name__
+        return payload
+    if isinstance(value, tuple):
+        return [_encode(item) for item in value]
+    return value
 
 
-def _state_sample_from_dict(payload: dict[str, Any]) -> StateSample:
-    stages = tuple(
-        StageSnapshot(
-            stage_name=stage["stage_name"],
-            instance_count=stage["instance_count"],
-            frequencies=tuple(
-                (name, freq) for name, freq in stage["frequencies"]
-            ),
-            queue_length=stage["queue_length"],
-        )
-        for stage in payload["stages"]
-    )
-    return StateSample(
-        time=payload["time"],
-        stages=stages,
-        total_power_watts=payload["total_power_watts"],
-    )
+@functools.cache
+def _decoder(hint: Any) -> Optional[_Decoder]:
+    """The function rebuilding a ``hint``-typed value from its JSON form.
 
-
-def run_result_to_dict(result: RunResult) -> dict[str, Any]:
-    """A latency-mitigation run as a JSON-serialisable dict."""
-    return {
-        "app": result.app,
-        "policy": result.policy,
-        "duration_s": result.duration_s,
-        "queries_submitted": result.queries_submitted,
-        "queries_completed": result.queries_completed,
-        "latency": dataclasses.asdict(result.latency),
-        "average_power_watts": result.average_power_watts,
-        "actions": [_action_to_dict(action) for action in result.actions],
-        "state_samples": [
-            dataclasses.asdict(sample) for sample in result.state_samples
-        ],
-    }
-
-
-def run_result_from_dict(payload: dict[str, Any]) -> RunResult:
-    """Rebuild a :class:`RunResult` from :func:`run_result_to_dict` output.
-
-    The JSON round trip is lossless: ``run_result_from_dict(json.loads(
-    json.dumps(run_result_to_dict(result)))) == result``, which is what
-    lets the experiment cache hand back cached cells as first-class
-    results.
+    ``None`` means JSON already holds the value as-is, so decoding does
+    no work on it.  Built once per type.
     """
-    return RunResult(
-        app=payload["app"],
-        policy=payload["policy"],
-        duration_s=payload["duration_s"],
-        queries_submitted=payload["queries_submitted"],
-        queries_completed=payload["queries_completed"],
-        latency=LatencySummary(**payload["latency"]),
-        average_power_watts=payload["average_power_watts"],
-        actions=tuple(
-            _action_from_dict(action) for action in payload["actions"]
-        ),
-        state_samples=tuple(
-            _state_sample_from_dict(sample)
-            for sample in payload["state_samples"]
-        ),
+    if hint in _JSON_SCALARS:
+        return None
+    if hint is ActionRecord:
+        by_name = {
+            cls.__name__: _record_decoder(cls) for cls in hint.__subclasses__()
+        }
+
+        def decode_action(payload: dict[str, Any]) -> ActionRecord:
+            try:
+                decode = by_name[payload["type"]]
+            except KeyError:
+                raise ExperimentError(
+                    f"unknown action type {payload.get('type')!r}"
+                ) from None
+            return decode(payload)
+
+        return decode_action
+    if dataclasses.is_dataclass(hint):
+        return _record_decoder(hint)
+    origin = typing.get_origin(hint)
+    args = typing.get_args(hint)
+    if origin is Union and type(None) in args:
+        (inner,) = [arg for arg in args if arg is not type(None)]
+        decode = _decoder(inner)
+        if decode is None:
+            return None
+        return lambda value: None if value is None else decode(value)
+    if origin is tuple:
+        if len(args) == 2 and args[1] is Ellipsis:
+            item = _decoder(args[0])
+            if item is None:
+                return tuple
+            return lambda value: tuple(map(item, value))
+        if all(_decoder(arg) is None for arg in args):
+            return tuple
+    raise TypeError(f"no JSON decoder for result field type {hint!r}")
+
+
+@functools.cache
+def _record_decoder(cls: type) -> _Decoder:
+    """A decoder for one dataclass, from its resolved field types.
+
+    One ``itemgetter`` call reads every field; only the fields JSON does
+    not already hold go through a nested decoder.
+    """
+    hints = typing.get_type_hints(cls)
+    names = _field_names(cls)
+    # itemgetter returns a bare value, not a 1-tuple, for a single key.
+    values = (
+        operator.itemgetter(*names)
+        if len(names) > 1
+        else lambda payload: (payload[names[0]],)
     )
+    nested = [
+        (index, decode)
+        for index, decode in enumerate(_decoder(hints[name]) for name in names)
+        if decode is not None
+    ]
+    if not nested:
+        return lambda payload: cls(*values(payload))
 
+    def decode_record(payload: dict[str, Any]) -> Any:
+        fields = list(values(payload))
+        for index, decode in nested:
+            fields[index] = decode(fields[index])
+        return cls(*fields)
 
-def qos_result_to_dict(result: QosRunResult) -> dict[str, Any]:
-    """A QoS-mode run as a JSON-serialisable dict."""
-    return {
-        "app": result.app,
-        "policy": result.policy,
-        "duration_s": result.duration_s,
-        "qos_target_s": result.qos_target_s,
-        "reference_power_watts": result.reference_power_watts,
-        "queries_submitted": result.queries_submitted,
-        "queries_completed": result.queries_completed,
-        "latency": dataclasses.asdict(result.latency),
-        "average_power_fraction": result.average_power_fraction,
-        "power_saving_fraction": result.power_saving_fraction,
-        "violation_fraction": result.violation_fraction,
-        "actions": [_action_to_dict(action) for action in result.actions],
-        "qos_samples": [dataclasses.asdict(sample) for sample in result.qos_samples],
-    }
-
-
-def qos_result_from_dict(payload: dict[str, Any]) -> QosRunResult:
-    """Rebuild a :class:`QosRunResult` from :func:`qos_result_to_dict` output."""
-    return QosRunResult(
-        app=payload["app"],
-        policy=payload["policy"],
-        duration_s=payload["duration_s"],
-        qos_target_s=payload["qos_target_s"],
-        reference_power_watts=payload["reference_power_watts"],
-        queries_submitted=payload["queries_submitted"],
-        queries_completed=payload["queries_completed"],
-        latency=LatencySummary(**payload["latency"]),
-        average_power_fraction=payload["average_power_fraction"],
-        violation_fraction=payload["violation_fraction"],
-        actions=tuple(
-            _action_from_dict(action) for action in payload["actions"]
-        ),
-        qos_samples=tuple(
-            QosSample(
-                time=sample["time"],
-                latency_fraction=sample["latency_fraction"],
-                power_fraction=sample["power_fraction"],
-            )
-            for sample in payload["qos_samples"]
-        ),
-    )
-
-
-def sharded_result_to_dict(result: ShardedRunResult) -> dict[str, Any]:
-    """A sharded latency run as a JSON-serialisable dict."""
-    return {
-        "app": result.app,
-        "policy": result.policy,
-        "duration_s": result.duration_s,
-        "n_shards": result.n_shards,
-        "splitter": result.splitter,
-        "queries_submitted": result.queries_submitted,
-        "queries_completed": result.queries_completed,
-        "latency": dataclasses.asdict(result.latency),
-        "average_power_watts": result.average_power_watts,
-        "shards": [
-            {
-                "index": shard.index,
-                "queries_completed": shard.queries_completed,
-                "latency": (
-                    None
-                    if shard.latency is None
-                    else dataclasses.asdict(shard.latency)
-                ),
-                "average_power_watts": shard.average_power_watts,
-                "actions": [_action_to_dict(action) for action in shard.actions],
-            }
-            for shard in result.shards
-        ],
-    }
-
-
-def sharded_result_from_dict(payload: dict[str, Any]) -> ShardedRunResult:
-    """Rebuild a :class:`ShardedRunResult` from its dict form."""
-    return ShardedRunResult(
-        app=payload["app"],
-        policy=payload["policy"],
-        duration_s=payload["duration_s"],
-        n_shards=payload["n_shards"],
-        splitter=payload["splitter"],
-        queries_submitted=payload["queries_submitted"],
-        queries_completed=payload["queries_completed"],
-        latency=LatencySummary(**payload["latency"]),
-        average_power_watts=payload["average_power_watts"],
-        shards=tuple(
-            ShardResult(
-                index=shard["index"],
-                queries_completed=shard["queries_completed"],
-                latency=(
-                    None
-                    if shard["latency"] is None
-                    else LatencySummary(**shard["latency"])
-                ),
-                average_power_watts=shard["average_power_watts"],
-                actions=tuple(
-                    _action_from_dict(action) for action in shard["actions"]
-                ),
-            )
-            for shard in payload["shards"]
-        ),
-    )
+    return decode_record
 
 
 def scenario_payload(
@@ -243,27 +144,31 @@ def scenario_payload(
     """A kind-tagged payload for whatever a scenario run returned.
 
     This is the one result format the campaign engine caches, ``repro
-    run --json`` writes and the daemon's ``result`` command serves.
+    run --json`` writes and the daemon's ``result`` command serves; its
+    ``result`` member is what ``repro latency``/``qos --json`` write.
     """
-    if isinstance(result, ShardedRunResult):
-        return {"kind": "sharded", "result": sharded_result_to_dict(result)}
+    body = _encode(result)
     if isinstance(result, QosRunResult):
-        return {"kind": "qos", "result": qos_result_to_dict(result)}
-    return {"kind": "latency", "result": run_result_to_dict(result)}
+        body["power_saving_fraction"] = result.power_saving_fraction
+    return {"kind": _KIND_OF[type(result)], "result": body}
 
 
 def scenario_result_from_payload(
     payload: dict[str, Any],
 ) -> RunResult | QosRunResult | ShardedRunResult:
-    """Rebuild the result object a :func:`scenario_payload` dict encodes."""
+    """Rebuild the result object a :func:`scenario_payload` dict encodes.
+
+    The JSON round trip is lossless: ``scenario_result_from_payload(
+    json.loads(json.dumps(scenario_payload(result)))) == result``, which
+    is what lets the experiment cache hand back cached cells as
+    first-class results.
+    """
     kind = payload.get("kind")
-    if kind == "latency":
-        return run_result_from_dict(payload["result"])
-    if kind == "qos":
-        return qos_result_from_dict(payload["result"])
-    if kind == "sharded":
-        return sharded_result_from_dict(payload["result"])
-    raise ExperimentError(f"unknown scenario payload kind {kind!r}")
+    try:
+        cls = _KINDS[kind]
+    except KeyError:
+        raise ExperimentError(f"unknown scenario payload kind {kind!r}") from None
+    return _record_decoder(cls)(payload["result"])
 
 
 def write_json(path: str | Path, payload: Any) -> Path:

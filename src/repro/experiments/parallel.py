@@ -33,10 +33,9 @@ from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Optional, Sequence, Union
+from typing import Any, Optional, Sequence, Union
 
 from repro.errors import ConfigurationError
-from repro.obs.metrics import MetricsRegistry
 from repro.experiments.export import (
     scenario_payload,
     scenario_result_from_payload,
@@ -265,18 +264,11 @@ class EngineReport:
         )
 
 
-#: Elapsed-time buckets for per-cell compute (sub-second short runs up
-#: to multi-minute QoS timelines).
-_CELL_ELAPSED_BUCKETS_S = (0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0, 60.0, 180.0)
-
-
 def run_cells(
     specs: Sequence[ScenarioSpec],
     max_workers: int = 1,
     cache: Union[ResultCache, str, Path, None] = None,
     timeout_s: Optional[float] = None,
-    progress: Optional[Callable[[CellOutcome], None]] = None,
-    registry: Optional[MetricsRegistry] = None,
 ) -> EngineReport:
     """Execute every cell, fanning out across processes when asked to.
 
@@ -290,12 +282,6 @@ def run_cells(
       rather than failing it;
     * in serial mode exceptions propagate immediately — the simulations
       are deterministic, so a serial failure would only repeat.
-
-    ``progress`` is invoked once per completed cell with its
-    :class:`CellOutcome` (cache hits first, then computed cells).
-    ``registry`` routes the engine's bookkeeping — cells by source,
-    cache hits/misses, retries, per-cell elapsed time — through the
-    metrics registry, at the single choke point every path shares.
     """
     if max_workers < 1:
         raise ConfigurationError(f"max_workers must be >= 1, got {max_workers}")
@@ -304,48 +290,18 @@ def run_cells(
     report = EngineReport()
     outcomes: dict[int, CellOutcome] = {}
 
-    def finish(index: int, outcome: CellOutcome) -> None:
-        outcomes[index] = outcome
-        if registry is not None:
-            registry.counter(
-                "repro_cells_total", "Cells finished, by result source"
-            ).inc(source=outcome.source)
-            if outcome.source == "cache":
-                registry.counter(
-                    "repro_cell_cache_hits_total", "Cells served from the cache"
-                ).inc()
-            else:
-                registry.counter(
-                    "repro_cell_cache_misses_total", "Cells that had to compute"
-                ).inc()
-                registry.histogram(
-                    "repro_cell_elapsed_seconds",
-                    "Per-cell compute time",
-                    buckets=_CELL_ELAPSED_BUCKETS_S,
-                ).observe(outcome.elapsed_s)
-            if outcome.attempts > 1:
-                registry.counter(
-                    "repro_cell_retries_total",
-                    "Cells recomputed after a worker crash or timeout",
-                ).inc()
-        if progress is not None:
-            progress(outcome)
-
     pending: list[tuple[int, ScenarioSpec, str]] = []
     for index, spec in enumerate(specs):
         digest = spec.digest()
         record = store.get(digest) if store is not None else None
         if record is not None:
-            finish(
-                index,
-                CellOutcome(
-                    spec=spec,
-                    digest=digest,
-                    payload=record["payload"],
-                    elapsed_s=0.0,
-                    source="cache",
-                    attempts=0,
-                ),
+            outcomes[index] = CellOutcome(
+                spec=spec,
+                digest=digest,
+                payload=record["payload"],
+                elapsed_s=0.0,
+                source="cache",
+                attempts=0,
             )
         else:
             pending.append((index, spec, digest))
@@ -356,17 +312,14 @@ def run_cells(
         record = _timed_execute(spec)
         if store is not None:
             store.put(spec, digest, record)
-        finish(
-            index,
-            CellOutcome(
-                spec=spec,
-                digest=digest,
-                payload=record["payload"],
-                elapsed_s=record["elapsed_s"],
-                source=source,
-                attempts=attempts,
-                worker=record["worker"],
-            ),
+        outcomes[index] = CellOutcome(
+            spec=spec,
+            digest=digest,
+            payload=record["payload"],
+            elapsed_s=record["elapsed_s"],
+            source=source,
+            attempts=attempts,
+            worker=record["worker"],
         )
 
     executor: Optional[ProcessPoolExecutor] = None
@@ -404,17 +357,14 @@ def run_cells(
                 if record is not None:
                     if store is not None:
                         store.put(spec, digest, record)
-                    finish(
-                        index,
-                        CellOutcome(
-                            spec=spec,
-                            digest=digest,
-                            payload=record["payload"],
-                            elapsed_s=record["elapsed_s"],
-                            source="pool",
-                            attempts=1,
-                            worker=record["worker"],
-                        ),
+                    outcomes[index] = CellOutcome(
+                        spec=spec,
+                        digest=digest,
+                        payload=record["payload"],
+                        elapsed_s=record["elapsed_s"],
+                        source="pool",
+                        attempts=1,
+                        worker=record["worker"],
                     )
                 elif pool_broken:
                     compute_serial(index, spec, digest, "serial", 1)

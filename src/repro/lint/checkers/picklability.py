@@ -68,7 +68,7 @@ class PickleFanoutChecker(Checker):
         "hoist the callable to module level; parameterise it through "
         "argument tuples or scenario-spec fields instead of captured state"
     )
-    scope = ("experiments/", "scale/")
+    scope = ("experiments/",)
 
     def check(self, module: SourceModule) -> Iterator[Finding]:
         nested = _nested_function_names(module.tree)

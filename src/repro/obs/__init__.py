@@ -156,15 +156,3 @@ class Observability:
             metrics=metrics,
             audit=AuditLog(max_entries=max_audit_entries),
         )
-
-    @property
-    def any_enabled(self) -> bool:
-        return (
-            self.tracer is not None
-            or self.metrics is not None
-            or self.audit is not None
-            or self.attribution is not None
-            or self.slo is not None
-            or self.energy is not None
-            or self.stream is not None
-        )

@@ -6,13 +6,12 @@ turns such a description into a live stack (simulator, machine(s),
 application(s), budget, command center, controller, loadgen, chaos,
 observability), through an explicit ``build → arm → start → run → drain
 → collect`` lifecycle.  The figures, every CLI run, the parallel cell
-engine's cache digests, the sharded deployments and the ``reprod``
+engine's cache digests, the sharded runs and the ``reprod``
 daemon all sit on top of this package.
 """
 
 from repro.scenario.builder import (
     LATENCY_CONTROLLERS,
-    SPLITTERS,
     StackBuilder,
     run_scenario,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "LATENCY_POLICIES",
     "QOS_POLICIES",
     "LATENCY_CONTROLLERS",
-    "SPLITTERS",
     "ScenarioSpec",
     "StageAllocation",
     "StackBuilder",

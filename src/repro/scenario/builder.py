@@ -17,7 +17,7 @@ convenience around it.
 There is one kind of stack: a machine, an application, a power budget, a
 command center, a controller and an optional chaos harness — one CMP
 server.  A single latency run builds one; a sharded run builds one per
-shard behind a query splitter (Section 7.2: the services duplicated
+shard behind a query router (Section 7.2: the services duplicated
 "into multiple shardings across CMP servers", one PowerChief each); a
 QoS run builds one from its Table-3 deployment.  The kinds differ only
 in the data the stack is built from (:class:`_StackPlan`).
@@ -44,9 +44,10 @@ buffer with ``--max-spans``).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import partial
-from typing import TYPE_CHECKING, Callable, Mapping, Optional, Union
+from typing import TYPE_CHECKING, Callable, Mapping, Optional, Sequence, Union
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from repro.faults.chaos import ChaosHarness
@@ -87,13 +88,6 @@ from repro.scenario.config import (
     Table3Setup,
 )
 from repro.scenario.sampling import QosSampler, StateSampler
-from repro.scale.sharding import (
-    LeastInFlightSplitter,
-    QuerySplitter,
-    RoundRobinSplitter,
-    Shard,
-    ShardedDeployment,
-)
 from repro.scenario.results import (
     QosRunResult,
     RunResult,
@@ -109,6 +103,7 @@ from repro.scenario.spec import (
 from repro.service.application import Application
 from repro.service.command_center import CommandCenter
 from repro.service.profile import ServiceProfile
+from repro.service.query import Query
 from repro.service.stage import StageKind
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
@@ -126,7 +121,6 @@ __all__ = [
     "StackBuilder",
     "run_scenario",
     "LATENCY_CONTROLLERS",
-    "SPLITTERS",
 ]
 
 _PROFILE_BUILDERS = {
@@ -143,12 +137,6 @@ LATENCY_CONTROLLERS: dict[str, type[BaseController]] = {
     "freq-boost": FreqBoostController,
     "inst-boost": InstBoostController,
     "powerchief": PowerChiefController,
-}
-
-#: Splitter name -> factory, for sharded scenarios.
-SPLITTERS: dict[str, Callable[[], QuerySplitter]] = {
-    "round-robin": RoundRobinSplitter,
-    "least-in-flight": LeastInFlightSplitter,
 }
 
 #: Options a QoS scenario accepts: the controller knobs, then the
@@ -324,6 +312,27 @@ class _Stack:
     tag: str
 
 
+class _ShardRouter:
+    """The front end of a sharded run: hands each arriving query to one
+    shard's application.
+
+    ``round-robin`` cycles through the shards; ``least-in-flight`` takes
+    the first application with the fewest queries in flight.
+    """
+
+    def __init__(self, applications: Sequence[Application], splitter: str) -> None:
+        self._applications = tuple(applications)
+        self._cycle = itertools.cycle(self._applications)
+        self._round_robin = splitter == "round-robin"
+
+    def submit(self, query: Query) -> None:
+        if self._round_robin:
+            application = next(self._cycle)
+        else:
+            application = min(self._applications, key=lambda app: app.in_flight)
+        application.submit(query)
+
+
 class StackBuilder:
     """Assemble and drive the stack one scenario describes.
 
@@ -356,7 +365,7 @@ class StackBuilder:
         #: ``(label, exception)`` pairs; abort never raises itself.
         self.abort_errors: list[tuple[str, Exception]] = []
         # Populated by build()/arm(); the single-stack views stay None
-        # on sharded runs (each shard is in ``deployment``).
+        # on sharded runs (each shard is one of ``_stacks``).
         self.sim: Optional[Simulator] = None
         self.machine: Optional[Machine] = None
         self.application: Optional[Application] = None
@@ -364,7 +373,6 @@ class StackBuilder:
         self.command_center: Optional[CommandCenter] = None
         self.controller: Optional[BaseController] = None
         self.generator: Optional[PoissonLoadGenerator] = None
-        self.deployment: Optional[ShardedDeployment] = None
         self.chaos: Optional["ChaosHarness"] = None
         self.telemetry: Optional[PowerTelemetry] = None
         self._stacks: list[_Stack] = []
@@ -421,30 +429,23 @@ class StackBuilder:
         sim = Simulator()
         # Streams are name-derived (creation order never shifts seeds).
         streams = RandomStreams(spec.seed)
-        target: Union[Application, ShardedDeployment]
+        target: Union[Application, _ShardRouter]
         if spec.shards > 1:
-
-            def shard(sim: Simulator, index: int) -> Shard:
-                # Each shard forks its own stream universe, so shard count
-                # never perturbs the shared arrival/demand streams and
-                # every shard's faults draw from an independent source.
-                stack = self._build_stack(
-                    sim,
-                    plan,
-                    streams.fork(f"shard{index}"),
-                    f"{plan.app}[{index}]",
-                    f"[shard{index}]",
-                )
-                return Shard(
-                    index=index,
-                    application=stack.application,
-                    command_center=stack.command_center,
-                    budget=stack.budget,
-                    controller=stack.controller,
-                )
-
-            target = self.deployment = ShardedDeployment(
-                sim, spec.shards, shard, splitter=SPLITTERS[spec.splitter]()
+            # Each shard forks its own stream universe, so shard count
+            # never perturbs the shared arrival/demand streams and every
+            # shard's faults draw from an independent source.
+            target = _ShardRouter(
+                [
+                    self._build_stack(
+                        sim,
+                        plan,
+                        streams.fork(f"shard{index}"),
+                        f"{plan.app}[{index}]",
+                        f"[shard{index}]",
+                    ).application
+                    for index in range(spec.shards)
+                ],
+                spec.splitter,
             )
         else:
             stack = self._build_stack(sim, plan, streams, plan.app, "")

@@ -305,8 +305,11 @@ class ScenarioSpec:
     drain_s: float = 0.0
     #: Chaos plan reference: a built-in name or canonical plan JSON.
     chaos: Optional[str] = None
-    #: Replica count; > 1 builds a :class:`~repro.scale.ShardedDeployment`.
+    #: Replica count; > 1 builds one stack per shard (Section 7.2), each
+    #: with its own machine, budget and controller.
     shards: int = 1
+    #: How a sharded run routes queries: ``round-robin`` or
+    #: ``least-in-flight`` (the first shard with the fewest in flight).
     splitter: str = "least-in-flight"
     #: Observability pillars to arm: the core trio (trace/metrics/audit)
     #: plus the accounting plane (attribution/slo/energy/stream).

@@ -65,7 +65,13 @@ class CtlClient:
         if self.socket_path is not None:
             sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
             sock.settimeout(self.timeout_s)
-            sock.connect(self.socket_path)
+            try:
+                sock.connect(self.socket_path)
+            except OSError:
+                # Callers retry on the exact type (the socket file not
+                # there yet, or refused before listen()), so re-raise it.
+                sock.close()
+                raise
         else:
             if self.port is None:
                 raise ServeError("a TCP host needs a port")

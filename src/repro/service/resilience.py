@@ -153,7 +153,6 @@ class StageResilience:
         self._crash_requeues = 0
         self._failures = 0
         self._completed_after_retry = 0
-        self._backoff_seconds = 0.0
 
     def _count_attempt(self, outcome: str) -> None:
         """Mirror one settled attempt into the registry, by outcome."""
@@ -190,11 +189,6 @@ class StageResilience:
     def completed_after_retry(self) -> int:
         """Attempts that completed on a retry (attempt number > 1)."""
         return self._completed_after_retry
-
-    @property
-    def backoff_seconds(self) -> float:
-        """Total deliberate backoff delay this layer inserted."""
-        return self._backoff_seconds
 
     # ------------------------------------------------------------------
     # Entry points
@@ -384,7 +378,6 @@ class StageResilience:
                 "Attempts re-dispatched after a timeout",
             ).inc(stage=self.stage.name)
         delay = self.policy.backoff_delay(attempt.number, self.stream)
-        self._backoff_seconds += delay
         if self.metrics is not None:
             self.metrics.counter(
                 "repro_retry_backoff_seconds_total",

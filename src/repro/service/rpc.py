@@ -52,7 +52,6 @@ class RpcFabric:
         self._rng = rng
         self._messages = 0
         self._messages_lost = 0
-        self._hop_seconds = 0.0
         self._registry: Optional["MetricsRegistry"] = None
         self._links: Counter[tuple[str, str]] = Counter()
         self._fault_until = 0.0
@@ -101,10 +100,6 @@ class RpcFabric:
         self._fault_stream = stream
         self._fault_retransmit_timeout_s = float(retransmit_timeout_s)
 
-    def clear_fault(self) -> None:
-        """End any active fault window immediately."""
-        self._fault_until = 0.0
-
     # ------------------------------------------------------------------
     def send(self, src: str, dst: str, deliver: Callable[[], None]) -> None:
         """Send one message; ``deliver`` runs after the one-way latency."""
@@ -130,7 +125,6 @@ class RpcFabric:
                         break
                     self._messages_lost += 1
                     delay += self._fault_retransmit_timeout_s
-        self._hop_seconds += delay
         if self._registry is not None:
             self._registry.counter(
                 "repro_rpc_messages_total", "Messages carried by the fabric"
@@ -155,11 +149,6 @@ class RpcFabric:
     def messages_sent(self) -> int:
         """Total messages carried by the fabric."""
         return self._messages
-
-    @property
-    def hop_seconds_total(self) -> float:
-        """Cumulative one-way transit time (including fault penalties)."""
-        return self._hop_seconds
 
     @property
     def messages_lost(self) -> int:

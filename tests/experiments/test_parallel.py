@@ -18,7 +18,7 @@ from repro.experiments.parallel import (
     execute_cell,
     run_cells,
 )
-from repro.experiments.export import run_result_to_dict
+from repro.experiments.export import scenario_payload
 from repro.scenario import (
     ScenarioSpec,
     StageAllocation,
@@ -239,8 +239,8 @@ class TestEngine:
         spec = latency_specs(1)[0]
         report = run_cells([spec], max_workers=1)
         direct = run_scenario(spec)
-        assert report.outcomes[0].payload["result"] == json.loads(
-            json.dumps(run_result_to_dict(direct))
+        assert report.outcomes[0].payload == json.loads(
+            json.dumps(scenario_payload(direct))
         )
         assert report.outcomes[0].result() == direct
 
@@ -299,15 +299,6 @@ class TestEngine:
         report = run_cells(specs, max_workers=2)
         assert [o.source for o in report.outcomes] == ["serial"] * len(specs)
         assert all(o.result().queries_completed > 0 for o in report.outcomes)
-
-    def test_progress_callback_sees_every_cell(self, tmp_path):
-        seen = []
-        specs = latency_specs()
-        run_cells(specs, max_workers=1, cache=tmp_path, progress=seen.append)
-        assert [o.spec for o in seen] == specs
-        seen.clear()
-        run_cells(specs, max_workers=1, cache=tmp_path, progress=seen.append)
-        assert [o.source for o in seen] == ["cache"] * len(specs)
 
     def test_timing_report_accounts_for_every_cell(self):
         report = run_cells(latency_specs(), max_workers=1)
@@ -394,24 +385,18 @@ class TestDeterministicRetryPath:
 
     def test_timeout_retries_exactly_once_in_process(self, monkeypatch):
         from concurrent.futures import TimeoutError as FutureTimeoutError
-        from repro.obs.metrics import MetricsRegistry
 
         specs = latency_specs(2)
         pools, calls = self._arm(
             monkeypatch, [FutureTimeoutError(), FutureTimeoutError()]
         )
-        registry = MetricsRegistry()
-        report = run_cells(
-            specs, max_workers=2, timeout_s=0.01, registry=registry
-        )
+        report = run_cells(specs, max_workers=2, timeout_s=0.01)
         assert [o.source for o in report.outcomes] == ["retry", "retry"]
         assert [o.attempts for o in report.outcomes] == [2, 2]
         # Exactly one in-process recompute per timed-out cell, no more.
         assert calls == specs
         assert all(f.cancelled for f in pools[0].futures)
         assert pools[0].shut_down
-        retries = registry.counter("repro_cell_retries_total")
-        assert int(retries.value()) == 2
         assert all(o.result().queries_completed > 0 for o in report.outcomes)
 
     def test_worker_exception_retries_exactly_once_in_process(self, monkeypatch):

@@ -15,7 +15,7 @@ import json
 
 import pytest
 
-from repro.experiments.export import run_result_to_dict
+from repro.experiments.export import scenario_payload
 from repro.faults import chaos_spec
 from repro.faults.plan import named_plans
 from repro.guard import GuardConfig
@@ -66,8 +66,8 @@ class TestByteIdenticalGolden:
                 "sirius", "powerchief", trace, guard=GuardConfig(), **kwargs
             )
         )
-        plain_payload = json.dumps(run_result_to_dict(plain), sort_keys=True)
-        guarded_payload = json.dumps(run_result_to_dict(guarded), sort_keys=True)
+        plain_payload = json.dumps(scenario_payload(plain), sort_keys=True)
+        guarded_payload = json.dumps(scenario_payload(guarded), sort_keys=True)
         assert guarded_payload == plain_payload
 
     def test_healthy_supervised_run_reports_zero_guard_activity(self):

@@ -627,7 +627,7 @@ class TestPickleFanout:
         write_tree(
             tmp_path,
             {
-                "scale/bad.py": """\
+                "experiments/bad.py": """\
                 def drive(executor, cells):
                     return [executor.submit(lambda c: c, cell) for cell in cells]
                 """

@@ -226,7 +226,7 @@ class TestGuardedScenario:
         )
         builder = StackBuilder(guarded)
         result = builder.execute()
-        controllers = [shard.controller for shard in builder.deployment.shards]
+        controllers = [stack.controller for stack in builder._stacks]
         assert len(controllers) == 2
         assert all(isinstance(c, SupervisedController) for c in controllers)
         assert controllers[0] is not controllers[1]

@@ -10,6 +10,7 @@ advances those, so the whole exchange is reproducible.
 from __future__ import annotations
 
 import contextlib
+import gc
 import itertools
 import json
 import math
@@ -17,9 +18,11 @@ import selectors
 import socket
 import threading
 import time
+import warnings
 
 import pytest
 
+from repro.cli import main
 from repro.errors import ProtocolError, ServeError
 from repro.scenario.spec import ScenarioSpec, StageAllocation
 from repro.serve import CtlClient, ReproDaemon
@@ -552,6 +555,24 @@ class TestConstruction:
     def test_client_needs_an_endpoint(self):
         with pytest.raises(ServeError, match="unix socket path or a TCP host"):
             CtlClient()
+
+    def test_failed_connect_closes_its_socket(self, tmp_path):
+        client = CtlClient(str(tmp_path / "missing.sock"))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            # The type callers retry on is kept.
+            with pytest.raises(FileNotFoundError):
+                client.connect()
+            gc.collect()
+        assert [w for w in caught if w.category is ResourceWarning] == []
+
+    def test_ctl_without_a_daemon_prints_one_error_line(self, tmp_path, capsys):
+        path = str(tmp_path / "missing.sock")
+        assert main(["ctl", "--socket", path, "ping"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"error: cannot reach reprod at {path}: ")
 
 
 def _read_lines(sock: socket.socket, count: int) -> list[dict]:
