@@ -2,102 +2,79 @@
 """Tail-latency analysis: where does the p99 go, and what fixed it?
 
 The paper's conclusion names deeper tail-latency analysis as future
-work; `repro.analysis` implements it.  This example runs Sirius under
-medium load with the static baseline and with PowerChief, decomposes
-both runs' latency by stage, and shows how PowerChief's boosting moved
-the tail's dominant cost.
+work; latency attribution (`repro.obs.attribution`) answers it.  This
+example runs Sirius under medium load with the static baseline and with
+PowerChief, splits each stage's time into queuing and serving, and rolls
+up the slowest 1% of queries to show how PowerChief's boosting moved the
+tail's dominant cost.
 
 Run:  python examples/tail_latency_analysis.py
 """
 
-# The analysis walkthrough assembles its two stacks by hand to keep
-# every moving part visible, so the scenario-layer bypass is intentional.
-# repro-lint: disable-file=scenario-bypass
-
-from repro import (
-    Application,
-    CommandCenter,
-    ControllerConfig,
-    DvfsActuator,
-    HASWELL_LADDER,
-    Machine,
-    PowerBudget,
-    PowerChiefController,
-    PoissonLoadGenerator,
-    QueryFactory,
-    RandomStreams,
-    Simulator,
-    StaticController,
-    analyze_queries,
-)
-from repro.workloads import sirius_load_levels, sirius_profiles, ConstantLoad
+from repro.obs import tail_report
+from repro.obs.attribution import TRANSIT_STAGE
+from repro.scenario import ScenarioSpec, StackBuilder
+from repro.workloads import sirius_load_levels
 
 
-def run(policy_cls, seed=3, duration=600.0):
-    sim = Simulator()
-    machine = Machine(sim, n_cores=16)
-    app = Application("sirius", sim, machine)
-    profiles = sirius_profiles()
-    for profile in profiles:
-        app.add_stage(profile).launch_instance(HASWELL_LADDER.level_of(1.8))
-    command_center = CommandCenter(sim, app, retain_queries=True)
-    controller = policy_cls(
-        sim,
-        app,
-        command_center,
-        PowerBudget(machine, 13.56),
-        DvfsActuator(sim),
-        ControllerConfig(adjust_interval_s=25.0, balance_threshold_s=0.25),
+def run(policy):
+    builder = StackBuilder(
+        ScenarioSpec.latency(
+            "sirius",
+            policy,
+            ("constant", sirius_load_levels().medium_qps),
+            600.0,
+            seed=3,
+            observe=("attribution",),
+        )
     )
-    streams = RandomStreams(seed)
-    generator = PoissonLoadGenerator(
-        sim,
-        app,
-        QueryFactory(profiles, streams),
-        ConstantLoad(sirius_load_levels().medium_qps),
-        streams,
-        duration,
-    )
-    controller.start()
-    generator.start()
-    sim.run(until=duration)
-    return analyze_queries(command_center.completed_queries, app.stage_names())
+    result = builder.execute()
+    return result, builder.observability.attribution
 
 
-def report(label, breakdown):
+def queuing_fraction(rollup):
+    queued = rollup.component_totals["queue"]
+    return queued / (queued + rollup.component_totals["service"])
+
+
+def report(label, result, collector):
+    """Print one run's per-stage split and its tail; return the tail."""
+    rollup = collector.report()
     print(f"--- {label} ---")
     print(
-        f"{breakdown.query_count} queries, mean {breakdown.mean_latency_s:.3f}s, "
-        f"p99 {breakdown.p99_latency_s:.3f}s"
+        f"{rollup.count} queries, mean {result.latency.mean:.3f}s, "
+        f"p99 {result.latency.p99:.3f}s"
     )
-    print(f"{'stage':<6} {'mean q':>8} {'mean s':>8} {'p99 q':>8} {'p99 s':>8} {'share':>7} {'dominated by':>13}")
-    for stage in breakdown.stages:
-        print(
-            f"{stage.stage_name:<6} {stage.mean_queuing_s:>7.3f}s "
-            f"{stage.mean_serving_s:>7.3f}s {stage.p99_queuing_s:>7.3f}s "
-            f"{stage.p99_serving_s:>7.3f}s {stage.mean_share * 100:>6.1f}% "
-            f"{'queuing' if stage.queuing_dominated else 'serving':>13}"
-        )
-    tail = breakdown.tail
+    print(f"{'stage':<6} {'mean q':>8} {'mean s':>8}")
+    for stage, parts in rollup.stage_totals.items():
+        if stage != TRANSIT_STAGE:
+            print(
+                f"{stage:<6} {parts.get('queue', 0.0) / rollup.count:>7.3f}s "
+                f"{parts.get('service', 0.0) / rollup.count:>7.3f}s"
+            )
+    tail = tail_report(collector.attributions)
+    dominant = next(
+        stage for stage, _ in tail.blame_ranking() if stage != TRANSIT_STAGE
+    )
     print(
-        f"tail (slowest {tail.tail_count} queries, >= {tail.tail_threshold_s:.2f}s): "
-        f"dominated by stage {tail.dominant_stage}, "
-        f"{tail.queuing_fraction * 100:.0f}% of their time spent queuing\n"
+        f"tail (slowest {tail.count} queries): dominated by stage {dominant}, "
+        f"{queuing_fraction(tail) * 100:.0f}% of their time spent queuing\n"
     )
+    return dominant, tail
 
 
 def main() -> None:
     print("Sirius, medium load, 13.56 W budget\n")
-    baseline = run(StaticController)
-    chief = run(PowerChiefController)
-    report("stage-agnostic baseline", baseline)
-    report("PowerChief", chief)
+    baseline, baseline_attribution = run("static")
+    chief, chief_attribution = run("powerchief")
+    dominant, tail = report("stage-agnostic baseline", baseline, baseline_attribution)
+    report("PowerChief", chief, chief_attribution)
 
-    speedup = baseline.p99_latency_s / chief.p99_latency_s
+    speedup = baseline.latency.p99 / chief.latency.p99
     print(
         f"PowerChief cut the p99 by {speedup:.1f}x; the baseline tail was "
-        f"dominated by {baseline.tail.dominant_stage} queuing "
-        f"({baseline.tail.queuing_fraction * 100:.0f}% of tail time), which is "
+        f"dominated by {dominant} queuing "
+        f"({queuing_fraction(tail) * 100:.0f}% of tail time), which is "
         f"exactly what its boosting targets."
     )
 

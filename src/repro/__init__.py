@@ -37,12 +37,7 @@ path)::
     print(run_scenario(spec).latency)
 """
 
-from repro.analysis import (
-    LatencyBreakdown,
-    analyze_queries,
-    mg1_mean_wait,
-    mm1_mean_wait,
-)
+from repro.analysis import mg1_mean_wait, mm1_mean_wait
 from repro.cluster import (
     DEFAULT_POWER_MODEL,
     HASWELL_LADDER,
@@ -109,8 +104,6 @@ __all__ = [
     "__version__",
     "ReproError",
     # analysis
-    "LatencyBreakdown",
-    "analyze_queries",
     "mm1_mean_wait",
     "mg1_mean_wait",
     # calibration

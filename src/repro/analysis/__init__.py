@@ -1,17 +1,10 @@
-"""Analysis tools: queueing-theory validation and latency breakdowns.
+"""Analysis tools: the queueing theory the simulator is validated against.
 
 :mod:`repro.analysis.queueing` provides the closed-form M/M/1 and M/G/1
-results the simulator is validated against; :mod:`repro.analysis.breakdown`
-implements the per-stage and tail-latency decomposition the paper's
-conclusion names as future work.
+results.  The per-stage and tail-latency decomposition the paper's
+conclusion names as future work is :mod:`repro.obs.attribution`.
 """
 
-from repro.analysis.breakdown import (
-    LatencyBreakdown,
-    StageContribution,
-    TailProfile,
-    analyze_queries,
-)
 from repro.analysis.queueing import (
     lognormal_cv2,
     mg1_mean_wait,
@@ -22,10 +15,6 @@ from repro.analysis.queueing import (
 )
 
 __all__ = [
-    "LatencyBreakdown",
-    "StageContribution",
-    "TailProfile",
-    "analyze_queries",
     "lognormal_cv2",
     "mg1_mean_wait",
     "mm1_mean_response",

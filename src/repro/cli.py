@@ -69,7 +69,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.errors import ReproError
 from repro.experiments.campaign import default_registry
-from repro.obs import Observability, setup_logging
+from repro.obs import setup_logging
 from repro.experiments.export import scenario_payload, write_json
 from repro.scenario.builder import StackBuilder, run_scenario
 from repro.scenario.spec import LATENCY_POLICIES, QOS_POLICIES, ScenarioSpec
@@ -272,12 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="trace-out",
         help="directory for trace.jsonl, trace.chrome.json, metrics.prom "
         "and audit.jsonl (default: trace-out)",
-    )
-    trace.add_argument(
-        "--max-spans",
-        type=int,
-        default=200_000,
-        help="trace buffer bound; earliest spans are kept (default: 200000)",
     )
     trace.add_argument(
         "--slo-target",
@@ -746,42 +740,41 @@ def _cmd_headline(args: argparse.Namespace) -> int:
 def _cmd_trace(args: argparse.Namespace) -> int:
     import json as json_module
 
-    from repro.obs import (
-        AttributionCollector,
-        EnergyAttributor,
-        SloTracker,
-        StreamExporter,
-    )
     from repro.obs.audit import BoostEntry, BottleneckEntry, WithdrawEntry
 
     logger = logging.getLogger("repro.cli")
     rate = _resolve_rate(args)
     target = Path(args.output)
     target.mkdir(parents=True, exist_ok=True)
-    observability = Observability.enabled(max_spans=args.max_spans)
-    observability.attribution = AttributionCollector(
-        registry=observability.metrics
-    )
-    observability.slo = SloTracker(
-        target_s=args.slo_target,
-        attainment_goal=args.slo_attainment,
-        registry=observability.metrics,
-    )
-    observability.energy = EnergyAttributor(registry=observability.metrics)
+    observe = ["trace", "metrics", "audit", "attribution", "slo", "energy"]
+    options = {
+        "slo_target_s": args.slo_target,
+        "slo_attainment": args.slo_attainment,
+    }
     if args.stream:
-        observability.stream = StreamExporter(
-            path=target / "stream.jsonl", interval_s=args.stream_interval
+        observe.append("stream")
+        options.update(
+            stream_path=str(target / "stream.jsonl"),
+            stream_interval_s=args.stream_interval,
         )
     logger.info(
         "tracing %s/%s at %.2f qps for %.0fs", args.app, args.policy,
         rate, args.duration,
     )
-    result = run_scenario(
+    builder = StackBuilder(
         ScenarioSpec.latency(
-            args.app, args.policy, ("constant", rate), args.duration, seed=args.seed
-        ),
-        observability=observability,
+            args.app,
+            args.policy,
+            ("constant", rate),
+            args.duration,
+            seed=args.seed,
+            observe=observe,
+            **options,
+        )
     )
+    result = builder.execute()
+    observability = builder.observability
+    assert observability is not None
     tracer, metrics, audit = (
         observability.tracer,
         observability.metrics,

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import ast
-from typing import Optional
+from typing import Iterable, Optional
 
 __all__ = [
     "dotted_name",
@@ -27,15 +27,16 @@ def dotted_name(node: ast.AST) -> Optional[str]:
     return ".".join(reversed(parts))
 
 
-def import_origins(tree: ast.Module) -> dict[str, str]:
+def import_origins(nodes: Iterable[ast.AST]) -> dict[str, str]:
     """Map local names to the dotted origin they were imported as.
 
-    ``import numpy as np`` maps ``np -> numpy``; ``from time import
-    time as now`` maps ``now -> time.time``.  Only top-level and
-    function-local imports are walked — good enough for origin checks.
+    ``nodes`` are a module's nodes in ``ast.walk`` order.  ``import
+    numpy as np`` maps ``np -> numpy``; ``from time import time as now``
+    maps ``now -> time.time``.  Top-level and function-local imports
+    both count — good enough for origin checks.
     """
     origins: dict[str, str] = {}
-    for node in ast.walk(tree):
+    for node in nodes:
         if isinstance(node, ast.Import):
             for alias in node.names:
                 local = alias.asname or alias.name.split(".")[0]

@@ -11,7 +11,7 @@ itself raises ``ValueError`` for any unhashable default.
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from repro.lint.findings import Finding
 from repro.lint.registry import Checker, register
@@ -98,10 +98,10 @@ def _annotation_immutable(node: Optional[ast.expr]) -> bool:
     return False
 
 
-def _attribute_stores(tree: ast.Module) -> set[str]:
+def _attribute_stores(nodes: Iterable[ast.AST]) -> set[str]:
     """Attribute names assigned anywhere in a module (``x.attr = ...``)."""
     stored: set[str] = set()
-    for node in ast.walk(tree):
+    for node in nodes:
         targets: list[ast.expr] = []
         if isinstance(node, ast.Assign):
             targets = node.targets
@@ -166,8 +166,8 @@ class DataclassFrozenSharedChecker(Checker):
         self._stored_attrs: set[str] = set()
 
     def check(self, module: SourceModule) -> Iterator[Finding]:
-        self._stored_attrs.update(_attribute_stores(module.tree))
-        for node in ast.walk(module.tree):
+        self._stored_attrs.update(_attribute_stores(module.nodes))
+        for node in module.nodes:
             if not isinstance(node, ast.ClassDef):
                 continue
             decorator = _dataclass_decorator(node)

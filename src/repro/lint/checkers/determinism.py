@@ -16,7 +16,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator, Optional
 
-from repro.lint.asthelpers import dotted_name, import_origins, resolve_call_target
+from repro.lint.asthelpers import dotted_name, resolve_call_target
 from repro.lint.findings import Finding
 from repro.lint.registry import Checker, register
 from repro.lint.source import SourceModule
@@ -70,8 +70,8 @@ class WallClockChecker(Checker):
     scope = _SIM_SCOPE
 
     def check(self, module: SourceModule) -> Iterator[Finding]:
-        origins = import_origins(module.tree)
-        for node in ast.walk(module.tree):
+        origins = module.origins
+        for node in module.nodes:
             if not isinstance(node, ast.Call):
                 continue
             target = resolve_call_target(node, origins)
@@ -100,8 +100,8 @@ class UnseededRandomChecker(Checker):
     scope = ()  # a helper anywhere can be called from the simulation
 
     def check(self, module: SourceModule) -> Iterator[Finding]:
-        origins = import_origins(module.tree)
-        for node in ast.walk(module.tree):
+        origins = module.origins
+        for node in module.nodes:
             if not isinstance(node, ast.Call):
                 continue
             target = resolve_call_target(node, origins)
@@ -208,7 +208,7 @@ class UnorderedIterationChecker(Checker):
 
     def check(self, module: SourceModule) -> Iterator[Finding]:
         tree = module.tree
-        for scope in [tree, *(n for n in ast.walk(tree) if isinstance(n, _SCOPE_NODES))]:
+        for scope in [tree, *(n for n in module.nodes if isinstance(n, _SCOPE_NODES))]:
             nodes = _own_nodes(scope)
             names = _set_names(scope, nodes)
             for node in nodes:

@@ -72,7 +72,7 @@ class MetricNameChecker(Checker):
     scope = ()  # every registration site in the tree
 
     def check(self, module: SourceModule) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             registration = _registration(node)
             if registration is None:
                 continue
@@ -118,7 +118,7 @@ class MetricDuplicateChecker(Checker):
         self._conflicts: list[Finding] = []
 
     def check(self, module: SourceModule) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             registration = _registration(node)
             if registration is None:
                 continue

@@ -12,7 +12,7 @@ they are rejected statically at every fan-out call site.
 from __future__ import annotations
 
 import ast
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from repro.lint.asthelpers import dotted_name
 from repro.lint.findings import Finding
@@ -26,10 +26,10 @@ _FANOUT_NAMES = frozenset({"run_cells"})
 _FANOUT_METHODS = frozenset({"submit", "map"})
 
 
-def _nested_function_names(tree: ast.Module) -> set[str]:
+def _nested_function_names(nodes: Iterable[ast.AST]) -> set[str]:
     """Names of functions defined inside another function (closures)."""
     nested: set[str] = set()
-    for outer in ast.walk(tree):
+    for outer in nodes:
         if not isinstance(outer, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
         for node in ast.walk(outer):
@@ -71,8 +71,8 @@ class PickleFanoutChecker(Checker):
     scope = ("experiments/",)
 
     def check(self, module: SourceModule) -> Iterator[Finding]:
-        nested = _nested_function_names(module.tree)
-        for node in ast.walk(module.tree):
+        nested = _nested_function_names(module.nodes)
+        for node in module.nodes:
             if not isinstance(node, ast.Call) or not _is_fanout_call(node):
                 continue
             arguments = list(node.args) + [kw.value for kw in node.keywords]

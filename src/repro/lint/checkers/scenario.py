@@ -16,7 +16,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.lint.asthelpers import import_origins, resolve_call_target
+from repro.lint.asthelpers import resolve_call_target
 from repro.lint.findings import Finding
 from repro.lint.registry import Checker, register
 from repro.lint.source import SourceModule
@@ -56,8 +56,8 @@ class ScenarioBypassChecker(Checker):
     def check(self, module: SourceModule) -> Iterator[Finding]:
         if _is_exempt(module):
             return
-        origins = import_origins(module.tree)
-        for node in ast.walk(module.tree):
+        origins = module.origins
+        for node in module.nodes:
             if not isinstance(node, ast.Call):
                 continue
             target = resolve_call_target(node, origins)

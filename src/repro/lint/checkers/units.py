@@ -72,7 +72,7 @@ class UnitMismatchChecker(Checker):
     scope = ()  # unit discipline holds everywhere
 
     def check(self, module: SourceModule) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if isinstance(node, ast.BinOp) and isinstance(
                 node.op, _MISMATCH_OPS
             ):

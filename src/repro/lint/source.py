@@ -6,7 +6,9 @@ import ast
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Optional
+
+from repro.lint.asthelpers import import_origins
 
 __all__ = [
     "SourceModule",
@@ -95,7 +97,7 @@ def _next_code_line(lines: list[str], after: int) -> Optional[int]:
     return None
 
 
-def _anchor_map(tree: ast.Module) -> dict[int, int]:
+def _anchor_map(nodes: Iterable[ast.AST]) -> dict[int, int]:
     """Physical line -> the line findings for that statement anchor at.
 
     Two cases beyond the identity: every physical line of a *simple*
@@ -105,7 +107,7 @@ def _anchor_map(tree: ast.Module) -> dict[int, int]:
     statements anchor themselves.
     """
     anchors: dict[int, int] = {}
-    for node in ast.walk(tree):
+    for node in nodes:
         if not isinstance(node, ast.stmt):
             continue
         if isinstance(node, _COMPOUND_STMTS):
@@ -121,8 +123,10 @@ def _anchor_map(tree: ast.Module) -> dict[int, int]:
     return anchors
 
 
-def resolve_suppressions(text: str, tree: ast.Module) -> Suppressions:
+def resolve_suppressions(text: str, nodes: Iterable[ast.AST]) -> Suppressions:
     """Line suppressions with AST-aware anchoring.
+
+    ``nodes`` are the module's nodes in ``ast.walk`` order.
 
     On top of :func:`parse_suppressions`: a suppression landing anywhere
     inside a multiline simple statement also covers the statement's
@@ -131,7 +135,7 @@ def resolve_suppressions(text: str, tree: ast.Module) -> Suppressions:
     too, so rules that anchor findings mid-statement stay coverable.
     """
     suppressions = parse_suppressions(text)
-    anchors = _anchor_map(tree)
+    anchors = _anchor_map(nodes)
     for line, rules in list(suppressions.by_line.items()):
         anchor = anchors.get(line)
         if anchor is not None and anchor != line:
@@ -154,18 +158,27 @@ class SourceModule:
     text: str
     tree: ast.Module
     suppressions: Suppressions
+    #: Every node of ``tree`` in ``ast.walk`` order, walked once for all
+    #: the checkers.
+    nodes: tuple[ast.AST, ...]
+    #: Local name -> the dotted origin it was imported as
+    #: (:func:`~repro.lint.asthelpers.import_origins`).
+    origins: dict[str, str]
 
     @classmethod
     def parse(cls, path: Path, package_path: str) -> "SourceModule":
         """Parse a file; raises :class:`SyntaxError` on unparsable source."""
         text = path.read_text(encoding="utf-8")
         tree = ast.parse(text, filename=str(path))
+        nodes = tuple(ast.walk(tree))
         return cls(
             path=path,
             package_path=package_path,
             text=text,
             tree=tree,
-            suppressions=resolve_suppressions(text, tree),
+            suppressions=resolve_suppressions(text, nodes),
+            nodes=nodes,
+            origins=import_origins(nodes),
         )
 
     def in_scope(self, prefixes: tuple[str, ...]) -> bool:

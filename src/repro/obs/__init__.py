@@ -39,7 +39,7 @@ from repro.obs.attribution import (
     AttributionReport,
     QueryAttribution,
     attribute_query,
-    cross_reference,
+    tail_report,
 )
 from repro.obs.audit import (
     AuditEntry,
@@ -113,7 +113,7 @@ __all__ = [
     "AttributionReport",
     "QueryAttribution",
     "attribute_query",
-    "cross_reference",
+    "tail_report",
     "SloTracker",
     "EnergyAttributor",
     "StreamExporter",
@@ -130,10 +130,9 @@ __all__ = [
 class Observability:
     """The bundle the stack builder threads through the system it builds.
 
-    Any pillar may be ``None``; :meth:`enabled` builds the three core
-    pillars with bounded defaults.  The accounting pillars (attribution,
-    SLO, energy, stream) default off — set the fields before handing the
-    bundle to the stack builder and it arms them.
+    Any pillar may be ``None``.  A scenario's ``observe`` pillars decide
+    which are built; the stack builder arms them and exposes the bundle
+    as ``StackBuilder.observability``.
     """
 
     tracer: Optional[TraceBuffer] = None
@@ -143,16 +142,3 @@ class Observability:
     slo: Optional[SloTracker] = None
     energy: Optional[EnergyAttributor] = None
     stream: Optional[StreamExporter] = None
-
-    @classmethod
-    def enabled(
-        cls,
-        max_spans: int = 200_000,
-        max_audit_entries: int = 100_000,
-    ) -> "Observability":
-        metrics = MetricsRegistry()
-        return cls(
-            tracer=TraceBuffer(max_spans=max_spans, registry=metrics),
-            metrics=metrics,
-            audit=AuditLog(max_entries=max_audit_entries),
-        )

@@ -32,9 +32,10 @@ fault or backoff interval, books each record's queue and service time
 directly: those are exactly the sweep's segments, in the sweep's order.
 
 :class:`AttributionCollector` ingests live queries as an
-``Application`` completion listener; :func:`cross_reference` checks the
-roll-up's per-stage blame against the controller's Equation-1
-bottleneck verdicts from the audit log.
+``Application`` completion listener; :func:`tail_report` rolls up the
+slowest queries alone, the tail the paper's conclusion leaves for
+future work: its blame ranking names the stage that dominates the tail,
+and its ``queue``/``service`` totals say whether waiting or serving did.
 """
 
 from __future__ import annotations
@@ -57,11 +58,11 @@ __all__ = [
     "QueryAttribution",
     "AttributionReport",
     "AttributionCollector",
-    "CrossReference",
+    "TAIL_FRACTION",
     "attribute_query",
     "attributions_from_spans",
-    "cross_reference",
     "report_from_attributions",
+    "tail_report",
 ]
 
 #: The five components every end-to-end latency decomposes into.
@@ -69,6 +70,9 @@ COMPONENTS = ("queue", "service", "fault", "retry_backoff", "hop")
 
 #: Pseudo-stage that owns ``hop`` time (it belongs to no single stage).
 TRANSIT_STAGE = "(transit)"
+
+#: The share of queries, slowest first, that :func:`tail_report` rolls up.
+TAIL_FRACTION = 0.01
 
 #: Attempt outcomes whose [dispatched, settled] window is lost time.
 _FAULT_OUTCOMES = frozenset({"timed-out", "crash-requeue", "abandoned"})
@@ -362,6 +366,21 @@ class AttributionReport:
     stage_totals: dict[str, dict[str, float]]
     blame_counts: dict[str, int]
 
+    def add(self, attribution: QueryAttribution) -> None:
+        """Fold one query's attribution into the totals."""
+        self.count += 1
+        self.total_e2e += attribution.e2e_latency
+        component_totals = self.component_totals
+        for name, seconds in attribution.components.items():
+            component_totals[name] += seconds
+        stage_totals = self.stage_totals
+        for stage, parts in attribution.per_stage.items():
+            bucket = stage_totals.setdefault(stage, {})
+            for name, seconds in parts.items():
+                bucket[name] = bucket.get(name, 0.0) + seconds
+        blame = attribution.blame_stage
+        self.blame_counts[blame] = self.blame_counts.get(blame, 0) + 1
+
     def blame_ranking(self) -> list[tuple[str, float]]:
         """Stages by total attributed seconds, heaviest first.
 
@@ -418,30 +437,34 @@ def report_from_attributions(
     failed: int = 0,
 ) -> AttributionReport:
     """Roll a list of attributions (e.g. loaded or span-derived) up."""
-    count = 0
-    total_e2e = 0.0
-    component_totals = {name: 0.0 for name in COMPONENTS}
-    stage_totals: dict[str, dict[str, float]] = {}
-    blame_counts: dict[str, int] = {}
-    for attribution in attributions:
-        count += 1
-        total_e2e += attribution.e2e_latency
-        for name, seconds in attribution.components.items():
-            component_totals[name] += seconds
-        for stage, parts in attribution.per_stage.items():
-            bucket = stage_totals.setdefault(stage, {})
-            for name, seconds in parts.items():
-                bucket[name] = bucket.get(name, 0.0) + seconds
-        blame = attribution.blame_stage
-        blame_counts[blame] = blame_counts.get(blame, 0) + 1
-    return AttributionReport(
-        count=count,
+    report = AttributionReport(
+        count=0,
         failed=failed,
-        total_e2e=total_e2e,
-        component_totals=component_totals,
-        stage_totals=stage_totals,
-        blame_counts=blame_counts,
+        total_e2e=0.0,
+        component_totals=dict.fromkeys(COMPONENTS, 0.0),
+        stage_totals={},
+        blame_counts={},
     )
+    for attribution in attributions:
+        report.add(attribution)
+    return report
+
+
+def tail_report(
+    attributions: Sequence[QueryAttribution],
+) -> Optional[AttributionReport]:
+    """The roll-up of the slowest ``max(1, round(TAIL_FRACTION * n))``
+    attributions, or ``None`` for an empty input (it has no tail).
+
+    The slowest are taken by ``e2e_latency``, ties in input order.  The
+    tail's blame ranking names its dominant stage, and its ``queue`` and
+    ``service`` totals split the stage time into waiting and serving.
+    """
+    if not attributions:
+        return None
+    size = max(1, round(TAIL_FRACTION * len(attributions)))
+    slowest = sorted(attributions, key=lambda qa: qa.e2e_latency, reverse=True)
+    return report_from_attributions(slowest[:size])
 
 
 class AttributionCollector:
@@ -466,12 +489,7 @@ class AttributionCollector:
         self.registry = registry
         self.attributions: list[QueryAttribution] = []
         self.dropped = 0
-        self._failed = 0
-        self._count = 0
-        self._total_e2e = 0.0
-        self._component_totals = {name: 0.0 for name in COMPONENTS}
-        self._stage_totals: dict[str, dict[str, float]] = {}
-        self._blame_counts: dict[str, int] = {}
+        self._report = report_from_attributions(())
 
     # ------------------------------------------------------------------
     def attach(self, application: Any) -> None:
@@ -482,16 +500,7 @@ class AttributionCollector:
     def observe(self, query: "Query") -> QueryAttribution:
         """Ingest one completed query."""
         attribution = attribute_query(query)
-        self._count += 1
-        self._total_e2e += attribution.e2e_latency
-        for name, seconds in attribution.components.items():
-            self._component_totals[name] += seconds
-        for stage, parts in attribution.per_stage.items():
-            bucket = self._stage_totals.setdefault(stage, {})
-            for name, seconds in parts.items():
-                bucket[name] = bucket.get(name, 0.0) + seconds
-        blame = attribution.blame_stage
-        self._blame_counts[blame] = self._blame_counts.get(blame, 0) + 1
+        self._report.add(attribution)
         if len(self.attributions) < self.max_queries:
             self.attributions.append(attribution)
         else:
@@ -508,7 +517,7 @@ class AttributionCollector:
 
     def observe_failure(self, query: "Query") -> None:
         """Count a terminal failure (no e2e latency to attribute)."""
-        self._failed += 1
+        self._report.failed += 1
         if self.registry is not None:
             self.registry.counter(
                 "repro_attribution_failures_total",
@@ -520,83 +529,11 @@ class AttributionCollector:
         return len(self.attributions)
 
     def report(self) -> AttributionReport:
-        return AttributionReport(
-            count=self._count,
-            failed=self._failed,
-            total_e2e=self._total_e2e,
-            component_totals=dict(self._component_totals),
-            stage_totals={
-                stage: dict(parts)
-                for stage, parts in self._stage_totals.items()
-            },
-            blame_counts=dict(self._blame_counts),
-        )
+        """A copy of the roll-up so far."""
+        return AttributionReport.from_dict(self._report.to_dict())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"AttributionCollector({self._count} queries, "
-            f"{self._failed} failed)"
+            f"AttributionCollector({self._report.count} queries, "
+            f"{self._report.failed} failed)"
         )
-
-
-@dataclass(frozen=True)
-class CrossReference:
-    """Attribution blame vs the controller's Equation-1 verdicts.
-
-    ``verdict_counts`` tallies the audit log's bottleneck verdicts by
-    *stage* (the audit names an instance; its reading supplies the
-    stage); ``agreement`` is the fraction of verdicts that named the
-    attribution roll-up's heaviest *service-owning* stage (transit time
-    is no controller's fault, so it never competes for blame here).
-    """
-
-    verdicts: int
-    verdict_counts: Mapping[str, int]
-    attribution_blame: Optional[str]
-    agreement: float
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "verdicts": self.verdicts,
-            "verdict_counts": dict(self.verdict_counts),
-            "attribution_blame": self.attribution_blame,
-            "agreement": self.agreement,
-        }
-
-
-def cross_reference(
-    report: AttributionReport,
-    entries: Sequence[Any],
-) -> CrossReference:
-    """Compare the roll-up's blame against the audit's bottleneck calls.
-
-    ``entries`` may be a whole audit log — anything that is not a
-    :class:`~repro.obs.audit.BottleneckEntry` is skipped.
-    """
-    from repro.obs.audit import BottleneckEntry
-
-    verdict_counts: dict[str, int] = {}
-    for entry in entries:
-        if not isinstance(entry, BottleneckEntry):
-            continue
-        stage = entry.bottleneck
-        for reading in entry.readings:
-            if reading.instance == entry.bottleneck:
-                stage = reading.stage
-                break
-        verdict_counts[stage] = verdict_counts.get(stage, 0) + 1
-    blame: Optional[str] = None
-    for stage, _seconds in report.blame_ranking():
-        if stage != TRANSIT_STAGE:
-            blame = stage
-            break
-    total = sum(verdict_counts.values())
-    agreement = (
-        verdict_counts.get(blame, 0) / total if total and blame else 0.0
-    )
-    return CrossReference(
-        verdicts=total,
-        verdict_counts=verdict_counts,
-        attribution_blame=blame,
-        agreement=agreement,
-    )

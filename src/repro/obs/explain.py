@@ -5,31 +5,55 @@
 ``trace.jsonl`` — and this module reads whichever subset exists and
 builds one report answering the two questions every postmortem starts
 with: *why was the latency high* (which component, which stage, did the
-controller agree) and *where did the power go* (joules per stage, per
-query).  Every section is optional: a directory holding only a span
-trace still explains via the span-derived attribution fallback.
+controller agree, what held up the slowest queries) and *where did the
+power go* (joules per stage, per query).  Every section is optional: a
+directory holding only a span trace still explains via the span-derived
+attribution fallback.
 
 :func:`build_explain_report` returns the structured payload;
-:func:`render_explain` formats it for a terminal.
+:func:`render_explain` formats it for a terminal.  An artifact that is
+not JSON, or is JSON of a shape the report cannot read or render, raises
+:class:`~repro.errors.ReproError` naming the file.
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Mapping, Optional, Sequence, Union
+from typing import Any, Iterator, Mapping, Optional, Sequence, Union
 
-from repro.errors import ReproError
+from repro.errors import ConfigurationError, ReproError
 from repro.obs.attribution import (
     COMPONENTS,
     TRANSIT_STAGE,
     AttributionReport,
+    QueryAttribution,
     attributions_from_spans,
     report_from_attributions,
+    tail_report,
 )
 from repro.obs.trace import spans_from_jsonl
 
 __all__ = ["build_explain_report", "render_explain"]
+
+#: What a lookup raises when an artifact's JSON has the wrong shape (a
+#: span whose stamps are out of order raises ConfigurationError).
+_SHAPE_ERRORS = (
+    AttributeError, ConfigurationError, IndexError, KeyError, TypeError, ValueError
+)
+
+
+@contextmanager
+def _shape_of(path: Path) -> Iterator[None]:
+    """Report a misshapen artifact as one :class:`ReproError` naming it."""
+    try:
+        yield
+    except _SHAPE_ERRORS as error:
+        raise ReproError(
+            f"{path} does not have the shape 'repro trace' writes "
+            f"({type(error).__name__}: {error})"
+        ) from error
 
 
 def _load_json(path: Path) -> Optional[Any]:
@@ -41,7 +65,7 @@ def _load_json(path: Path) -> Optional[Any]:
         raise ReproError(f"{path} is not valid JSON: {error}") from error
 
 
-def _load_jsonl(path: Path) -> Optional[list[dict[str, Any]]]:
+def _load_jsonl(path: Path) -> Optional[list[Any]]:
     if not path.exists():
         return None
     out = []
@@ -57,10 +81,20 @@ def _load_jsonl(path: Path) -> Optional[list[dict[str, Any]]]:
     return out
 
 
+def _heaviest_stage(report: AttributionReport) -> Optional[str]:
+    """The stage with the most attributed time, transit aside: hop time
+    is no controller's fault, so it never competes for blame."""
+    for stage, _seconds in report.blame_ranking():
+        if stage != TRANSIT_STAGE:
+            return stage
+    return None
+
+
 def _bottleneck_verdicts(
     audit_entries: Sequence[Mapping[str, Any]],
 ) -> dict[str, int]:
-    """Equation-1 verdict counts by *stage* from raw audit dicts."""
+    """Equation-1 verdict counts by *stage* from raw audit dicts (the
+    audit names an instance; its reading supplies the stage)."""
     counts: dict[str, int] = {}
     for entry in audit_entries:
         if entry.get("kind") != "bottleneck":
@@ -74,61 +108,98 @@ def _bottleneck_verdicts(
     return counts
 
 
-def _attribution_section(
-    directory: Path,
-) -> tuple[Optional[AttributionReport], str]:
-    """The attribution report and which artifact supplied it."""
-    payload = _load_json(directory / "attribution.json")
-    if payload is not None:
-        return AttributionReport.from_dict(payload["report"]), "attribution.json"
-    trace_path = directory / "trace.jsonl"
-    if trace_path.exists():
-        spans = spans_from_jsonl(trace_path.read_text())
-        if spans:
-            return (
-                report_from_attributions(attributions_from_spans(spans)),
-                "trace.jsonl (span-derived approximation)",
-            )
-    return None, "absent"
+def _tail_section(queries: Sequence[QueryAttribution]) -> Optional[dict[str, Any]]:
+    """What the slowest queries spent their time on (None: no queries)."""
+    tail = tail_report(queries)
+    if tail is None:
+        return None
+    waiting = tail.component_totals["queue"]
+    stage_time = waiting + tail.component_totals["service"]
+    latencies = sorted((qa.e2e_latency for qa in queries), reverse=True)
+    return {
+        "count": tail.count,
+        "threshold_s": latencies[tail.count - 1],
+        "dominant_stage": _heaviest_stage(tail),
+        "queuing_fraction": waiting / stage_time if stage_time > 0.0 else 0.0,
+        "report": tail.to_dict(),
+    }
 
 
 def build_explain_report(directory: Union[str, Path]) -> dict[str, Any]:
-    """Read every artifact the directory holds; build the explain payload."""
+    """Read every artifact the directory holds; build the explain payload.
+
+    Every section is built, and rendered once, under its artifact's
+    name, so a payload this returns always renders.
+    """
     target = Path(directory)
     if not target.is_dir():
         raise ReproError(f"{target} is not a directory of run artifacts")
     report: dict[str, Any] = {"directory": str(target), "sources": {}}
+    sources = report["sources"]
+    #: Section key -> the artifact it was read from.
+    origins: dict[str, Path] = {}
 
-    attribution, source = _attribution_section(target)
-    report["sources"]["attribution"] = source
+    attribution: Optional[AttributionReport] = None
+    tail: Optional[dict[str, Any]] = None
+    path = target / "attribution.json"
+    payload = _load_json(path)
+    if payload is not None:
+        source = "attribution.json"
+        with _shape_of(path):
+            attribution = AttributionReport.from_dict(payload["report"])
+            dropped = payload["dropped"]
+            if dropped > 0:
+                # The collector's per-query list stopped at its bound.
+                tail = {
+                    "unavailable": f"attribution.json dropped {dropped} "
+                    f"per-query records"
+                }
+            else:
+                tail = _tail_section(
+                    [QueryAttribution.from_dict(qa) for qa in payload["queries"]]
+                )
+    else:
+        source = "absent"
+        path = target / "trace.jsonl"
+        if path.exists():
+            with _shape_of(path):
+                spans = spans_from_jsonl(path.read_text())
+            if spans:
+                source = "trace.jsonl (span-derived approximation)"
+                queries = attributions_from_spans(spans)
+                attribution = report_from_attributions(queries)
+                tail = _tail_section(queries)
+    sources["attribution"] = source
     if attribution is not None:
-        fractions = attribution.component_fractions()
-        report["attribution"] = {
-            "report": attribution.to_dict(),
-            "component_fractions": fractions,
-            "blame_ranking": attribution.blame_ranking(),
-            "dominant_component": (
-                max(COMPONENTS, key=lambda name: fractions.get(name, 0.0))
-                if attribution.count
-                else None
-            ),
-        }
+        with _shape_of(path):
+            fractions = attribution.component_fractions()
+            report["attribution"] = {
+                "report": attribution.to_dict(),
+                "component_fractions": fractions,
+                "blame_ranking": attribution.blame_ranking(),
+                "dominant_component": (
+                    max(COMPONENTS, key=lambda name: fractions.get(name, 0.0))
+                    if attribution.count
+                    else None
+                ),
+            }
+        origins["attribution"] = path
+    if tail is not None:
+        report["tail"] = tail
+        origins["tail"] = path
 
-    audit = _load_jsonl(target / "audit.jsonl")
-    report["sources"]["audit"] = "audit.jsonl" if audit is not None else "absent"
+    path = target / "audit.jsonl"
+    audit = _load_jsonl(path)
+    sources["audit"] = "audit.jsonl" if audit is not None else "absent"
     if audit is not None:
-        verdicts = _bottleneck_verdicts(audit)
-        faults: dict[str, int] = {}
-        for entry in audit:
-            if entry.get("kind") == "fault":
-                fault = str(entry.get("fault", "?"))
-                faults[fault] = faults.get(fault, 0) + 1
-        blame: Optional[str] = None
-        if attribution is not None:
-            for stage, _seconds in attribution.blame_ranking():
-                if stage != TRANSIT_STAGE:
-                    blame = stage
-                    break
+        with _shape_of(path):
+            verdicts = _bottleneck_verdicts(audit)
+            faults: dict[str, int] = {}
+            for entry in audit:
+                if entry.get("kind") == "fault":
+                    fault = str(entry.get("fault", "?"))
+                    faults[fault] = faults.get(fault, 0) + 1
+        blame = None if attribution is None else _heaviest_stage(attribution)
         total = sum(verdicts.values())
         report["controller"] = {
             "bottleneck_verdicts": verdicts,
@@ -140,37 +211,45 @@ def build_explain_report(directory: Union[str, Path]) -> dict[str, Any]:
         if faults:
             report["faults"] = faults
 
-    slo = _load_json(target / "slo.json")
-    report["sources"]["slo"] = "slo.json" if slo is not None else "absent"
+    path = target / "slo.json"
+    slo = _load_json(path)
+    sources["slo"] = "slo.json" if slo is not None else "absent"
     if slo is not None:
-        timeline = slo.get("timeline", [])
-        worst = max(
-            timeline, key=lambda bucket: bucket.get("burn_rate", 0.0), default=None
-        )
-        report["slo"] = {**slo, "worst_bucket": worst}
+        with _shape_of(path):
+            timeline = slo.get("timeline", [])
+            worst = max(
+                timeline, key=lambda bucket: bucket.get("burn_rate", 0.0), default=None
+            )
+            report["slo"] = {**slo, "worst_bucket": worst}
+        origins["slo"] = path
 
-    energy = _load_json(target / "energy.json")
-    report["sources"]["energy"] = (
-        "energy.json" if energy is not None else "absent"
-    )
+    path = target / "energy.json"
+    energy = _load_json(path)
+    sources["energy"] = "energy.json" if energy is not None else "absent"
     if energy is not None:
         report["energy"] = energy
+        origins["energy"] = path
 
-    stream = _load_jsonl(target / "stream.jsonl")
-    report["sources"]["stream"] = (
-        "stream.jsonl" if stream is not None else "absent"
-    )
+    path = target / "stream.jsonl"
+    stream = _load_jsonl(path)
+    sources["stream"] = "stream.jsonl" if stream is not None else "absent"
     if stream is not None:
-        snapshots = [line for line in stream if "mark" not in line]
-        marks = [line for line in stream if "mark" in line]
-        report["stream"] = {
-            "snapshots": len(snapshots),
-            "marks": len(marks),
-            "span_s": (
-                [snapshots[0]["t"], snapshots[-1]["t"]] if snapshots else None
-            ),
-            "mark_labels": sorted({str(m["mark"]) for m in marks}),
-        }
+        with _shape_of(path):
+            snapshots = [line for line in stream if "mark" not in line]
+            marks = [line for line in stream if "mark" in line]
+            report["stream"] = {
+                "snapshots": len(snapshots),
+                "marks": len(marks),
+                "span_s": (
+                    [snapshots[0]["t"], snapshots[-1]["t"]] if snapshots else None
+                ),
+                "mark_labels": sorted({str(m["mark"]) for m in marks}),
+            }
+        origins["stream"] = path
+
+    for key, origin in origins.items():
+        with _shape_of(origin):
+            render_explain({key: report[key]})
     return report
 
 
@@ -214,6 +293,17 @@ def render_explain(report: Mapping[str, Any]) -> str:
                 for stage, seconds in ranking[:4]
             )
             lines.append(f"stage blame: {top}")
+    tail = report.get("tail")
+    if tail is not None:
+        if "unavailable" in tail:
+            lines.append(f"tail: unavailable ({tail['unavailable']})")
+        else:
+            lines.append(
+                f"tail: slowest {tail['count']} queries "
+                f"(>= {_fmt_seconds(tail['threshold_s'])}): "
+                f"{tail['dominant_stage']} dominates, "
+                f"{tail['queuing_fraction'] * 100.0:.0f}% queuing"
+            )
 
     controller = report.get("controller")
     if controller is not None:

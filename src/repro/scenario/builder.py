@@ -35,11 +35,10 @@ phase boundaries, and :meth:`StackBuilder.abort` releases every live
 resource (periodic processes, telemetry listeners, observability
 hooks) from any phase when a run must be torn down early.
 
-The spec is the whole input: trace, contention, chaos plan and Table-3
-deployment all come from it.  The one live input is an optional
-:class:`~repro.obs.Observability` bundle, for a caller that needs
-pillar settings a spec does not carry (``repro trace`` bounds its span
-buffer with ``--max-spans``).
+The spec is the whole input: trace, contention, chaos plan, Table-3
+deployment and the observability pillars (``observe`` plus the ``slo_*``
+and ``stream_*`` options) all come from it.  The pillars a run armed are
+read back from :attr:`StackBuilder.observability`.
 """
 
 from __future__ import annotations
@@ -339,26 +338,15 @@ class StackBuilder:
     The phases must be walked in order; calling one out of order raises
     :class:`~repro.errors.ExperimentError`.  :meth:`execute` walks the
     whole lifecycle and aborts the stack when a phase raises, so
-    observability hooks unwind even then.
-
-    ``observability`` replaces the bundle the spec's ``observe`` pillars
-    would build; the spec is otherwise the builder's only input.
+    observability hooks unwind even then.  The spec is the builder's
+    only input.
     """
 
-    def __init__(
-        self,
-        spec: ScenarioSpec,
-        *,
-        observability: Optional[Observability] = None,
-    ) -> None:
+    def __init__(self, spec: ScenarioSpec) -> None:
         self.spec = spec
         self._setup = _table3_setup(spec) if spec.kind == "qos" else None
-        self._observability = (
-            observability
-            if observability is not None
-            else _observability_from_spec(
-                spec, None if self._setup is None else self._setup.qos_target_s
-            )
+        self._observability = _observability_from_spec(
+            spec, None if self._setup is None else self._setup.qos_target_s
         )
         self._phase = "new"
         #: Teardown steps that raised during :meth:`abort`, as
@@ -1045,8 +1033,6 @@ def _summarize_completed(latencies: list[float], context: str) -> LatencySummary
 
 def run_scenario(
     spec: ScenarioSpec,
-    *,
-    observability: Optional[Observability] = None,
 ) -> Union[RunResult, QosRunResult, ShardedRunResult]:
     """Build and run the stack one scenario describes, end to end."""
-    return StackBuilder(spec, observability=observability).execute()
+    return StackBuilder(spec).execute()

@@ -48,7 +48,6 @@ class CommandCenter:
         application: Application,
         window_s: float = 60.0,
         e2e_window_s: float = 30.0,
-        retain_queries: bool = False,
     ) -> None:
         for name, span in (("window", window_s), ("e2e window", e2e_window_s)):
             if not (math.isfinite(span) and span > 0.0):
@@ -69,8 +68,6 @@ class CommandCenter:
         self._pooled: dict[str, tuple[float, Optional[float], Optional[float]]] = {}
         self._all_latencies: list[float] = []
         self._recent_e2e: deque[tuple[float, float]] = deque()
-        self.retain_queries = retain_queries
-        self._completed_queries: list[Query] = []
         self._stats_messages = 0
         application.add_completion_listener(self.ingest)
 
@@ -95,8 +92,6 @@ class CommandCenter:
             self._file_pending()
         latency = query.end_to_end_latency
         self._all_latencies.append(latency)
-        if self.retain_queries:
-            self._completed_queries.append(query)
         recent = self._recent_e2e
         recent.append((now, latency))
         cutoff = now - self.e2e_window_s
@@ -264,15 +259,6 @@ class CommandCenter:
         return sum(
             window.total_ingested for window in self._instance_windows.values()
         )
-
-    @property
-    def completed_queries(self) -> list[Query]:
-        """Completed queries, if ``retain_queries`` was enabled.
-
-        Feeds :func:`repro.analysis.analyze_queries` for latency
-        breakdowns; off by default to keep long runs memory-bounded.
-        """
-        return list(self._completed_queries)
 
     def summary(self) -> LatencySummary:
         """Run-lifetime end-to-end latency summary."""

@@ -12,10 +12,9 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.obs import Observability
 from repro.obs.audit import BottleneckEntry
 from repro.obs.trace import spans_from_chrome_trace, spans_from_jsonl
-from repro.scenario import ScenarioSpec, run_scenario
+from repro.scenario import ScenarioSpec, StackBuilder, run_scenario
 
 SPAN_KEYS = {
     "qid",
@@ -34,14 +33,18 @@ SPAN_KEYS = {
 class TestObservedRunner:
     @pytest.fixture(scope="class")
     def observed_run(self):
-        observability = Observability.enabled()
-        result = run_scenario(
+        builder = StackBuilder(
             ScenarioSpec.latency(
-                "sirius", "powerchief", ("constant", 1.5), 120.0, seed=3
-            ),
-            observability=observability,
+                "sirius",
+                "powerchief",
+                ("constant", 1.5),
+                120.0,
+                seed=3,
+                observe=("trace", "metrics", "audit"),
+            )
         )
-        return observability, result
+        result = builder.execute()
+        return builder.observability, result
 
     def test_all_three_pillars_populated(self, observed_run):
         observability, result = observed_run

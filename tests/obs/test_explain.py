@@ -9,6 +9,22 @@ import pytest
 from repro.cli import main
 from repro.errors import ReproError
 from repro.obs import build_explain_report, render_explain
+from repro.obs.attribution import TRANSIT_STAGE
+
+
+#: A span that starts service before it was enqueued.
+OUT_OF_ORDER_SPAN = {
+    "qid": 1,
+    "stage": "A",
+    "instance_id": 0,
+    "instance": "A_0",
+    "enqueue_time": 2.0,
+    "start_time": 1.0,
+    "finish_time": 3.0,
+    "queue_at_arrival": 0,
+    "service_level": 0,
+    "work": 1.0,
+}
 
 
 @pytest.fixture(scope="module")
@@ -61,6 +77,28 @@ class TestBuildReport:
         assert sum(controller["bottleneck_verdicts"].values()) > 0
         assert controller["attribution_blame"] is not None
 
+    def test_tail_is_the_slowest_percent(self, artifact_dir):
+        report = build_explain_report(artifact_dir)
+        count = report["attribution"]["report"]["count"]
+        tail = report["tail"]
+        assert tail["count"] == max(1, round(0.01 * count))
+        assert tail["report"]["count"] == tail["count"]
+        assert tail["dominant_stage"] not in (None, TRANSIT_STAGE)
+        assert 0.0 <= tail["queuing_fraction"] <= 1.0
+
+    def test_tail_unavailable_when_queries_were_dropped(
+        self, artifact_dir, tmp_path
+    ):
+        payload = json.loads((artifact_dir / "attribution.json").read_text())
+        payload["dropped"] = 3
+        (tmp_path / "attribution.json").write_text(json.dumps(payload))
+        report = build_explain_report(tmp_path)
+        assert report["tail"] == {
+            "unavailable": "attribution.json dropped 3 per-query records"
+        }
+        assert report["attribution"]["report"] == payload["report"]
+        assert "tail: unavailable" in render_explain(report)
+
     def test_energy_and_slo_sections_present(self, artifact_dir):
         report = build_explain_report(artifact_dir)
         assert report["energy"]["total_joules"] > 0.0
@@ -92,6 +130,7 @@ class TestSpanFallback:
             "trace.jsonl (span-derived approximation)"
         )
         assert report["attribution"]["report"]["count"] > 0
+        assert report["tail"]["count"] >= 1
         assert "slo" not in report
 
     def test_empty_directory_reports_absence(self, tmp_path):
@@ -109,6 +148,10 @@ class TestRender:
         assert "slo burn" in rendered
         assert "queries attributed" in rendered
         assert "snapshots" in rendered
+        tail = [line for line in rendered.splitlines() if line.startswith("tail:")]
+        assert len(tail) == 1
+        assert tail[0].startswith("tail: slowest ")
+        assert " dominates, " in tail[0] and tail[0].endswith("% queuing")
 
 
 class TestCli:
@@ -125,3 +168,25 @@ class TestCli:
     def test_missing_directory_is_a_clean_error(self, tmp_path, capsys):
         assert main(["explain", str(tmp_path / "nope")]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("attribution.json", "{}"),
+            ("slo.json", "[1, 2]"),
+            ("audit.jsonl", '{"kind": "bottleneck", "readings": 5}\n'),
+            ("slo.json", "{}"),
+            ("attribution.json", '{"report": {}, "dropped": 0, "queries": []}'),
+            ("trace.jsonl", '{"qid": 1}\n'),
+            ("trace.jsonl", json.dumps(OUT_OF_ORDER_SPAN) + "\n"),
+            ("energy.json", '{"joules_per_stage": [1]}'),
+        ],
+    )
+    def test_misshapen_artifact_is_one_error_line(
+        self, tmp_path, capsys, name, text
+    ):
+        (tmp_path / name).write_text(text)
+        assert main(["explain", str(tmp_path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1, err
+        assert err[0].startswith("error: ") and name in err[0]

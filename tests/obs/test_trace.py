@@ -17,7 +17,7 @@ import pytest
 
 from repro.cluster.frequency import HASWELL_LADDER
 from repro.errors import ConfigurationError
-from repro.obs import Observability
+from repro.obs import AuditLog, MetricsRegistry, Observability
 from repro.obs.trace import (
     Span,
     TraceBuffer,
@@ -147,7 +147,10 @@ class TestChromeTrace:
 
 class TestLivePipeline:
     def _run_traced_app(self, sim, machine, queries: int = 8):
-        observability = Observability.enabled()
+        metrics = MetricsRegistry()
+        observability = Observability(
+            tracer=TraceBuffer(registry=metrics), metrics=metrics, audit=AuditLog()
+        )
         app = Application("traced", sim, machine, observability=observability)
         stage_a = app.add_stage(make_profile("A", mean=0.2))
         stage_b = app.add_stage(make_profile("B", mean=1.0))
