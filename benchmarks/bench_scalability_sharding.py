@@ -20,15 +20,13 @@ from __future__ import annotations
 import time
 
 from repro.cluster.frequency import HASWELL_LADDER
-from repro.cluster.machine import Machine
+from repro.cluster.power import DEFAULT_POWER_MODEL
 from repro.core.bottleneck import BottleneckIdentifier
 from repro.core.controller import ControllerConfig
 from repro.experiments.parallel import run_cells
 from repro.experiments.report import format_heading, format_table
-from repro.scenario import ScenarioSpec
-from repro.service.command_center import CommandCenter
-from repro.sim.engine import Simulator
-from repro.workloads.sirius import build_sirius, sirius_load_levels
+from repro.scenario import ScenarioSpec, StackBuilder, StageAllocation
+from repro.workloads.sirius import SIRIUS_STAGES, sirius_load_levels
 
 from benchmarks.conftest import engine_workers, run_once, show
 
@@ -37,16 +35,25 @@ LEVEL_1_8 = HASWELL_LADDER.level_of(1.8)
 
 def ranking_cost(n_instances_per_stage: int, repeats: int = 200) -> float:
     """Mean seconds per full metric ranking of a pool of that size."""
-    sim = Simulator()
-    machine = Machine(sim, n_cores=3 * n_instances_per_stage)
-    app = build_sirius(
-        sim, machine, LEVEL_1_8, instances_per_stage=n_instances_per_stage
+    n_instances = len(SIRIUS_STAGES) * n_instances_per_stage
+    spec = ScenarioSpec.latency(
+        "sirius",
+        "static",
+        ("constant", 1.0),
+        10.0,
+        # The whole pool at 1.8 GHz, funded exactly.
+        budget_watts=n_instances * DEFAULT_POWER_MODEL.power(1.8),
+        allocation={
+            stage: StageAllocation(count=n_instances_per_stage, level=LEVEL_1_8)
+            for stage in SIRIUS_STAGES
+        },
+        n_cores=n_instances,
     )
-    command_center = CommandCenter(sim, app)
-    identifier = BottleneckIdentifier(command_center)
+    builder = StackBuilder(spec).build()
+    identifier = BottleneckIdentifier(builder.command_center)
     start = time.perf_counter()
     for _ in range(repeats):
-        identifier.ranked(app)
+        identifier.ranked(builder.application)
     return (time.perf_counter() - start) / repeats
 
 

@@ -7,6 +7,10 @@ the bottleneck when a load burst piles onto a historically fast
 instance, while the Equation-1 metric follows the queue.
 """
 
+# The bursty two-stage pipeline runs on test profiles that no scenario
+# spec can name, so this bench assembles its stack by hand.
+# repro-lint: disable-file=scenario-bypass
+
 from __future__ import annotations
 
 from repro.core.bottleneck import BottleneckIdentifier

@@ -7,49 +7,28 @@ the public API (rather than just printing a static matrix).
 
 from __future__ import annotations
 
-from repro.cluster.budget import PowerBudget
-from repro.cluster.dvfs import DvfsActuator
 from repro.cluster.frequency import HASWELL_LADDER
-from repro.cluster.machine import Machine
-from repro.core.controller import ControllerConfig, PowerChiefController
+from repro.core.controller import ControllerConfig
 from repro.experiments.figures import TABLE4_SYSTEMS, render_table4
-from repro.service.command_center import CommandCenter
-from repro.sim.engine import Simulator
-from repro.workloads.loadgen import ConstantLoad, PoissonLoadGenerator, QueryFactory
-from repro.sim.rng import RandomStreams
-from repro.workloads.sirius import build_sirius, sirius_load_levels, sirius_profiles
+from repro.scenario import ScenarioSpec, StackBuilder
+from repro.workloads.sirius import sirius_load_levels
 
 from benchmarks.conftest import run_once, show
 
 
 def exercise_capabilities():
     """One short PowerChief run touching all five Table-4 capabilities."""
-    sim = Simulator()
-    machine = Machine(sim, n_cores=16)
-    app = build_sirius(sim, machine, HASWELL_LADDER.level_of(1.8))
-    command_center = CommandCenter(sim, app)
-    budget = PowerBudget(machine, 13.56)
-    controller = PowerChiefController(
-        sim,
-        app,
-        command_center,
-        budget,
-        DvfsActuator(sim),
-        ControllerConfig(adjust_interval_s=25.0, balance_threshold_s=0.25),
-    )
-    streams = RandomStreams(3)
-    generator = PoissonLoadGenerator(
-        sim,
-        app,
-        QueryFactory(sirius_profiles(), streams),
-        ConstantLoad(sirius_load_levels().high_qps),
-        streams,
+    spec = ScenarioSpec.latency(
+        "sirius",
+        "powerchief",
+        ("constant", sirius_load_levels().high_qps),
         200.0,
+        seed=3,
+        controller=ControllerConfig(adjust_interval_s=25.0, balance_threshold_s=0.25),
     )
-    controller.start()
-    generator.start()
-    sim.run(until=200.0)
-    return app, budget, controller
+    builder = StackBuilder(spec)
+    builder.execute()
+    return builder.application, builder.budget, builder.controller
 
 
 def test_table4_capabilities(benchmark):

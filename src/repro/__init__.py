@@ -5,27 +5,9 @@ for Multi-Stage Applications to Improve Responsiveness on Power
 Constrained CMP* (Yang et al., ISCA 2017), including the discrete-event
 CMP/service substrate the evaluation needs.
 
-Quick start::
-
-    from repro import (
-        Simulator, Machine, PowerBudget, DvfsActuator, CommandCenter,
-        PowerChiefController, build_sirius, HASWELL_LADDER,
-    )
-
-    sim = Simulator()
-    machine = Machine(sim)
-    app = build_sirius(sim, machine, HASWELL_LADDER.level_of(1.8))
-    command_center = CommandCenter(sim, app)
-    controller = PowerChiefController(
-        sim, app, command_center, PowerBudget(machine, 13.56),
-        DvfsActuator(sim),
-    )
-    controller.start()
-    # ... submit queries, sim.run(...)
-
-or describe the whole run declaratively and let the scenario layer
-assemble it (every figure, CLI command and example goes through this
-path)::
+Quick start: describe the whole run declaratively and let the scenario
+layer assemble it (every figure, CLI command and example goes through
+this path)::
 
     from repro import ScenarioSpec, run_scenario
     from repro.workloads import sirius_load_levels
@@ -46,9 +28,7 @@ from repro.cluster import (
     FrequencyLadder,
     Machine,
     PowerBudget,
-    PowerModel,
     PowerTelemetry,
-    TabularPowerModel,
 )
 from repro.core import (
     BoostingDecisionEngine,
@@ -65,7 +45,6 @@ from repro.core import (
     PowerRecycler,
     StaticController,
 )
-from repro.cluster.calibration import fit_cubic_model, reference_power_table
 from repro.errors import ReproError
 from repro.scenario import (
     ScenarioSpec,
@@ -90,10 +69,6 @@ from repro.workloads import (
     PiecewiseLoad,
     PoissonLoadGenerator,
     QueryFactory,
-    build_application,
-    build_nlp,
-    build_sirius,
-    build_websearch,
     nlp_load_levels,
     sirius_load_levels,
 )
@@ -106,9 +81,6 @@ __all__ = [
     # analysis
     "mm1_mean_wait",
     "mg1_mean_wait",
-    # calibration
-    "fit_cubic_model",
-    "reference_power_table",
     # scenario
     "ScenarioSpec",
     "StackBuilder",
@@ -121,9 +93,7 @@ __all__ = [
     # cluster
     "FrequencyLadder",
     "HASWELL_LADDER",
-    "PowerModel",
     "CubicPowerModel",
-    "TabularPowerModel",
     "DEFAULT_POWER_MODEL",
     "Machine",
     "PowerBudget",
@@ -158,10 +128,6 @@ __all__ = [
     "PiecewiseLoad",
     "PoissonLoadGenerator",
     "QueryFactory",
-    "build_application",
-    "build_sirius",
-    "build_nlp",
-    "build_websearch",
     "sirius_load_levels",
     "nlp_load_levels",
 ]

@@ -1,33 +1,24 @@
-"""CMP cluster substrate: cores, DVFS ladder, power models and budget.
+"""CMP cluster substrate: cores, DVFS ladder, power model and budget.
 
 This package simulates the hardware side of the paper's testbed (Intel
 Xeon E5-2630v3): a pool of physical cores (:class:`Machine`) with per-core
 DVFS over a discrete :class:`FrequencyLadder`, a calibrated core
-:class:`PowerModel`, a hard :class:`PowerBudget`, a :class:`DvfsActuator`
-standing in for the sysfs interface, and :class:`PowerTelemetry` for the
-power timelines of the QoS experiments.
+:class:`CubicPowerModel`, a hard :class:`PowerBudget`, a
+:class:`DvfsActuator` standing in for the sysfs interface, and
+:class:`PowerTelemetry` for the power timelines of the QoS experiments.
 """
 
 from repro.cluster.budget import PowerBudget
-from repro.cluster.calibration import CalibrationResult, fit_cubic_model, reference_power_table
 from repro.cluster.contention import ContentionModel, LinearContention, NoContention
 from repro.cluster.core import Core, CoreState
 from repro.cluster.dvfs import DvfsActuator
 from repro.cluster.frequency import HASWELL_LADDER, FrequencyLadder
 from repro.cluster.machine import Machine
-from repro.cluster.power import (
-    DEFAULT_POWER_MODEL,
-    CubicPowerModel,
-    PowerModel,
-    TabularPowerModel,
-)
+from repro.cluster.power import DEFAULT_POWER_MODEL, CubicPowerModel
 from repro.cluster.telemetry import PowerSample, PowerTelemetry
 
 __all__ = [
     "PowerBudget",
-    "CalibrationResult",
-    "fit_cubic_model",
-    "reference_power_table",
     "ContentionModel",
     "LinearContention",
     "NoContention",
@@ -37,9 +28,7 @@ __all__ = [
     "FrequencyLadder",
     "HASWELL_LADDER",
     "Machine",
-    "PowerModel",
     "CubicPowerModel",
-    "TabularPowerModel",
     "DEFAULT_POWER_MODEL",
     "PowerSample",
     "PowerTelemetry",

@@ -20,7 +20,7 @@ from typing import Callable
 
 from repro.errors import ClusterError, InstanceStateError
 from repro.cluster.frequency import FrequencyLadder
-from repro.cluster.power import PowerModel
+from repro.cluster.power import CubicPowerModel
 from repro.units import DvfsLevel, Ghz, Joules, Watts
 
 __all__ = ["Core", "CoreState", "FrequencyObserver"]
@@ -42,7 +42,7 @@ class Core:
         self,
         cid: int,
         ladder: FrequencyLadder,
-        power_model: PowerModel,
+        power_model: CubicPowerModel,
         clock: Callable[[], float],
     ) -> None:
         self.cid = cid

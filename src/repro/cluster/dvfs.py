@@ -3,38 +3,22 @@
 A thin actuator between the controllers and the cores, standing in for the
 ``cpufreq`` sysfs interface the real prototype would drive.  Haswell's
 fully-integrated voltage regulators make transitions sub-microsecond
-(Section 5.2), so the default transition latency is zero; a non-zero
-latency can be configured to study slower platforms — the level change is
-then applied after the delay through the simulator.
+(Section 5.2), so a level change is applied at once.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.errors import ClusterError
-from repro.units import DvfsLevel, exactly
 from repro.cluster.core import Core
 from repro.sim.engine import Simulator
-from repro.sim.events import EventPriority
 
 __all__ = ["DvfsActuator"]
 
 
 class DvfsActuator:
-    """Applies ladder-level changes to cores, optionally with latency."""
+    """Applies ladder-level changes to cores."""
 
-    def __init__(
-        self,
-        sim: Simulator,
-        transition_latency_s: float = 0.0,
-    ) -> None:
-        if transition_latency_s < 0.0:
-            raise ClusterError(
-                f"transition latency must be >= 0, got {transition_latency_s}"
-            )
+    def __init__(self, sim: Simulator) -> None:
         self.sim = sim
-        self.transition_latency_s = float(transition_latency_s)
         self._requests = 0
 
     @property
@@ -43,36 +27,7 @@ class DvfsActuator:
         return self._requests
 
     def set_level(self, core: Core, level: int) -> None:
-        """Request ``core`` to move to ``level``.
-
-        With zero transition latency the change is synchronous; otherwise
-        the new level lands after the configured delay (the core keeps its
-        old level, and old power draw, until then).
-        """
+        """Move ``core`` to ``level`` now."""
         core.ladder.validate_level(level)
         self._requests += 1
-        if exactly(self.transition_latency_s, 0.0):
-            core.set_level(level)
-        else:
-            self.sim.schedule(
-                self.transition_latency_s,
-                core.set_level,
-                level,
-                priority=EventPriority.COMPLETION,
-            )
-
-    def step_down(self, core: Core) -> Optional[DvfsLevel]:
-        """Drop the core one level; returns the new level or ``None`` at floor."""
-        if core.level <= core.ladder.min_level:
-            return None
-        new_level = DvfsLevel(core.level - 1)
-        self.set_level(core, new_level)
-        return new_level
-
-    def step_up(self, core: Core) -> Optional[DvfsLevel]:
-        """Raise the core one level; returns the new level or ``None`` at top."""
-        if core.level >= core.ladder.max_level:
-            return None
-        new_level = DvfsLevel(core.level + 1)
-        self.set_level(core, new_level)
-        return new_level
+        core.set_level(level)

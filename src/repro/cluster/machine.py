@@ -23,7 +23,7 @@ from repro.errors import ClusterError, NoCoreAvailable
 from repro.cluster.contention import ContentionModel, NoContention
 from repro.cluster.core import Core, CoreState
 from repro.cluster.frequency import HASWELL_LADDER, FrequencyLadder
-from repro.cluster.power import DEFAULT_POWER_MODEL, PowerModel
+from repro.cluster.power import DEFAULT_POWER_MODEL, CubicPowerModel
 from repro.sim.engine import Simulator
 from repro.units import Joules, Watts
 
@@ -46,7 +46,7 @@ class Machine:
         sim: Simulator,
         n_cores: int = 16,
         ladder: FrequencyLadder = HASWELL_LADDER,
-        power_model: PowerModel = DEFAULT_POWER_MODEL,
+        power_model: CubicPowerModel = DEFAULT_POWER_MODEL,
         contention: Optional[ContentionModel] = None,
     ) -> None:
         if n_cores <= 0:

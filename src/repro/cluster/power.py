@@ -1,13 +1,13 @@
-"""Core power models.
+"""The core power model.
 
 Per-core power cannot be measured on the paper's platform, so the authors
 "use the power model proposed in [22] (Adrenaline) to determine the power
 consumption of a core running at different frequencies" (Section 8.1).  We
 do the same through an explicit model class.
 
-The default :class:`CubicPowerModel` follows the standard CMOS
-approximation ``P(f) = P_static + c * f^3`` (dynamic power scales with
-``f * V^2`` and voltage tracks frequency).  It is calibrated so that:
+:class:`CubicPowerModel` follows the standard CMOS approximation
+``P(f) = P_static + c * f^3`` (dynamic power scales with ``f * V^2`` and
+voltage tracks frequency).  It is calibrated so that:
 
 * ``P(1.8 GHz) = 4.52 W`` — the Table-2 budget of 13.56 W is exactly three
   instances at the mid-ladder frequency, as the paper constructs it;
@@ -18,30 +18,44 @@ approximation ``P(f) = P_static + c * f^3`` (dynamic power scales with
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
-from typing import Mapping, Optional
+from typing import Optional
 
 from repro.errors import ClusterError, FrequencyError
 from repro.cluster.frequency import FrequencyLadder
 from repro.units import Watts
 
 __all__ = [
-    "PowerModel",
     "CubicPowerModel",
-    "TabularPowerModel",
     "DEFAULT_POWER_MODEL",
 ]
 
 
-class PowerModel(ABC):
-    """Maps a core frequency (GHz) to its power draw (W)."""
+class CubicPowerModel:
+    """Maps a core frequency to its draw: ``P(f) = static + coeff * f^3``.
 
-    @abstractmethod
+    ``f`` is in GHz and ``P`` in watts.  Without ``dynamic_coeff`` the
+    model is calibrated so that ``P(1.8 GHz) = 4.52 W`` (see module docs).
+    """
+
+    def __init__(self, static_watts: float = 0.5, dynamic_coeff: Optional[float] = None) -> None:
+        if static_watts < 0.0:
+            raise ClusterError(f"static_watts must be >= 0, got {static_watts}")
+        if dynamic_coeff is None:
+            # Calibrate so that P(1.8 GHz) == 4.52 W (see module docstring).
+            dynamic_coeff = (4.52 - static_watts) / (1.8**3)
+        if dynamic_coeff <= 0.0:
+            raise ClusterError(f"dynamic_coeff must be > 0, got {dynamic_coeff}")
+        self.static_watts = float(static_watts)
+        self.dynamic_coeff = float(dynamic_coeff)
+
     def power(self, freq_ghz: float) -> Watts:
         """Power in watts of a core running at ``freq_ghz`` (GHz)."""
+        if freq_ghz <= 0.0:
+            raise FrequencyError(f"frequency must be > 0 GHz, got {freq_ghz}")
+        return Watts(self.static_watts + self.dynamic_coeff * freq_ghz**3)
 
     # ------------------------------------------------------------------
-    # Ladder-aware helpers shared by all models
+    # Ladder-aware helpers
     # ------------------------------------------------------------------
     def power_of_level(self, ladder: FrequencyLadder, level: int) -> Watts:
         """Power at a ladder level."""
@@ -69,78 +83,11 @@ class PowerModel(ABC):
             - self.power_of_level(ladder, ladder.min_level)
         )
 
-
-class CubicPowerModel(PowerModel):
-    """``P(f) = static + coeff * f^3`` with ``f`` in GHz."""
-
-    def __init__(self, static_watts: float = 0.5, dynamic_coeff: Optional[float] = None) -> None:
-        if static_watts < 0.0:
-            raise ClusterError(f"static_watts must be >= 0, got {static_watts}")
-        if dynamic_coeff is None:
-            # Calibrate so that P(1.8 GHz) == 4.52 W (see module docstring).
-            dynamic_coeff = (4.52 - static_watts) / (1.8**3)
-        if dynamic_coeff <= 0.0:
-            raise ClusterError(f"dynamic_coeff must be > 0, got {dynamic_coeff}")
-        self.static_watts = float(static_watts)
-        self.dynamic_coeff = float(dynamic_coeff)
-
-    @classmethod
-    def calibrated(
-        cls, *, static_watts: float, ref_freq_ghz: float, ref_power_watts: float
-    ) -> "CubicPowerModel":
-        """Build a model passing through ``(ref_freq_ghz, ref_power_watts)``."""
-        if ref_power_watts <= static_watts:
-            raise ClusterError(
-                "reference power must exceed static power "
-                f"({ref_power_watts} W <= {static_watts} W)"
-            )
-        coeff = (ref_power_watts - static_watts) / (ref_freq_ghz**3)
-        return cls(static_watts=static_watts, dynamic_coeff=coeff)
-
-    def power(self, freq_ghz: float) -> Watts:
-        if freq_ghz <= 0.0:
-            raise FrequencyError(f"frequency must be > 0 GHz, got {freq_ghz}")
-        return Watts(self.static_watts + self.dynamic_coeff * freq_ghz**3)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"CubicPowerModel(static={self.static_watts:.3f} W, "
             f"coeff={self.dynamic_coeff:.5f} W/GHz^3)"
         )
-
-
-class TabularPowerModel(PowerModel):
-    """A measured (frequency -> watts) table, e.g. from RAPL sweeps.
-
-    The table must be strictly increasing in both frequency and power;
-    lookups require an exact (tolerance 1e-6 GHz) frequency match so an
-    experiment cannot silently interpolate off its calibration points.
-    """
-
-    def __init__(self, table: Mapping[float, float]) -> None:
-        if not table:
-            raise ClusterError("power table must not be empty")
-        items = sorted(table.items())
-        previous_power = -1.0
-        for freq, watts in items:
-            if freq <= 0.0:
-                raise ClusterError(f"table frequency must be > 0 GHz, got {freq}")
-            if watts <= previous_power:
-                raise ClusterError(
-                    "power table must be strictly increasing with frequency"
-                )
-            previous_power = watts
-        self._table = tuple(items)
-
-    def power(self, freq_ghz: float) -> Watts:
-        for freq, watts in self._table:
-            if abs(freq - freq_ghz) < 1e-6:
-                return Watts(watts)
-        known = ", ".join(f"{freq:g}" for freq, _ in self._table)
-        raise FrequencyError(f"{freq_ghz} GHz not in power table ({known})")
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"TabularPowerModel({len(self._table)} points)"
 
 
 #: The calibrated model used throughout the reproduction (see module docs).

@@ -45,7 +45,7 @@ from typing import Optional, Sequence
 from repro.cluster.budget import PowerBudget
 from repro.cluster.frequency import FrequencyLadder
 from repro.cluster.machine import Machine
-from repro.cluster.power import PowerModel
+from repro.cluster.power import CubicPowerModel
 from repro.core.estimators import (
     frequency_boost_expected_delay,
     instance_boost_expected_delay,
@@ -116,7 +116,7 @@ class BoostingDecisionEngine:
         return self.machine.ladder
 
     @property
-    def power_model(self) -> PowerModel:
+    def power_model(self) -> CubicPowerModel:
         return self.machine.power_model
 
     # ------------------------------------------------------------------

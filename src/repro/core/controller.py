@@ -14,6 +14,7 @@ withdraw loop.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Optional
@@ -77,6 +78,24 @@ class ControllerConfig:
     stale_metric_guard: bool = False
 
     def __post_init__(self) -> None:
+        # Before the ranges: NaN slips past every ordered comparison and
+        # infinity past the bounds, and a count must be a whole number.
+        for name in (
+            "adjust_interval_s",
+            "balance_threshold_s",
+            "withdraw_interval_s",
+            "withdraw_utilization",
+        ):
+            value = getattr(self, name)
+            if not isinstance(value, (int, float)) or not math.isfinite(value):
+                raise ConfigurationError(
+                    f"{name} must be a finite number, got {value!r}"
+                )
+        count = self.min_queue_for_instance
+        if isinstance(count, bool) or not isinstance(count, int):
+            raise ConfigurationError(
+                f"min_queue_for_instance must be an integer, got {count!r}"
+            )
         if self.adjust_interval_s <= 0.0:
             raise ConfigurationError(
                 f"adjust interval must be > 0, got {self.adjust_interval_s}"

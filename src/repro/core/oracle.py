@@ -31,7 +31,7 @@ from typing import Mapping, Optional, Sequence
 from repro.errors import ConfigurationError
 from repro.analysis.queueing import mg1_mean_wait
 from repro.cluster.frequency import FrequencyLadder, HASWELL_LADDER
-from repro.cluster.power import DEFAULT_POWER_MODEL, PowerModel
+from repro.cluster.power import DEFAULT_POWER_MODEL, CubicPowerModel
 from repro.service.profile import ServiceProfile
 
 __all__ = ["StaticPlan", "predict_mean_latency", "best_static_allocation"]
@@ -91,7 +91,7 @@ def best_static_allocation(
     max_instances_per_stage: int = 4,
     max_total_instances: Optional[int] = None,
     ladder: FrequencyLadder = HASWELL_LADDER,
-    power_model: PowerModel = DEFAULT_POWER_MODEL,
+    power_model: CubicPowerModel = DEFAULT_POWER_MODEL,
 ) -> StaticPlan:
     """Exhaustively search static deployments; return the analytic best.
 

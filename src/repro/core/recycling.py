@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.cluster.frequency import FrequencyLadder
-from repro.cluster.power import PowerModel
+from repro.cluster.power import CubicPowerModel
 from repro.service.instance import ServiceInstance
 from repro.units import EPSILON_WATTS, DvfsLevel, Watts
 
@@ -71,7 +71,7 @@ class PowerRecycler:
     the fastest-first order the bottleneck identifier produced.
     """
 
-    def __init__(self, power_model: PowerModel, ladder: FrequencyLadder) -> None:
+    def __init__(self, power_model: CubicPowerModel, ladder: FrequencyLadder) -> None:
         self.power_model = power_model
         self.ladder = ladder
 

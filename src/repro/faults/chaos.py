@@ -23,7 +23,7 @@ import dataclasses
 from typing import TYPE_CHECKING, Optional, Union
 
 from repro.obs import Observability
-from repro.scenario.config import TABLE2_CONTROLLER_CONFIG
+from repro.scenario.config import TABLE2_CONTROLLER_CONFIG, app_stages
 from repro.faults.injector import FaultInjector
 from repro.faults.monitor import HealthMonitor, ResilienceConfig
 from repro.faults.plan import FaultPlan
@@ -179,7 +179,6 @@ def chaos_spec(
     gauge to watch.
     """
     # Deferred: repro.scenario imports this package while it loads.
-    from repro.scenario.builder import _profiles_for
     from repro.scenario.spec import ScenarioSpec
 
     observe: tuple[str, ...] = ("trace", "metrics", "audit")
@@ -198,7 +197,7 @@ def chaos_spec(
         ),
         guard=guard,
         chaos=plan,
-        drain_s=drain_window_s(_RESILIENCE, len(_profiles_for(app))),
+        drain_s=drain_window_s(_RESILIENCE, len(app_stages(app))),
         observe=observe,
         **options,
     )

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Mapping, Optional, Union
@@ -100,6 +101,14 @@ class FaultSpec:
     magnitude: float = 0.0
 
     def __post_init__(self) -> None:
+        # NaN slips past every ordered comparison and infinity past the
+        # range checks below, so each number is checked finite first.
+        for name in ("at_s", "duration_s", "magnitude"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigurationError(
+                    f"{name} must be a finite number, got {value}"
+                )
         if self.at_s < 0.0:
             raise ConfigurationError(
                 f"fault time must be >= 0, got {self.at_s}"

@@ -36,13 +36,8 @@ class ClampEvent:
 class ClampingActuator(DvfsActuator):
     """A DVFS actuator that clips infeasible requests instead of erroring."""
 
-    def __init__(
-        self,
-        sim: Simulator,
-        budget: PowerBudget,
-        transition_latency_s: float = 0.0,
-    ) -> None:
-        super().__init__(sim, transition_latency_s)
+    def __init__(self, sim: Simulator, budget: PowerBudget) -> None:
+        super().__init__(sim)
         self.budget = budget
         self.clamps: List[ClampEvent] = []
 

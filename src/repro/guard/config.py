@@ -8,6 +8,7 @@ ControllerConfig`'s spec round-trip contract.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, fields
 from typing import Any, Mapping, Tuple
 
@@ -18,6 +19,16 @@ __all__ = ["GuardConfig", "RUNG_NAMES", "guard_to_spec", "guard_from_spec"]
 #: Fallback rungs the ladder may be built from, in no particular order.
 #: The primary policy is always rung zero and is not named here.
 RUNG_NAMES = ("conserve", "safe")
+
+_COUNT_FIELDS = ("demote_after", "osc_max_flips", "storm_ticks")
+
+_REAL_FIELDS = (
+    "violation_window_s",
+    "probation_s",
+    "osc_window_s",
+    "burn_threshold",
+    "conserve_headroom",
+)
 
 
 @dataclass(frozen=True)
@@ -45,6 +56,20 @@ class GuardConfig:
     conserve_headroom: float = 0.9
 
     def __post_init__(self) -> None:
+        # Before the ranges: NaN slips past every ordered comparison and
+        # infinity past the bounds, and a count must be a whole number.
+        for name in _COUNT_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigurationError(
+                    f"{name} must be an integer, got {value!r}"
+                )
+        for name in _REAL_FIELDS:
+            value = getattr(self, name)
+            if not isinstance(value, (int, float)) or not math.isfinite(value):
+                raise ConfigurationError(
+                    f"{name} must be a finite number, got {value!r}"
+                )
         rungs = self.rungs()
         if not rungs:
             raise ConfigurationError("guard ladder must name at least one rung")

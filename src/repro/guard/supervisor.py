@@ -110,9 +110,7 @@ class SupervisedController(BaseController):
         super().__init__(sim, application, command_center, budget, dvfs, config)
         self.guard = guard if guard is not None else GuardConfig()
         #: The clamp shield between the untrusted policy and the cores.
-        self.actuator = ClampingActuator(
-            sim, budget, transition_latency_s=dvfs.transition_latency_s
-        )
+        self.actuator = ClampingActuator(sim, budget)
         primary = policy(
             sim, application, command_center, budget, self.actuator, self.config
         )

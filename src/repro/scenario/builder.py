@@ -85,6 +85,7 @@ from repro.scenario.config import (
     TABLE2_POWER_BUDGET_WATTS,
     TABLE3_SETUPS,
     Table3Setup,
+    app_stages,
 )
 from repro.scenario.sampling import QosSampler, StateSampler
 from repro.scenario.results import (
@@ -101,9 +102,7 @@ from repro.scenario.spec import (
 )
 from repro.service.application import Application
 from repro.service.command_center import CommandCenter
-from repro.service.profile import ServiceProfile
 from repro.service.query import Query
-from repro.service.stage import StageKind
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
 from repro.util.percentile import LatencySummary, summarize
@@ -112,23 +111,12 @@ from repro.workloads.loadgen import (
     PoissonLoadGenerator,
     QueryFactory,
 )
-from repro.workloads.nlp import nlp_profiles
-from repro.workloads.sirius import sirius_profiles
-from repro.workloads.websearch import websearch_profiles
 
 __all__ = [
     "StackBuilder",
     "run_scenario",
     "LATENCY_CONTROLLERS",
 ]
-
-_PROFILE_BUILDERS = {
-    "sirius": sirius_profiles,
-    "nlp": nlp_profiles,
-    "websearch": websearch_profiles,
-}
-
-_SCATTER_GATHER_STAGES = {"websearch": ("LEAF",)}
 
 #: Latency-policy name -> controller class; the single policy dispatch.
 LATENCY_CONTROLLERS: dict[str, type[BaseController]] = {
@@ -138,35 +126,11 @@ LATENCY_CONTROLLERS: dict[str, type[BaseController]] = {
     "powerchief": PowerChiefController,
 }
 
-#: Options a QoS scenario accepts: the controller knobs, then the
-#: accounting-plane knobs the observability bundle consumes.
-_QOS_OPTIONS = frozenset(
-    {
-        "hold_fraction",
-        "conserve_fraction",
-        "guard_fraction",
-        "e2e_window_s",
-        "slo_target_s",
-        "slo_attainment",
-        "slo_window_s",
-        "stream_interval_s",
-        "stream_path",
-    }
-)
-
 _PHASES = ("new", "built", "armed", "started", "ran", "drained", "collected")
 
 #: Phases :meth:`StackBuilder.tick` may be called from: the arrival
 #: window ("started") and the drain window ("ran").
 _TICKABLE_PHASES = ("started", "ran")
-
-
-def _profiles_for(app: str) -> list[ServiceProfile]:
-    try:
-        return _PROFILE_BUILDERS[app]()
-    except KeyError:
-        known = ", ".join(sorted(_PROFILE_BUILDERS))
-        raise ConfigurationError(f"unknown app {app!r} (known: {known})") from None
 
 
 def _build_app(
@@ -178,17 +142,10 @@ def _build_app(
     fabric: Optional["RpcFabric"],
     name: str,
 ) -> Application:
-    profiles = _profiles_for(app)
     application = Application(
         name, sim, machine, fabric=fabric, observability=observability
     )
-    scatter = _SCATTER_GATHER_STAGES.get(app, ())
-    for profile in profiles:
-        kind = (
-            StageKind.SCATTER_GATHER
-            if profile.name in scatter
-            else StageKind.PIPELINE
-        )
+    for profile, kind in app_stages(app):
         stage = application.add_stage(profile, kind=kind)
         stage_alloc = allocation.get(profile.name)
         if stage_alloc is None:
@@ -206,7 +163,7 @@ def _uniform_allocation(
     instances_per_stage: Mapping[str, int] | int,
 ) -> dict[str, StageAllocation]:
     allocation: dict[str, StageAllocation] = {}
-    for profile in _profiles_for(app):
+    for profile, _ in app_stages(app):
         if isinstance(instances_per_stage, int):
             count = instances_per_stage
         else:
@@ -460,7 +417,9 @@ class StackBuilder:
                 )
         # One shared workload: arrivals and demands are byte-identical
         # regardless of shard count — only the routing differs.
-        factory = QueryFactory(_profiles_for(plan.app), streams)
+        factory = QueryFactory(
+            [profile for profile, _ in app_stages(plan.app)], streams
+        )
         self.generator = PoissonLoadGenerator(
             sim, target, factory, trace, streams, spec.duration_s
         )
@@ -510,11 +469,6 @@ class StackBuilder:
                 ),
             )
         options = dict(spec.options)
-        unknown = sorted(set(options) - _QOS_OPTIONS)
-        if unknown:
-            raise ConfigurationError(
-                f"unknown qos options: {', '.join(unknown)}"
-            )
         e2e_window_s = options.get("e2e_window_s")
         window = (
             float(e2e_window_s)

@@ -8,6 +8,9 @@ Table 3 (power conservation under a QoS): over-provisioned deployments at
 the maximum frequency — Sirius with 4 ASR + 2 IMM + 5 QA instances, a 2 s
 QoS and a 10 s adjust interval; Web Search with 1 aggregation + 10 leaf
 services, a 250 ms QoS and a 2 s adjust interval.
+
+:func:`app_stages` names the pipelines themselves: each application's
+stages in order, with their offline profiles and stage kinds.
 """
 
 from __future__ import annotations
@@ -16,9 +19,16 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
 
+from repro.errors import ConfigurationError
 from repro.core.controller import ControllerConfig
+from repro.service.profile import ServiceProfile
+from repro.service.stage import StageKind
+from repro.workloads.nlp import nlp_profiles
+from repro.workloads.sirius import sirius_profiles
+from repro.workloads.websearch import websearch_profiles
 
 __all__ = [
+    "app_stages",
     "TABLE2_POWER_BUDGET_WATTS",
     "TABLE2_INITIAL_FREQ_GHZ",
     "TABLE2_CONTROLLER_CONFIG",
@@ -91,3 +101,36 @@ TABLE3_SETUPS: Mapping[str, Table3Setup] = MappingProxyType(
         "websearch": TABLE3_WEBSEARCH,
     }
 )
+
+
+_PROFILE_BUILDERS = {
+    "sirius": sirius_profiles,
+    "nlp": nlp_profiles,
+    "websearch": websearch_profiles,
+}
+
+#: Web Search's leaf tier fans every query out over the whole pool.
+_SCATTER_GATHER_STAGES = {"websearch": ("LEAF",)}
+
+
+def app_stages(app: str) -> list[tuple[ServiceProfile, StageKind]]:
+    """The named application's stages in pipeline order: profile and kind.
+
+    Each call builds fresh profiles.  An unknown name raises
+    :class:`~repro.errors.ConfigurationError` listing the known ones.
+    """
+    try:
+        profiles = _PROFILE_BUILDERS[app]()
+    except KeyError:
+        known = ", ".join(sorted(_PROFILE_BUILDERS))
+        raise ConfigurationError(f"unknown app {app!r} (known: {known})") from None
+    scatter = _SCATTER_GATHER_STAGES.get(app, ())
+    return [
+        (
+            profile,
+            StageKind.SCATTER_GATHER
+            if profile.name in scatter
+            else StageKind.PIPELINE,
+        )
+        for profile in profiles
+    ]

@@ -29,7 +29,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional, Sequence, Union
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, FrequencyError
+from repro.cluster.frequency import HASWELL_LADDER
 from repro.cluster.contention import (
     ContentionModel,
     LinearContention,
@@ -97,17 +98,47 @@ _CONTROLLER_FIELDS = frozenset(
 
 _GUARD_FIELDS = frozenset(f.name for f in dataclasses.fields(GuardConfig))
 
+#: The numeric options the builder reads: the QoS controller knobs, then
+#: the accounting-plane knobs the observability bundle consumes.
+_NUMERIC_OPTIONS = frozenset(
+    {
+        "hold_fraction",
+        "conserve_fraction",
+        "guard_fraction",
+        "e2e_window_s",
+        "slo_target_s",
+        "slo_attainment",
+        "slo_window_s",
+        "stream_interval_s",
+    }
+)
+
+#: Options a QoS scenario accepts.
+_QOS_OPTIONS = _NUMERIC_OPTIONS | {"stream_path"}
+
 
 @dataclass(frozen=True)
 class StageAllocation:
-    """A fixed (instance count, ladder level) deployment for one stage."""
+    """A fixed (instance count, ladder level) deployment for one stage.
+
+    The level indexes :data:`~repro.cluster.frequency.HASWELL_LADDER`,
+    the ladder every machine the builder makes runs on.
+    """
 
     count: int
     level: int
 
     def __post_init__(self) -> None:
+        if isinstance(self.count, bool) or not isinstance(self.count, int):
+            raise ConfigurationError(
+                f"count must be an integer, got {self.count!r}"
+            )
         if self.count < 1:
             raise ConfigurationError(f"count must be >= 1, got {self.count}")
+        try:
+            HASWELL_LADDER.validate_level(self.level)
+        except FrequencyError as error:
+            raise ConfigurationError(f"allocation {error}") from None
 
 
 # ----------------------------------------------------------------------
@@ -423,11 +454,27 @@ class ScenarioSpec:
                 raise ConfigurationError("qos scenarios cannot be sharded")
             if self.drain_s > 0.0:
                 raise ConfigurationError("qos scenarios have no drain window")
+            unknown = sorted({key for key, _ in self.options} - _QOS_OPTIONS)
+            if unknown:
+                raise ConfigurationError(
+                    f"unknown qos options: {', '.join(unknown)}"
+                )
         if self.contention and self.contention[0] not in _CONTENTION_KINDS:
             raise ConfigurationError(
                 f"unknown contention spec kind {self.contention[0]!r} "
                 f"(known: {', '.join(_CONTENTION_KINDS)})"
             )
+        if self.budget_watts is not None and not (
+            math.isfinite(self.budget_watts) and self.budget_watts > 0.0
+        ):
+            raise ConfigurationError(
+                f"budget must be a finite number > 0, got {self.budget_watts}"
+            )
+        if self.initial_freq_ghz is not None:
+            try:
+                HASWELL_LADDER.level_of(self.initial_freq_ghz)
+            except FrequencyError as error:
+                raise ConfigurationError(f"initial frequency: {error}") from None
         if self.allocation is not None:
             for entry in self.allocation:
                 if len(entry) != 3:
@@ -442,6 +489,20 @@ class ScenarioSpec:
                 raise ConfigurationError(
                     f"unknown controller option {key!r} (known: {known})"
                 )
+        if self.controller:
+            # Value checks up front too (finite intervals, integral
+            # counts), so a bad block fails at spec time.
+            controller_from_spec(self.controller)
+        for key, value in self.options:
+            if key in _NUMERIC_OPTIONS and value is not None:
+                try:
+                    finite = math.isfinite(float(value))
+                except (TypeError, ValueError):
+                    finite = False
+                if not finite:
+                    raise ConfigurationError(
+                        f"option {key!r} must be a finite number, got {value!r}"
+                    )
         for key, _ in self.guard:
             if key not in _GUARD_FIELDS:
                 known = ", ".join(sorted(_GUARD_FIELDS))

@@ -17,19 +17,8 @@ from repro.service.demand import (
     ExponentialDemand,
     LogNormalDemand,
 )
-from repro.service.dispatch import (
-    Dispatcher,
-    RandomDispatcher,
-    RoundRobinDispatcher,
-    ShortestQueueDispatcher,
-)
 from repro.service.instance import InstanceState, Job, ServiceInstance
-from repro.service.profile import (
-    PowerLawSpeedup,
-    ServiceProfile,
-    SpeedupCurve,
-    TabularSpeedup,
-)
+from repro.service.profile import PowerLawSpeedup, ServiceProfile
 from repro.service.query import Query
 from repro.service.records import AttemptRecord, StageRecord
 from repro.service.resilience import RetryPolicy, StageResilience
@@ -44,17 +33,11 @@ __all__ = [
     "DeterministicDemand",
     "ExponentialDemand",
     "LogNormalDemand",
-    "Dispatcher",
-    "RandomDispatcher",
-    "RoundRobinDispatcher",
-    "ShortestQueueDispatcher",
     "InstanceState",
     "Job",
     "ServiceInstance",
     "PowerLawSpeedup",
     "ServiceProfile",
-    "SpeedupCurve",
-    "TabularSpeedup",
     "Query",
     "AttemptRecord",
     "StageRecord",

@@ -19,9 +19,7 @@ from typing import Callable, Optional
 from typing import TYPE_CHECKING
 
 from repro.errors import ConfigurationError, StageError
-from repro.units import exactly
 from repro.cluster.machine import Machine
-from repro.service.dispatch import Dispatcher
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.obs import Observability
@@ -45,14 +43,12 @@ CrashListener = Callable[[Stage, ServiceInstance], None]
 class Application:
     """An ordered pipeline of :class:`Stage` objects sharing one machine.
 
-    ``hop_delay_s`` models the RPC/network delay between consecutive
-    stages and on the final response (Section 8.5: "the joint design of
-    service and query in our approach is extensible to include the
-    network delays"); the paper's own evaluation uses zero.  Passing an
-    :class:`~repro.service.rpc.RpcFabric` instead routes every hop — and
-    the per-query statistics report to the command center — through the
-    fabric, with its latency and message accounting; a fabric takes
-    precedence over ``hop_delay_s``.
+    Hops between stages are instantaneous, as in the paper's own
+    evaluation.  Passing an :class:`~repro.service.rpc.RpcFabric` routes
+    every hop — and the per-query statistics report to the command
+    center — through the fabric, with its latency and message accounting
+    (Section 8.5: "the joint design of service and query in our approach
+    is extensible to include the network delays").
     """
 
     def __init__(
@@ -60,21 +56,14 @@ class Application:
         name: str,
         sim: Simulator,
         machine: Machine,
-        hop_delay_s: float = 0.0,
         fabric: Optional["RpcFabric"] = None,
         observability: Optional["Observability"] = None,
     ) -> None:
         if not name:
             raise ConfigurationError("application needs a non-empty name")
-        if hop_delay_s < 0.0:
-            raise ConfigurationError(
-                f"hop delay must be >= 0, got {hop_delay_s}"
-            )
         self.name = name
         self.sim = sim
         self.machine = machine
-        self.hop_delay_s = float(hop_delay_s)
-        self._zero_hop = exactly(self.hop_delay_s, 0.0)
         self.fabric = fabric
         self.observability = observability
         self._metrics = None if observability is None else observability.metrics
@@ -101,7 +90,6 @@ class Application:
         self,
         profile: ServiceProfile,
         kind: StageKind = StageKind.PIPELINE,
-        dispatcher: Optional[Dispatcher] = None,
     ) -> Stage:
         """Append a stage to the pipeline; queries flow in add order."""
         if profile.name in self._stage_by_name:
@@ -114,7 +102,6 @@ class Application:
             machine=self.machine,
             sim=self.sim,
             iid_counter=self._iid_counter,
-            dispatcher=dispatcher,
             kind=kind,
             tracer=(
                 None
@@ -292,19 +279,17 @@ class Application:
             listener(query)
 
     def _hop(self, next_index: int, query: Query) -> None:
-        """Route onward, paying the inter-stage network delay if any."""
-        if self.fabric is not None:
-            src = f"stage:{self._stages[next_index - 1].name}"
-            dst = (
-                f"stage:{self._stages[next_index].name}"
-                if next_index < len(self._stages)
-                else "user"
-            )
-            self.fabric.send(src, dst, lambda: self._advance(query, next_index))
-        elif self._zero_hop:
+        """Route onward, over the fabric when there is one."""
+        if self.fabric is None:
             self._advance(query, next_index)
-        else:
-            self.sim.schedule(self.hop_delay_s, self._advance, query, next_index)
+            return
+        src = f"stage:{self._stages[next_index - 1].name}"
+        dst = (
+            f"stage:{self._stages[next_index].name}"
+            if next_index < len(self._stages)
+            else "user"
+        )
+        self.fabric.send(src, dst, lambda: self._advance(query, next_index))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         names = " -> ".join(self.stage_names())

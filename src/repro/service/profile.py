@@ -4,8 +4,8 @@ PowerChief "use[s] offline profiling to acquire the latency reduction of
 each service at different frequencies, which is then used during runtime
 to estimate the latency improvement with frequency boosting"
 (Section 5.2).  A :class:`ServiceProfile` is that offline profile: the
-demand distribution of the service and its :class:`SpeedupCurve`, i.e.
-normalized execution time as a function of core frequency.
+demand distribution of the service and its :class:`PowerLawSpeedup`,
+i.e. normalized execution time as a function of core frequency.
 
 Normalisation follows the paper (Section 5.3): execution time at the
 slowest ladder frequency is 1.0; faster frequencies give values < 1.
@@ -13,45 +13,17 @@ slowest ladder frequency is 1.0; faster frequencies give values < 1.
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
-from typing import Mapping
-
 from repro.errors import ConfigurationError, FrequencyError
 from repro.service.demand import DemandDistribution
 
 __all__ = [
-    "SpeedupCurve",
     "PowerLawSpeedup",
-    "TabularSpeedup",
     "ServiceProfile",
 ]
 
 
-class SpeedupCurve(ABC):
-    """Normalized execution time of a service versus core frequency."""
-
-    @abstractmethod
-    def normalized_time(self, freq_ghz: float) -> float:
-        """Execution-time ratio relative to the slowest frequency (<= 1)."""
-
-    def speedup(self, freq_ghz: float) -> float:
-        """Speedup factor relative to the slowest frequency (>= 1)."""
-        return 1.0 / self.normalized_time(freq_ghz)
-
-    def alpha(self, freq_low_ghz: float, freq_high_ghz: float) -> float:
-        """The paper's ``alpha_lh``: execution-time ratio between two levels.
-
-        ``alpha`` multiplies the current delay in Equation 3; boosting from
-        ``freq_low`` to ``freq_high`` scales delays by
-        ``normalized_time(high) / normalized_time(low)``.
-        """
-        return self.normalized_time(freq_high_ghz) / self.normalized_time(
-            freq_low_ghz
-        )
-
-
-class PowerLawSpeedup(SpeedupCurve):
-    """``time(f) = (f_min / f) ** beta``.
+class PowerLawSpeedup:
+    """Normalized execution time ``time(f) = (f_min / f) ** beta``.
 
     ``beta = 1`` is a perfectly frequency-scalable (compute-bound) service;
     ``beta < 1`` models memory-bound services that benefit less from
@@ -70,53 +42,30 @@ class PowerLawSpeedup(SpeedupCurve):
         self.beta = float(beta)
 
     def normalized_time(self, freq_ghz: float) -> float:
+        """Execution-time ratio relative to the slowest frequency (<= 1)."""
         if freq_ghz < self.f_min_ghz - 1e-9:
             raise FrequencyError(
                 f"{freq_ghz} GHz is below the profile floor {self.f_min_ghz} GHz"
             )
         return (self.f_min_ghz / freq_ghz) ** self.beta
 
+    def speedup(self, freq_ghz: float) -> float:
+        """Speedup factor relative to the slowest frequency (>= 1)."""
+        return 1.0 / self.normalized_time(freq_ghz)
+
+    def alpha(self, freq_low_ghz: float, freq_high_ghz: float) -> float:
+        """The paper's ``alpha_lh``: execution-time ratio between two levels.
+
+        ``alpha`` multiplies the current delay in Equation 3; boosting from
+        ``freq_low`` to ``freq_high`` scales delays by
+        ``normalized_time(high) / normalized_time(low)``.
+        """
+        return self.normalized_time(freq_high_ghz) / self.normalized_time(
+            freq_low_ghz
+        )
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"PowerLawSpeedup(f_min={self.f_min_ghz} GHz, beta={self.beta})"
-
-
-class TabularSpeedup(SpeedupCurve):
-    """Measured normalized times per frequency, as offline profiling yields.
-
-    The table must contain the profile floor with value 1.0 and be
-    non-increasing in frequency.
-    """
-
-    def __init__(self, table: Mapping[float, float]) -> None:
-        if not table:
-            raise ConfigurationError("speedup table must not be empty")
-        items = sorted(table.items())
-        if abs(items[0][1] - 1.0) > 1e-9:
-            raise ConfigurationError(
-                "normalized time at the slowest profiled frequency must be 1.0"
-            )
-        previous = float("inf")
-        for freq, value in items:
-            if value <= 0.0:
-                raise ConfigurationError(
-                    f"normalized time must be > 0, got {value} at {freq} GHz"
-                )
-            if value > previous + 1e-9:
-                raise ConfigurationError(
-                    "normalized time must be non-increasing with frequency"
-                )
-            previous = value
-        self._table = tuple(items)
-
-    def normalized_time(self, freq_ghz: float) -> float:
-        for freq, value in self._table:
-            if abs(freq - freq_ghz) < 1e-6:
-                return value
-        known = ", ".join(f"{freq:g}" for freq, _ in self._table)
-        raise FrequencyError(f"{freq_ghz} GHz not in speedup table ({known})")
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"TabularSpeedup({len(self._table)} points)"
 
 
 class ServiceProfile:
@@ -126,7 +75,7 @@ class ServiceProfile:
         self,
         name: str,
         demand: DemandDistribution,
-        speedup: SpeedupCurve,
+        speedup: PowerLawSpeedup,
     ) -> None:
         if not name:
             raise ConfigurationError("service profile needs a non-empty name")

@@ -25,6 +25,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.errors import ConfigurationError
 from repro.units import exactly
+from repro.service.dispatch import shortest_queue
 from repro.service.instance import Job, ServiceInstance
 from repro.service.query import Query
 from repro.service.records import AttemptRecord
@@ -305,7 +306,7 @@ class StageResilience:
             self._count_attempt("no-instance")
             self.sim.schedule(self.policy.redispatch_delay_s, self._place, attempt)
             return
-        instance = self.stage.dispatcher.select(running)
+        instance = shortest_queue(running)
         job = Job(
             query=attempt.query,
             work=attempt.work,

@@ -4,10 +4,10 @@ Section 3: "Service instances across stages can run in distributed way
 and communicate with command center as well as each other through remote
 procedure call (RPC)."  The prototype used Apache Thrift (Section 7.1);
 in the simulation an :class:`RpcFabric` carries the same traffic: each
-``send`` delivers a callback after the configured one-way latency
-(optionally jittered), and per-link message counters make the
-communication overhead measurable — including the Section-4.1 claim that
-the query-carried statistics design needs only one report per query.
+``send`` delivers a callback after the configured one-way latency, and
+per-link message counters make the communication overhead measurable —
+including the Section-4.1 claim that the query-carried statistics design
+needs only one report per query.
 
 The paper's evaluation sets network delay to zero ("the network delays
 are not considered in our study"), which is the default here too.
@@ -37,19 +37,11 @@ class RpcFabric:
         self,
         sim: Simulator,
         latency_s: float = 0.0,
-        jitter_s: float = 0.0,
-        rng: Optional[SeededStream] = None,
     ) -> None:
         if latency_s < 0.0:
             raise ConfigurationError(f"latency must be >= 0, got {latency_s}")
-        if jitter_s < 0.0:
-            raise ConfigurationError(f"jitter must be >= 0, got {jitter_s}")
-        if jitter_s > 0.0 and rng is None:
-            raise ConfigurationError("jitter requires an rng stream")
         self.sim = sim
         self.latency_s = float(latency_s)
-        self.jitter_s = float(jitter_s)
-        self._rng = rng
         self._messages = 0
         self._messages_lost = 0
         self._registry: Optional["MetricsRegistry"] = None
@@ -108,9 +100,6 @@ class RpcFabric:
         self._messages += 1
         self._links[(src, dst)] += 1
         delay = self.latency_s
-        if self.jitter_s > 0.0:
-            assert self._rng is not None
-            delay += self._rng.uniform(0.0, self.jitter_s)
         if self.sim.now < self._fault_until:
             delay += self._fault_extra_delay_s
             if self._fault_loss_probability > 0.0:

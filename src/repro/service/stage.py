@@ -1,4 +1,4 @@
-"""A processing stage: a pool of service instances behind a dispatcher.
+"""A processing stage: a pool of service instances fed shortest-queue first.
 
 "To sustain the large amount of user queries, each stage consists of
 multiple service instances to alleviate the load." (Section 1, Figure 3)
@@ -27,7 +27,7 @@ if TYPE_CHECKING:  # pragma: no cover - type-only import
     from repro.obs.trace import TraceBuffer
     from repro.sim.rng import SeededStream
 from repro.cluster.machine import Machine
-from repro.service.dispatch import Dispatcher, ShortestQueueDispatcher
+from repro.service.dispatch import shortest_queue
 from repro.service.instance import InstanceState, Job, ServiceInstance
 from repro.service.profile import ServiceProfile
 from repro.service.query import Query
@@ -59,7 +59,6 @@ class Stage:
         machine: Machine,
         sim: Simulator,
         iid_counter: "itertools.count[int]",
-        dispatcher: Optional[Dispatcher] = None,
         kind: StageKind = StageKind.PIPELINE,
         tracer: Optional["TraceBuffer"] = None,
     ) -> None:
@@ -71,7 +70,6 @@ class Stage:
         self.sim = sim
         self.kind = kind
         self.tracer = tracer
-        self.dispatcher = dispatcher if dispatcher is not None else ShortestQueueDispatcher()
         self._iid_counter = iid_counter
         self._name_counter = itertools.count(1)
         self._instances: list[ServiceInstance] = []
@@ -197,8 +195,8 @@ class Stage:
         "The additional load is then redirected to the fastest service
         instance that has the least possibility to be overwhelmed"
         (Section 6.2): the PowerChief withdrawer passes that instance as
-        ``redirect_to``; without it the stage's dispatcher spreads the
-        jobs over the remaining pool.  A stage never drops to zero
+        ``redirect_to``; without it each job joins the shortest queue of
+        the remaining pool.  A stage never drops to zero
         instances ("an underutilized instance can be withdrew only if there
         are more than one instance within the same stage").
         """
@@ -220,7 +218,7 @@ class Stage:
             target = (
                 redirect_to
                 if redirect_to is not None
-                else self.dispatcher.select(remaining)
+                else shortest_queue(remaining)
             )
             target.enqueue(job)
         self._withdrawals += 1
@@ -269,7 +267,7 @@ class Stage:
             if job.cancelled:
                 continue
             if survivors:
-                self.dispatcher.select(survivors).enqueue(job)
+                shortest_queue(survivors).enqueue(job)
             else:
                 lost += 1
         self._orphaned_jobs += lost
@@ -322,7 +320,7 @@ class Stage:
             raise StageError(f"stage {self.name} has no running instances")
         if self.kind is _PIPELINE:
             work = query.demand_for(self.name)
-            self.dispatcher.select(running).enqueue(Job(query, work, on_stage_done))
+            shortest_queue(running).enqueue(Job(query, work, on_stage_done))
         else:
             self._submit_scatter_gather(query, running, on_stage_done)
 

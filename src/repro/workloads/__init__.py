@@ -2,9 +2,10 @@
 
 Poisson load generation over constant or piecewise traces
 (:class:`PoissonLoadGenerator`), capacity-anchored load levels
-(:func:`load_levels_for`), and builders for the evaluated applications:
-Sirius (ASR -> IMM -> QA), NLP/Senna (POS -> PSG -> SRL) and Web Search
-(scatter-gather leaves -> aggregation).
+(:func:`load_levels_for`), and the offline profiles of the evaluated
+applications: Sirius (ASR -> IMM -> QA), NLP/Senna (POS -> PSG -> SRL)
+and Web Search (scatter-gather leaves -> aggregation).  The scenario
+layer assembles them (:func:`repro.scenario.config.app_stages`).
 """
 
 from repro.workloads.levels import (
@@ -21,20 +22,16 @@ from repro.workloads.loadgen import (
     PoissonLoadGenerator,
     QueryFactory,
 )
-from repro.workloads.replay import ReplayLoadGenerator
-from repro.workloads.nlp import NLP_STAGES, build_nlp, nlp_load_levels, nlp_profiles
+from repro.workloads.nlp import NLP_STAGES, nlp_load_levels, nlp_profiles
 from repro.workloads.sirius import (
     SIRIUS_STAGES,
-    build_sirius,
     sirius_load_levels,
     sirius_profiles,
 )
-from repro.workloads.synthetic import build_application
 from repro.workloads.traces import FIG11_DURATION_S, fig11_trace
 from repro.workloads.websearch import (
     WEBSEARCH_QOS_TARGET_S,
     WEBSEARCH_STAGES,
-    build_websearch,
     websearch_profiles,
 )
 
@@ -49,20 +46,15 @@ __all__ = [
     "PiecewiseLoad",
     "PoissonLoadGenerator",
     "QueryFactory",
-    "ReplayLoadGenerator",
     "NLP_STAGES",
-    "build_nlp",
     "nlp_load_levels",
     "nlp_profiles",
     "SIRIUS_STAGES",
-    "build_sirius",
     "sirius_load_levels",
     "sirius_profiles",
-    "build_application",
     "FIG11_DURATION_S",
     "fig11_trace",
     "WEBSEARCH_QOS_TARGET_S",
     "WEBSEARCH_STAGES",
-    "build_websearch",
     "websearch_profiles",
 ]

@@ -15,17 +15,11 @@ close to linear.
 
 from __future__ import annotations
 
-from typing import Mapping
-
-from repro.cluster.machine import Machine
-from repro.service.application import Application
 from repro.service.demand import LogNormalDemand
 from repro.service.profile import PowerLawSpeedup, ServiceProfile
-from repro.sim.engine import Simulator
 from repro.workloads.levels import LoadLevels, load_levels_for
-from repro.workloads.synthetic import build_application
 
-__all__ = ["NLP_STAGES", "nlp_profiles", "build_nlp", "nlp_load_levels"]
+__all__ = ["NLP_STAGES", "nlp_profiles", "nlp_load_levels"]
 
 #: Pipeline order of the NLP stages.
 NLP_STAGES = ("POS", "PSG", "SRL")
@@ -52,23 +46,6 @@ def nlp_profiles() -> list[ServiceProfile]:
             speedup=PowerLawSpeedup(_LADDER_FLOOR_GHZ, beta=0.95),
         ),
     ]
-
-
-def build_nlp(
-    sim: Simulator,
-    machine: Machine,
-    initial_level: int,
-    instances_per_stage: Mapping[str, int] | int = 1,
-) -> Application:
-    """Build the NLP pipeline with its initial instance pools."""
-    return build_application(
-        name="nlp",
-        sim=sim,
-        machine=machine,
-        profiles=nlp_profiles(),
-        initial_level=initial_level,
-        instances_per_stage=instances_per_stage,
-    )
 
 
 def nlp_load_levels(baseline_freq_ghz: float = 1.8) -> LoadLevels:

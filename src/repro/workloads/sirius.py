@@ -15,20 +15,13 @@ poor use of power (Figure 2).
 
 from __future__ import annotations
 
-from typing import Mapping
-
-from repro.cluster.machine import Machine
-from repro.service.application import Application
 from repro.service.demand import LogNormalDemand
 from repro.service.profile import PowerLawSpeedup, ServiceProfile
-from repro.sim.engine import Simulator
 from repro.workloads.levels import LoadLevels, load_levels_for
-from repro.workloads.synthetic import build_application
 
 __all__ = [
     "SIRIUS_STAGES",
     "sirius_profiles",
-    "build_sirius",
     "sirius_load_levels",
 ]
 
@@ -57,23 +50,6 @@ def sirius_profiles() -> list[ServiceProfile]:
             speedup=PowerLawSpeedup(_LADDER_FLOOR_GHZ, beta=1.00),
         ),
     ]
-
-
-def build_sirius(
-    sim: Simulator,
-    machine: Machine,
-    initial_level: int,
-    instances_per_stage: Mapping[str, int] | int = 1,
-) -> Application:
-    """Build the Sirius pipeline with its initial instance pools."""
-    return build_application(
-        name="sirius",
-        sim=sim,
-        machine=machine,
-        profiles=sirius_profiles(),
-        initial_level=initial_level,
-        instances_per_stage=instances_per_stage,
-    )
 
 
 def sirius_load_levels(baseline_freq_ghz: float = 1.8) -> LoadLevels:

@@ -6,7 +6,8 @@ and an *aggregation* service merges the partial results.  Table 3 deploys
 "1 aggregation service and 10 leaf services" at the maximum frequency
 with a 250 ms latency QoS.
 
-The leaf tier is a ``SCATTER_GATHER`` stage: each query's total leaf work
+The leaf tier is a ``SCATTER_GATHER`` stage
+(:func:`repro.scenario.config.app_stages`): each query's total leaf work
 is split evenly across the running leaves, so withdrawing a leaf (as
 PowerChief's conservation policy may) re-shards its load onto the
 survivors — trading leaf-tier latency for the withdrawn core's power,
@@ -15,21 +16,13 @@ exactly the slack-for-power exchange Figure 14 exercises.
 
 from __future__ import annotations
 
-from typing import Mapping, Optional
-
-from repro.cluster.machine import Machine
-from repro.service.application import Application
 from repro.service.demand import LogNormalDemand
 from repro.service.profile import PowerLawSpeedup, ServiceProfile
-from repro.service.stage import StageKind
-from repro.sim.engine import Simulator
-from repro.workloads.synthetic import build_application
 
 __all__ = [
     "WEBSEARCH_STAGES",
     "WEBSEARCH_QOS_TARGET_S",
     "websearch_profiles",
-    "build_websearch",
 ]
 
 #: Pipeline order: leaves first, then aggregation.
@@ -60,23 +53,3 @@ def websearch_profiles() -> list[ServiceProfile]:
             speedup=PowerLawSpeedup(_LADDER_FLOOR_GHZ, beta=0.80),
         ),
     ]
-
-
-def build_websearch(
-    sim: Simulator,
-    machine: Machine,
-    initial_level: int,
-    instances_per_stage: Optional[Mapping[str, int]] = None,
-) -> Application:
-    """Build the Web Search topology (default: Table 3's 10 leaves + 1 agg)."""
-    if instances_per_stage is None:
-        instances_per_stage = {"LEAF": 10, "AGG": 1}
-    return build_application(
-        name="websearch",
-        sim=sim,
-        machine=machine,
-        profiles=websearch_profiles(),
-        initial_level=initial_level,
-        instances_per_stage=instances_per_stage,
-        stage_kinds={"LEAF": StageKind.SCATTER_GATHER},
-    )

@@ -71,39 +71,11 @@ class TestDvfsActuator:
         assert core.level == HASWELL_LADDER.max_level
         assert actuator.requests == 1
 
-    def test_delayed_transition(self, sim, machine):
-        actuator = DvfsActuator(sim, transition_latency_s=0.5)
-        core = machine.acquire_core(LEVEL_1_8)
-        actuator.set_level(core, HASWELL_LADDER.max_level)
-        assert core.level == LEVEL_1_8  # not yet applied
-        sim.run(until=0.5)
-        assert core.level == HASWELL_LADDER.max_level
-
-    def test_step_down_and_up(self, sim, machine):
-        actuator = DvfsActuator(sim)
-        core = machine.acquire_core(LEVEL_1_8)
-        assert actuator.step_down(core) == LEVEL_1_8 - 1
-        assert actuator.step_up(core) == LEVEL_1_8
-
-    def test_step_down_at_floor_returns_none(self, sim, machine):
-        actuator = DvfsActuator(sim)
-        core = machine.acquire_core(HASWELL_LADDER.min_level)
-        assert actuator.step_down(core) is None
-
-    def test_step_up_at_top_returns_none(self, sim, machine):
-        actuator = DvfsActuator(sim)
-        core = machine.acquire_core(HASWELL_LADDER.max_level)
-        assert actuator.step_up(core) is None
-
     def test_invalid_level_rejected(self, sim, machine):
         actuator = DvfsActuator(sim)
         core = machine.acquire_core(LEVEL_1_8)
         with pytest.raises(Exception):
             actuator.set_level(core, 99)
-
-    def test_negative_latency_rejected(self, sim):
-        with pytest.raises(ClusterError):
-            DvfsActuator(sim, transition_latency_s=-0.1)
 
 
 class TestTelemetry:

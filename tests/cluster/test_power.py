@@ -1,4 +1,4 @@
-"""Unit tests for the core power models and their calibration."""
+"""Unit tests for the core power model and its calibration."""
 
 from __future__ import annotations
 
@@ -6,11 +6,7 @@ import pytest
 
 from repro.errors import ClusterError, FrequencyError
 from repro.cluster.frequency import HASWELL_LADDER
-from repro.cluster.power import (
-    DEFAULT_POWER_MODEL,
-    CubicPowerModel,
-    TabularPowerModel,
-)
+from repro.cluster.power import DEFAULT_POWER_MODEL, CubicPowerModel
 
 
 class TestCalibration:
@@ -41,18 +37,6 @@ class TestCubicModel:
     def test_explicit_coefficients(self):
         model = CubicPowerModel(static_watts=1.0, dynamic_coeff=2.0)
         assert model.power(2.0) == pytest.approx(1.0 + 2.0 * 8.0)
-
-    def test_calibrated_constructor(self):
-        model = CubicPowerModel.calibrated(
-            static_watts=0.5, ref_freq_ghz=2.0, ref_power_watts=8.5
-        )
-        assert model.power(2.0) == pytest.approx(8.5)
-
-    def test_calibrated_rejects_reference_below_static(self):
-        with pytest.raises(ClusterError):
-            CubicPowerModel.calibrated(
-                static_watts=5.0, ref_freq_ghz=2.0, ref_power_watts=4.0
-            )
 
     def test_negative_static_rejected(self):
         with pytest.raises(ClusterError):
@@ -101,31 +85,3 @@ class TestLadderHelpers:
         assert DEFAULT_POWER_MODEL.recyclable(
             HASWELL_LADDER, HASWELL_LADDER.max_level
         ) == pytest.approx(expected)
-
-
-class TestTabularModel:
-    def test_lookup(self):
-        model = TabularPowerModel({1.2: 2.0, 1.8: 4.5, 2.4: 10.0})
-        assert model.power(1.8) == pytest.approx(4.5)
-
-    def test_unknown_frequency_rejected(self):
-        model = TabularPowerModel({1.2: 2.0})
-        with pytest.raises(FrequencyError):
-            model.power(1.5)
-
-    def test_empty_table_rejected(self):
-        with pytest.raises(ClusterError):
-            TabularPowerModel({})
-
-    def test_non_monotonic_table_rejected(self):
-        with pytest.raises(ClusterError):
-            TabularPowerModel({1.2: 5.0, 1.8: 4.0})
-
-    def test_nonpositive_frequency_rejected(self):
-        with pytest.raises(ClusterError):
-            TabularPowerModel({0.0: 1.0})
-
-    def test_usable_with_ladder_helpers(self):
-        table = {freq: DEFAULT_POWER_MODEL.power(freq) for freq in HASWELL_LADDER}
-        model = TabularPowerModel(table)
-        assert model.max_level_within(HASWELL_LADDER, 4.52) == HASWELL_LADDER.level_of(1.8)

@@ -3,11 +3,22 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
+import repro.cli
+from repro.cli import main
 from repro.errors import ConfigurationError
-from repro.faults.plan import FaultKind, FaultPlan, FaultSpec, load_plan, named_plans
+from repro.faults.plan import (
+    FaultKind,
+    FaultPlan,
+    FaultSpec,
+    PlanValidationError,
+    load_plan,
+    named_plans,
+)
+from repro.scenario import ScenarioSpec
 
 
 class TestFaultSpecValidation:
@@ -58,6 +69,86 @@ class TestFaultSpecValidation:
                 at_s=1.0,
                 duration_s=5.0,
                 magnitude=magnitude,
+            )
+
+
+#: One non-finite number per field and fault kind: NaN slips past every
+#: ordered range check and infinity past the lower bounds.
+NON_FINITE_SPECS = {
+    "crash-at-nan": {"kind": "instance-crash", "at_s": math.nan},
+    "hang-for-ever": {"kind": "instance-hang", "at_s": 10.0, "duration_s": math.inf},
+    "dropout-at-inf": {
+        "kind": "telemetry-dropout",
+        "at_s": math.inf,
+        "duration_s": 5.0,
+    },
+    "rpc-delay-inf": {
+        "kind": "rpc-delay",
+        "at_s": 10.0,
+        "duration_s": 5.0,
+        "magnitude": math.inf,
+    },
+    "noise-nan": {
+        "kind": "telemetry-noise",
+        "at_s": 10.0,
+        "duration_s": 5.0,
+        "magnitude": math.nan,
+    },
+    "degrade-for-nan": {
+        "kind": "instance-degrade",
+        "at_s": 10.0,
+        "duration_s": math.nan,
+        "magnitude": 0.5,
+    },
+}
+
+
+def _plan(spec):
+    return {"name": "bad", "specs": [spec]}
+
+
+@pytest.mark.parametrize(
+    "spec", NON_FINITE_SPECS.values(), ids=NON_FINITE_SPECS.keys()
+)
+class TestNonFiniteNumbers:
+    def test_plan_refuses(self, spec):
+        with pytest.raises(
+            PlanValidationError, match=r"^specs\[0\]: \w+ must be a finite number"
+        ):
+            FaultPlan.from_dict(_plan(spec))
+
+    def test_chaos_cli_refuses_before_any_run(
+        self, spec, tmp_path, monkeypatch, capsys
+    ):
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(_plan(spec)))
+        runs = []
+        monkeypatch.setattr(repro.cli, "_run_chaos", lambda *args: runs.append(args))
+        code = main(
+            [
+                "chaos",
+                "sirius",
+                "powerchief",
+                "--plan",
+                str(path),
+                "--duration",
+                "60",
+                "--rate",
+                "2",
+                "--no-baseline",
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert runs == []
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: specs[0]: ")
+
+    def test_inline_plan_refused_at_spec_time(self, spec):
+        with pytest.raises(ConfigurationError, match="finite number"):
+            ScenarioSpec.latency(
+                "sirius", "powerchief", ("constant", 2.0), 60.0, chaos=_plan(spec)
             )
 
 

@@ -16,6 +16,7 @@ from repro.core.controller import ControllerConfig, PowerChiefController
 from repro.experiments.figures.fig10 import ImprovementFigureResult
 from repro.experiments.figures.common import ImprovementCell
 from repro.experiments.headline import Headline, compute_headline, format_headline
+from repro.scenario import ScenarioSpec, StackBuilder
 from repro.service.application import Application
 from repro.service.command_center import CommandCenter
 from repro.service.rpc import RpcFabric
@@ -24,7 +25,6 @@ from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
 from repro.workloads.loadgen import ConstantLoad, PoissonLoadGenerator, QueryFactory
 from repro.workloads.sirius import sirius_load_levels, sirius_profiles
-from repro.workloads.websearch import build_websearch, websearch_profiles
 
 from tests.conftest import make_profile
 
@@ -32,10 +32,12 @@ from tests.conftest import make_profile
 class TestPowerChiefWithNetworkDelays:
     """Section 8.5: the runtime keeps working when hops cost time."""
 
-    def run_sirius(self, hop_delay_s, seed=3, duration=400.0):
+    def run_sirius(self, latency_s, seed=3, duration=400.0):
         sim = Simulator()
         machine = Machine(sim, n_cores=16)
-        app = Application("sirius", sim, machine, hop_delay_s=hop_delay_s)
+        app = Application(
+            "sirius", sim, machine, fabric=RpcFabric(sim, latency_s=latency_s)
+        )
         profiles = sirius_profiles()
         for profile in profiles:
             app.add_stage(profile).launch_instance(HASWELL_LADDER.level_of(1.8))
@@ -65,14 +67,14 @@ class TestPowerChiefWithNetworkDelays:
         return command_center.summary(), controller
 
     def test_controller_still_mitigates_latency_with_hops(self):
-        with_hops, controller = self.run_sirius(hop_delay_s=0.02)
+        with_hops, controller = self.run_sirius(latency_s=0.02)
         assert controller.decisions  # the runtime actually adjusted
         # Order-of-magnitude better than the known static-baseline range.
         assert with_hops.mean < 10.0
 
     def test_hop_cost_is_additive_not_disruptive(self):
-        no_hops, _ = self.run_sirius(hop_delay_s=0.0)
-        with_hops, _ = self.run_sirius(hop_delay_s=0.02)
+        no_hops, _ = self.run_sirius(latency_s=0.0)
+        with_hops, _ = self.run_sirius(latency_s=0.02)
         # Three hops of 20 ms add ~60 ms per query; allow queueing slack.
         assert with_hops.mean >= no_hops.mean
         assert with_hops.mean < no_hops.mean + 1.0
@@ -81,9 +83,14 @@ class TestPowerChiefWithNetworkDelays:
 class TestConserveOnScatterGather:
     """Figure 14's mechanism: leaf withdraw re-shards the index."""
 
-    def test_withdrawing_leaves_increases_shard_work(self, sim):
-        machine = Machine(sim, n_cores=16)
-        app = build_websearch(sim, machine, HASWELL_LADDER.max_level)
+    def table3_websearch(self):
+        """The Table-3 Web Search stack under 2 qps for 200 s, not started."""
+        spec = ScenarioSpec.qos("websearch", "baseline", 2.0, 200.0, seed=3)
+        return StackBuilder(spec).build()
+
+    def test_withdrawing_leaves_increases_shard_work(self):
+        builder = self.table3_websearch()
+        sim, app = builder.sim, builder.application
         leaf_stage = app.stage("LEAF")
         from tests.conftest import make_query
 
@@ -105,9 +112,9 @@ class TestConserveOnScatterGather:
         assert len(five_leaf_records) == 5
         assert five_leaf_records[0].serving_time == pytest.approx(2 * shard_ten)
 
-    def test_conserve_controller_withdraws_idle_leaves_under_light_load(self, sim):
-        machine = Machine(sim, n_cores=16)
-        app = build_websearch(sim, machine, HASWELL_LADDER.max_level)
+    def test_conserve_controller_withdraws_idle_leaves_under_light_load(self):
+        builder = self.table3_websearch()
+        sim, machine, app = builder.sim, builder.machine, builder.application
         command_center = CommandCenter(sim, app, window_s=20.0, e2e_window_s=20.0)
         budget = PowerBudget(machine, machine.peak_power())
         controller = PowerChiefConserveController(
@@ -119,17 +126,8 @@ class TestConserveOnScatterGather:
             qos_target_s=0.5,  # generous target -> deep conservation
             config=ControllerConfig(adjust_interval_s=2.0),
         )
-        streams = RandomStreams(3)
-        generator = PoissonLoadGenerator(
-            sim,
-            app,
-            QueryFactory(websearch_profiles(), streams),
-            ConstantLoad(2.0),
-            streams,
-            200.0,
-        )
         controller.start()
-        generator.start()
+        builder.generator.start()
         sim.run(until=200.0)
         # Scatter-gather spreads load evenly, so leaves conserve via
         # frequency; the aggregation tier cannot drop below one instance.

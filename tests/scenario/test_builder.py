@@ -125,10 +125,9 @@ class TestLifecycle:
     )
     def test_nan_window_is_refused(self, options):
         # A NaN window never trims, so such a run would have completed
-        # with unbounded windows.
-        spec = ScenarioSpec.qos("sirius", "pegasus", 1.0, 120.0, seed=3, **options)
+        # with unbounded windows; the spec refuses it before any build.
         with pytest.raises(ConfigurationError, match="finite"):
-            StackBuilder(spec).build()
+            ScenarioSpec.qos("sirius", "pegasus", 1.0, 120.0, seed=3, **options)
 
 
 class TestShardedFromJson:

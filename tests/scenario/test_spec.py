@@ -197,6 +197,104 @@ class TestValidation:
             ScenarioSpec.from_dict(payload)
 
 
+#: Every number in the controller and guard blocks; the counts also
+#: refuse fractions and booleans.
+CONTROLLER_NUMBERS = (
+    "adjust_interval_s",
+    "balance_threshold_s",
+    "withdraw_interval_s",
+    "withdraw_utilization",
+    "min_queue_for_instance",
+)
+GUARD_NUMBERS = (
+    "demote_after",
+    "violation_window_s",
+    "probation_s",
+    "osc_window_s",
+    "osc_max_flips",
+    "burn_threshold",
+    "storm_ticks",
+    "conserve_headroom",
+)
+COUNTS = (
+    ("controller", "min_queue_for_instance"),
+    ("guard", "demote_after"),
+    ("guard", "osc_max_flips"),
+    ("guard", "storm_ticks"),
+)
+
+#: The numeric options the builder reads.
+NUMERIC_OPTIONS = (
+    "slo_target_s",
+    "slo_attainment",
+    "slo_window_s",
+    "stream_interval_s",
+    "e2e_window_s",
+    "hold_fraction",
+    "conserve_fraction",
+    "guard_fraction",
+)
+
+
+class TestValuesTheBuilderReads:
+    """Whatever the builder would choke on is refused when the spec is made."""
+
+    def refused(self, match, **changes):
+        payload = dict(latency_spec().to_dict(), **changes)
+        with pytest.raises(ConfigurationError, match=match):
+            ScenarioSpec.from_dict(payload)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", CONTROLLER_NUMBERS)
+    def test_non_finite_controller_value_refused(self, field, value):
+        self.refused(field, controller={field: value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", GUARD_NUMBERS)
+    def test_non_finite_guard_value_refused(self, field, value):
+        self.refused(field, guard={field: value})
+
+    @pytest.mark.parametrize("value", [2.5, 2.0, True])
+    @pytest.mark.parametrize("block, field", COUNTS)
+    def test_counts_must_be_integers(self, block, field, value):
+        self.refused(f"{field} must be an integer", **{block: {field: value}})
+
+    @pytest.mark.parametrize("watts", [math.nan, math.inf, 0.0, -1.0])
+    def test_budget_must_be_finite_and_positive(self, watts):
+        self.refused("budget", budget_watts=watts)
+
+    @pytest.mark.parametrize("freq", [math.nan, math.inf, 1.85, 3.0])
+    def test_initial_frequency_must_be_on_the_ladder(self, freq):
+        self.refused("initial frequency", initial_freq_ghz=freq)
+
+    @pytest.mark.parametrize("level", [-1, 13, 6.5, True])
+    def test_allocation_level_must_be_on_the_ladder(self, level):
+        allocation = [["ASR", 1, level], ["IMM", 1, 6], ["QA", 1, 6]]
+        self.refused("allocation level", allocation=allocation)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, "soon"])
+    @pytest.mark.parametrize("key", NUMERIC_OPTIONS)
+    def test_numeric_option_must_be_finite(self, key, value):
+        self.refused(key, options={key: value})
+
+    def test_unknown_qos_option_refused(self):
+        with pytest.raises(ConfigurationError, match="unknown qos options: hold_fracton"):
+            ScenarioSpec.qos("sirius", "pegasus", 1.0, 60.0, hold_fracton=0.8)
+
+    def test_valid_blocks_keep_their_digest(self):
+        # Values are refused, never coerced: a valid spec is unchanged.
+        spec = latency_spec(
+            budget_watts=18.0,
+            initial_freq_ghz=2.0,
+            allocation=(("ASR", 2, 8), ("IMM", 1, 8), ("QA", 2, 8)),
+            controller=(("adjust_interval_s", 25), ("min_queue_for_instance", 3)),
+            guard=(("demote_after", 1), ("probation_s", 60)),
+            options=(("e2e_window_s", 30),),
+        )
+        assert ScenarioSpec.from_json(spec.to_json()).digest() == spec.digest()
+        assert spec.to_dict()["controller"]["adjust_interval_s"] == 25
+
+
 class TestRoundTrip:
     def test_json_round_trip_is_identity(self):
         spec = latency_spec(

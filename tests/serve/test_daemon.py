@@ -405,6 +405,23 @@ class TestProtocolEdges:
             audit = ctl.call("audit", run="held", kind="budget-change")
             assert audit["count"] == 0
 
+    def test_nan_guard_spec_is_refused_and_the_daemon_keeps_serving(self, daemon):
+        # Python's JSON decoder accepts the NaN token, so the spec check
+        # is what stands between this block and a hosted run.
+        _, path = daemon
+        spec = dict(SPEC.to_dict(), guard={"demote_after": math.nan})
+        answer = self._raw(
+            path,
+            json.dumps({"id": 7, "cmd": "submit", "args": {"spec": spec}}).encode()
+            + b"\n",
+        )
+        assert answer["id"] == 7
+        assert answer["ok"] is False
+        assert answer["error"]["type"] == "ConfigurationError"
+        assert "demote_after" in answer["error"]["message"]
+        with _client(path) as ctl:
+            assert ctl.call("ping") == {"pong": True, "runs": 0}
+
     def test_line_limit_applies_per_line_not_per_read(self, daemon):
         _, path = daemon
 

@@ -10,11 +10,7 @@ from repro.service.demand import (
     ExponentialDemand,
     LogNormalDemand,
 )
-from repro.service.profile import (
-    PowerLawSpeedup,
-    ServiceProfile,
-    TabularSpeedup,
-)
+from repro.service.profile import PowerLawSpeedup, ServiceProfile
 from repro.sim.rng import RandomStreams
 
 
@@ -115,29 +111,6 @@ class TestPowerLawSpeedup:
             PowerLawSpeedup(0.0)
         with pytest.raises(ConfigurationError):
             PowerLawSpeedup(1.2, beta=2.0)
-
-
-class TestTabularSpeedup:
-    def test_lookup(self):
-        curve = TabularSpeedup({1.2: 1.0, 1.8: 0.7, 2.4: 0.55})
-        assert curve.normalized_time(1.8) == pytest.approx(0.7)
-
-    def test_floor_must_be_one(self):
-        with pytest.raises(ConfigurationError):
-            TabularSpeedup({1.2: 0.9, 1.8: 0.7})
-
-    def test_must_be_non_increasing(self):
-        with pytest.raises(ConfigurationError):
-            TabularSpeedup({1.2: 1.0, 1.8: 1.1})
-
-    def test_unknown_frequency_rejected(self):
-        curve = TabularSpeedup({1.2: 1.0})
-        with pytest.raises(FrequencyError):
-            curve.normalized_time(2.0)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ConfigurationError):
-            TabularSpeedup({})
 
 
 class TestServiceProfile:

@@ -1,4 +1,7 @@
-"""Unit tests for inter-stage network delays (Section 8.5 extension)."""
+"""Unit tests for inter-stage network delays (Section 8.5 extension).
+
+Every hop pays the one-way latency of the application's RPC fabric.
+"""
 
 from __future__ import annotations
 
@@ -7,6 +10,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.cluster.frequency import HASWELL_LADDER
 from repro.service.application import Application
+from repro.service.rpc import RpcFabric
 
 from tests.conftest import make_profile, make_query
 
@@ -14,8 +18,10 @@ from tests.conftest import make_profile, make_query
 LEVEL_1_8 = HASWELL_LADDER.level_of(1.8)
 
 
-def build_app(sim, machine, hop_delay_s):
-    app = Application("net", sim, machine, hop_delay_s=hop_delay_s)
+def build_app(sim, machine, latency_s):
+    app = Application(
+        "net", sim, machine, fabric=RpcFabric(sim, latency_s=latency_s)
+    )
     for profile in (make_profile("A", mean=0.3), make_profile("B", mean=0.6)):
         app.add_stage(profile).launch_instance(HASWELL_LADDER.min_level)
     return app
@@ -23,11 +29,11 @@ def build_app(sim, machine, hop_delay_s):
 
 class TestHopDelay:
     def test_zero_delay_is_the_default(self, sim, machine):
-        app = Application("plain", sim, machine)
-        assert app.hop_delay_s == 0.0
+        assert Application("plain", sim, machine).fabric is None
+        assert RpcFabric(sim).latency_s == 0.0
 
     def test_latency_includes_hops(self, sim, machine):
-        app = build_app(sim, machine, hop_delay_s=0.05)
+        app = build_app(sim, machine, latency_s=0.05)
         query = make_query(1, A=0.3, B=0.6)
         app.submit(query)
         sim.run()
@@ -35,7 +41,7 @@ class TestHopDelay:
         assert query.end_to_end_latency == pytest.approx(0.3 + 0.05 + 0.6 + 0.05)
 
     def test_zero_delay_latency_is_pure_processing(self, sim, machine):
-        app = build_app(sim, machine, hop_delay_s=0.0)
+        app = build_app(sim, machine, latency_s=0.0)
         query = make_query(1, A=0.3, B=0.6)
         app.submit(query)
         sim.run()
@@ -44,7 +50,7 @@ class TestHopDelay:
     def test_records_unaffected_by_hops(self, sim, machine):
         # The joint design measures queueing/serving locally; network time
         # lives between records, not inside them.
-        app = build_app(sim, machine, hop_delay_s=0.2)
+        app = build_app(sim, machine, latency_s=0.2)
         query = make_query(1, A=0.3, B=0.6)
         app.submit(query)
         sim.run()
@@ -53,7 +59,7 @@ class TestHopDelay:
         assert query.record_for("B").queuing_time == pytest.approx(0.0)
 
     def test_hop_delay_overlaps_pipeline(self, sim, machine):
-        app = build_app(sim, machine, hop_delay_s=0.1)
+        app = build_app(sim, machine, latency_s=0.1)
         first = make_query(1, A=0.3, B=0.6)
         second = make_query(2, A=0.3, B=0.6)
         app.submit(first)
@@ -65,10 +71,10 @@ class TestHopDelay:
 
     def test_negative_delay_rejected(self, sim, machine):
         with pytest.raises(ConfigurationError):
-            Application("bad", sim, machine, hop_delay_s=-0.1)
+            RpcFabric(sim, latency_s=-0.1)
 
     def test_in_flight_counts_queries_inside_hops(self, sim, machine):
-        app = build_app(sim, machine, hop_delay_s=10.0)
+        app = build_app(sim, machine, latency_s=10.0)
         app.submit(make_query(1, A=0.3, B=0.6))
         sim.run(until=0.35)  # finished stage A, inside the hop
         assert app.in_flight == 1

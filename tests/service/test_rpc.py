@@ -9,7 +9,6 @@ from repro.cluster.frequency import HASWELL_LADDER
 from repro.service.application import Application
 from repro.service.command_center import CommandCenter
 from repro.service.rpc import RpcFabric
-from repro.sim.rng import RandomStreams
 
 from tests.conftest import make_profile, make_query
 
@@ -40,21 +39,9 @@ class TestFabric:
         assert fabric.link_count("c", "a") == 0
         assert fabric.links() == {("a", "b"): 3, ("b", "c"): 1}
 
-    def test_jitter_spreads_latency(self, sim):
-        rng = RandomStreams(7).stream("rpc")
-        fabric = RpcFabric(sim, latency_s=0.1, jitter_s=0.2, rng=rng)
-        times = []
-        for _ in range(50):
-            fabric.send("a", "b", lambda: times.append(sim.now))
-        sim.run()
-        assert all(0.1 <= t <= 0.3 for t in times)
-        assert len(set(times)) > 10  # actually jittered
-
     def test_validation(self, sim):
         with pytest.raises(ConfigurationError):
             RpcFabric(sim, latency_s=-1.0)
-        with pytest.raises(ConfigurationError):
-            RpcFabric(sim, jitter_s=0.1)  # jitter without rng
         fabric = RpcFabric(sim)
         with pytest.raises(ConfigurationError):
             fabric.send("", "b", lambda: None)

@@ -1,22 +1,21 @@
-"""Unit tests for dispatch policies and stage behaviour."""
+"""Unit tests for shortest-queue dispatch and stage behaviour."""
 
 from __future__ import annotations
 
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import StageError
 from repro.cluster.frequency import HASWELL_LADDER
-from repro.service.dispatch import (
-    RandomDispatcher,
-    RoundRobinDispatcher,
-    ShortestQueueDispatcher,
-)
+from repro.cluster.machine import Machine
+from repro.service.dispatch import shortest_queue
 from repro.service.instance import Job
 from repro.service.query import Query
 from repro.service.stage import Stage, StageKind
-from repro.sim.rng import RandomStreams
+from repro.sim.engine import Simulator
 
 from tests.conftest import make_profile
 
@@ -49,47 +48,40 @@ class TestDispatchers:
     def test_shortest_queue_picks_least_loaded(self, sim, stage):
         a, b = self.make_instances(stage, 2)
         a.enqueue(Job(Query(1, {"SVC": 1.0}), 1.0, lambda q: None))
-        chosen = ShortestQueueDispatcher().select([a, b])
-        assert chosen is b
+        assert shortest_queue([a, b]) is b
 
     def test_shortest_queue_ties_break_by_iid(self, stage):
         a, b = self.make_instances(stage, 2)
-        assert ShortestQueueDispatcher().select([b, a]) is a
-
-    def test_round_robin_cycles(self, stage):
-        a, b, c = self.make_instances(stage, 3)
-        dispatcher = RoundRobinDispatcher()
-        picks = [dispatcher.select([a, b, c]) for _ in range(6)]
-        assert picks == [a, b, c, a, b, c]
-
-    def test_round_robin_survives_pool_shrink(self, stage):
-        # Regression: with the cursor past the end of a shrunken pool the
-        # dispatcher used to index out of range (or skew the rotation).
-        a, b, c = self.make_instances(stage, 3)
-        dispatcher = RoundRobinDispatcher()
-        for _ in range(5):  # cursor now sits at 2 (pointing at c)
-            dispatcher.select([a, b, c])
-        picks = [dispatcher.select([a, b]) for _ in range(4)]
-        assert picks == [a, b, a, b]
-
-    def test_round_robin_stable_sequence_unchanged(self, stage):
-        # The clamp must not perturb the sequence on a stable pool.
-        pool = self.make_instances(stage, 4)
-        dispatcher = RoundRobinDispatcher()
-        picks = [dispatcher.select(pool) for _ in range(8)]
-        assert picks == pool + pool
-
-    def test_random_dispatcher_is_seeded(self, stage):
-        instances = self.make_instances(stage, 4)
-        first = RandomDispatcher(RandomStreams(9).stream("d"))
-        second = RandomDispatcher(RandomStreams(9).stream("d"))
-        picks_one = [first.select(instances).iid for _ in range(20)]
-        picks_two = [second.select(instances).iid for _ in range(20)]
-        assert picks_one == picks_two
+        assert shortest_queue([b, a]) is a
 
     def test_empty_pool_rejected(self):
         with pytest.raises(StageError):
-            ShortestQueueDispatcher().select([])
+            shortest_queue([])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        lengths=st.lists(st.integers(0, 3), min_size=1, max_size=8),
+        order=st.randoms(use_true_random=False),
+    )
+    def test_shortest_queue_is_min_by_queue_length_then_iid(self, lengths, order):
+        # The reference any faster dispatch must reproduce, ties included.
+        sim = Simulator()
+        stage = Stage(
+            name="SVC",
+            profile=make_profile("SVC", mean=1.0),
+            machine=Machine(sim, n_cores=len(lengths)),
+            sim=sim,
+            iid_counter=itertools.count(0),
+        )
+        pool = self.make_instances(stage, len(lengths))
+        for qid, (instance, length) in enumerate(zip(pool, lengths)):
+            for _ in range(length):
+                instance.enqueue(
+                    Job(Query(qid, {"SVC": 1.0}), 1.0, lambda q: None)
+                )
+        order.shuffle(pool)
+        expected = min(pool, key=lambda inst: (inst._qlen, inst.iid))
+        assert shortest_queue(pool) is expected
 
 
 class TestStagePool:

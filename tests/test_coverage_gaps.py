@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.errors import FrequencyError
 from repro.cluster.budget import PowerBudget
 from repro.cluster.dvfs import DvfsActuator
 from repro.cluster.frequency import HASWELL_LADDER
@@ -155,5 +156,7 @@ class TestLadderSingleLevelEdge:
         )
         core = machine.acquire_core(0)
         actuator = DvfsActuator(sim)
-        assert actuator.step_up(core) is None
-        assert actuator.step_down(core) is None
+        actuator.set_level(core, 0)
+        assert core.level == 0
+        with pytest.raises(FrequencyError):
+            actuator.set_level(core, 1)

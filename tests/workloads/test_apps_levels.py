@@ -1,26 +1,30 @@
-"""Unit tests for the application builders and load levels."""
+"""Unit tests for the application pipelines and load levels."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.cluster.frequency import HASWELL_LADDER
+from repro.scenario import ScenarioSpec, StackBuilder
 from repro.service.stage import StageKind
 from repro.workloads.levels import LoadLevel, load_levels_for, saturation_rate
-from repro.workloads.nlp import NLP_STAGES, build_nlp, nlp_profiles
-from repro.workloads.sirius import SIRIUS_STAGES, build_sirius, sirius_profiles
-from repro.workloads.synthetic import build_application
-from repro.workloads.websearch import (
-    WEBSEARCH_QOS_TARGET_S,
-    build_websearch,
-    websearch_profiles,
-)
+from repro.workloads.nlp import NLP_STAGES, nlp_profiles
+from repro.workloads.sirius import SIRIUS_STAGES, sirius_profiles
+from repro.workloads.websearch import WEBSEARCH_QOS_TARGET_S, websearch_profiles
 
 from tests.conftest import make_profile
 
 
-LEVEL_1_8 = HASWELL_LADDER.level_of(1.8)
+def table2_app(app: str):
+    """The Table-2 deployment of ``app``, as the scenario layer builds it."""
+    spec = ScenarioSpec.latency(app, "static", ("constant", 1.0), 10.0)
+    return StackBuilder(spec).build().application
+
+
+def table3_app(app: str):
+    """The Table-3 deployment of ``app``, as the scenario layer builds it."""
+    spec = ScenarioSpec.qos(app, "baseline", 1.0, 10.0)
+    return StackBuilder(spec).build().application
 
 
 class TestSaturationAndLevels:
@@ -68,16 +72,16 @@ class TestSaturationAndLevels:
 
 
 class TestSiriusWorkload:
-    def test_stage_pipeline_matches_figure8(self, sim, machine):
-        app = build_sirius(sim, machine, LEVEL_1_8)
+    def test_stage_pipeline_matches_figure8(self):
+        app = table2_app("sirius")
         assert tuple(app.stage_names()) == SIRIUS_STAGES == ("ASR", "IMM", "QA")
 
-    def test_table2_deployment_is_one_instance_per_stage(self, sim, machine):
-        app = build_sirius(sim, machine, LEVEL_1_8)
+    def test_table2_deployment_is_one_instance_per_stage(self):
+        app = table2_app("sirius")
         assert all(stage.instance_count == 1 for stage in app.stages)
 
-    def test_table2_deployment_draws_exactly_the_budget(self, sim, machine):
-        app = build_sirius(sim, machine, LEVEL_1_8)
+    def test_table2_deployment_draws_exactly_the_budget(self):
+        app = table2_app("sirius")
         assert app.total_power() == pytest.approx(13.56)
 
     def test_qa_is_the_heaviest_stage(self):
@@ -92,24 +96,16 @@ class TestSiriusWorkload:
             "QA"
         ].speedup.normalized_time(2.4)
 
-    def test_table3_deployment(self, sim):
+    def test_table3_deployment(self):
         # 4 ASR + 2 IMM + 5 QA (Table 3) needs 11 cores.
-        from repro.cluster.machine import Machine
-
-        big = Machine(sim, n_cores=16)
-        app = build_sirius(
-            sim,
-            big,
-            HASWELL_LADDER.max_level,
-            instances_per_stage={"ASR": 4, "IMM": 2, "QA": 5},
-        )
+        app = table3_app("sirius")
         counts = {stage.name: stage.instance_count for stage in app.stages}
         assert counts == {"ASR": 4, "IMM": 2, "QA": 5}
 
 
 class TestNlpWorkload:
-    def test_stage_pipeline_matches_figure9(self, sim, machine):
-        app = build_nlp(sim, machine, LEVEL_1_8)
+    def test_stage_pipeline_matches_figure9(self):
+        app = table2_app("nlp")
         assert tuple(app.stage_names()) == NLP_STAGES == ("POS", "PSG", "SRL")
 
     def test_srl_dominates(self):
@@ -119,19 +115,13 @@ class TestNlpWorkload:
 
 
 class TestWebSearchWorkload:
-    def test_table3_topology(self, sim, machine):
-        from repro.cluster.machine import Machine
-
-        big = Machine(sim, n_cores=16)
-        app = build_websearch(sim, big, HASWELL_LADDER.max_level)
+    def test_table3_topology(self):
+        app = table3_app("websearch")
         counts = {stage.name: stage.instance_count for stage in app.stages}
         assert counts == {"LEAF": 10, "AGG": 1}
 
-    def test_leaf_tier_is_scatter_gather(self, sim, machine):
-        from repro.cluster.machine import Machine
-
-        big = Machine(sim, n_cores=16)
-        app = build_websearch(sim, big, HASWELL_LADDER.max_level)
+    def test_leaf_tier_is_scatter_gather(self):
+        app = table3_app("websearch")
         assert app.stage("LEAF").kind is StageKind.SCATTER_GATHER
         assert app.stage("AGG").kind is StageKind.PIPELINE
 
@@ -142,32 +132,3 @@ class TestWebSearchWorkload:
         profiles = {p.name: p for p in websearch_profiles()}
         # 1.0s of total leaf work over 10 leaves = 0.1s per shard at floor.
         assert profiles["LEAF"].demand.mean == pytest.approx(1.0)
-
-
-class TestSyntheticBuilder:
-    def test_custom_pipeline(self, sim, machine):
-        app = build_application(
-            "custom",
-            sim,
-            machine,
-            [make_profile("X", mean=0.1), make_profile("Y", mean=0.2)],
-            initial_level=0,
-            instances_per_stage={"X": 2, "Y": 1},
-        )
-        assert app.stage("X").instance_count == 2
-        assert app.stage("Y").instance_count == 1
-
-    def test_zero_instances_rejected(self, sim, machine):
-        with pytest.raises(ConfigurationError):
-            build_application(
-                "bad",
-                sim,
-                machine,
-                [make_profile("X")],
-                initial_level=0,
-                instances_per_stage=0,
-            )
-
-    def test_empty_profiles_rejected(self, sim, machine):
-        with pytest.raises(ConfigurationError):
-            build_application("bad", sim, machine, [], initial_level=0)
