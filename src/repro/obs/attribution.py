@@ -152,6 +152,11 @@ class QueryAttribution:
 _Visit = tuple[float, float, float, str]
 #: One labelled interval as the sweep reads it: (start, end, label, stage).
 _Interval = tuple[float, float, str, str]
+#: What :func:`_attribute` decomposes a completed query from: qid,
+#: arrival, completion, e2e latency, retried, visits and lost intervals.
+_Facts = tuple[
+    int, float, float, float, bool, tuple[_Visit, ...], tuple[_Interval, ...]
+]
 
 
 def _lost_intervals(attempts: Sequence["AttemptRecord"]) -> list[_Interval]:
@@ -250,7 +255,7 @@ def _attribute(
     e2e: float,
     retried: bool,
     visits: Sequence[_Visit],
-    losses: list[_Interval],
+    losses: Sequence[_Interval],
 ) -> QueryAttribution:
     """Book the visits and lost intervals over ``[arrival, completion]``,
     then close out ``hop`` so the components sum exactly to ``e2e``.
@@ -306,23 +311,29 @@ def _attribute(
 
 def attribute_query(query: "Query") -> QueryAttribution:
     """Decompose one completed query's latency; see the module docstring."""
+    return _attribute(*_facts(query))
+
+
+def _facts(query: "Query") -> _Facts:
+    """The completed query's stamps, complete stage records and lost
+    intervals: everything :func:`_attribute` reads."""
     if query.arrival_time is None or query.completion_time is None:
         raise ConfigurationError(
             f"query {query.qid} has not completed; nothing to attribute"
         )
-    visits = [
+    visits = tuple(
         (rec.enqueue_time, rec.start_time, rec.finish_time, rec.stage_name)
         for rec in query.records
         if rec.start_time is not None and rec.finish_time is not None
-    ]
-    return _attribute(
+    )
+    return (
         query.qid,
         query.arrival_time,
         query.completion_time,
         query.end_to_end_latency,
         query.retried,
         visits,
-        _lost_intervals(query.attempts),
+        tuple(_lost_intervals(query.attempts)),
     )
 
 
@@ -474,6 +485,11 @@ class AttributionCollector:
     records stop accumulating (counted in ``dropped``) while the
     aggregate roll-up keeps ingesting every query, so the report stays
     exact even on runs far larger than the buffer.
+
+    The completion path keeps facts, not views: each kept query is kept
+    as what :func:`attribute_query` reads of it (its stamps, visits and
+    lost intervals), and its :class:`QueryAttribution` is built from
+    them when :attr:`attributions` is first read.
     """
 
     def __init__(
@@ -487,9 +503,12 @@ class AttributionCollector:
             )
         self.max_queries = int(max_queries)
         self.registry = registry
-        self.attributions: list[QueryAttribution] = []
         self.dropped = 0
         self._report = report_from_attributions(())
+        #: The kept queries, in completion order.
+        self._kept: list[_Facts] = []
+        #: Attributions built so far, one per kept query in order.
+        self._attributions: list[QueryAttribution] = []
 
     # ------------------------------------------------------------------
     def attach(self, application: Any) -> None:
@@ -497,12 +516,13 @@ class AttributionCollector:
         application.add_completion_listener(self.observe)
         application.add_failure_listener(self.observe_failure)
 
-    def observe(self, query: "Query") -> QueryAttribution:
+    def observe(self, query: "Query") -> None:
         """Ingest one completed query."""
-        attribution = attribute_query(query)
+        facts = _facts(query)
+        attribution = _attribute(*facts)
         self._report.add(attribution)
-        if len(self.attributions) < self.max_queries:
-            self.attributions.append(attribution)
+        if len(self._kept) < self.max_queries:
+            self._kept.append(facts)
         else:
             self.dropped += 1
         if self.registry is not None:
@@ -513,7 +533,6 @@ class AttributionCollector:
             for name, seconds in attribution.components.items():
                 if seconds > 0.0:
                     counter.inc(seconds, component=name)
-        return attribution
 
     def observe_failure(self, query: "Query") -> None:
         """Count a terminal failure (no e2e latency to attribute)."""
@@ -525,8 +544,16 @@ class AttributionCollector:
             ).inc()
 
     # ------------------------------------------------------------------
+    @property
+    def attributions(self) -> list[QueryAttribution]:
+        """The kept queries' attributions, in completion order."""
+        built = self._attributions
+        for facts in self._kept[len(built):]:
+            built.append(_attribute(*facts))
+        return built
+
     def __len__(self) -> int:
-        return len(self.attributions)
+        return len(self._kept)
 
     def report(self) -> AttributionReport:
         """A copy of the roll-up so far."""

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence, Union
+from typing import Callable, ClassVar, Mapping, Optional, Sequence, Union
 
 from repro.errors import ConfigurationError
 
@@ -123,16 +123,57 @@ def _format_labels(labels: Mapping[str, _LabelValue]) -> str:
 
 
 @dataclass
-class Counter:
+class _Series:
+    """What counters and gauges share: values by label set, and an
+    optional function the unlabelled series is read from."""
+
+    name: str
+    help_text: str
+    _values: dict[_LabelKey, float] = field(default_factory=dict)
+    _function: Optional[Callable[[], float]] = None
+
+    #: The ``# TYPE`` the series renders under.
+    kind: ClassVar[str]
+
+    def set_function(self, function: Callable[[], float]) -> None:
+        """Read the unlabelled series from ``function`` from now on, as
+        ``prometheus_client``'s ``Gauge.set_function`` does: a value the
+        caller already keeps is read when the instrument is, not written
+        on every change.  It replaces whatever that series held."""
+        self._values.pop((), None)
+        self._function = function
+
+    def value(self, **labels: _LabelValue) -> float:
+        if not labels and self._function is not None:
+            return float(self._function())
+        return self._values.get(_label_key(labels), 0.0)
+
+    def render(self) -> list[str]:
+        values = self._values
+        if self._function is not None:
+            values = {**values, (): float(self._function())}
+        lines = [
+            f"# HELP {self.name} {_escape_help(self.help_text)}",
+            f"# TYPE {self.name} {self.kind}",
+        ]
+        if not values:
+            lines.append(f"{self.name} 0")
+            return lines
+        for key in sorted(values):
+            labels = _format_labels(dict(key))
+            lines.append(f"{self.name}{labels} {_format_value(values[key])}")
+        return lines
+
+
+@dataclass
+class Counter(_Series):
     """A monotonically increasing count, optionally split by label set.
 
     Increments are finite and >= 0: one NaN or inf would stick in the
     rendered value for the rest of the run.
     """
 
-    name: str
-    help_text: str
-    _values: dict[_LabelKey, float] = field(default_factory=dict)
+    kind: ClassVar[str] = "counter"
 
     def inc(self, amount: float = 1.0, **labels: _LabelValue) -> None:
         if not 0.0 <= amount < _INF:
@@ -143,30 +184,12 @@ class Counter:
         key = _label_key(labels)
         self._values[key] = self._values.get(key, 0.0) + amount
 
-    def value(self, **labels: _LabelValue) -> float:
-        return self._values.get(_label_key(labels), 0.0)
-
-    def render(self) -> list[str]:
-        lines = [
-            f"# HELP {self.name} {_escape_help(self.help_text)}",
-            f"# TYPE {self.name} counter",
-        ]
-        if not self._values:
-            lines.append(f"{self.name} 0")
-            return lines
-        for key in sorted(self._values):
-            labels = _format_labels(dict(key))
-            lines.append(f"{self.name}{labels} {_format_value(self._values[key])}")
-        return lines
-
 
 @dataclass
-class Gauge:
+class Gauge(_Series):
     """A value that goes up and down (instantaneous power, pool sizes)."""
 
-    name: str
-    help_text: str
-    _values: dict[_LabelKey, float] = field(default_factory=dict)
+    kind: ClassVar[str] = "gauge"
 
     def set(self, value: float, **labels: _LabelValue) -> None:
         self._values[_label_key(labels)] = float(value)
@@ -174,22 +197,6 @@ class Gauge:
     def inc(self, amount: float = 1.0, **labels: _LabelValue) -> None:
         key = _label_key(labels)
         self._values[key] = self._values.get(key, 0.0) + amount
-
-    def value(self, **labels: _LabelValue) -> float:
-        return self._values.get(_label_key(labels), 0.0)
-
-    def render(self) -> list[str]:
-        lines = [
-            f"# HELP {self.name} {_escape_help(self.help_text)}",
-            f"# TYPE {self.name} gauge",
-        ]
-        if not self._values:
-            lines.append(f"{self.name} 0")
-            return lines
-        for key in sorted(self._values):
-            labels = _format_labels(dict(key))
-            lines.append(f"{self.name}{labels} {_format_value(self._values[key])}")
-        return lines
 
 
 class Histogram:

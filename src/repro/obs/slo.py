@@ -14,10 +14,13 @@ tracker watches it two ways:
 
 The tracker is a plain completion/failure listener — it needs no
 simulator handle because every query already carries its settle time —
-and exposes ``repro_slo_*`` gauges when given a registry.  Like every
-pillar it is opt-in and bounded: the per-event history that feeds the
-window and the explain timeline is capped, while the overall counters
-stay exact.
+and exposes ``repro_slo_*`` instruments when given a registry: a
+counter of judged queries, and two gauges registered at the first
+settle that read the attainment and the burn rate (over the window
+ending at the settle ingested last) when the registry is read.  Like
+every pillar it is opt-in and bounded: the per-event history that feeds
+the window and the explain timeline is capped, while the overall
+counters stay exact.
 
 The window is counted by bisection: beside the arrival-ordered history
 the tracker keeps the retained settle times in two sorted lists (every
@@ -85,6 +88,10 @@ class SloTracker:
         self._total = 0
         self._violations = 0
         self._last_time = 0.0
+        #: The settle time ingested last, which under rpc faults may be
+        #: earlier than ``_last_time``: the burn-rate gauge reads the
+        #: window ending there.
+        self._ingested_at = 0.0
 
     # ------------------------------------------------------------------
     def attach(self, application: Any) -> None:
@@ -118,19 +125,22 @@ class SloTracker:
         if ok:
             insort(self._ok_times, time)
         self._last_time = max(self._last_time, time)
-        if self.registry is not None:
-            self.registry.counter(
+        self._ingested_at = time
+        registry = self.registry
+        if registry is not None:
+            registry.counter(
                 "repro_slo_queries_total",
                 "Queries judged against the SLO target",
             ).inc(outcome="ok" if ok else "violation")
-            self.registry.gauge(
-                "repro_slo_attainment",
-                "Fraction of settled queries under the SLO target",
-            ).set(self.attainment())
-            self.registry.gauge(
-                "repro_slo_burn_rate",
-                "Windowed error-budget burn rate (1.0 = budget pace)",
-            ).set(self.burn_rate(time))
+            if self._total == 1:
+                registry.gauge(
+                    "repro_slo_attainment",
+                    "Fraction of settled queries under the SLO target",
+                ).set_function(self.attainment)
+                registry.gauge(
+                    "repro_slo_burn_rate",
+                    "Windowed error-budget burn rate (1.0 = budget pace)",
+                ).set_function(lambda: self.burn_rate(self._ingested_at))
 
     # ------------------------------------------------------------------
     @property

@@ -2,8 +2,9 @@
 
 The service/query joint design already stamps enqueue / start / finish
 times into each :class:`~repro.service.records.StageRecord`; the tracer
-turns those stamps into :class:`Span` records — one per (query, instance)
-visit — collected in a bounded in-memory buffer.  Two export formats:
+keeps the completed records in a bounded in-memory buffer and turns their
+stamps into :class:`Span` records — one per (query, instance) visit —
+when the trace is first read.  Two export formats:
 
 * **JSONL** — one span object per line, trivially greppable and
   schema-checked by the CI smoke step;
@@ -22,8 +23,7 @@ from __future__ import annotations
 
 import json
 import logging
-from collections import deque
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable, Optional, Union
 
@@ -46,6 +46,16 @@ __all__ = [
 
 #: Chrome trace events use microsecond timestamps.
 _US = 1e6
+
+
+def _check_order(
+    qid: int, instance: str, enqueue: float, start: float, finish: float
+) -> None:
+    if not enqueue <= start <= finish:
+        raise ConfigurationError(
+            f"span for query {qid} at {instance} is not "
+            f"ordered: enqueue={enqueue} start={start} finish={finish}"
+        )
 
 
 @dataclass(frozen=True, init=False)
@@ -88,12 +98,7 @@ class Span:
         service_level: int,
         work: float,
     ) -> None:
-        if not enqueue_time <= start_time <= finish_time:
-            raise ConfigurationError(
-                f"span for query {qid} at {instance} is not "
-                f"ordered: enqueue={enqueue_time} start={start_time} "
-                f"finish={finish_time}"
-            )
+        _check_order(qid, instance, enqueue_time, start_time, finish_time)
         # Frozen: fields are set past the refusing ``__setattr__``, as
         # the generated ``__init__`` sets them.
         set_field = object.__setattr__
@@ -117,7 +122,20 @@ class Span:
         return self.finish_time - self.start_time
 
     def to_dict(self) -> dict[str, Any]:
-        return asdict(self)
+        """The fields in declaration order (the Chrome trace's ``args``
+        keep that order)."""
+        return {
+            "qid": self.qid,
+            "stage": self.stage,
+            "instance_id": self.instance_id,
+            "instance": self.instance,
+            "enqueue_time": self.enqueue_time,
+            "start_time": self.start_time,
+            "finish_time": self.finish_time,
+            "queue_at_arrival": self.queue_at_arrival,
+            "service_level": self.service_level,
+            "work": self.work,
+        }
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "Span":
@@ -131,6 +149,11 @@ class TraceBuffer:
     the head of a run is where controller behaviour is most interesting,
     and a silent ring buffer would make "trace looks complete" lies
     cheap.  ``dropped`` says exactly how much is missing.
+
+    The completion path keeps facts: :meth:`emit_record` checks the
+    record's order and keeps ``(qid, work, record)``, and each span is
+    built from its kept record, in order, when first read.  A record is
+    never written after its instance completes it.
     """
 
     def __init__(
@@ -141,13 +164,20 @@ class TraceBuffer:
         if max_spans <= 0:
             raise ConfigurationError(f"max_spans must be > 0, got {max_spans}")
         self.max_spans = int(max_spans)
-        self._spans: deque[Span] = deque()
+        #: Completed records, in emit order.
+        self._records: list[tuple[int, float, "StageRecord"]] = []
+        #: Spans built so far, one per kept record in order.
+        self._spans: list[Span] = []
         self.dropped = 0
         self.registry = registry
 
     # ------------------------------------------------------------------
-    def emit(self, span: Span) -> None:
-        if len(self._spans) >= self.max_spans:
+    def emit_record(self, qid: int, work: float, record: "StageRecord") -> None:
+        """Keep a completed stage record; its span is built when read."""
+        start, finish = record.start_time, record.finish_time
+        assert start is not None and finish is not None
+        _check_order(qid, record.instance_name, record.enqueue_time, start, finish)
+        if len(self._records) >= self.max_spans:
             self.dropped += 1
             if self.registry is not None:
                 self.registry.counter(
@@ -155,35 +185,38 @@ class TraceBuffer:
                     "Spans discarded because the trace buffer was full",
                 ).inc()
             return
-        self._spans.append(span)
+        self._records.append((qid, work, record))
 
-    def emit_record(self, qid: int, work: float, record: "StageRecord") -> None:
-        """Build and emit a span from a completed stage record."""
-        assert record.start_time is not None and record.finish_time is not None
-        self.emit(
-            Span(
-                qid=qid,
-                stage=record.stage_name,
-                instance_id=record.instance_id,
-                instance=record.instance_name,
-                enqueue_time=record.enqueue_time,
-                start_time=record.start_time,
-                finish_time=record.finish_time,
-                queue_at_arrival=record.queue_at_arrival,
-                service_level=(
-                    record.service_level if record.service_level is not None else -1
-                ),
-                work=work,
+    def _built(self) -> list[Span]:
+        """The spans, after building any records kept since the last read."""
+        spans = self._spans
+        for qid, work, record in self._records[len(spans):]:
+            start, finish = record.start_time, record.finish_time
+            assert start is not None and finish is not None
+            level = record.service_level
+            spans.append(
+                Span(
+                    qid=qid,
+                    stage=record.stage_name,
+                    instance_id=record.instance_id,
+                    instance=record.instance_name,
+                    enqueue_time=record.enqueue_time,
+                    start_time=start,
+                    finish_time=finish,
+                    queue_at_arrival=record.queue_at_arrival,
+                    service_level=-1 if level is None else level,
+                    work=work,
+                )
             )
-        )
+        return spans
 
     # ------------------------------------------------------------------
     @property
     def spans(self) -> tuple[Span, ...]:
-        return tuple(self._spans)
+        return tuple(self._built())
 
     def __len__(self) -> int:
-        return len(self._spans)
+        return len(self._records)
 
     def _warn_if_truncated(self, target: Path) -> None:
         if self.dropped:
@@ -197,20 +230,20 @@ class TraceBuffer:
 
     def write_jsonl(self, path: Union[str, Path]) -> Path:
         target = Path(path)
-        target.write_text(spans_to_jsonl(self._spans))
+        target.write_text(spans_to_jsonl(self._built()))
         self._warn_if_truncated(target)
         return target
 
     def write_chrome_trace(self, path: Union[str, Path]) -> Path:
         target = Path(path)
-        trace = spans_to_chrome_trace(self._spans)
+        trace = spans_to_chrome_trace(self._built())
         trace["otherData"]["dropped_spans"] = self.dropped
         target.write_text(json.dumps(trace, indent=None))
         self._warn_if_truncated(target)
         return target
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"TraceBuffer({len(self._spans)} spans, {self.dropped} dropped)"
+        return f"TraceBuffer({len(self)} spans, {self.dropped} dropped)"
 
 
 # ----------------------------------------------------------------------

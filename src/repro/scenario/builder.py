@@ -84,7 +84,6 @@ from repro.scenario.config import (
     TABLE2_INITIAL_FREQ_GHZ,
     TABLE2_POWER_BUDGET_WATTS,
     TABLE3_SETUPS,
-    Table3Setup,
     app_stages,
 )
 from repro.scenario.sampling import QosSampler, StateSampler
@@ -147,11 +146,8 @@ def _build_app(
     )
     for profile, kind in app_stages(app):
         stage = application.add_stage(profile, kind=kind)
-        stage_alloc = allocation.get(profile.name)
-        if stage_alloc is None:
-            raise ConfigurationError(
-                f"no allocation given for stage {profile.name!r}"
-            )
+        # The spec guarantees an entry for every stage.
+        stage_alloc = allocation[profile.name]
         for _ in range(stage_alloc.count):
             stage.launch_instance(stage_alloc.level)
     return application
@@ -170,17 +166,6 @@ def _uniform_allocation(
             count = instances_per_stage.get(profile.name, 1)
         allocation[profile.name] = StageAllocation(count=count, level=level)
     return allocation
-
-
-def _table3_setup(spec: ScenarioSpec) -> Table3Setup:
-    """The Table-3 deployment a QoS scenario runs."""
-    try:
-        return TABLE3_SETUPS[spec.app]
-    except KeyError:
-        known = ", ".join(sorted(TABLE3_SETUPS))
-        raise ConfigurationError(
-            f"unknown QoS deployment {spec.app!r} (known: {known})"
-        ) from None
 
 
 def _observability_from_spec(
@@ -301,7 +286,8 @@ class StackBuilder:
 
     def __init__(self, spec: ScenarioSpec) -> None:
         self.spec = spec
-        self._setup = _table3_setup(spec) if spec.kind == "qos" else None
+        # The spec guarantees a QoS app names a Table-3 deployment.
+        self._setup = TABLE3_SETUPS[spec.app] if spec.kind == "qos" else None
         self._observability = _observability_from_spec(
             spec, None if self._setup is None else self._setup.qos_target_s
         )
@@ -580,15 +566,19 @@ class StackBuilder:
             bind_simulator(lambda: sim.now)
             self._closers.append(unbind_simulator)
             if obs.metrics is not None:
+                # The simulator already counts the events it fires: read
+                # that count, and freeze it when the builder closes.
                 events = obs.metrics.counter(
                     "repro_sim_events_total", "Simulation events fired"
                 )
+                armed_at = sim.events_processed
+                events.set_function(lambda: sim.events_processed - armed_at)
 
-                def hook(event) -> None:
-                    events.inc()
+                def freeze() -> None:
+                    fired = sim.events_processed - armed_at
+                    events.set_function(lambda: fired)
 
-                sim.add_event_hook(hook)
-                self._closers.append(lambda: sim.remove_event_hook(hook))
+                self._closers.append(freeze)
                 if len(self._stacks) == 1:
                     self.telemetry = PowerTelemetry(
                         sim,

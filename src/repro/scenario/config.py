@@ -10,24 +10,26 @@ QoS and a 10 s adjust interval; Web Search with 1 aggregation + 10 leaf
 services, a 250 ms QoS and a 2 s adjust interval.
 
 :func:`app_stages` names the pipelines themselves: each application's
-stages in order, with their offline profiles and stage kinds.
+stages in order, with their offline profiles and stage kinds;
+:func:`app_stage_names` gives the names alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping
+from typing import Callable, Mapping
 
 from repro.errors import ConfigurationError
 from repro.core.controller import ControllerConfig
 from repro.service.profile import ServiceProfile
 from repro.service.stage import StageKind
-from repro.workloads.nlp import nlp_profiles
-from repro.workloads.sirius import sirius_profiles
-from repro.workloads.websearch import websearch_profiles
+from repro.workloads.nlp import NLP_STAGES, nlp_profiles
+from repro.workloads.sirius import SIRIUS_STAGES, sirius_profiles
+from repro.workloads.websearch import WEBSEARCH_STAGES, websearch_profiles
 
 __all__ = [
+    "app_stage_names",
     "app_stages",
     "TABLE2_POWER_BUDGET_WATTS",
     "TABLE2_INITIAL_FREQ_GHZ",
@@ -103,14 +105,36 @@ TABLE3_SETUPS: Mapping[str, Table3Setup] = MappingProxyType(
 )
 
 
-_PROFILE_BUILDERS = {
-    "sirius": sirius_profiles,
-    "nlp": nlp_profiles,
-    "websearch": websearch_profiles,
-}
+#: One application: its stage names in pipeline order, the builder of
+#: their offline profiles, and the stages that fan every query out over
+#: their whole pool.
+_App = tuple[tuple[str, ...], Callable[[], list[ServiceProfile]], tuple[str, ...]]
 
-#: Web Search's leaf tier fans every query out over the whole pool.
-_SCATTER_GATHER_STAGES = {"websearch": ("LEAF",)}
+#: The applications by name; Web Search's leaf tier is scatter-gather.
+_APPS: Mapping[str, _App] = MappingProxyType(
+    {
+        "sirius": (SIRIUS_STAGES, sirius_profiles, ()),
+        "nlp": (NLP_STAGES, nlp_profiles, ()),
+        "websearch": (WEBSEARCH_STAGES, websearch_profiles, ("LEAF",)),
+    }
+)
+
+
+def _app(app: str) -> _App:
+    try:
+        return _APPS[app]
+    except KeyError:
+        known = ", ".join(sorted(_APPS))
+        raise ConfigurationError(f"unknown app {app!r} (known: {known})") from None
+
+
+def app_stage_names(app: str) -> tuple[str, ...]:
+    """The named application's stage names in pipeline order, without
+    building its profiles, so a scenario spec checks its app and
+    allocation cheaply.  An unknown name raises
+    :class:`~repro.errors.ConfigurationError` listing the known ones.
+    """
+    return _app(app)[0]
 
 
 def app_stages(app: str) -> list[tuple[ServiceProfile, StageKind]]:
@@ -119,12 +143,7 @@ def app_stages(app: str) -> list[tuple[ServiceProfile, StageKind]]:
     Each call builds fresh profiles.  An unknown name raises
     :class:`~repro.errors.ConfigurationError` listing the known ones.
     """
-    try:
-        profiles = _PROFILE_BUILDERS[app]()
-    except KeyError:
-        known = ", ".join(sorted(_PROFILE_BUILDERS))
-        raise ConfigurationError(f"unknown app {app!r} (known: {known})") from None
-    scatter = _SCATTER_GATHER_STAGES.get(app, ())
+    _, build_profiles, scatter = _app(app)
     return [
         (
             profile,
@@ -132,5 +151,5 @@ def app_stages(app: str) -> list[tuple[ServiceProfile, StageKind]]:
             if profile.name in scatter
             else StageKind.PIPELINE,
         )
-        for profile in profiles
+        for profile in build_profiles()
     ]

@@ -16,8 +16,9 @@ same value serves three masters at once:
   straight from a file and runs it — sharded, chaos-armed, cached.
 
 Every field describes the run completely: a trace or contention model
-the spec cannot name is refused when the spec is made, so a spec that
-validates always runs.
+the spec cannot name, an unknown app or QoS deployment, and an
+allocation that does not name each of the app's stages once are refused
+when the spec is made, so a spec that validates always runs.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from repro.core.controller import ControllerConfig
 from repro.core.metrics import MetricKind
 from repro.faults.plan import FaultPlan
 from repro.guard.config import GuardConfig, guard_from_spec, guard_to_spec
+from repro.scenario.config import TABLE3_SETUPS, app_stage_names
 from repro.workloads.loadgen import (
     ConstantLoad,
     DiurnalLoad,
@@ -271,6 +273,28 @@ def chaos_to_spec(
     return text
 
 
+def _check_allocation_stages(app: str, names: Sequence[Any]) -> None:
+    """Refuse an allocation that does not name each of ``app``'s stages
+    exactly once: the builder needs every stage, and would ignore any
+    other entry."""
+    stages = app_stage_names(app)
+    problems = []
+    missing = [stage for stage in stages if stage not in names]
+    if missing:
+        problems.append(f"no entry for {', '.join(missing)}")
+    unknown = [str(name) for name in names if name not in stages]
+    if unknown:
+        problems.append(f"unknown {', '.join(unknown)}")
+    repeated = [stage for stage in stages if names.count(stage) > 1]
+    if repeated:
+        problems.append(f"more than one entry for {', '.join(repeated)}")
+    if problems:
+        raise ConfigurationError(
+            f"allocation for {app!r} must name each of its stages "
+            f"({', '.join(stages)}) once: {'; '.join(problems)}"
+        )
+
+
 def _canonical(payload: Any) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
@@ -356,6 +380,13 @@ class ScenarioSpec:
             )
         if not self.app:
             raise ConfigurationError("scenario needs a non-empty app")
+        if self.kind == "latency":
+            app_stage_names(self.app)  # refuses an unknown app
+        elif self.app not in TABLE3_SETUPS:
+            known = ", ".join(sorted(TABLE3_SETUPS))
+            raise ConfigurationError(
+                f"unknown QoS deployment {self.app!r} (known: {known})"
+            )
         policies = LATENCY_POLICIES if self.kind == "latency" else QOS_POLICIES
         if self.policy not in policies:
             raise ConfigurationError(
@@ -483,6 +514,9 @@ class ScenarioSpec:
                         f"got {entry!r}"
                     )
                 StageAllocation(count=entry[1], level=entry[2])
+            _check_allocation_stages(
+                self.app, [entry[0] for entry in self.allocation]
+            )
         for key, _ in self.controller:
             if key not in _CONTROLLER_FIELDS:
                 known = ", ".join(sorted(_CONTROLLER_FIELDS))

@@ -75,7 +75,11 @@ class TestCells:
             300.0,
             seed=7,
             budget_watts=18.0,
-            allocation={"ASR": StageAllocation(2, 3)},
+            allocation={
+                "ASR": StageAllocation(2, 3),
+                "IMM": StageAllocation(1, 3),
+                "QA": StageAllocation(1, 3),
+            },
             n_cores=32,
         )
         assert spec == pickle.loads(pickle.dumps(spec))
@@ -108,9 +112,9 @@ class TestCells:
                 "sirius", "static", ("constant", 1.0), 60.0, budget=object()
             )
 
-    def test_unknown_qos_deployment_fails_at_execution(self):
+    def test_unknown_qos_deployment_fails_at_spec_time(self):
         with pytest.raises(ConfigurationError, match="QoS deployment"):
-            execute_cell(ScenarioSpec.qos("nlp", "baseline", 4.0, 60.0))
+            ScenarioSpec.qos("nlp", "baseline", 4.0, 60.0)
 
     def test_trace_specs_round_trip(self):
         for trace in (

@@ -9,6 +9,7 @@ roll-up, serialisation and tail layers on top.
 
 from __future__ import annotations
 
+import json
 import math
 from unittest import mock
 
@@ -17,12 +18,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
-from repro.obs import AttributionCollector
+from repro.obs import AttributionCollector, MetricsRegistry
 from repro.obs.attribution import (
     COMPONENTS,
     TRANSIT_STAGE,
     AttributionReport,
     QueryAttribution,
+    _attribute,
     _sweep,
     attribute_query,
     attributions_from_spans,
@@ -527,3 +529,118 @@ class TestBlameStage:
             sorted(per_stage), key=lambda stage: sum(per_stage[stage].values())
         )
         assert self._attribution(per_stage).blame_stage == reference
+
+
+@st.composite
+def _query_streams(draw):
+    """Completed queries in completion order, numbered: in-order ones
+    with distinct or repeated stages and empty intervals, some carrying
+    completed attempts and some a timed-out first attempt."""
+    queries = draw(st.lists(_in_order_queries(), min_size=1, max_size=8))
+    for qid, query in enumerate(queries):
+        query.qid = qid
+        if not query.attempts and draw(st.booleans()):
+            # Lost time before the first visit: a fault, then backoff
+            # until the visit's dispatch.
+            first = query.records[0]
+            settled = draw(
+                st.floats(
+                    min_value=query.arrival_time,
+                    max_value=first.enqueue_time,
+                    allow_nan=False,
+                )
+            )
+            query.append_attempt(
+                AttemptRecord(
+                    first.stage_name,
+                    1,
+                    query.arrival_time,
+                    "lost_0",
+                    "timed-out",
+                    settled,
+                )
+            )
+            query.append_attempt(
+                AttemptRecord(
+                    first.stage_name,
+                    2,
+                    first.enqueue_time,
+                    first.instance_name,
+                    "completed",
+                    first.finish_time,
+                )
+            )
+    return queries
+
+
+class TestCollectorKeepsFacts:
+    """The collector rolls every query up as it completes, keeps what
+    its attribution is built from, and builds the attributions on read;
+    both views match the reference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        _query_streams(),
+        st.integers(min_value=1, max_value=10),
+        st.integers(min_value=0, max_value=8),
+    )
+    def test_matches_the_reference_byte_for_byte(self, queries, bound, read_at):
+        registry = MetricsRegistry()
+        collector = AttributionCollector(max_queries=bound, registry=registry)
+        reference = [attribute_query(query) for query in queries]
+        for index, query in enumerate(queries):
+            if index == read_at:
+                # A read part-way through builds what is kept so far.
+                assert json.dumps(
+                    [qa.to_dict() for qa in collector.attributions]
+                ) == json.dumps([qa.to_dict() for qa in reference[:bound][:index]])
+            collector.observe(query)
+        assert json.dumps(collector.report().to_dict()) == json.dumps(
+            report_from_attributions(reference).to_dict()
+        )
+        assert json.dumps([qa.to_dict() for qa in collector.attributions]) == json.dumps(
+            [qa.to_dict() for qa in reference[:bound]]
+        )
+        assert len(collector) == min(bound, len(queries))
+        assert collector.dropped == max(0, len(queries) - bound)
+        counter = registry.counter("repro_attributed_seconds_total")
+        for name in COMPONENTS:
+            want = 0.0
+            for attribution in reference:
+                if attribution.components[name] > 0.0:
+                    want += attribution.components[name]
+            assert counter.value(component=name) == want
+
+    def test_attributions_are_built_once_on_first_read_in_completion_order(self):
+        in_order = _query([("ASR", 0.0, 0.5, 1.0), ("QA", 1.5, 1.5, 2.0)], 0.0, 2.5)
+        repeated = _query([("ASR", 0.0, 0.5, 1.0), ("ASR", 1.0, 1.25, 2.0)], 0.0, 2.0)
+        retried = _query(
+            [("ASR", 1.5, 1.5, 3.0)],
+            0.0,
+            4.0,
+            (
+                AttemptRecord("ASR", 1, 0.0, "ASR_0", "timed-out", 1.0),
+                AttemptRecord("ASR", 2, 1.5, "ASR_1", "completed", 3.0),
+            ),
+        )
+        queries = [in_order, repeated, retried, in_order]
+        for qid, query in enumerate(queries[:3]):
+            query.qid = qid
+        collector = AttributionCollector()
+        with mock.patch(
+            "repro.obs.attribution._attribute", wraps=_attribute
+        ) as attributed:
+            for query in queries:
+                assert collector.observe(query) is None
+            # One attribution per query, for the roll-up.
+            assert attributed.call_count == 4
+            built = collector.attributions
+            assert attributed.call_count == 8
+            assert collector.attributions is built
+            assert attributed.call_count == 8
+        assert [qa.qid for qa in built] == [0, 1, 2, 0]
+        assert [qa.to_dict() for qa in built] == [
+            attribute_query(query).to_dict() for query in queries
+        ]
+        assert built[2].components["fault"] == 1.0
+        assert built[2].components["retry_backoff"] == 0.5

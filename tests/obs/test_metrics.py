@@ -87,6 +87,38 @@ class TestGauge:
         assert gauge.value(level=8) == 1.0
 
 
+class TestSetFunction:
+    """The unlabelled series can be read from a function at read time."""
+
+    @pytest.mark.parametrize("kind", [Counter, Gauge])
+    def test_reads_the_function_when_read(self, kind):
+        source = [3]
+        instrument = kind("x", "help")
+        instrument.set_function(lambda: source[0])
+        assert instrument.value() == 3.0
+        assert isinstance(instrument.value(), float)
+        source[0] = 7
+        assert instrument.value() == 7.0
+        assert instrument.render()[2:] == ["x 7"]
+
+    @pytest.mark.parametrize("kind", [Counter, Gauge])
+    def test_renders_as_the_stored_value_would(self, kind):
+        stored, read = kind("x", "help"), kind("x", "help")
+        stored.inc(0.25)
+        stored.inc(2.0, app="nlp")
+        read.inc(2.0, app="nlp")
+        read.set_function(lambda: 0.25)
+        assert read.render() == stored.render()
+        assert read.value(app="nlp") == 2.0
+
+    def test_replaces_the_stored_unlabelled_value(self):
+        gauge = Gauge("g", "help")
+        gauge.set(5.0)
+        gauge.set_function(lambda: 1.5)
+        assert gauge.value() == 1.5
+        assert gauge.render()[2:] == ["g 1.5"]
+
+
 class TestHistogram:
     def test_rejects_bad_buckets(self):
         with pytest.raises(ConfigurationError):

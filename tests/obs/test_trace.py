@@ -14,6 +14,8 @@ import inspect
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.frequency import HASWELL_LADDER
 from repro.errors import ConfigurationError
@@ -28,6 +30,7 @@ from repro.obs.trace import (
 )
 from repro.service.application import Application
 from repro.service.query import Query
+from repro.service.records import StageRecord
 
 from tests.conftest import make_profile
 
@@ -65,6 +68,13 @@ class TestSpan:
         span = make_span(qid=7)
         assert Span.from_dict(span.to_dict()) == span
 
+    def test_dict_is_asdict_in_field_order(self):
+        # The Chrome trace's ``args`` are not key-sorted, so its bytes
+        # depend on this order.
+        span = make_span(qid=7)
+        assert list(span.to_dict().items()) == list(dataclasses.asdict(span).items())
+        assert list(span.to_dict()) == [field.name for field in dataclasses.fields(Span)]
+
     def test_written_init_takes_every_field_in_order(self):
         fields = [field.name for field in dataclasses.fields(Span)]
         assert list(inspect.signature(Span).parameters) == fields
@@ -75,11 +85,44 @@ class TestSpan:
             span.qid = 8  # type: ignore[misc]
 
 
+def make_record(qid: int, **overrides) -> StageRecord:
+    fields = dict(
+        instance_id=qid % 3,
+        instance_name=f"B_{qid % 3}",
+        stage_name="B",
+        enqueue_time=float(qid),
+        start_time=qid + 0.5,
+        finish_time=qid + 1.5,
+        queue_at_arrival=qid % 4,
+        service_level=None if qid % 5 == 0 else qid % 12,
+    )
+    fields.update(overrides)
+    return StageRecord(**fields)
+
+
+def eager_span(qid: int, work: float, record: StageRecord) -> Span:
+    """The span ``emit_record`` used to build on the completion path."""
+    return Span(
+        qid=qid,
+        stage=record.stage_name,
+        instance_id=record.instance_id,
+        instance=record.instance_name,
+        enqueue_time=record.enqueue_time,
+        start_time=record.start_time,
+        finish_time=record.finish_time,
+        queue_at_arrival=record.queue_at_arrival,
+        service_level=(
+            record.service_level if record.service_level is not None else -1
+        ),
+        work=work,
+    )
+
+
 class TestTraceBuffer:
     def test_bound_keeps_earliest_and_counts_drops(self):
         buffer = TraceBuffer(max_spans=2)
         for qid in range(5):
-            buffer.emit(make_span(qid=qid))
+            buffer.emit_record(qid, 1.0, make_record(qid))
         assert [span.qid for span in buffer.spans] == [0, 1]
         assert buffer.dropped == 3
         assert len(buffer) == 2
@@ -87,6 +130,61 @@ class TestTraceBuffer:
     def test_rejects_non_positive_bound(self):
         with pytest.raises(ConfigurationError):
             TraceBuffer(max_spans=0)
+
+
+class TestKeptRecords:
+    """``emit_record`` keeps the record; spans are built when read."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.sampled_from(["record", "read"]), max_size=30),
+        st.integers(min_value=1, max_value=12),
+    )
+    def test_reads_back_as_the_eager_build(self, ops, bound):
+        registry = MetricsRegistry()
+        buffer = TraceBuffer(max_spans=bound, registry=registry)
+        kept: list[Span] = []
+        dropped = 0
+        for qid, op in enumerate(ops):
+            if op == "read":
+                assert buffer.spans == tuple(kept)
+                continue
+            work = qid / 4.0
+            record = make_record(qid)
+            buffer.emit_record(qid, work, record)
+            span = eager_span(qid, work, record)
+            if len(kept) < bound:
+                kept.append(span)
+            else:
+                dropped += 1
+            # Drops are counted when emitted, not when read.
+            assert buffer.dropped == dropped
+            assert registry.counter("repro_trace_spans_dropped_total").value() == dropped
+            assert len(buffer) == len(kept)
+        assert buffer.spans == tuple(kept)
+        assert spans_to_jsonl(buffer.spans) == spans_to_jsonl(kept)
+
+    def test_exports_build_the_kept_records(self, tmp_path):
+        buffer = TraceBuffer()
+        records = [make_record(qid) for qid in range(4)]
+        for qid, record in enumerate(records):
+            buffer.emit_record(qid, 1.0, record)
+        spans = [eager_span(qid, 1.0, record) for qid, record in enumerate(records)]
+        jsonl = buffer.write_jsonl(tmp_path / "trace.jsonl").read_text()
+        assert jsonl == spans_to_jsonl(spans)
+        chrome = json.loads(
+            buffer.write_chrome_trace(tmp_path / "trace.chrome.json").read_text()
+        )
+        assert spans_from_chrome_trace(chrome) == spans
+
+    def test_unordered_record_is_refused_at_emit(self):
+        buffer = TraceBuffer()
+        with pytest.raises(ConfigurationError, match="query 3 at B_0 is not ordered"):
+            buffer.emit_record(3, 1.0, make_record(3, start_time=2.0, finish_time=1.0))
+        with pytest.raises(ConfigurationError, match="not ordered"):
+            buffer.emit_record(4, 1.0, make_record(4, start_time=3.0))
+        assert len(buffer) == 0
+        assert buffer.dropped == 0
 
 
 class TestJsonlRoundTrip:
@@ -229,21 +327,21 @@ class TestDroppedSurfacing:
         registry = MetricsRegistry()
         buffer = TraceBuffer(max_spans=2, registry=registry)
         for qid in range(5):
-            buffer.emit(make_span(qid=qid))
+            buffer.emit_record(qid, 1.0, make_record(qid))
         counter = registry.counter("repro_trace_spans_dropped_total")
         assert counter.value() == 3.0
         assert buffer.dropped == 3
 
     def test_no_registry_still_counts(self):
         buffer = TraceBuffer(max_spans=1)
-        buffer.emit(make_span(qid=0))
-        buffer.emit(make_span(qid=1))
+        buffer.emit_record(0, 1.0, make_record(0))
+        buffer.emit_record(1, 1.0, make_record(1))
         assert buffer.dropped == 1
 
     def test_chrome_trace_reports_dropped_count(self, tmp_path):
         buffer = TraceBuffer(max_spans=1)
-        buffer.emit(make_span(qid=0))
-        buffer.emit(make_span(qid=1))
+        buffer.emit_record(0, 1.0, make_record(0))
+        buffer.emit_record(1, 1.0, make_record(1))
         path = buffer.write_chrome_trace(tmp_path / "trace.chrome.json")
         data = json.loads(path.read_text())
         assert data["otherData"]["dropped_spans"] == 1
@@ -269,8 +367,8 @@ class TestDroppedSurfacing:
 
     def test_exports_warn_on_truncation(self, tmp_path):
         buffer = TraceBuffer(max_spans=1)
-        buffer.emit(make_span(qid=0))
-        buffer.emit(make_span(qid=1))
+        buffer.emit_record(0, 1.0, make_record(0))
+        buffer.emit_record(1, 1.0, make_record(1))
         logger, handler, records = self._capture_warnings()
         try:
             buffer.write_jsonl(tmp_path / "trace.jsonl")
@@ -280,7 +378,7 @@ class TestDroppedSurfacing:
 
     def test_exports_stay_quiet_without_truncation(self, tmp_path):
         buffer = TraceBuffer(max_spans=10)
-        buffer.emit(make_span(qid=0))
+        buffer.emit_record(0, 1.0, make_record(0))
         logger, handler, records = self._capture_warnings()
         try:
             buffer.write_jsonl(tmp_path / "trace.jsonl")

@@ -14,6 +14,7 @@ import pytest
 
 from repro.errors import ExperimentError
 from repro.experiments.export import scenario_payload
+from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
 from repro.guard import GuardConfig
 from repro.scenario.builder import StackBuilder, run_scenario
 from repro.scenario.spec import ScenarioSpec
@@ -362,3 +363,94 @@ class TestTeardownLeavesNothingAttached:
         assert obs.energy._telemetry is None
         assert obs.stream is None or obs.stream.attached is False
         assert obs_logging._clock is None
+
+
+class TestReadTimeInstruments:
+    """The event counter and the SLO gauges are read when the registry
+    is, and read what the per-event and per-settle writes used to."""
+
+    def _tick_observed(self, chaos=None):
+        spec = ScenarioSpec.latency(
+            "sirius",
+            "powerchief",
+            ("constant", 2.0),
+            60.0,
+            seed=3,
+            observe=("metrics", "slo"),
+            # A target that about half the queries meet, and a short
+            # window, so a late settle moves the burn rate.
+            slo_target_s=6.0,
+            slo_window_s=10.0,
+            chaos=chaos,
+            drain_s=30.0 if chaos is not None else 0.0,
+        )
+        builder = StackBuilder(spec).build().arm()
+        sim, obs = builder.sim, builder.observability
+        armed_at = sim.events_processed
+        # Without the stream pillar no per-event hook is left.
+        assert sim._event_hooks == []
+        registry, slo = obs.metrics, obs.slo
+        settled: list[float] = []
+        #: The gauges' values as the tracker stood right after each settle:
+        #: what the per-settle ``set`` calls wrote.
+        written: list[tuple[float, float]] = []
+
+        def settle(time: float) -> None:
+            settled.append(time)
+            written.append((slo.attainment(), slo.burn_rate(time)))
+            gauges = (
+                registry.gauge("repro_slo_attainment").value(),
+                registry.gauge("repro_slo_burn_rate").value(),
+            )
+            assert gauges == written[-1]
+
+        # Attached after the tracker, so each call sees its ingest.
+        builder.application.add_completion_listener(
+            lambda query: settle(query.completion_time)
+        )
+        builder.application.add_failure_listener(
+            lambda query: settle(query.failed_time)
+        )
+        builder.start()
+        # The gauges are registered at the first settle.
+        assert registry.get("repro_slo_attainment") is None
+        assert registry.get("repro_slo_burn_rate") is None
+        deadline = 0.0
+        while not builder.finished:
+            deadline = min(deadline + 2.5, builder.end_s)
+            builder.tick(deadline)
+            events = registry.counter("repro_sim_events_total")
+            assert events.value() == sim.events_processed - armed_at
+            attainment = registry.get("repro_slo_attainment")
+            burn = registry.get("repro_slo_burn_rate")
+            if not settled:
+                assert attainment is None and burn is None
+                continue
+            assert (attainment.value(), burn.value()) == written[-1]
+            assert burn.value() == slo.burn_rate(settled[-1])
+        builder.collect()
+        return builder, settled
+
+    def test_event_count_follows_ticks_then_freezes(self):
+        builder, _ = self._tick_observed()
+        events = builder.observability.metrics.counter("repro_sim_events_total")
+        frozen = events.value()
+        assert frozen > 0
+        sim = builder.sim
+        sim.schedule(1.0, lambda: None)
+        sim.run()
+        assert events.value() == frozen
+        assert events.render()[2:] == [f"repro_sim_events_total {int(frozen)}"]
+
+    def test_slo_gauges_read_the_last_ingested_settle(self):
+        plan = FaultPlan(
+            name="late-settles",
+            specs=(
+                FaultSpec(
+                    kind=FaultKind.RPC_DELAY, at_s=15.0, duration_s=20.0, magnitude=3.0
+                ),
+            ),
+        )
+        _, settled = self._tick_observed(chaos=plan)
+        # The delay delivers some settles after later ones.
+        assert any(settled[i] < max(settled[:i]) for i in range(1, len(settled)))

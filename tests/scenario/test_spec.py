@@ -17,6 +17,7 @@ from repro.scenario import (
     ScenarioSpec,
     StageAllocation,
 )
+from repro.scenario.config import app_stage_names, app_stages
 from repro.workloads.loadgen import ConstantLoad, LoadTrace, PiecewiseLoad
 
 
@@ -293,6 +294,86 @@ class TestValuesTheBuilderReads:
         )
         assert ScenarioSpec.from_json(spec.to_json()).digest() == spec.digest()
         assert spec.to_dict()["controller"]["adjust_interval_s"] == 25
+
+
+def _allocation(*stages):
+    return tuple((stage, 1, 6) for stage in stages)
+
+
+#: Specs that used to validate and then fail at ``build()`` (or, for the
+#: extra stage, build an app that ignored the entry), as (dict changes to
+#: a valid spec, the refusal's message).
+CANNOT_RUN = [
+    ({"app": "siri"}, "unknown app 'siri' \\(known: nlp, sirius, websearch\\)"),
+    ({"allocation": _allocation("ASR")}, "no entry for IMM, QA"),
+    ({"allocation": _allocation("ASR", "IMM", "QA", "XYZ")}, "unknown XYZ"),
+    (
+        {"allocation": _allocation("ASR", "ASR", "IMM", "QA")},
+        "more than one entry for ASR",
+    ),
+    (
+        {"app": "nlp", "allocation": _allocation("ASR", "IMM", "QA")},
+        "no entry for POS, PSG, SRL; unknown ASR, IMM, QA",
+    ),
+]
+
+
+#: Every application the builder assembles.
+APPS = ("nlp", "sirius", "websearch")
+
+
+class TestAppAndStages:
+    """An app, QoS deployment or allocation the builder cannot assemble
+    is refused when the spec is made."""
+
+    @pytest.mark.parametrize(
+        "changes, match", CANNOT_RUN, ids=["app", "missing", "extra", "twice", "other-app"]
+    )
+    def test_refused_at_spec_time_and_from_json(self, changes, match):
+        with pytest.raises(ConfigurationError, match=match):
+            latency_spec(**changes)
+        payload = dict(latency_spec().to_dict(), **changes)
+        with pytest.raises(ConfigurationError, match=match):
+            ScenarioSpec.from_json(json.dumps(payload))
+
+    def test_friendly_constructor_refuses_a_partial_allocation(self):
+        with pytest.raises(ConfigurationError, match="no entry for IMM, QA"):
+            ScenarioSpec.latency(
+                "sirius",
+                "powerchief",
+                ("constant", 1.0),
+                60.0,
+                allocation={"ASR": StageAllocation(1, 6)},
+            )
+
+    @pytest.mark.parametrize("app", ["nlp", "foo"])
+    def test_qos_needs_a_table3_deployment(self, app):
+        match = f"unknown QoS deployment '{app}' \\(known: sirius, websearch\\)"
+        with pytest.raises(ConfigurationError, match=match):
+            ScenarioSpec.qos(app, "baseline", 4.0, 60.0)
+        payload = dict(ScenarioSpec.qos("sirius", "baseline", 4.0, 60.0).to_dict(), app=app)
+        with pytest.raises(ConfigurationError, match=match):
+            ScenarioSpec.from_json(json.dumps(payload))
+
+    def test_every_app_validates_with_its_full_allocation(self):
+        for app in APPS:
+            allocation = {stage: StageAllocation(1, 6) for stage in app_stage_names(app)}
+            spec = ScenarioSpec.latency(
+                app, "static", ("constant", 1.0), 60.0, allocation=allocation
+            )
+            assert ScenarioSpec.from_json(spec.to_json()) == spec
+
+    def test_stage_names_match_the_profiles_the_builder_makes(self):
+        for app in APPS:
+            names = tuple(profile.name for profile, _ in app_stages(app))
+            assert app_stage_names(app) == names
+
+    def test_both_lookups_refuse_an_unknown_app_alike(self):
+        match = "unknown app 'siri' \\(known: nlp, sirius, websearch\\)"
+        with pytest.raises(ConfigurationError, match=match):
+            app_stage_names("siri")
+        with pytest.raises(ConfigurationError, match=match):
+            app_stages("siri")
 
 
 class TestRoundTrip:

@@ -422,6 +422,23 @@ class TestProtocolEdges:
         with _client(path) as ctl:
             assert ctl.call("ping") == {"pong": True, "runs": 0}
 
+    def test_unknown_app_spec_is_refused_and_the_daemon_keeps_serving(
+        self, daemon
+    ):
+        _, path = daemon
+        spec = dict(SPEC.to_dict(), app="siri")
+        answer = self._raw(
+            path,
+            json.dumps({"id": 8, "cmd": "submit", "args": {"spec": spec}}).encode()
+            + b"\n",
+        )
+        assert answer["id"] == 8
+        assert answer["ok"] is False
+        assert answer["error"]["type"] == "ConfigurationError"
+        assert "unknown app 'siri'" in answer["error"]["message"]
+        with _client(path) as ctl:
+            assert ctl.call("ping") == {"pong": True, "runs": 0}
+
     def test_line_limit_applies_per_line_not_per_read(self, daemon):
         _, path = daemon
 
