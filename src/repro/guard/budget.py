@@ -8,9 +8,9 @@ acting to fix it).  :func:`apply_budget_change` is the one sanctioned
 path: the request is clamped to the feasible floor — the draw reachable
 with every running instance at the ladder minimum — the cap is moved,
 and any resulting overdraw is corrected immediately by stepping the
-hottest instances down (the same enforcement order the
-:class:`~repro.guard.supervisor.SupervisedController` cap monitor
-uses), with the whole adjustment recorded as a typed
+hottest instances down (:func:`~repro.guard.ladder.step_down_hottest`,
+the step-down the supervisor's cap enforcement uses too), with the
+whole adjustment recorded as a typed
 :class:`~repro.obs.audit.BudgetChangeEntry`.
 
 :func:`retarget_slo` is the analogous sanctioned path for moving a live
@@ -25,14 +25,13 @@ from dataclasses import dataclass
 from typing import Any, Optional
 
 from repro.errors import ClusterError
-from repro.units import EPSILON_WATTS
 from repro.cluster.budget import PowerBudget
 from repro.core.controller import BaseController
+from repro.guard.ladder import step_down_hottest
 from repro.obs.audit import AuditLog, BudgetChangeEntry, SloRetargetEntry
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.slo import SloTracker
 from repro.service.application import Application
-from repro.service.instance import ServiceInstance
 
 __all__ = [
     "BudgetChange",
@@ -102,18 +101,6 @@ def feasible_floor_watts(
     return max(0.0, float(budget.draw()) - reducible)
 
 
-def _hottest_running(application: Application) -> Optional[ServiceInstance]:
-    """The enforcement victim order the supervisor's cap monitor uses."""
-    candidates = [
-        instance
-        for instance in application.running_instances()
-        if instance.level > instance.core.ladder.min_level
-    ]
-    if not candidates:
-        return None
-    return max(candidates, key=lambda i: (i.level, i.name))
-
-
 def apply_budget_change(
     *,
     budget: PowerBudget,
@@ -145,13 +132,9 @@ def apply_budget_change(
     applied = max(float(requested_watts), floor)
     clamped = applied > float(requested_watts)
     budget.budget_watts = applied
-    step_downs = 0
-    while budget.draw() > budget.budget_watts + EPSILON_WATTS:
-        victim = _hottest_running(application)
-        if victim is None:
-            break
-        controller.set_instance_level(victim, victim.level - 1, "budget-change")
-        step_downs += 1
+    step_downs = step_down_hottest(
+        controller, budget, application, budget.budget_watts, "budget-change"
+    )
     budget.assert_within()
     change = BudgetChange(
         time=now,

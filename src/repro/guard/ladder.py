@@ -12,6 +12,10 @@ supervisor can swap them in without touching the stack:
   instance is pinned to the highest common DVFS level the budget funds
   (net of health-monitor reservations).  No feedback, no estimates, no
   way to oscillate — the rung of last resort.
+
+:func:`step_down_hottest` is the one cap step-down in the guard: the
+conserve rung, the supervisor's cap enforcement and a live budget
+change all shed power through it, each with its own limit and reason.
 """
 
 from __future__ import annotations
@@ -24,10 +28,39 @@ from repro.cluster.dvfs import DvfsActuator
 from repro.core.controller import BaseController, ControllerConfig
 from repro.service.application import Application
 from repro.service.command_center import CommandCenter
-from repro.service.instance import ServiceInstance
 from repro.sim.engine import Simulator
 
-__all__ = ["ConserveController", "SafeModeController"]
+__all__ = ["ConserveController", "SafeModeController", "step_down_hottest"]
+
+
+def step_down_hottest(
+    controller: BaseController,
+    budget: PowerBudget,
+    application: Application,
+    limit_watts: float,
+    reason: str,
+) -> int:
+    """Step instances down one rung at a time until ``budget`` draws no
+    more than ``limit_watts``; returns the number of steps taken.
+
+    Each step goes to the hottest running instance above its ladder
+    floor, ties broken by name, and is logged on ``controller`` as a
+    frequency change with ``reason``.  It stops early when every running
+    instance sits at its floor.
+    """
+    steps = 0
+    while budget.draw() > limit_watts + EPSILON_WATTS:
+        candidates = [
+            instance
+            for instance in application.running_instances()
+            if instance.level > instance.core.ladder.min_level
+        ]
+        if not candidates:
+            break
+        victim = max(candidates, key=lambda i: (i.level, i.name))
+        controller.set_instance_level(victim, victim.level - 1, reason)
+        steps += 1
+    return steps
 
 
 class ConserveController(BaseController):
@@ -48,25 +81,11 @@ class ConserveController(BaseController):
         super().__init__(sim, application, command_center, budget, dvfs, config)
         self.headroom = float(headroom)
 
-    def _hottest(self) -> Optional[ServiceInstance]:
-        candidates = [
-            instance
-            for instance in self.application.running_instances()
-            if instance.level > instance.core.ladder.min_level
-        ]
-        if not candidates:
-            return None
-        return max(candidates, key=lambda i: (i.level, i.name))
-
     def adjust(self, now: float) -> None:
         target = self.budget.budget_watts * self.headroom
-        stepped = 0
-        while self.budget.draw() > target + EPSILON_WATTS:
-            victim = self._hottest()
-            if victim is None:
-                break
-            self.set_instance_level(victim, victim.level - 1, reason="conserve")
-            stepped += 1
+        stepped = step_down_hottest(
+            self, self.budget, self.application, target, "conserve"
+        )
         if stepped == 0:
             self._skip(
                 f"draw {self.budget.draw():.2f} W within conserve target "

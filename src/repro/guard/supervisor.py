@@ -23,14 +23,17 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Deque, List, Optional, Tuple
 
-from repro.units import EPSILON_WATTS
 from repro.cluster.budget import PowerBudget
 from repro.cluster.dvfs import DvfsActuator
 from repro.cluster.telemetry import PowerTelemetry
 from repro.core.controller import BaseController, ControllerConfig
 from repro.guard.actuator import ClampingActuator
 from repro.guard.config import GuardConfig
-from repro.guard.ladder import ConserveController, SafeModeController
+from repro.guard.ladder import (
+    ConserveController,
+    SafeModeController,
+    step_down_hottest,
+)
 from repro.guard.monitors import (
     BudgetCapMonitor,
     EstimateSanityMonitor,
@@ -45,7 +48,6 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.slo import SloTracker
 from repro.service.application import Application
 from repro.service.command_center import CommandCenter
-from repro.service.instance import ServiceInstance
 from repro.sim.engine import Simulator
 
 __all__ = ["GuardSummary", "SupervisedController"]
@@ -273,30 +275,25 @@ class SupervisedController(BaseController):
         """Directly correct a budget-cap breach before the invariant assert.
 
         The ladder reacts on the next tick; the cap cannot wait for it.
-        Steps the hottest instance down until draw fits, each step
-        logged as a ``guard-enforce`` frequency change.
+        Steps the hottest instance down until draw fits
+        (:func:`~repro.guard.ladder.step_down_hottest`), each step logged
+        as a ``guard-enforce`` frequency change.
         """
-        while self.budget.draw() > self.budget.budget_watts + EPSILON_WATTS:
-            victim = self._hottest_running()
-            if victim is None:
-                break
-            self.set_instance_level(victim, victim.level - 1, "guard-enforce")
-            self.enforced_step_downs += 1
-            if self.metrics is not None:
-                self.metrics.counter(
-                    "repro_guard_enforced_stepdowns_total",
-                    "Frequency step-downs forced by the budget-cap guard",
-                ).inc(controller=self.name)
-
-    def _hottest_running(self) -> Optional[ServiceInstance]:
-        candidates = [
-            instance
-            for instance in self.application.running_instances()
-            if instance.level > instance.core.ladder.min_level
-        ]
-        if not candidates:
-            return None
-        return max(candidates, key=lambda i: (i.level, i.name))
+        steps = step_down_hottest(
+            self,
+            self.budget,
+            self.application,
+            self.budget.budget_watts,
+            "guard-enforce",
+        )
+        if steps == 0:
+            return
+        self.enforced_step_downs += steps
+        if self.metrics is not None:
+            self.metrics.counter(
+                "repro_guard_enforced_stepdowns_total",
+                "Frequency step-downs forced by the budget-cap guard",
+            ).inc(steps, controller=self.name)
 
     def _walk_ladder(self, now: float, fresh: List[GuardViolation]) -> None:
         if fresh:

@@ -1,29 +1,21 @@
 """repro-lint: domain-aware static analysis for the reproduction.
 
-The test suite can only *sample* the controller's arithmetic invariants —
-Equation 1 bottleneck metrics, Equation 2/3 boost estimates, budget
-conservation across recycle/withdraw — so this package checks the
-properties that must hold *everywhere* at the source level instead:
+The test suite can only *sample* the simulation, so this package checks
+the properties that must hold *everywhere* at the source level and that
+no test or generic linter sees:
 
 * determinism — no wall clock inside the simulator, controller or
   service layers, no unseeded randomness anywhere, and no iteration over
   sets where loops feed the event queue (``wall-clock``,
   ``unseeded-random``, ``unordered-iteration``);
-* unit discipline — no arithmetic mixing watts, gigahertz and seconds
-  (``unit-mismatch``);
-* parallel-engine safety — everything crossing the
-  :mod:`repro.experiments.parallel` process boundary must be module-level
-  and picklable (``pickle-fanout``);
-* observability hygiene — metric names are literal constants matching
-  the naming convention and registered consistently (``metric-name``,
-  ``metric-duplicate``);
-* dataclass invariants — frozen where shared
-  (``dataclass-frozen-shared``);
 * stack assembly — experiment stacks come from the scenario layer
   (``scenario-bypass``).
 
-Every rule is one pass over each module's AST, plus an optional
-cross-module ``finish()``.
+Every rule is one pass over each module's AST and decides from that
+module alone.  Hygiene that a runtime check already enforces is left
+there: :class:`~repro.obs.metrics.MetricsRegistry` refuses a metric name
+off the convention and a conflicting kind or help text, and the
+:mod:`repro.units` wrappers are checked by ``mypy --strict``.
 
 Entry points: :func:`repro.lint.runner.lint_paths` (API), ``repro lint``
 (CLI) and ``tests/lint/`` (the self-clean gate).  Findings are

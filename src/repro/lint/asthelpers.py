@@ -9,8 +9,6 @@ __all__ = [
     "dotted_name",
     "import_origins",
     "resolve_call_target",
-    "unit_of_identifier",
-    "UNIT_SUFFIXES",
 ]
 
 
@@ -66,24 +64,3 @@ def resolve_call_target(
         return name
     return f"{origin}.{rest}" if rest else origin
 
-
-#: Identifier-suffix heuristics mapping names to physical units.  Keys
-#: are tried longest-first so ``_seconds`` wins over ``_s``.
-UNIT_SUFFIXES: tuple[tuple[str, str], ...] = (
-    ("_watts", "W"),
-    ("_joules", "J"),
-    ("_seconds", "s"),
-    ("_ghz", "GHz"),
-    ("_hz", "Hz"),
-    ("_qps", "qps"),
-    ("_s", "s"),
-)
-
-
-def unit_of_identifier(name: str) -> Optional[str]:
-    """Infer a unit from an identifier's suffix (``budget_watts`` -> W)."""
-    lowered = name.lower()
-    for suffix, unit in UNIT_SUFFIXES:
-        if lowered.endswith(suffix):
-            return unit
-    return None

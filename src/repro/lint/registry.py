@@ -1,11 +1,8 @@
 """The pluggable checker registry.
 
 One checker class per rule id.  Every rule is a single AST pass: it
-sees each in-scope module once through :meth:`Checker.check` and may
-hold state across modules for a final cross-module pass in
-:meth:`Checker.finish` (the ``metric-duplicate`` rule works that way).
-Instances are single-use: the runner instantiates fresh checkers per
-run so ``finish`` state can never leak between runs.
+sees each in-scope module once through :meth:`Checker.check` and
+decides from that module alone.
 """
 
 from __future__ import annotations
@@ -43,10 +40,6 @@ class Checker(ABC):
     @abstractmethod
     def check(self, module: SourceModule) -> Iterator[Finding]:
         """Yield findings for one module (already scope-filtered)."""
-
-    def finish(self) -> Iterator[Finding]:
-        """Cross-module findings, after every module has been checked."""
-        return iter(())
 
     def finding(
         self,

@@ -1,8 +1,7 @@
 """Discover files, run every checker, aggregate the report.
 
 One pass: each file is parsed once and handed to every in-scope checker
-before the next file is read; cross-module rules decide in ``finish()``
-after the last file.
+before the next file is read.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from typing import Iterable, Optional, Sequence, Union
 from repro.errors import ConfigurationError
 from repro.lint.findings import Finding, LintReport
 from repro.lint.registry import CheckerRegistry, default_registry
-from repro.lint.source import SourceModule, Suppressions
+from repro.lint.source import SourceModule
 
 __all__ = ["lint_paths", "discover_files", "package_relative"]
 
@@ -91,8 +90,6 @@ def lint_paths(
     registry = registry if registry is not None else default_registry()
     checkers = registry.instantiate(select)
     report = LintReport()
-    raw_findings: list[Finding] = []
-    suppressions_by_path: dict[str, Suppressions] = {}
 
     for file, root in discover_files(paths):
         package_path = package_relative(file, root)
@@ -100,7 +97,7 @@ def lint_paths(
         try:
             module = SourceModule.parse(file, package_path)
         except SyntaxError as error:
-            raw_findings.append(
+            report.findings.append(
                 Finding(
                     path=str(file),
                     package_path=package_path,
@@ -112,22 +109,14 @@ def lint_paths(
                 )
             )
             continue
-        suppressions_by_path[str(file)] = module.suppressions
         for checker in checkers:
-            if module.in_scope(checker.scope):
-                raw_findings.extend(checker.check(module))
-
-    for checker in checkers:
-        raw_findings.extend(checker.finish())
-
-    for finding in raw_findings:
-        suppressions = suppressions_by_path.get(finding.path)
-        if suppressions is not None and suppressions.covers(
-            finding.line, finding.rule
-        ):
-            report.suppressed += 1
-        else:
-            report.findings.append(finding)
+            if not module.in_scope(checker.scope):
+                continue
+            for finding in checker.check(module):
+                if module.suppressions.covers(finding.line, finding.rule):
+                    report.suppressed += 1
+                else:
+                    report.findings.append(finding)
 
     report.findings.sort(key=Finding.sort_key)
     return report

@@ -13,7 +13,8 @@ The attribution-and-accounting plane rides on top of them:
 
 * :mod:`repro.obs.attribution` — every completed query's end-to-end
   latency decomposed into queue / service / hop / retry / fault
-  components that sum exactly to the measured total;
+  components that sum exactly to the measured total whenever a float
+  ``hop`` allows it, and otherwise within one ulp of it;
 * :mod:`repro.obs.slo` — windowed SLO attainment and error-budget burn
   against a latency objective;
 * :mod:`repro.obs.energy` — the sampled power integral split per stage,

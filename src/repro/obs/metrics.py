@@ -25,6 +25,7 @@ Design constraints:
 from __future__ import annotations
 
 import math
+import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, ClassVar, Mapping, Optional, Sequence, Union
@@ -68,6 +69,11 @@ _LabelValue = Union[str, int, float]
 _LabelKey = tuple[tuple[str, str], ...]
 
 _INF = math.inf
+
+#: The name every instrument is created under: Prometheus-style snake
+#: case with the ``repro_`` prefix.  Variability belongs in label
+#: values, not in name fragments.
+_NAME_RE = re.compile(r"^repro_[a-z][a-z0-9_]*$")
 
 
 def _label_key(labels: Mapping[str, _LabelValue]) -> _LabelKey:
@@ -298,36 +304,53 @@ class Histogram:
 class MetricsRegistry:
     """A namespace of instruments with a Prometheus text exporter.
 
+    Every instrument is created here, so this is where metric hygiene
+    is enforced.  A new name must match ``^repro_[a-z][a-z0-9_]*$``.
     Re-requesting a name returns the existing instrument (so producers
     scattered across modules share counters without plumbing), but a
-    kind mismatch — asking for a counter where a gauge lives — is a
-    configuration error, never a silent aliasing.
+    kind mismatch — asking for a counter where a gauge lives — or a
+    non-empty help text other than the registered one is a
+    configuration error, never a silent aliasing of two series.  The
+    registry cannot see that a name was computed: a name built from a
+    label value creates one instrument per value, which the pinned
+    Prometheus digests catch instead.
     """
 
     def __init__(self) -> None:
         self._instruments: dict[str, Union[Counter, Gauge, Histogram]] = {}
 
     # ------------------------------------------------------------------
-    def _get(self, name: str, kind: type) -> Union[Counter, Gauge, Histogram, None]:
+    def _get(
+        self, name: str, kind: type, help_text: str
+    ) -> Union[Counter, Gauge, Histogram, None]:
         existing = self._instruments.get(name)
         if existing is None:
+            if _NAME_RE.fullmatch(name) is None:
+                raise ConfigurationError(
+                    f"metric name {name!r} does not match {_NAME_RE.pattern}"
+                )
             return None
         if not isinstance(existing, kind):
             raise ConfigurationError(
                 f"metric {name!r} is a {type(existing).__name__}, "
                 f"not a {kind.__name__}"
             )
+        if help_text and help_text != existing.help_text:
+            raise ConfigurationError(
+                f"metric {name!r} is registered with help "
+                f"{existing.help_text!r}, not {help_text!r}"
+            )
         return existing
 
     def counter(self, name: str, help_text: str = "") -> Counter:
-        existing = self._get(name, Counter)
+        existing = self._get(name, Counter, help_text)
         if existing is None:
             existing = Counter(name, help_text)
             self._instruments[name] = existing
         return existing
 
     def gauge(self, name: str, help_text: str = "") -> Gauge:
-        existing = self._get(name, Gauge)
+        existing = self._get(name, Gauge, help_text)
         if existing is None:
             existing = Gauge(name, help_text)
             self._instruments[name] = existing
@@ -339,7 +362,7 @@ class MetricsRegistry:
         help_text: str = "",
         buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS_S,
     ) -> Histogram:
-        existing = self._get(name, Histogram)
+        existing = self._get(name, Histogram, help_text)
         if existing is None:
             existing = Histogram(name, help_text, buckets)
             self._instruments[name] = existing

@@ -5,8 +5,9 @@ runtime — watts, gigahertz, simulated seconds, joules — and the bugs the
 paper's Algorithm 1 is most sensitive to (a budget compared against a
 frequency, a latency added to a power draw) are invisible to the
 interpreter.  This module gives each quantity a :func:`typing.NewType`
-wrapper so ``mypy --strict`` and the ``unit-mismatch`` lint rule can see
-them, at zero runtime cost (a ``NewType`` call is the identity function).
+wrapper so ``mypy --strict`` (run over this module, ``core/`` and
+``cluster/``) can see them, at zero runtime cost (a ``NewType`` call is
+the identity function).
 
 Conventions
 -----------

@@ -20,6 +20,7 @@ from repro.core.baselines import (
 )
 from repro.core.controller import ControllerConfig, PowerChiefController
 from repro.errors import ConfigurationError
+from repro.obs.metrics import MetricsRegistry
 from repro.service.command_center import CommandCenter
 from repro.service.instance import Job
 from repro.service.query import Query
@@ -81,6 +82,28 @@ class TestStaticController:
         sim.run(until=60.0)
         assert [inst.level for inst in two_stage_app.all_instances()] == levels_before
         assert all(isinstance(action, SkipAction) for action in controller.actions)
+
+
+class TestSafetyClamp:
+    def test_retuning_a_crashed_instance_is_refused_and_counted(
+        self, sim, two_stage_app, machine
+    ):
+        controller, _, _ = make_controller(
+            StaticController, sim, two_stage_app, machine
+        )
+        registry = MetricsRegistry()
+        controller.attach_metrics(registry)
+        stage = two_stage_app.stage("B")
+        victim = stage.instances[0]
+        stage.crash_instance(victim)
+        controller.set_instance_level(victim, LEVEL_1_2, "test")
+        assert controller.safety_clamps == 1
+        assert registry.counter("repro_controller_safety_clamps_total").value(
+            controller=controller.name
+        ) == 1
+        (skip,) = controller.actions
+        assert isinstance(skip, SkipAction)
+        assert skip.reason.startswith("safety clamp: retune (test)")
 
 
 def make_single_instance_app(sim, machine):

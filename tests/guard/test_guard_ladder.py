@@ -7,6 +7,7 @@ from repro.cluster.dvfs import DvfsActuator
 from repro.cluster.frequency import HASWELL_LADDER
 from repro.core.actions import FrequencyChangeAction, SkipAction
 from repro.guard import ConserveController, SafeModeController
+from repro.guard.ladder import step_down_hottest
 from repro.service.command_center import CommandCenter
 from repro.units import EPSILON_WATTS
 
@@ -54,6 +55,41 @@ class TestConserveController:
         controller.adjust(0.0)
         assert [i.level for i in two_stage_app.all_instances()] == levels_before
         assert isinstance(controller.actions[-1], SkipAction)
+
+
+class TestStepDownHottest:
+    def test_one_step_goes_to_the_hottest_ties_broken_by_name(
+        self, sim, two_stage_app, machine
+    ):
+        controller, budget = build(
+            ConserveController, sim, two_stage_app, machine, 100.0
+        )
+        running = two_stage_app.running_instances()
+        assert len({i.level for i in running}) == 1  # a tie on level
+        limit = float(budget.draw()) - 2 * EPSILON_WATTS
+        assert step_down_hottest(controller, budget, two_stage_app, limit, "t") == 1
+        (move,) = controller.actions
+        assert isinstance(move, FrequencyChangeAction)
+        assert move.instance_name == max(i.name for i in running)
+        assert (move.from_level, move.to_level, move.reason) == (
+            LEVEL_1_8,
+            LEVEL_1_8 - 1,
+            "t",
+        )
+
+    def test_sheds_hottest_first_and_stops_at_the_floor(
+        self, sim, two_stage_app, machine
+    ):
+        controller, budget = build(
+            ConserveController, sim, two_stage_app, machine, 100.0
+        )
+        running = two_stage_app.running_instances()
+        floor = HASWELL_LADDER.min_level
+        rungs = sum(i.level - floor for i in running)
+        assert step_down_hottest(controller, budget, two_stage_app, 0.0, "t") == rungs
+        assert all(i.level == floor for i in running)
+        from_levels = [move.from_level for move in controller.actions]
+        assert from_levels == sorted(from_levels, reverse=True)
 
 
 class TestSafeModeController:

@@ -156,10 +156,20 @@ class TestCapEnforcement:
         supervisor, budget = build_supervisor(
             sim, two_stage_app, machine, budget_watts=draw * 0.8
         )
+        registry = MetricsRegistry()
+        supervisor.attach_metrics(registry)
         supervisor.adjust(10.0)
         assert budget.draw() <= budget.budget_watts + EPSILON_WATTS
         assert supervisor.enforced_step_downs > 0
         assert any(v.monitor == "budget-cap" for v in supervisor.violations)
+        enforced = [
+            action
+            for action in supervisor.actions
+            if getattr(action, "reason", None) == "guard-enforce"
+        ]
+        assert len(enforced) == supervisor.enforced_step_downs
+        counter = registry.counter("repro_guard_enforced_stepdowns_total")
+        assert counter.value(controller=supervisor.name) == len(enforced)
 
     def test_enforcement_stops_at_the_ladder_floor(self, sim, machine):
         from repro.service.application import Application
@@ -173,9 +183,13 @@ class TestCapEnforcement:
         supervisor, budget = build_supervisor(
             sim, app, machine, budget_watts=floor_draw * 0.5
         )
+        registry = MetricsRegistry()
+        supervisor.attach_metrics(registry)
         supervisor.adjust(10.0)  # nothing above the floor: cannot shed
         assert budget.draw() > budget.budget_watts
         assert supervisor.enforced_step_downs == 0
+        # No step-down, no series: the exposition is what it was.
+        assert registry.get("repro_guard_enforced_stepdowns_total") is None
 
 
 class TestAggregation:

@@ -535,196 +535,6 @@ class TestUnorderedIteration:
         assert report.clean
 
 
-class TestUnitMismatch:
-    def test_fires_on_mixed_addition_and_comparison(self, tmp_path):
-        write_tree(
-            tmp_path,
-            {
-                "core/bad.py": """\
-                def total(power_watts: float, freq_ghz: float) -> float:
-                    return power_watts + freq_ghz
-
-
-                def over(budget_watts: float, delay_s: float) -> bool:
-                    return budget_watts < delay_s
-                """
-            },
-        )
-        report = lint_paths([tmp_path], select=["unit-mismatch"])
-        assert fired(report) == [("unit-mismatch", 2), ("unit-mismatch", 6)]
-        assert "W" in report.findings[0].message
-        assert "GHz" in report.findings[0].message
-
-    def test_same_unit_and_multiplication_are_allowed(self, tmp_path):
-        write_tree(
-            tmp_path,
-            {
-                "core/ok.py": """\
-                def combine(idle_watts: float, busy_watts: float, dt_s: float):
-                    total_watts = idle_watts + busy_watts
-                    energy_joules = total_watts * dt_s
-                    return total_watts, energy_joules
-                """
-            },
-        )
-        report = lint_paths([tmp_path], select=["unit-mismatch"])
-        assert report.clean
-
-    def test_newtype_constructors_carry_units(self, tmp_path):
-        write_tree(
-            tmp_path,
-            {
-                "cluster/bad.py": """\
-                from repro.units import Ghz, Watts
-
-
-                def broken():
-                    return Watts(5.0) + Ghz(1.2)
-                """
-            },
-        )
-        report = lint_paths([tmp_path], select=["unit-mismatch"])
-        assert fired(report) == [("unit-mismatch", 5)]
-
-    def test_file_wide_suppression(self, tmp_path):
-        write_tree(
-            tmp_path,
-            {
-                "cluster/bad.py": """\
-                # repro-lint: disable-file=unit-mismatch
-                def headroom(budget_watts: float, freq_ghz: float) -> float:
-                    return budget_watts - freq_ghz
-                """
-            },
-        )
-        report = lint_paths([tmp_path], select=["unit-mismatch"])
-        assert report.clean
-        assert report.suppressed == 1
-
-
-class TestPickleFanout:
-    def test_fires_on_lambda_and_closure(self, tmp_path):
-        write_tree(
-            tmp_path,
-            {
-                "experiments/bad.py": """\
-                def drive(cells):
-                    results = run_cells(lambda cell: cell, cells)
-
-                    def helper(cell):
-                        return cell
-
-                    more = run_cells(helper, cells)
-                    return results, more
-                """
-            },
-        )
-        report = lint_paths([tmp_path], select=["pickle-fanout"])
-        assert fired(report) == [("pickle-fanout", 2), ("pickle-fanout", 7)]
-        assert "closure 'helper'" in report.findings[1].message
-
-    def test_executor_submit_is_covered(self, tmp_path):
-        write_tree(
-            tmp_path,
-            {
-                "experiments/bad.py": """\
-                def drive(executor, cells):
-                    return [executor.submit(lambda c: c, cell) for cell in cells]
-                """
-            },
-        )
-        report = lint_paths([tmp_path], select=["pickle-fanout"])
-        assert fired(report) == [("pickle-fanout", 2)]
-
-    def test_module_level_callables_are_allowed(self, tmp_path):
-        write_tree(
-            tmp_path,
-            {
-                "experiments/ok.py": """\
-                def run_one(cell):
-                    return cell
-
-
-                def drive(cells):
-                    return run_cells(run_one, cells)
-                """
-            },
-        )
-        report = lint_paths([tmp_path], select=["pickle-fanout"])
-        assert report.clean
-
-    def test_out_of_scope_directories_are_exempt(self, tmp_path):
-        write_tree(
-            tmp_path,
-            {
-                "core/helpers.py": """\
-                def drive(cells):
-                    return run_cells(lambda cell: cell, cells)
-                """
-            },
-        )
-        report = lint_paths([tmp_path], select=["pickle-fanout"])
-        assert report.clean
-
-
-class TestMetricName:
-    def test_fires_on_bad_and_computed_names(self, tmp_path):
-        write_tree(
-            tmp_path,
-            {
-                "obs/bad.py": """\
-                def register(registry, suffix):
-                    registry.counter("BadName")
-                    registry.gauge("repro_" + suffix)
-                    registry.histogram("repro_cell_latency_s")
-                """
-            },
-        )
-        report = lint_paths([tmp_path], select=["metric-name"])
-        assert fired(report) == [("metric-name", 2), ("metric-name", 3)]
-        assert "does not match" in report.findings[0].message
-        assert "literal string constant" in report.findings[1].message
-
-
-class TestMetricDuplicate:
-    def test_cross_module_kind_conflict(self, tmp_path):
-        write_tree(
-            tmp_path,
-            {
-                "obs/first.py": """\
-                def register(registry):
-                    registry.counter("repro_cells_total", "cells run")
-                """,
-                "obs/second.py": """\
-                def register(registry):
-                    registry.gauge("repro_cells_total", "cells run")
-                """,
-            },
-        )
-        report = lint_paths([tmp_path], select=["metric-duplicate"])
-        assert fired(report) == [("metric-duplicate", 2)]
-        finding = report.findings[0]
-        assert finding.path.endswith("second.py")
-        assert "instrument kind" in finding.message
-
-    def test_consistent_reregistration_is_allowed(self, tmp_path):
-        write_tree(
-            tmp_path,
-            {
-                "obs/first.py": """\
-                def register(registry):
-                    registry.counter("repro_cells_total", "cells run")
-                """,
-                "obs/second.py": """\
-                def register(registry):
-                    registry.counter("repro_cells_total", "cells run")
-                """,
-            },
-        )
-        report = lint_paths([tmp_path], select=["metric-duplicate"])
-        assert report.clean
-
-
 #: The mutable defaults ``@dataclass`` must reject, as written in a field.
 MUTABLE_DEFAULTS = (
     "[]",
@@ -768,47 +578,6 @@ class TestDataclassRules:
             with pytest.raises(ValueError, match="mutable default"):
                 exec(source, dict(namespace))
 
-    def test_frozen_shared_fires_on_value_like_class(self, tmp_path):
-        write_tree(
-            tmp_path,
-            {
-                "core/value.py": """\
-                from dataclasses import dataclass
-
-
-                @dataclass
-                class Sample:
-                    time_s: float
-                    power_watts: float
-                """
-            },
-        )
-        report = lint_paths([tmp_path], select=["dataclass-frozen-shared"])
-        assert fired(report) == [("dataclass-frozen-shared", 5)]
-        assert "Sample" in report.findings[0].message
-
-    def test_frozen_shared_respects_cross_module_mutation(self, tmp_path):
-        write_tree(
-            tmp_path,
-            {
-                "core/value.py": """\
-                from dataclasses import dataclass
-
-
-                @dataclass
-                class Sample:
-                    time_s: float
-                    power_watts: float
-                """,
-                "core/mutator.py": """\
-                def reset(sample):
-                    sample.power_watts = 0.0
-                """,
-            },
-        )
-        report = lint_paths([tmp_path], select=["dataclass-frozen-shared"])
-        assert report.clean
-
 
 class TestParseError:
     def test_unparsable_file_becomes_a_finding(self, tmp_path):
@@ -830,12 +599,12 @@ class TestSuppressionWildcard:
             tmp_path,
             {
                 "core/bad.py": """\
-                def total(power_watts, freq_ghz):
-                    return power_watts + freq_ghz  # repro-lint: disable=all
+                def pick(names):
+                    return [n for n in set(names)]  # repro-lint: disable=all
                 """
             },
         )
-        report = lint_paths([tmp_path], select=["unit-mismatch"])
+        report = lint_paths([tmp_path], select=["unordered-iteration"])
         assert report.clean
         assert report.suppressed == 1
 
@@ -916,3 +685,23 @@ class TestScenarioBypass:
         report = lint_paths([tmp_path], select=["scenario-bypass"])
         assert report.clean
         assert report.suppressed == 1
+
+    def test_file_wide_suppression(self, tmp_path):
+        write_tree(
+            tmp_path,
+            {
+                "experiments/harness.py": """\
+                # repro-lint: disable-file=scenario-bypass
+                from repro.cluster import Machine, PowerBudget
+                from repro.sim import Simulator
+
+
+                def assemble():
+                    machine = Machine(Simulator(), n_cores=4)
+                    return PowerBudget(machine, 20.0)
+                """
+            },
+        )
+        report = lint_paths([tmp_path], select=["scenario-bypass"])
+        assert report.clean
+        assert report.suppressed == 2

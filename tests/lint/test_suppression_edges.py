@@ -89,41 +89,42 @@ class TestStandaloneComments:
         assert report.suppressed == 1
 
 
+#: A host-clock read in a default argument anchors at the ``def`` line,
+#: below its decorator.
+DECORATED_DEF = """\
+import functools
+import time
+
+
+{above}
+@functools.lru_cache(maxsize=None){inline}
+def stamp(at=time.time()):
+    return at
+"""
+
+
 class TestDecoratedDefs:
+    def test_unsuppressed_finding_anchors_at_the_def(self, tmp_path):
+        source = DECORATED_DEF.format(above="", inline="")
+        write_tree(tmp_path, {"sim/a.py": source})
+        report = lint_paths([tmp_path], select=["wall-clock"])
+        assert [f.line for f in report.findings] == [7]
+
     def test_comment_above_decorator_covers_the_def(self, tmp_path):
-        write_tree(
-            tmp_path,
-            {
-                "sim/a.py": """\
-                from dataclasses import dataclass
-
-
-                # repro-lint: disable=dataclass-frozen-shared
-                @dataclass(eq=True)
-                class Point:
-                    x: int
-                """
-            },
+        source = DECORATED_DEF.format(
+            above="# repro-lint: disable=wall-clock", inline=""
         )
-        report = lint_paths([tmp_path], select=["dataclass-frozen-shared"])
+        write_tree(tmp_path, {"sim/a.py": source})
+        report = lint_paths([tmp_path], select=["wall-clock"])
         assert report.clean
         assert report.suppressed == 1
 
     def test_comment_on_decorator_line_covers_the_def(self, tmp_path):
-        write_tree(
-            tmp_path,
-            {
-                "sim/a.py": """\
-                from dataclasses import dataclass
-
-
-                @dataclass(eq=True)  # repro-lint: disable=dataclass-frozen-shared
-                class Point:
-                    x: int
-                """
-            },
+        source = DECORATED_DEF.format(
+            above="", inline="  # repro-lint: disable=wall-clock"
         )
-        report = lint_paths([tmp_path], select=["dataclass-frozen-shared"])
+        write_tree(tmp_path, {"sim/a.py": source})
+        report = lint_paths([tmp_path], select=["wall-clock"])
         assert report.clean
         assert report.suppressed == 1
 
@@ -136,16 +137,18 @@ class TestMultilineStatements:
             tmp_path,
             {
                 "core/a.py": """\
-                def mix(budget_watts, window_s):
-                    limit_watts = budget_watts
-                    total = limit_watts + (
-                        window_s  # repro-lint: disable=unit-mismatch
+                import time
+
+
+                def stamp(offset_s):
+                    total = time.time() + (
+                        offset_s  # repro-lint: disable=wall-clock
                     )
                     return total
                 """
             },
         )
-        report = lint_paths([tmp_path], select=["unit-mismatch"])
+        report = lint_paths([tmp_path], select=["wall-clock"])
         assert report.clean
         assert report.suppressed == 1
 
@@ -154,17 +157,19 @@ class TestMultilineStatements:
             tmp_path,
             {
                 "core/a.py": """\
-                def mix(budget_watts, window_s):
-                    limit_watts = budget_watts
-                    total = limit_watts + (
-                        window_s
+                import time
+
+
+                def stamp(offset_s):
+                    total = time.time() + (
+                        offset_s
                     )
                     return total
                 """
             },
         )
-        report = lint_paths([tmp_path], select=["unit-mismatch"])
-        assert [f.line for f in report.findings] == [3]
+        report = lint_paths([tmp_path], select=["wall-clock"])
+        assert [f.line for f in report.findings] == [5]
 
 
 class TestSuppressionScoping:

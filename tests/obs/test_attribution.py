@@ -1,24 +1,30 @@
-"""The attribution invariant: components sum exactly to measured latency.
+"""The attribution invariant: components sum to measured latency.
 
-These tests run real scenarios through the builder with the accounting
-pillars armed and pin the contract the module docstring promises — every
-completed query's five components sum *bit-exactly* to its end-to-end
-latency, on plain latency runs, QoS runs and chaos runs alike — plus the
-roll-up, serialisation and tail layers on top.
+The module docstring promises that a query's five components, added
+left to right, equal its end-to-end latency exactly whenever some float
+``hop`` makes that possible, and are otherwise within one ulp of it.
+:class:`TestHopCloseOut` pins both halves on ``(covered, e2e)`` pairs,
+including one for which no float ``hop`` exists.  The scenario tests run
+real runs through the builder with the accounting pillars armed and
+check that every completed query sums *bit-exactly* there, on plain
+latency runs, QoS runs and chaos runs alike; plus the roll-up,
+serialisation and tail layers on top.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import struct
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.cluster.frequency import HASWELL_LADDER
 from repro.errors import ConfigurationError
-from repro.obs import AttributionCollector, MetricsRegistry
+from repro.obs import AttributionCollector, MetricsRegistry, Observability
 from repro.obs.attribution import (
     COMPONENTS,
     TRANSIT_STAGE,
@@ -33,8 +39,13 @@ from repro.obs.attribution import (
 )
 from repro.scenario.builder import StackBuilder
 from repro.scenario.spec import ScenarioSpec
+from repro.service.application import Application
 from repro.service.query import Query
 from repro.service.records import AttemptRecord, StageRecord
+from repro.service.resilience import RetryPolicy
+from repro.sim.rng import RandomStreams
+
+from tests.conftest import make_profile
 
 ACCOUNTING = ("trace", "metrics", "audit", "attribution", "slo", "energy")
 
@@ -243,6 +254,36 @@ class TestSpanFallback:
         assert live
         for item in live:
             assert by_qid[item.qid].to_dict() == item.to_dict()
+
+
+class TestTerminalFailure:
+    def test_a_query_that_exhausts_its_retries_is_counted_twice(
+        self, sim, machine
+    ):
+        # One attempt of at most 0.5 s against 5 s of work: the query
+        # fails terminally, counted by the application and the collector.
+        registry = MetricsRegistry()
+        application = Application(
+            "solo", sim, machine, observability=Observability(metrics=registry)
+        )
+        stage = application.add_stage(make_profile("S", mean=1.0))
+        stage.launch_instance(HASWELL_LADDER.min_level)
+        application.attach_resilience(
+            RetryPolicy(timeout_s=0.5, max_attempts=1, jitter_fraction=0.0),
+            RandomStreams(1),
+            registry,
+        )
+        collector = AttributionCollector(registry=registry)
+        collector.attach(application)
+        application.submit(Query(0, {"S": 5.0}))
+        sim.run()
+        assert application.timed_out == 1
+        assert collector.report().failed == 1
+        assert collector.attributions == []
+        timed_out = registry.counter("repro_queries_timed_out_total")
+        assert timed_out.value(app="solo") == 1
+        failures = registry.counter("repro_attribution_failures_total")
+        assert failures.value() == 1
 
 
 class TestCollectorBounds:
@@ -644,3 +685,73 @@ class TestCollectorKeepsFacts:
         ]
         assert built[2].components["fault"] == 1.0
         assert built[2].components["retry_backoff"] == 0.5
+
+
+def _float_bits(value: float) -> int:
+    return struct.unpack("<q", struct.pack("<d", value))[0]
+
+
+def _bits_float(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+
+def _exact_hop_exists(covered: float, e2e: float) -> bool:
+    """Whether some float ``hop`` gives ``covered + hop == e2e``.
+
+    ``covered + hop`` rounds monotonically in ``hop``, and non-negative
+    floats order as their bit patterns do, so a binary search over the
+    bits of ``[0, e2e]`` finds the smallest ``hop`` that reaches ``e2e``.
+    """
+    low, high = _float_bits(0.0), _float_bits(e2e)
+    while low < high:
+        middle = (low + high) // 2
+        if covered + _bits_float(middle) >= e2e:
+            high = middle
+        else:
+            low = middle + 1
+    return covered + _bits_float(low) == e2e
+
+
+def _one_service_interval(covered: float, e2e: float) -> QueryAttribution:
+    """A query served over ``[0, covered]`` inside ``[0, e2e]``."""
+    return _attribute(0, 0.0, e2e, e2e, False, ((0.0, 0.0, covered, "ASR"),), ())
+
+
+@st.composite
+def _covered_and_e2e(draw):
+    e2e = draw(
+        st.floats(min_value=1e-9, max_value=1e4, allow_subnormal=False)
+    )
+    fraction = draw(st.floats(min_value=0.0, max_value=1.0))
+    return min(e2e, e2e * fraction), e2e
+
+
+#: A service interval and window for which no float ``hop`` sums exactly.
+NO_EXACT_HOP = (0.013976156881900157, 0.0510171503227743)
+
+
+class TestHopCloseOut:
+    """``hop`` is closed out so the sum is exact when a float allows it,
+    and within one ulp of ``e2e`` otherwise."""
+
+    def test_no_float_hop_sums_exactly_so_the_sum_is_one_ulp_low(self):
+        covered, e2e = NO_EXACT_HOP
+        assert not _exact_hop_exists(covered, e2e)
+        attribution = _one_service_interval(covered, e2e)
+        assert attribution.components["service"] == covered
+        total = _component_total(attribution)
+        assert total == 0.05101715032277429
+        assert e2e - total == math.ulp(e2e)
+
+    @settings(max_examples=500, deadline=None)
+    @given(_covered_and_e2e())
+    @example(NO_EXACT_HOP)
+    def test_exact_when_a_hop_allows_it_else_within_one_ulp(self, pair):
+        covered, e2e = pair
+        attribution = _one_service_interval(covered, e2e)
+        assert attribution.components["service"] == covered
+        total = _component_total(attribution)
+        if _exact_hop_exists(covered, e2e):
+            assert total == e2e
+        else:
+            assert abs(total - e2e) <= math.ulp(e2e)

@@ -7,11 +7,6 @@ bucket and the interpolated estimate can never be more than one bucket
 width away.
 """
 
-# These tests exercise the registry's own validation with deliberately
-# short / conflicting metric names, which is exactly what the naming
-# rules exist to forbid in production code.
-# repro-lint: disable-file=metric-name,metric-duplicate
-
 from __future__ import annotations
 
 import math
@@ -193,31 +188,89 @@ class TestHistogram:
 class TestMetricsRegistry:
     def test_get_or_create_shares_instruments(self):
         registry = MetricsRegistry()
-        first = registry.counter("c_total", "help")
-        second = registry.counter("c_total")
+        first = registry.counter("repro_c_total", "help")
+        second = registry.counter("repro_c_total")
         assert first is second
         assert len(registry) == 1
 
     def test_kind_mismatch_is_an_error(self):
         registry = MetricsRegistry()
-        registry.counter("name")
+        registry.counter("repro_name")
         with pytest.raises(ConfigurationError):
-            registry.gauge("name")
+            registry.gauge("repro_name")
         with pytest.raises(ConfigurationError):
-            registry.histogram("name")
+            registry.histogram("repro_name")
 
     def test_render_prometheus_is_sorted_and_complete(self):
         registry = MetricsRegistry()
-        registry.counter("b_total", "b").inc()
-        registry.gauge("a_gauge", "a").set(1.0)
+        registry.counter("repro_b_total", "b").inc()
+        registry.gauge("repro_a_gauge", "a").set(1.0)
         text = registry.render_prometheus()
-        assert text.index("a_gauge") < text.index("b_total")
+        assert text.index("repro_a_gauge") < text.index("repro_b_total")
         assert text.endswith("\n")
-        assert registry.names() == ["a_gauge", "b_total"]
+        assert registry.names() == ["repro_a_gauge", "repro_b_total"]
 
     def test_empty_registry_renders_empty(self):
         assert MetricsRegistry().render_prometheus() == ""
         assert MetricsRegistry().get("missing") is None
+
+
+#: One request per instrument kind: (method, extra keyword arguments).
+KINDS = [("counter", {}), ("gauge", {}), ("histogram", {"buckets": (1.0,)})]
+
+
+class TestMetricHygiene:
+    """The registry creates every instrument, so it refuses a name off
+    the convention and a second, conflicting help text."""
+
+    @pytest.mark.parametrize("kind, extra", KINDS)
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "c_total",
+            "repro_",
+            "repro_Power_watts",
+            "repro_power-watts",
+            "repro_1st_total",
+            "repro_power watts",
+            "repro_power_watts\n",
+            "",
+        ],
+    )
+    def test_a_name_off_the_pattern_is_refused_when_created(
+        self, kind, extra, name
+    ):
+        registry = MetricsRegistry()
+        with pytest.raises(ConfigurationError, match="does not match"):
+            getattr(registry, kind)(name, "help", **extra)
+        assert len(registry) == 0
+
+    @pytest.mark.parametrize("kind, extra", KINDS)
+    def test_a_different_help_text_is_refused(self, kind, extra):
+        registry = MetricsRegistry()
+        request = getattr(registry, kind)
+        request("repro_things_total", "Things counted", **extra)
+        with pytest.raises(ConfigurationError, match="registered with help"):
+            request("repro_things_total", "Things counted twice", **extra)
+        assert registry.get("repro_things_total").help_text == "Things counted"
+
+    def test_a_help_text_is_refused_where_none_was_registered(self):
+        registry = MetricsRegistry()
+        registry.counter("repro_things_total")
+        with pytest.raises(ConfigurationError, match="registered with help"):
+            registry.counter("repro_things_total", "Things counted")
+
+    @pytest.mark.parametrize("kind, extra", KINDS)
+    def test_the_same_help_or_none_returns_the_same_instrument(
+        self, kind, extra
+    ):
+        registry = MetricsRegistry()
+        request = getattr(registry, kind)
+        first = request("repro_things_total", "Things counted", **extra)
+        assert request("repro_things_total", "Things counted", **extra) is first
+        assert request("repro_things_total", **extra) is first
+        assert request("repro_things_total", "", **extra) is first
+        assert registry.names() == ["repro_things_total"]
 
 
 def _winning_bucket_width(value: float) -> float:
@@ -303,7 +356,7 @@ class TestPrometheusEscaping:
 
     def test_registry_render_has_no_raw_newlines_inside_lines(self):
         registry = MetricsRegistry()
-        registry.counter("c_total", "bad\nhelp").inc(label="a\nb")
+        registry.counter("repro_c_total", "bad\nhelp").inc(label="a\nb")
         for line in registry.render_prometheus().splitlines():
             parsed_ok = line.startswith("#") or "{" in line or line == ""
             assert parsed_ok, f"unparseable exposition line: {line!r}"

@@ -157,9 +157,13 @@ class TestKeptRecords:
                 kept.append(span)
             else:
                 dropped += 1
-            # Drops are counted when emitted, not when read.
+            # Drops are counted when emitted, not when read.  The counter
+            # is read without creating it: the buffer registers it, with
+            # its help text, at the first drop.
             assert buffer.dropped == dropped
-            assert registry.counter("repro_trace_spans_dropped_total").value() == dropped
+            counter = registry.get("repro_trace_spans_dropped_total")
+            assert (0 if counter is None else counter.value()) == dropped
+            assert (counter is None) == (dropped == 0)
             assert len(buffer) == len(kept)
         assert buffer.spans == tuple(kept)
         assert spans_to_jsonl(buffer.spans) == spans_to_jsonl(kept)
