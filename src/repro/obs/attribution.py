@@ -24,8 +24,8 @@ window.  Labelled intervals (clipped to the window) partition it into
 elementary segments; each segment takes the highest-priority label
 present (service > queue > fault > retry_backoff), which makes the
 overlapping records of a scatter-gather stage well-defined.  ``hop`` is
-the residual, closed out so the five components, added left to right in
-:data:`COMPONENTS` order, sum bit-exactly to
+the residual ``e2e - covered``, so the five components, added left to
+right in :data:`COMPONENTS` order, sum bit-exactly to
 ``Query.end_to_end_latency`` whenever some float ``hop`` gives that sum,
 and otherwise to within one ulp of it — the invariant the test suite
 pins.  (No float ``hop`` sums exactly for about 2% of uniformly drawn
@@ -263,9 +263,9 @@ def _attribute(
     losses: Sequence[_Interval],
 ) -> QueryAttribution:
     """Book the visits and lost intervals over ``[arrival, completion]``,
-    then close out ``hop`` so the components sum to ``e2e``: exactly
-    whenever some float ``hop`` gives ``covered + hop == e2e``, and
-    otherwise within one ulp of ``e2e``.
+    then book the residual as ``hop``, so the components sum to ``e2e``:
+    exactly whenever some float ``hop`` gives ``covered + hop == e2e``,
+    and otherwise within one ulp of ``e2e``.
 
     With no lost interval and the visits in order (:func:`_in_order`),
     the sweep's segments are exactly each visit's queue then service
@@ -288,10 +288,9 @@ def _attribute(
             intervals.append((start, finish, "service", stage))
         intervals.extend(losses)
         _sweep(intervals, arrival, completion, components, per_stage)
-    # Hop is the residual; a fix-up pass absorbs float-summation noise
-    # so the five components sum exactly to the measured latency when a
-    # float hop can.  When none can, it settles one ulp away.  Both sums
-    # add left to right in COMPONENTS order.
+    # Hop is the residual.  Then ``covered + hop`` (the left-to-right
+    # sum in COMPONENTS order) is exactly ``e2e`` whenever some float
+    # hop makes it so, and one ulp away otherwise.
     covered = (
         components["queue"]
         + components["service"]
@@ -299,11 +298,6 @@ def _attribute(
         + components["retry_backoff"]
     )
     hop = e2e - covered
-    for _ in range(4):
-        total = covered + hop
-        if total == e2e:
-            break
-        hop += e2e - total
     components["hop"] = hop
     per_stage.setdefault(TRANSIT_STAGE, {})["hop"] = hop
     return QueryAttribution(
@@ -354,7 +348,7 @@ def attributions_from_spans(spans: Iterable["Span"]) -> list[QueryAttribution]:
     retry components are zero (failed attempts never produced a span).
     The arrival/completion stamps are approximated by the envelope, so
     the sum-to-e2e invariant holds against that envelope.  Booking and
-    close-out are :func:`attribute_query`'s, so on a fault-free run
+    the residual are :func:`attribute_query`'s, so on a fault-free run
     with no hop delay the two agree query for query.
     """
     by_qid: dict[int, list[_Visit]] = {}

@@ -71,7 +71,8 @@ class Application:
         self._stage_by_name: dict[str, Stage] = {}
         # One pre-bound onward route per stage index: creating a fresh
         # closure per submit per stage is pure allocation churn, and the
-        # routes never change once the topology is built.
+        # routes never change once the topology is built.  Without a
+        # fabric a route advances the query directly.
         self._hop_callbacks: list[Callable[[Query], None]] = []
         self._iid_counter = itertools.count(0)
         self._listeners: list[CompletionListener] = []
@@ -111,7 +112,8 @@ class Application:
         )
         self._stages.append(stage)
         self._stage_by_name[profile.name] = stage
-        self._hop_callbacks.append(partial(self._hop, len(self._stages)))
+        route = self._advance if self.fabric is None else self._hop
+        self._hop_callbacks.append(partial(route, len(self._stages)))
         stage.add_crash_listener(self._on_instance_crash)
         return stage
 
@@ -222,9 +224,9 @@ class Application:
             self._metrics.counter(
                 "repro_queries_submitted_total", "Queries injected into the pipeline"
             ).inc(app=self.name)
-        self._advance(query, 0)
+        self._advance(0, query)
 
-    def _advance(self, query: Query, stage_index: int) -> None:
+    def _advance(self, stage_index: int, query: Query) -> None:
         stages = self._stages
         if stage_index >= len(stages):
             query.completion_time = self.sim._now
@@ -279,17 +281,15 @@ class Application:
             listener(query)
 
     def _hop(self, next_index: int, query: Query) -> None:
-        """Route onward, over the fabric when there is one."""
-        if self.fabric is None:
-            self._advance(query, next_index)
-            return
+        """Route onward over the fabric."""
+        assert self.fabric is not None
         src = f"stage:{self._stages[next_index - 1].name}"
         dst = (
             f"stage:{self._stages[next_index].name}"
             if next_index < len(self._stages)
             else "user"
         )
-        self.fabric.send(src, dst, lambda: self._advance(query, next_index))
+        self.fabric.send(src, dst, lambda: self._advance(next_index, query))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         names = " -> ".join(self.stage_names())

@@ -6,12 +6,13 @@ identifier then calculates the latency metrics such as average and 99%
 percentile queuing and serving delay of each service instance using the
 latency statistics." (Section 4.1)
 
-The command center hears from each query once, on completion, but its
-statistics are read only when a controller or monitor ticks.  So
-:meth:`CommandCenter.ingest` just queues the query; its records are
-filed into a moving :class:`LatencyWindow` per instance when a statistic
-is next read, or once the oldest queued query is older than the window,
-so a center that nobody reads stays bounded.
+The command center hears from each query once, on completion, and
+:meth:`CommandCenter.ingest` files the query's records into a moving
+:class:`LatencyWindow` per instance at once.  Its statistics are read
+only when a controller or monitor ticks, so the windows put off their
+sorting and trimming until a read.  Once the first query filed since the
+last trim is a window old, ingest trims every window, so a center that
+nobody reads stays bounded.
 
 A freshly launched instance has no history, so lookups fall back from
 the instance window to its stage's pooled samples and finally to the
@@ -31,7 +32,6 @@ from repro.errors import ConfigurationError
 from repro.service.application import Application
 from repro.service.instance import ServiceInstance
 from repro.service.query import Query
-from repro.service.records import StageRecord
 from repro.service.window import LatencyWindow
 from repro.sim.engine import Simulator
 from repro.util.percentile import LatencySummary, summarize
@@ -58,10 +58,9 @@ class CommandCenter:
         self.application = application
         self.window_s = float(window_s)
         self.e2e_window_s = float(e2e_window_s)
-        #: The record lists of completed queries not yet filed into the
-        #: windows, and the completion time of the oldest of them.
-        self._pending: list[list[StageRecord]] = []
-        self._pending_since = 0.0
+        #: When the first query filed since the windows were last
+        #: trimmed together completed (``None``: none since).
+        self._untrimmed_since: Optional[float] = None
         self._instance_windows: dict[str, LatencyWindow] = {}
         self._windows_by_stage: dict[str, list[LatencyWindow]] = {}
         #: Stage name -> (time, pooled avg queuing, pooled avg serving).
@@ -79,17 +78,35 @@ class CommandCenter:
 
         One ingest call is one statistics message: the query carried every
         instance's record along, so the command center hears from the
-        pipeline exactly once per query.  Its records wait in a queue
-        until :meth:`_file_pending` files them.
+        pipeline exactly once per query.  Each complete record is filed
+        into its instance's window now.
         """
         self._stats_messages += 1
         now = self.sim._now
-        pending = self._pending
-        if not pending:
-            self._pending_since = now
-        pending.append(query.records)
-        if now - self._pending_since > self.window_s:
-            self._file_pending()
+        windows = self._instance_windows
+        for record in query.records:
+            start = record.start_time
+            finish = record.finish_time
+            if start is None or finish is None:
+                continue
+            window = windows.get(record.instance_name)
+            if window is None:
+                window = LatencyWindow(self.window_s)
+                windows[record.instance_name] = window
+                self._windows_by_stage.setdefault(record.stage_name, []).append(
+                    window
+                )
+            window.add(finish, start - record.enqueue_time, finish - start)
+        if self._pooled:
+            self._pooled.clear()
+        since = self._untrimmed_since
+        if since is None:
+            self._untrimmed_since = now
+        elif now - since > self.window_s:
+            # No later read can see a sample older than ``now - window_s``.
+            for window in windows.values():
+                window.trim(now)
+            self._untrimmed_since = None
         latency = query.end_to_end_latency
         self._all_latencies.append(latency)
         recent = self._recent_e2e
@@ -98,36 +115,7 @@ class CommandCenter:
         while recent and recent[0][0] < cutoff:
             recent.popleft()
 
-    def _file_pending(self) -> None:
-        """File the queued records into their instance windows.
-
-        Then trim every window to the current time, read or not: no
-        later read can see an older sample.
-        """
-        windows = self._instance_windows
-        for records in self._pending:
-            for record in records:
-                start = record.start_time
-                finish = record.finish_time
-                if start is None or finish is None:
-                    continue
-                window = windows.get(record.instance_name)
-                if window is None:
-                    window = LatencyWindow(self.window_s)
-                    windows[record.instance_name] = window
-                    self._windows_by_stage.setdefault(record.stage_name, []).append(
-                        window
-                    )
-                window.add(finish, start - record.enqueue_time, finish - start)
-        self._pending.clear()
-        self._pooled.clear()
-        now = self.sim._now
-        for window in windows.values():
-            window.trim(now)
-
     def _window(self, instance: ServiceInstance) -> Optional[LatencyWindow]:
-        if self._pending:
-            self._file_pending()
         return self._instance_windows.get(instance.name)
 
     def _stage_pool(
@@ -138,7 +126,7 @@ class CommandCenter:
         The stage's instance windows are merged in (finish time, ingest
         sequence) order, the order one window fed every record of the
         stage would hold, so the averages sum in the same order.  The
-        result is kept until the clock moves or records are filed.
+        result is kept until the clock moves or a query is ingested.
         """
         stage = instance.stage_name
         pooled = self._pooled.get(stage)
@@ -254,8 +242,6 @@ class CommandCenter:
     @property
     def naive_stats_messages(self) -> int:
         """Messages a report-per-instance-visit design would have sent."""
-        if self._pending:
-            self._file_pending()
         return sum(
             window.total_ingested for window in self._instance_windows.values()
         )

@@ -4,6 +4,11 @@ The paper load-balances queries across the service instances of a stage
 (Figure 3) without prescribing a policy; join-the-shortest-queue is used
 here because it is what a Thrift-style connection pool with backpressure
 approximates.
+
+Every pool a :class:`~repro.service.stage.Stage` hands out is in launch
+order, which is ascending iid order: instances are only ever appended,
+with ids drawn from one increasing counter, and removing one keeps the
+order of the rest.  :func:`shortest_queue` relies on that order.
 """
 
 from __future__ import annotations
@@ -17,22 +22,23 @@ __all__ = ["shortest_queue"]
 
 
 def shortest_queue(instances: Sequence[ServiceInstance]) -> ServiceInstance:
-    """The instance with the shortest queue; ties go to the smaller iid."""
+    """The instance with the shortest queue; ties go to the smaller iid.
+
+    ``instances`` must be in ascending iid order.  Then the first
+    instance with the least queue length is the one with the smaller
+    iid, and the first empty queue ends the scan: no queue is shorter.
+    """
     if not instances:
         raise StageError("cannot dispatch: stage has no running instances")
-    # Manual argmin over (queue_length, iid).  This runs once per query
-    # per stage; reading the queue fields directly instead of building a
-    # key tuple through the queue_length property keeps the whole scan
-    # in one bytecode loop.  Tie-break: strictly smaller iid wins,
-    # matching min()'s first-of-equals (the first instance compares
-    # equal to itself and is kept).
+    # Manual argmin, reading the maintained queue length directly: this
+    # runs once per query per stage.
     best = instances[0]
     best_len = best._qlen
-    best_iid = best.iid
     for inst in instances:
         length = inst._qlen
-        if length < best_len or (length == best_len and inst.iid < best_iid):
+        if not length:
+            return inst
+        if length < best_len:
             best = inst
             best_len = length
-            best_iid = inst.iid
     return best

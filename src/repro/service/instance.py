@@ -133,6 +133,7 @@ class ServiceInstance:
         "_busy_since",
         "_queries_served",
         "_speedup_by_level",
+        "_complete_cb",
     )
 
     def __init__(
@@ -181,6 +182,9 @@ class ServiceInstance:
         self._busy_accumulated = 0.0
         self._busy_since: Optional[float] = None
         self._queries_served = 0
+        # Bound once: reading ``self._complete`` makes a new bound method
+        # each time, and every served job schedules a completion.
+        self._complete_cb = self._complete
         core.add_observer(self._on_frequency_change)
         if machine is not None:
             machine.add_occupancy_listener(self._on_occupancy_change)
@@ -275,7 +279,12 @@ class ServiceInstance:
     # Work submission
     # ------------------------------------------------------------------
     def enqueue(self, job: Job) -> None:
-        """Accept a job; only RUNNING instances take new work."""
+        """Accept a job; only RUNNING instances take new work.
+
+        An idle instance starts the job at once; a busy or hung one
+        queues it.  A running instance that is neither busy nor hung has
+        an empty queue, so the job would be next anyway.
+        """
         if self._state is not InstanceState.RUNNING:
             raise InstanceStateError(
                 f"instance {self.name} is {self._state.value}; cannot enqueue"
@@ -290,10 +299,11 @@ class ServiceInstance:
         job.record = StageRecord(
             self.iid, self.name, self.stage_name, enqueue_time, None, None, self._qlen
         )
-        self._queue.append(job)
         self._qlen += 1
         if self._current is None and not self._hung:
-            self._start_next()
+            self._start(job)
+        else:
+            self._queue.append(job)
 
     # ------------------------------------------------------------------
     # Boosting support
@@ -445,16 +455,20 @@ class ServiceInstance:
             self._completion = None
 
     def repair(self) -> None:
-        """Undo :meth:`hang`: resume serving from the banked progress."""
+        """Undo :meth:`hang`: resume serving from the banked progress.
+
+        A draining instance resumes too: a hung instance withdrawn while
+        holding a job finishes that job, and then its drain.
+        """
         if not self._hung:
             return
         self._hung = False
-        if self._state is not InstanceState.RUNNING:
+        if self._state not in (InstanceState.RUNNING, InstanceState.DRAINING):
             return
         if self._current is not None:
             self._start_segment()
         elif self._queue:
-            self._start_next()
+            self._start(self._queue.popleft())
 
     def degrade(self, factor: float) -> None:
         """Apply a work-rate multiplier (``factor < 1`` slows the instance).
@@ -508,7 +522,7 @@ class ServiceInstance:
         self._remaining_work = 0.0
         job.record = None
         if self._queue and not self._hung:
-            self._start_next()
+            self._start(self._queue.popleft())
         elif self._busy_since is not None:
             self._busy_accumulated += self.sim.now - self._busy_since
             self._busy_since = None
@@ -546,11 +560,12 @@ class ServiceInstance:
             rate *= self._degrade_factor
         self._segment_rate = rate
         self._completion = sim.schedule(
-            self._remaining_work / rate, self._complete, priority=_COMPLETION
+            self._remaining_work / rate, self._complete_cb, priority=_COMPLETION
         )
 
-    def _start_next(self) -> None:
-        job = self._queue.popleft()
+    def _start(self, job: Job) -> None:
+        """Put ``job`` on the core: stamp its record's start and open its
+        first serving segment.  The only place a job starts."""
         self._current = job
         self._remaining_work = job.work
         now = self.sim._now
@@ -579,7 +594,7 @@ class ServiceInstance:
         self._completion = None
         self._remaining_work = 0.0
         if self._queue:
-            self._start_next()
+            self._start(self._queue.popleft())
         elif self._busy_since is not None:
             self._busy_accumulated += now - self._busy_since
             self._busy_since = None

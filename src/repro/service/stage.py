@@ -319,7 +319,10 @@ class Stage:
         if not running:
             raise StageError(f"stage {self.name} has no running instances")
         if self.kind is _PIPELINE:
-            work = query.demand_for(self.name)
+            try:
+                work = query.demands[self.name]
+            except KeyError:
+                work = query.demand_for(self.name)  # raises the ServiceError
             shortest_queue(running).enqueue(Job(query, work, on_stage_done))
         else:
             self._submit_scatter_gather(query, running, on_stage_done)

@@ -15,7 +15,10 @@ sequence too keeps equal times in arrival order: the order a store that
 inserted each late sample after any equal timestamps would hold.  A
 trimmed sample is gone for good, which is safe when reads, like the
 simulator's clock, never run backwards and never precede a sample
-already added.
+already added.  A window that is fed but never read stays bounded only
+if its owner calls :meth:`LatencyWindow.trim`: the command center, which
+adds each sample as its query is ingested, trims all of its windows
+together once a window span has passed since its last such trim.
 
 Because the sequence is shared, :meth:`LatencyWindow.merged` can pool
 several windows into the order a single window fed all of their samples

@@ -96,7 +96,9 @@ class Event:
         a no-op as well (the work cannot be undone), which keeps callers
         that race against completions simple.
         """
-        if not self._cancelled and not self._fired and self._owner is not None:
+        if self._cancelled or self._fired:
+            return
+        if self._owner is not None:
             self._owner._note_cancelled(self)
         self._cancelled = True
 

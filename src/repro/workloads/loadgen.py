@@ -36,6 +36,8 @@ __all__ = [
     "PoissonLoadGenerator",
 ]
 
+_ARRIVAL = EventPriority.ARRIVAL
+
 
 class LoadTrace(ABC):
     """Arrival rate (queries/second) as a function of simulated time."""
@@ -209,6 +211,9 @@ class PoissonLoadGenerator:
         self.trace = trace
         self.duration_s = float(duration_s)
         self._arrival_stream = streams.stream("arrivals")
+        # Bound once: reading ``self._arrive`` makes a new bound method
+        # each time, and every arrival schedules the next.
+        self._arrive_cb = self._arrive
         self._started = False
         self._end_time: Optional[float] = None
         self.queries_submitted = 0
@@ -229,9 +234,7 @@ class PoissonLoadGenerator:
         assert self._end_time is not None
         if arrival_time > self._end_time:
             return
-        self.sim.schedule_at(
-            arrival_time, self._arrive, priority=EventPriority.ARRIVAL
-        )
+        self.sim.schedule_at(arrival_time, self._arrive_cb, priority=_ARRIVAL)
 
     def _arrive(self) -> None:
         query = self.factory.create()

@@ -731,8 +731,8 @@ NO_EXACT_HOP = (0.013976156881900157, 0.0510171503227743)
 
 
 class TestHopCloseOut:
-    """``hop`` is closed out so the sum is exact when a float allows it,
-    and within one ulp of ``e2e`` otherwise."""
+    """``hop`` is the residual, so the sum is exact when a float allows
+    it, and within one ulp of ``e2e`` otherwise."""
 
     def test_no_float_hop_sums_exactly_so_the_sum_is_one_ulp_low(self):
         covered, e2e = NO_EXACT_HOP

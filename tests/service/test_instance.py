@@ -70,6 +70,23 @@ class TestServing:
         assert record.queuing_time == pytest.approx(1.0)
         assert record.serving_time == pytest.approx(1.0)
 
+    def test_idle_instance_starts_a_job_on_arrival(self, sim, instance):
+        instance.core.set_level(LEVEL_2_4)
+        sim.run(until=0.5)
+        done = []
+        first = submit(instance, 1, 1.0, done)
+        second = submit(instance, 2, 1.0, done)
+        assert instance.busy
+        assert instance.waiting_count == 1
+        sim.run()
+        record = first.record_for("SVC")
+        assert record.start_time == record.enqueue_time == 0.5
+        assert record.queue_at_arrival == 0
+        assert record.service_level == LEVEL_2_4
+        queued = second.record_for("SVC")
+        assert queued.queue_at_arrival == 1
+        assert queued.start_time == record.finish_time
+
     def test_record_appended_to_query_on_completion(self, sim, instance):
         done = []
         query = submit(instance, 1, 1.0, done)

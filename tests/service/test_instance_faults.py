@@ -118,10 +118,35 @@ class TestHangRepair:
         job_for(instance, 1, 1.0, done)
         sim.run(until=5.0)
         assert instance.waiting_count == 1
+        assert instance.queue_length == 1
         assert not instance.busy
         instance.repair()
         sim.run()
         assert len(done) == 1
+        record = done[0].records[0]
+        assert (record.enqueue_time, record.start_time) == (0.0, 5.0)
+        assert record.queue_at_arrival == 0
+
+    def test_repair_resumes_a_draining_instance(self, sim, stage):
+        # Withdrawn while hung and holding a job: repair must finish the
+        # job and then the drain, releasing the core.
+        done: list = []
+        instance = stage.launch_instance(LEVEL)
+        stage.launch_instance(LEVEL)
+        job_for(instance, 1, 1.0, done)
+        sim.run(until=0.2)
+        instance.hang()
+        stage.withdraw_instance(instance)
+        assert instance.state is InstanceState.DRAINING
+        sim.run(until=0.5)
+        instance.repair()
+        sim.run(until=100.0)
+        assert len(done) == 1
+        # 0.2 s served before the hang; the other 0.8 s after t=0.5.
+        assert done[0].records[0].finish_time == pytest.approx(1.3)
+        assert instance.state is InstanceState.WITHDRAWN
+        assert instance not in stage.instances
+        assert not instance.core.active
 
     def test_crash_clears_hang_so_repair_is_noop(self, sim, stage):
         instance = stage.launch_instance(LEVEL)

@@ -51,20 +51,22 @@ class TestDispatchers:
         assert shortest_queue([a, b]) is b
 
     def test_shortest_queue_ties_break_by_iid(self, stage):
-        a, b = self.make_instances(stage, 2)
-        assert shortest_queue([b, a]) is a
+        a, b, c = self.make_instances(stage, 3)
+        assert shortest_queue([a, b, c]) is a
+        for instance, length in ((a, 2), (b, 1), (c, 1)):
+            for _ in range(length):
+                instance.enqueue(Job(Query(1, {"SVC": 1.0}), 1.0, lambda q: None))
+        assert shortest_queue([a, b, c]) is b
 
     def test_empty_pool_rejected(self):
         with pytest.raises(StageError):
             shortest_queue([])
 
     @settings(max_examples=200, deadline=None)
-    @given(
-        lengths=st.lists(st.integers(0, 3), min_size=1, max_size=8),
-        order=st.randoms(use_true_random=False),
-    )
-    def test_shortest_queue_is_min_by_queue_length_then_iid(self, lengths, order):
-        # The reference any faster dispatch must reproduce, ties included.
+    @given(lengths=st.lists(st.integers(0, 3), min_size=1, max_size=8))
+    def test_shortest_queue_is_min_by_queue_length_then_iid(self, lengths):
+        # The reference any faster dispatch must reproduce, ties included,
+        # on a pool in launch (ascending iid) order, as stages hand out.
         sim = Simulator()
         stage = Stage(
             name="SVC",
@@ -79,9 +81,53 @@ class TestDispatchers:
                 instance.enqueue(
                     Job(Query(qid, {"SVC": 1.0}), 1.0, lambda q: None)
                 )
-        order.shuffle(pool)
         expected = min(pool, key=lambda inst: (inst._qlen, inst.iid))
         assert shortest_queue(pool) is expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from(["launch", "withdraw", "crash", "load", "run"]),
+                st.integers(0, 15),
+            ),
+            max_size=40,
+        )
+    )
+    def test_pools_stay_in_launch_order(self, ops):
+        # Launches, withdrawals, crashes and respawns (a launch after a
+        # crash) keep every running pool strictly ascending in iid, so
+        # shortest_queue's precondition holds on each pool a stage hands
+        # out.
+        sim = Simulator()
+        stage = Stage(
+            name="SVC",
+            profile=make_profile("SVC", mean=1.0),
+            machine=Machine(sim, n_cores=64),
+            sim=sim,
+            iid_counter=itertools.count(0),
+        )
+        stage.launch_instance(LEVEL_1_2)
+        qids = itertools.count()
+        for op, pick in ops:
+            running = stage._running()
+            if op == "launch":
+                stage.launch_instance(LEVEL_1_2)
+            elif op == "withdraw" and len(running) > 1:
+                stage.withdraw_instance(running[pick % len(running)])
+            elif op == "crash" and stage.instances:
+                stage.crash_instance(stage.instances[pick % len(stage.instances)])
+            elif op == "load" and running:
+                for _ in range(pick % 4):
+                    submit(stage, next(qids), 1.0, [])
+            elif op == "run":
+                sim.run(until=sim.now + pick / 4)
+            pool = stage._running()
+            iids = [inst.iid for inst in pool]
+            assert iids == sorted(set(iids))
+            if pool:
+                expected = min(pool, key=lambda inst: (inst._qlen, inst.iid))
+                assert shortest_queue(pool) is expected
 
 
 class TestStagePool:

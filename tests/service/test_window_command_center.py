@@ -8,9 +8,10 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.service.command_center import CommandCenter
+from repro.service.records import StageRecord
 from repro.service.window import LatencyWindow
 
-from tests.conftest import submit_two_stage_query
+from tests.conftest import make_query, submit_two_stage_query
 
 
 class TestLatencyWindow:
@@ -149,22 +150,43 @@ class TestCommandCenterIngestion:
         assert command_center.recent_latency_max() > command_center.recent_latency_avg()
 
     def test_unread_center_stays_bounded(self, sim, two_stage_app):
-        # Nothing reads this center, so only ingest itself, filing the
-        # queue once its oldest query is a window old, keeps it bounded.
+        # Nothing reads this center, so only ingest itself, trimming every
+        # window once the first query filed since the last trim is a
+        # window old, keeps it bounded.
         center = CommandCenter(sim, two_stage_app, window_s=10.0)
         peak = 0
         for qid in range(100):  # one query a second for ten windows
             submit_two_stage_query(two_stage_app, qid)
             sim.run(until=qid + 1.0)
-            queued = sum(len(records) for records in center._pending)
             stored = sum(
                 len(window._samples) for window in center._instance_windows.values()
             )
-            peak = max(peak, queued + stored)
+            peak = max(peak, stored)
         assert center.stats_messages == 100
-        # Two records a query; at most 11 queries wait in the queue and
-        # the windows keep at most 11 queries' samples: two windows' worth.
+        # Two records a query; a trim leaves at most 11 queries' samples
+        # and at most 11 more are filed before the next: two windows' worth.
         assert 0 < peak <= 2 * 2 * 11
+
+    def test_ingest_at_the_read_instant_reaches_the_stage_pool(
+        self, sim, two_stage_app, command_center
+    ):
+        submit_two_stage_query(two_stage_app, 1, b=1.0)
+        sim.run()
+        fresh = two_stage_app.stage("B").launch_instance(0)
+        # Served from the stage pool, which is cached for this instant.
+        assert command_center.avg_serving(fresh) == pytest.approx(1.0 * 2 / 3)
+        instance_b = two_stage_app.stage("B").instances[0]
+        now = sim.now
+        query = make_query(2, A=0.0, B=1.0)
+        query.arrival_time, query.completion_time = now - 1.0, now
+        query.records.append(
+            StageRecord(instance_b.iid, instance_b.name, "B", now - 1.0, now - 1.0, now)
+        )
+        command_center.ingest(query)
+        # Same instant: the second read must see the new 1.0 s sample.
+        assert command_center.avg_serving(fresh) == pytest.approx(
+            (1.0 * 2 / 3 + 1.0) / 2
+        )
 
 
 class TestFreshInstanceFallbacks:

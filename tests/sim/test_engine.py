@@ -170,6 +170,7 @@ class TestCancellation:
         event.cancel()
         assert fired == ["x"]
         assert event.fired
+        assert not event.cancelled
 
     def test_cancelled_events_skipped_in_peek(self, sim):
         first = sim.schedule(1.0, lambda: None)
