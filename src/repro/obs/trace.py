@@ -2,9 +2,9 @@
 
 The service/query joint design already stamps enqueue / start / finish
 times into each :class:`~repro.service.records.StageRecord`; the tracer
-keeps the completed records in a bounded in-memory buffer and turns their
-stamps into :class:`Span` records — one per (query, instance) visit —
-when the trace is first read.  Two export formats:
+keeps each completed record's fields in a bounded in-memory buffer and
+turns them into :class:`Span` records — one per (query, instance) visit
+— when the trace is first read.  Two export formats:
 
 * **JSONL** — one span object per line, trivially greppable and
   schema-checked by the CI smoke step;
@@ -46,6 +46,9 @@ __all__ = [
 
 #: Chrome trace events use microsecond timestamps.
 _US = 1e6
+
+#: A span's fields, in :class:`Span`'s order.
+_Fields = tuple[int, str, int, str, float, float, float, int, int, float]
 
 
 def _check_order(
@@ -151,9 +154,10 @@ class TraceBuffer:
     cheap.  ``dropped`` says exactly how much is missing.
 
     The completion path keeps facts: :meth:`emit_record` checks the
-    record's order and keeps ``(qid, work, record)``, and each span is
-    built from its kept record, in order, when first read.  A record is
-    never written after its instance completes it.
+    record's order and keeps its fields as one flat tuple of numbers and
+    strings, which the garbage collector stops tracking after its first
+    pass (the record itself would stay tracked for the rest of the run).
+    Each span is built from its kept fields, in order, when first read.
     """
 
     def __init__(
@@ -164,8 +168,8 @@ class TraceBuffer:
         if max_spans <= 0:
             raise ConfigurationError(f"max_spans must be > 0, got {max_spans}")
         self.max_spans = int(max_spans)
-        #: Completed records, in emit order.
-        self._records: list[tuple[int, float, "StageRecord"]] = []
+        #: Each completed record's span fields, in emit order.
+        self._records: list[_Fields] = []
         #: Spans built so far, one per kept record in order.
         self._spans: list[Span] = []
         self.dropped = 0
@@ -173,10 +177,12 @@ class TraceBuffer:
 
     # ------------------------------------------------------------------
     def emit_record(self, qid: int, work: float, record: "StageRecord") -> None:
-        """Keep a completed stage record; its span is built when read."""
+        """Keep a completed stage record's fields; its span is built when
+        read."""
         start, finish = record.start_time, record.finish_time
         assert start is not None and finish is not None
-        _check_order(qid, record.instance_name, record.enqueue_time, start, finish)
+        instance, enqueue = record.instance_name, record.enqueue_time
+        _check_order(qid, instance, enqueue, start, finish)
         if len(self._records) >= self.max_spans:
             self.dropped += 1
             if self.registry is not None:
@@ -185,29 +191,27 @@ class TraceBuffer:
                     "Spans discarded because the trace buffer was full",
                 ).inc()
             return
-        self._records.append((qid, work, record))
+        level = record.service_level
+        self._records.append(
+            (
+                qid,
+                record.stage_name,
+                record.instance_id,
+                instance,
+                enqueue,
+                start,
+                finish,
+                record.queue_at_arrival,
+                -1 if level is None else level,
+                work,
+            )
+        )
 
     def _built(self) -> list[Span]:
         """The spans, after building any records kept since the last read."""
         spans = self._spans
-        for qid, work, record in self._records[len(spans):]:
-            start, finish = record.start_time, record.finish_time
-            assert start is not None and finish is not None
-            level = record.service_level
-            spans.append(
-                Span(
-                    qid=qid,
-                    stage=record.stage_name,
-                    instance_id=record.instance_id,
-                    instance=record.instance_name,
-                    enqueue_time=record.enqueue_time,
-                    start_time=start,
-                    finish_time=finish,
-                    queue_at_arrival=record.queue_at_arrival,
-                    service_level=-1 if level is None else level,
-                    work=work,
-                )
-            )
+        for fields in self._records[len(spans):]:
+            spans.append(Span(*fields))
         return spans
 
     # ------------------------------------------------------------------

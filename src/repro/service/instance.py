@@ -5,11 +5,13 @@ maintains its own queue structure to smooth load burst.  In the meanwhile,
 each service instance can adjust its processing speed through manipulating
 the core frequency." (Section 2.1)
 
-The instance implements the timing side of the service/query joint design:
-it stamps enqueue / start / finish times into a :class:`StageRecord` and
-appends the record to the query when serving completes.  It also keeps the
-busy-time accounting that the withdraw mechanism's 20 %-utilisation rule
-reads (Section 6.2).
+The instance implements the timing side of the service/query joint design.
+A waiting job carries its enqueue time and the queue length it found, not
+a record: the :class:`StageRecord` is created when service starts,
+stamped with both and with the start time and the core's level, and is
+appended to the query, finish time stamped, when serving completes.  The
+instance also keeps the busy-time accounting that the withdraw
+mechanism's 20 %-utilisation rule reads (Section 6.2).
 
 Serving is work-based: a job carries ``work`` seconds of execution at the
 slowest ladder frequency; the wall-clock serving time is that work
@@ -25,6 +27,7 @@ on the core, not just future ones.
 from __future__ import annotations
 
 import enum
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -58,12 +61,17 @@ class Job:
     ``enqueue_time`` is normally stamped by the instance; work stealing and
     withdraw redirection preserve the original stamp so processing-delay
     accounting spans the whole time the query spent waiting.
+    ``queue_at_arrival`` is stamped by each instance the job joins.  A
+    waiting job carries no ``record``: the instance creates it when the
+    job starts.
     """
 
     query: Query
     work: float
     on_done: Callable[[Query], None]
     enqueue_time: Optional[float] = None
+    #: The instance's queue length ``L_i`` when the job joined it.
+    queue_at_arrival: int = 0
     record: Optional[StageRecord] = field(default=None, repr=False)
     #: Set when the submitting layer abandoned the job (attempt timed out
     #: or was re-dispatched after a crash); a cancelled job may still sit
@@ -100,6 +108,12 @@ _ALLOWED_TRANSITIONS: dict[InstanceState, frozenset[InstanceState]] = {
     InstanceState.CRASHED: frozenset(),
     InstanceState.WITHDRAWN: frozenset(),
 }
+
+# Module constants: reading a member off the enum class is several
+# times slower, and ``enqueue`` and ``_complete`` check the state on
+# every stage visit.
+_RUNNING = InstanceState.RUNNING
+_DRAINING = InstanceState.DRAINING
 
 
 class ServiceInstance:
@@ -198,7 +212,7 @@ class ServiceInstance:
 
     @property
     def running(self) -> bool:
-        return self._state is InstanceState.RUNNING
+        return self._state is _RUNNING
 
     @property
     def hung(self) -> bool:
@@ -285,20 +299,15 @@ class ServiceInstance:
         queues it.  A running instance that is neither busy nor hung has
         an empty queue, so the job would be next anyway.
         """
-        if self._state is not InstanceState.RUNNING:
+        if self._state is not _RUNNING:
             raise InstanceStateError(
                 f"instance {self.name} is {self._state.value}; cannot enqueue"
             )
         if job.work < 0.0:
             raise InstanceStateError(f"job work must be >= 0, got {job.work}")
-        enqueue_time = job.enqueue_time
-        if enqueue_time is None:
-            enqueue_time = job.enqueue_time = self.sim._now
-        # Positional: instance_id, instance_name, stage_name, enqueue_time,
-        # start_time, finish_time, queue_at_arrival.
-        job.record = StageRecord(
-            self.iid, self.name, self.stage_name, enqueue_time, None, None, self._qlen
-        )
+        if job.enqueue_time is None:
+            job.enqueue_time = self.sim._now
+        job.queue_at_arrival = self._qlen
         self._qlen += 1
         if self._current is None and not self._hung:
             self._start(job)
@@ -317,11 +326,7 @@ class ServiceInstance:
         enqueue stamps so their eventual records cover the full wait.
         """
         steal_count = len(self._queue) // 2
-        stolen: list[Job] = []
-        for _ in range(steal_count):
-            job = self._queue.pop()
-            job.record = None
-            stolen.append(job)
+        stolen = [self._queue.pop() for _ in range(steal_count)]
         self._qlen -= steal_count
         stolen.reverse()
         return stolen
@@ -331,8 +336,6 @@ class ServiceInstance:
         taken = list(self._queue)
         self._queue.clear()
         self._qlen -= len(taken)
-        for job in taken:
-            job.record = None
         return taken
 
     # ------------------------------------------------------------------
@@ -371,7 +374,7 @@ class ServiceInstance:
         running on the underutilized service instance" before the core is
         released (Section 6.2).
         """
-        if self._state is not InstanceState.RUNNING:
+        if self._state is not _RUNNING:
             raise InstanceStateError(
                 f"instance {self.name} is {self._state.value}; cannot drain"
             )
@@ -416,9 +419,7 @@ class ServiceInstance:
             orphans.append(job)
             self._current = None
             self._remaining_work = 0.0
-        for job in self._queue:
-            job.record = None
-            orphans.append(job)
+        orphans.extend(self._queue)
         self._queue.clear()
         self._qlen = 0
         if self._busy_since is not None:
@@ -439,7 +440,7 @@ class ServiceInstance:
         still route to it — which is exactly what makes hangs nastier
         than crashes.
         """
-        if self._state is not InstanceState.RUNNING:
+        if self._state is not _RUNNING:
             raise InstanceStateError(
                 f"instance {self.name} is {self._state.value}; cannot hang"
             )
@@ -463,7 +464,7 @@ class ServiceInstance:
         if not self._hung:
             return
         self._hung = False
-        if self._state not in (InstanceState.RUNNING, InstanceState.DRAINING):
+        if self._state is not _RUNNING and self._state is not _DRAINING:
             return
         if self._current is not None:
             self._start_segment()
@@ -475,11 +476,12 @@ class ServiceInstance:
 
         Models a sick-but-alive worker (thermal throttling, a noisy
         co-tenant).  ``degrade(1.0)`` restores full speed.  The job in
-        service is rescaled immediately.
+        service is rescaled immediately.  A factor that is not a finite
+        number > 0 is refused before anything changes.
         """
-        if factor <= 0.0:
+        if not (math.isfinite(factor) and factor > 0.0):
             raise InstanceStateError(
-                f"degrade factor must be > 0, got {factor}"
+                f"degrade factor must be a finite number > 0, got {factor}"
             )
         if exactly(factor, self._degrade_factor):
             return
@@ -502,7 +504,6 @@ class ServiceInstance:
         except ValueError:
             return False
         self._qlen -= 1
-        job.record = None
         return True
 
     def abort_current(self, job: Job) -> bool:
@@ -527,7 +528,7 @@ class ServiceInstance:
             self._busy_accumulated += self.sim.now - self._busy_since
             self._busy_since = None
         if (
-            self._state is InstanceState.DRAINING
+            self._state is _DRAINING
             and self._current is None
             and not self._queue
         ):
@@ -564,15 +565,26 @@ class ServiceInstance:
         )
 
     def _start(self, job: Job) -> None:
-        """Put ``job`` on the core: stamp its record's start and open its
-        first serving segment.  The only place a job starts."""
+        """Put ``job`` on the core: create its record, stamped with its
+        enqueue, its start and the core's level, and open its first
+        serving segment.  The only place a job starts."""
         self._current = job
         self._remaining_work = job.work
         now = self.sim._now
-        record = job.record
-        assert record is not None
-        record.start_time = now
-        record.service_level = self.core._level
+        enqueue_time = job.enqueue_time
+        assert enqueue_time is not None
+        # Positional: instance_id, instance_name, stage_name, enqueue_time,
+        # start_time, finish_time, queue_at_arrival, service_level.
+        job.record = StageRecord(
+            self.iid,
+            self.name,
+            self.stage_name,
+            enqueue_time,
+            now,
+            None,
+            job.queue_at_arrival,
+            self.core._level,
+        )
         if self._busy_since is None:
             self._busy_since = now
         self._start_segment()
@@ -601,7 +613,7 @@ class ServiceInstance:
         if not job.cancelled:
             job.on_done(job.query)
         if (
-            self._state is InstanceState.DRAINING
+            self._state is _DRAINING
             and self._current is None
             and not self._queue
         ):

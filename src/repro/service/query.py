@@ -9,7 +9,7 @@ joint design appends at each stage (Section 4.1, Figure 6).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from repro.errors import ServiceError
@@ -20,7 +20,7 @@ __all__ = ["Query"]
 _INF = float("inf")
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, init=False)
 class Query:
     """One user query and the latency statistics it accumulates.
 
@@ -36,24 +36,47 @@ class Query:
 
     qid: int
     demands: Mapping[str, float]
-    arrival_time: Optional[float] = None
-    completion_time: Optional[float] = None
-    records: list[StageRecord] = field(default_factory=list)
-    #: Dispatch attempts under the resilience layer; empty on the
-    #: fault-free fast path (no resilience attached).
-    attempts: list[AttemptRecord] = field(default_factory=list)
+    arrival_time: Optional[float]
+    completion_time: Optional[float]
+    records: list[StageRecord]
+    #: Dispatch attempts under the resilience layer; the empty tuple on
+    #: the fault-free fast path (no resilience attached).
+    attempts: tuple[AttemptRecord, ...]
     #: Stamped when the query fails terminally (retry budget exhausted).
-    failed_time: Optional[float] = None
+    failed_time: Optional[float]
     #: True once any stage re-dispatched the query after a timeout.
-    retried: bool = False
+    retried: bool
 
-    def __post_init__(self) -> None:
-        for stage, demand in self.demands.items():
+    # Written out, not generated: one frame per query instead of the
+    # generated ``__init__`` plus a ``__post_init__`` for the demand
+    # check, and a profile files every generated ``__init__`` under one
+    # label, so the check's calls would be charged to whichever of them
+    # the profiler kept.
+    def __init__(
+        self,
+        qid: int,
+        demands: Mapping[str, float],
+        arrival_time: Optional[float] = None,
+        completion_time: Optional[float] = None,
+        records: Optional[list[StageRecord]] = None,
+        attempts: tuple[AttemptRecord, ...] = (),
+        failed_time: Optional[float] = None,
+        retried: bool = False,
+    ) -> None:
+        for stage, demand in demands.items():
             if not 0.0 <= demand < _INF:
                 raise ServiceError(
-                    f"query {self.qid}: demand for stage {stage!r} must be "
+                    f"query {qid}: demand for stage {stage!r} must be "
                     f"finite and >= 0, got {demand}"
                 )
+        self.qid = qid
+        self.demands = demands
+        self.arrival_time = arrival_time
+        self.completion_time = completion_time
+        self.records = [] if records is None else records
+        self.attempts = attempts
+        self.failed_time = failed_time
+        self.retried = retried
 
     # ------------------------------------------------------------------
     @property
@@ -82,8 +105,12 @@ class Query:
         return "in-flight"
 
     def append_attempt(self, record: AttemptRecord) -> None:
-        """Append a dispatch-attempt record (called by the resilience layer)."""
-        self.attempts.append(record)
+        """Append a dispatch-attempt record (called by the resilience layer).
+
+        A query makes a handful of attempts at most, so each append
+        copies the tuple rather than giving every query a list.
+        """
+        self.attempts += (record,)
 
     @property
     def end_to_end_latency(self) -> float:

@@ -56,8 +56,10 @@ class Simulator:
     """
 
     def __init__(self, start_time: float = 0.0) -> None:
-        if start_time < 0.0:
-            raise SimulationError(f"start_time must be >= 0, got {start_time}")
+        if not 0.0 <= start_time < _INF:
+            raise SimulationError(
+                f"start_time must be a finite number >= 0, got {start_time}"
+            )
         self._now = float(start_time)
         self._queue: list[_HeapEntry] = []
         self._seq = itertools.count()

@@ -98,9 +98,11 @@ class Event:
         """
         if self._cancelled or self._fired:
             return
+        # Flagged first: the owner may compact its heap in this call, and
+        # the compaction must drop this entry along with the others.
+        self._cancelled = True
         if self._owner is not None:
             self._owner._note_cancelled(self)
-        self._cancelled = True
 
     def _mark_fired(self) -> None:
         self._fired = True

@@ -10,6 +10,7 @@ records, never a second clock.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import inspect
 import json
 
@@ -133,7 +134,18 @@ class TestTraceBuffer:
 
 
 class TestKeptRecords:
-    """``emit_record`` keeps the record; spans are built when read."""
+    """``emit_record`` keeps the record's fields; spans are built when
+    read."""
+
+    def test_kept_fields_leave_the_collector(self):
+        # Plain numbers and strings: after one collection the collector
+        # no longer tracks the kept entries, and no record is pinned.
+        buffer = TraceBuffer()
+        for qid in range(3):
+            buffer.emit_record(qid, 1.0, make_record(qid))
+        gc.collect()
+        assert not any(gc.is_tracked(entry) for entry in buffer._records)
+        assert [span.qid for span in buffer.spans] == [0, 1, 2]
 
     @settings(max_examples=200, deadline=None)
     @given(

@@ -53,6 +53,14 @@ class TestQueryFlow:
         sim.run()
         assert [record.stage_name for record in query.records] == ["A", "B"]
 
+    def test_fault_free_query_records_no_attempts(self, sim, two_stage_app):
+        # Without a resilience layer no attempt is recorded, and the
+        # empty tuple is shared, not one empty list per query.
+        query = submit_two_stage_query(two_stage_app, 1)
+        sim.run()
+        assert query.completed
+        assert query.attempts == ()
+
     def test_arrival_time_stamped_on_submit(self, sim, two_stage_app):
         sim.schedule(5.0, lambda: submit_two_stage_query(two_stage_app, 1))
         sim.run()

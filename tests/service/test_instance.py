@@ -87,6 +87,30 @@ class TestServing:
         assert queued.queue_at_arrival == 1
         assert queued.start_time == record.finish_time
 
+    def test_waiting_job_carries_no_record(self, sim, instance):
+        query = Query(qid=1, demands={"SVC": 1.0})
+        jobs = [Job(query=query, work=1.0, on_done=lambda q: None) for _ in range(3)]
+        for job in jobs:
+            instance.enqueue(job)
+        assert jobs[0].record is not None  # in service
+        assert [job.record for job in jobs[1:]] == [None, None]
+        assert [job.queue_at_arrival for job in jobs] == [0, 1, 2]
+
+    def test_record_made_at_start_holds_arrival_queue_and_level(self, sim, instance):
+        done = []
+        submit(instance, 1, 1.0, done)
+        query = submit(instance, 2, 1.0, done)
+        sim.run(until=0.5)
+        # Retuned while the second job waits: its record takes the level
+        # the core runs at when its service starts.
+        instance.core.set_level(LEVEL_2_4)
+        sim.run()
+        record = query.record_for("SVC")
+        assert record.enqueue_time == 0.0
+        assert record.queue_at_arrival == 1
+        assert record.service_level == LEVEL_2_4
+        assert record.start_time == pytest.approx(0.75)
+
     def test_record_appended_to_query_on_completion(self, sim, instance):
         done = []
         query = submit(instance, 1, 1.0, done)
@@ -208,6 +232,31 @@ class TestWorkStealing:
         submit(instance, 2, 1.0, done)
         stolen = instance.steal_half()
         assert stolen[0].enqueue_time == pytest.approx(0.5)
+
+    def test_stolen_job_is_recorded_where_it_is_served(self, sim, machine, instance):
+        done = []
+        for qid in range(3):
+            submit(instance, qid, 1.0, done)
+        sim.run(until=0.5)
+        clone = ServiceInstance(
+            iid=1,
+            name="SVC_2",
+            stage_name="SVC",
+            profile=make_profile("SVC", mean=1.0),
+            core=machine.acquire_core(LEVEL_2_4),
+            sim=sim,
+        )
+        submit(clone, 9, 1.0, done)
+        (stolen,) = instance.steal_half()
+        assert stolen.record is None
+        clone.enqueue(stolen)
+        assert stolen.record is None  # waits behind the clone's job
+        sim.run()
+        record = stolen.query.record_for("SVC")
+        assert record.instance_name == "SVC_2"
+        assert record.enqueue_time == 0.0  # the original stamp
+        assert record.queue_at_arrival == 1  # the clone's queue
+        assert record.service_level == LEVEL_2_4
 
     def test_steal_never_takes_in_service_job(self, sim, instance):
         done = []

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import pytest
 
@@ -185,6 +186,22 @@ class TestDegrade:
         instance = stage.launch_instance(LEVEL)
         with pytest.raises(InstanceStateError):
             instance.degrade(0.0)
+
+    @pytest.mark.parametrize("factor", [math.nan, math.inf, -math.inf])
+    def test_refused_degrade_leaves_the_job_on_time(self, sim, stage, factor):
+        # NaN fails every ordered comparison, so ``factor <= 0.0`` alone
+        # would let it through, and its rescale would strand the job.
+        done: list = []
+        instance = stage.launch_instance(LEVEL)
+        job_for(instance, 1, 2.0, done)
+        sim.run(until=1.0)
+        with pytest.raises(InstanceStateError):
+            instance.degrade(factor)
+        assert instance.degrade_factor == 1.0
+        sim.run(until=100.0)
+        assert done[0].records[0].finish_time == pytest.approx(2.0)
+        assert not instance.busy
+        stage.launch_instance(LEVEL)  # occupancy listeners still work
 
 
 class TestStageCrash:

@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import ServiceError
 from repro.service.query import Query
-from repro.service.records import StageRecord
+from repro.service.records import AttemptRecord, StageRecord
 
 
 class TestStageRecord:
@@ -69,6 +69,15 @@ class TestQuery:
         for demand in (-0.5, float("nan"), float("inf"), float("-inf")):
             with pytest.raises(ServiceError, match="finite and >= 0"):
                 Query(qid=1, demands={"A": 1.0, "B": demand})
+
+    def test_attempts_stay_a_tuple(self):
+        query = Query(qid=1, demands={"A": 1.0})
+        assert query.attempts == ()
+        first = AttemptRecord("A", 1, 0.0, "A_1", "timed-out", 1.0)
+        second = AttemptRecord("A", 2, 1.5, "A_2", "completed", 2.0)
+        query.append_attempt(first)
+        query.append_attempt(second)
+        assert query.attempts == (first, second)
 
     def test_end_to_end_latency(self):
         query = Query(qid=1, demands={"A": 1.0})

@@ -256,6 +256,24 @@ class TestWithdraw:
         assert len(done) == 3
         assert b not in stage.instances
 
+    def test_redirected_job_keeps_its_enqueue_stamp(self, sim, stage):
+        a = stage.launch_instance(LEVEL_1_2)
+        b = stage.launch_instance(LEVEL_1_8)
+        jobs = [Job(Query(qid, {"SVC": 1.0}), 1.0, lambda q: None) for qid in range(3)]
+        for job in jobs:
+            b.enqueue(job)
+        a.enqueue(Job(Query(9, {"SVC": 1.0}), 1.0, lambda q: None))
+        sim.run(until=0.5)
+        stage.withdraw_instance(b, redirect_to=a)
+        assert [job.record for job in jobs[1:]] == [None, None]
+        sim.run()
+        records = [job.query.record_for("SVC") for job in jobs]
+        assert [r.instance_name for r in records] == [b.name, a.name, a.name]
+        assert [r.enqueue_time for r in records] == [0.0, 0.0, 0.0]
+        # L_i at each instance joined: b's, then a's at the redirect.
+        assert [r.queue_at_arrival for r in records] == [0, 1, 2]
+        assert [r.service_level for r in records] == [LEVEL_1_8, LEVEL_1_2, LEVEL_1_2]
+
     def test_withdraw_releases_core(self, sim, stage, machine):
         stage.launch_instance(LEVEL_1_2)
         victim = stage.launch_instance(LEVEL_1_2)

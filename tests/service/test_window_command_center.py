@@ -158,10 +158,12 @@ class TestCommandCenterIngestion:
         for qid in range(100):  # one query a second for ten windows
             submit_two_stage_query(two_stage_app, qid)
             sim.run(until=qid + 1.0)
-            stored = sum(
-                len(window._samples) for window in center._instance_windows.values()
-            )
-            peak = max(peak, stored)
+            windows = center._instance_windows.values()
+            # The samples are stored column by column, one list a field.
+            for window in windows:
+                columns = (window._seqs, window._queuing, window._serving)
+                assert all(len(column) == len(window._times) for column in columns)
+            peak = max(peak, sum(len(window._times) for window in windows))
         assert center.stats_messages == 100
         # Two records a query; a trim leaves at most 11 queries' samples
         # and at most 11 more are filed before the next: two windows' worth.

@@ -10,12 +10,21 @@ time-sorted sample order, so their floating-point sums are bit-equal,
 which is precisely the byte-identity contract the golden
 seed-equivalence suite relies on.
 
-The command center files records into its windows only when it is read
-and pools a stage's samples at read time; its reference feeds one
-reference window per instance and one per stage on every ingest.
+A second reference is the tuple store the window kept before it stored
+columns: one (time, sequence, queuing, serving) tuple per sample, sorted
+at read.  Driven through the same adds, trims, reads and pools, the
+column window must hold the same samples in the same order.
+
+The command center files records into its windows at ingest and pools a
+stage's samples at read time; its reference feeds one reference window
+per instance and one per stage on every ingest.
 """
 
 from __future__ import annotations
+
+import itertools
+from bisect import bisect_left
+from typing import Iterator
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -137,6 +146,140 @@ def test_long_monotone_stream_matches_reference(step):
         reference.add(time, float(index % 7), float(index % 11))
     _assert_windows_agree(optimized, reference, time)
     assert optimized.total_ingested == 400
+
+
+class TupleWindow:
+    """The store :class:`LatencyWindow` kept before its columns: one
+    (time, sequence, queuing, serving) tuple a sample, sorted at read."""
+
+    def __init__(self, window_s: float, sequence: Iterator[int]) -> None:
+        self.window_s = window_s
+        self.sequence = sequence
+        self.samples: list[tuple[float, int, float, float]] = []
+        self.ordered = 0
+
+    def add(self, time: float, queuing: float, serving: float) -> None:
+        self.samples.append((time, next(self.sequence), queuing, serving))
+
+    def trim(self, now: float) -> None:
+        if len(self.samples) != self.ordered:
+            self.samples.sort()
+        cutoff = now - self.window_s
+        del self.samples[: bisect_left(self.samples, (cutoff,))]
+        self.ordered = len(self.samples)
+
+    def live(self, now: float) -> list[tuple[float, float, float]]:
+        self.trim(now)
+        return [(t, q, s) for t, _, q, s in self.samples]
+
+    @classmethod
+    def merged(
+        cls, window_s: float, windows: list["TupleWindow"], now: float
+    ) -> "TupleWindow":
+        pooled = cls(window_s, iter(()))
+        for window in windows:
+            window.trim(now)
+            pooled.samples.extend(window.samples)
+        pooled.samples.sort()
+        pooled.ordered = len(pooled.samples)
+        return pooled
+
+    def reads(self, now: float) -> tuple:
+        live = self.live(now)
+        if not live:
+            return (0, None, None, None, None, None, None)
+        queuing = [q for _, q, _ in live]
+        serving = [s for _, _, s in live]
+        processing = [q + s for _, q, s in live]
+        return (
+            len(live),
+            sum(queuing) / len(live),
+            sum(serving) / len(live),
+            sum(processing) / len(live),
+            percentile(queuing, 99.0),
+            percentile(serving, 99.0),
+            percentile(processing, 99.0),
+        )
+
+
+def _column_reads(window: LatencyWindow, now: float) -> tuple:
+    return (
+        window.count(now),
+        window.avg_queuing(now),
+        window.avg_serving(now),
+        window.avg_processing(now),
+        window.p99_queuing(now),
+        window.p99_serving(now),
+        window.p99_processing(now),
+    )
+
+
+def _column_live(window: LatencyWindow, now: float) -> list:
+    window.trim(now)
+    return list(zip(window._times, window._queuing, window._serving))
+
+
+#: One step over three windows: add a sample stamped ``back`` quarter
+#: seconds before now (equal and out-of-order times are common), advance
+#: the clock, trim one window, read one, or pool a subset.
+_window_step = st.one_of(
+    st.tuples(
+        st.just("add"),
+        st.integers(min_value=0, max_value=2),
+        st.integers(min_value=0, max_value=6),
+        st.floats(min_value=0.0, max_value=10.0, allow_nan=False),
+        st.floats(min_value=0.0, max_value=10.0, allow_nan=False),
+    ),
+    st.tuples(st.just("advance"), st.integers(min_value=0, max_value=12)),
+    st.tuples(st.just("trim"), st.integers(min_value=0, max_value=2)),
+    st.tuples(st.just("read"), st.integers(min_value=0, max_value=2)),
+    st.tuples(st.just("merge"), st.sets(st.integers(min_value=0, max_value=2))),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    # On the quarter-second grid, so samples stamped exactly at a cutoff
+    # occur.
+    window_s=st.integers(min_value=1, max_value=20).map(lambda k: 0.25 * k),
+    steps=st.lists(_window_step, min_size=1, max_size=80),
+)
+def test_column_window_matches_the_tuple_store(window_s, steps):
+    """Columns sorted stably on time read exactly as tuples sorted on
+    (time, sequence): the same samples, in the same order, so every sum
+    and percentile is bit-equal, and so are pools of several windows."""
+    columns = [LatencyWindow(window_s) for _ in range(3)]
+    sequence = itertools.count()
+    tuples = [TupleWindow(window_s, sequence) for _ in range(3)]
+    now = 0.0
+    for step in steps:
+        kind = step[0]
+        if kind == "add":
+            _, index, back, queuing, serving = step
+            time = max(0.0, now - 0.25 * back)
+            columns[index].add(time, queuing, serving)
+            tuples[index].add(time, queuing, serving)
+        elif kind == "advance":
+            now += 0.25 * step[1]
+        elif kind == "trim":
+            columns[step[1]].trim(now)
+            tuples[step[1]].trim(now)
+        elif kind == "read":
+            index = step[1]
+            assert _column_reads(columns[index], now) == tuples[index].reads(now)
+            assert _column_live(columns[index], now) == tuples[index].live(now)
+        else:
+            chosen = sorted(step[1])
+            pooled = LatencyWindow.merged(
+                window_s, [columns[i] for i in chosen], now
+            )
+            reference = TupleWindow.merged(
+                window_s, [tuples[i] for i in chosen], now
+            )
+            assert _column_live(pooled, now) == reference.live(now)
+            assert _column_reads(pooled, now) == reference.reads(now)
+    for index in range(3):
+        assert _column_reads(columns[index], now) == tuples[index].reads(now)
 
 
 class ReferenceCenter:

@@ -22,6 +22,13 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             Simulator(start_time=-1.0)
 
+    def test_non_finite_start_time_rejected(self):
+        # NaN fails every ordered comparison, so ``start_time < 0.0``
+        # alone would let it through.
+        for start in (math.nan, math.inf):
+            with pytest.raises(SimulationError):
+                Simulator(start_time=start)
+
     def test_schedule_returns_pending_event(self, sim):
         event = sim.schedule(1.0, lambda: None)
         assert event.pending
@@ -223,6 +230,19 @@ class TestCancelHeavyWorkloads:
         assert sim.pending_count == 400
         sim.run()
         assert sim.events_processed == 400
+
+    def test_cancelled_counter_survives_a_compaction(self, sim):
+        """The event being cancelled is flagged before the owner hears of
+        it, so a compaction that call triggers drops it too."""
+        events = [sim.schedule(float(i + 1), lambda: None) for i in range(100)]
+        for event in events[:60]:
+            event.cancel()
+            # Cancelled entries still in the heap, counted from outside.
+            assert sim._cancelled_in_queue == sim.heap_size - sim.pending_count
+        assert sim.compactions == 1
+        sim.run()
+        assert sim._cancelled_in_queue == 0
+        assert sim.events_processed == 40
 
     def test_compaction_preserves_firing_order(self, sim):
         fired = []
