@@ -664,7 +664,8 @@ def _describe_scenario_result(result: object) -> str:
         return (
             f"{result.app}/{result.policy}: latency {result.latency.mean:.3f}s "
             f"({result.latency.mean / result.qos_target_s:.2f}x QoS), "
-            f"power {result.average_power_fraction:.3f} of peak, "
+            f"power {result.average_power_fraction:.3f} of peak "
+            f"(saving {result.power_saving_fraction * 100:.1f}%), "
             f"violations {result.violation_fraction * 100:.1f}%"
         )
     assert isinstance(result, RunResult)
@@ -1004,13 +1005,7 @@ def _cmd_qos(args: argparse.Namespace) -> int:
     result = run_scenario(
         ScenarioSpec.qos(args.app, args.policy, rate, args.duration, seed=args.seed)
     )
-    print(
-        f"{result.app}/{result.policy}: latency {result.latency.mean:.3f}s "
-        f"({result.latency.mean / result.qos_target_s:.2f}x QoS), "
-        f"power {result.average_power_fraction:.3f} of peak "
-        f"(saving {result.power_saving_fraction * 100:.1f}%), "
-        f"violations {result.violation_fraction * 100:.1f}%"
-    )
+    print(_describe_scenario_result(result))
     if args.json:
         path = write_json(args.json, scenario_payload(result)["result"])
         print(f"result written to {path}")

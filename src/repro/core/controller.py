@@ -53,7 +53,12 @@ from repro.service.instance import ServiceInstance
 from repro.sim.engine import Simulator
 from repro.sim.process import PeriodicProcess
 
-__all__ = ["ControllerConfig", "BaseController", "PowerChiefController"]
+__all__ = [
+    "ControllerConfig",
+    "ControllerTally",
+    "BaseController",
+    "PowerChiefController",
+]
 
 
 @dataclass(frozen=True)
@@ -110,6 +115,16 @@ class ControllerConfig:
             )
 
 
+@dataclass
+class ControllerTally:
+    """What a controller's safety paths did over one run."""
+
+    #: Ticks spent in conservative mode because telemetry was dark.
+    degraded_ticks: int = 0
+    #: Actions refused because their target was not a running instance.
+    safety_clamps: int = 0
+
+
 class BaseController(ABC):
     """Shared machinery for every runtime policy."""
 
@@ -137,20 +152,22 @@ class BaseController(ABC):
             budget.machine.power_model, budget.machine.ladder
         )
         self.actions: list[ActionRecord] = []
-        #: Decision audit log; ``None`` (the default) records nothing.
-        self.audit: Optional[AuditLog] = None
-        #: Metrics registry; ``None`` (the default) counts nothing.
-        self.metrics: Optional[MetricsRegistry] = None
+        # The pillars come with the application: a ``None`` pillar (or
+        # no bundle at all) records, counts or watches nothing.
+        obs = application.observability
+        #: Decision audit log.
+        self.audit: Optional[AuditLog] = None if obs is None else obs.audit
+        #: Registry the controller's counters land in.
+        self.metrics: Optional[MetricsRegistry] = (
+            None if obs is None else obs.metrics
+        )
+        #: Plain policies ignore it; the supervisor's storm monitor
+        #: watches its burn rate.
+        self.slo: Optional[SloTracker] = None if obs is None else obs.slo
         #: Power telemetry watched by the graceful-degradation guard.
         self.telemetry: Optional[PowerTelemetry] = None
         self.telemetry_staleness_s = 0.0
-        #: SLO tracker handed down by the stack builder; plain policies
-        #: ignore it, the supervised controller arms its storm monitor.
-        self.slo: Optional["SloTracker"] = None
-        #: Ticks spent in conservative mode because telemetry was dark.
-        self.degraded_ticks = 0
-        #: Actions refused because their target was not a running instance.
-        self.safety_clamps = 0
+        self.tally = ControllerTally()
         self._process = PeriodicProcess(
             sim,
             self.config.adjust_interval_s,
@@ -161,18 +178,6 @@ class BaseController(ABC):
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    def attach_audit(self, audit: AuditLog) -> None:
-        """Record every future decision (with its inputs) into ``audit``.
-
-        Post-construction attachment keeps every subclass constructor
-        unchanged; the stack builder attaches before :meth:`start`.
-        """
-        self.audit = audit
-
-    def attach_metrics(self, registry: MetricsRegistry) -> None:
-        """Count degraded ticks and safety clamps into ``registry``."""
-        self.metrics = registry
-
     def attach_telemetry(
         self, telemetry: PowerTelemetry, staleness_s: float = 15.0
     ) -> None:
@@ -188,15 +193,6 @@ class BaseController(ABC):
             )
         self.telemetry = telemetry
         self.telemetry_staleness_s = float(staleness_s)
-
-    def attach_slo(self, slo: "SloTracker") -> None:
-        """Hand the controller the run's SLO tracker.
-
-        Plain policies only store it; the supervised controller
-        (:mod:`repro.guard`) overrides this to arm its
-        SLO-violation-storm monitor.
-        """
-        self.slo = slo
 
     def start(self) -> None:
         """Arm the periodic adjust loop."""
@@ -238,7 +234,7 @@ class BaseController(ABC):
         core would corrupt the power accounting.  The refusal is counted
         and audited, never silent.
         """
-        self.safety_clamps += 1
+        self.tally.safety_clamps += 1
         if self.metrics is not None:
             self.metrics.counter(
                 "repro_controller_safety_clamps_total",
@@ -451,7 +447,7 @@ class PowerChiefController(BaseController):
                 # Spending power on its strength could breach the budget
                 # invariant, so the boost phase is suspended.  Withdraw
                 # (above) stays active — it only ever reduces draw.
-                self.degraded_ticks += 1
+                self.tally.degraded_ticks += 1
                 if self.metrics is not None:
                     self.metrics.counter(
                         "repro_controller_degraded_ticks_total",

@@ -7,9 +7,10 @@ optional RPC fabric, and at install time wires together everything the
 fault subsystem needs: the per-stage retry layers, the
 :class:`~repro.faults.injector.FaultInjector`, the
 :class:`~repro.faults.monitor.HealthMonitor`, and the controller's
-graceful-degradation hooks (metrics, telemetry staleness guard).  After
-the run, :meth:`ChaosHarness.report` folds it all into a
-:class:`~repro.faults.report.GoodputReport`.
+telemetry staleness guard.  Each of them records into the pillars of
+the application's observability bundle, as the controller and the
+fabric already do.  After the run, :meth:`ChaosHarness.report` folds it
+all into a :class:`~repro.faults.report.GoodputReport`.
 
 :func:`chaos_spec` is the recipe behind ``repro chaos`` and ``repro
 guard``: the faulty run of one latency cell, with a drain window so
@@ -22,7 +23,6 @@ from __future__ import annotations
 import dataclasses
 from typing import TYPE_CHECKING, Optional, Union
 
-from repro.obs import Observability
 from repro.scenario.config import TABLE2_CONTROLLER_CONFIG, app_stages
 from repro.faults.injector import FaultInjector
 from repro.faults.monitor import HealthMonitor, ResilienceConfig
@@ -87,11 +87,9 @@ class ChaosHarness:
         budget: "PowerBudget",
         telemetry: Optional["PowerTelemetry"],
         streams: RandomStreams,
-        observability: Optional[Observability],
     ) -> None:
         """Wire the fault subsystem into a freshly built run."""
-        metrics = None if observability is None else observability.metrics
-        application.attach_resilience(_RESILIENCE.retry, streams, metrics)
+        application.attach_resilience(_RESILIENCE.retry, streams)
         self.injector = FaultInjector(
             sim,
             self.plan,
@@ -99,17 +97,8 @@ class ChaosHarness:
             application,
             telemetry=telemetry,
             fabric=self._fabric,
-            observability=observability,
         )
-        self.monitor = HealthMonitor(
-            sim,
-            application,
-            budget,
-            config=_RESILIENCE,
-            observability=observability,
-        )
-        if metrics is not None:
-            controller.attach_metrics(metrics)
+        self.monitor = HealthMonitor(sim, application, budget, config=_RESILIENCE)
         if telemetry is not None:
             controller.attach_telemetry(telemetry, staleness_s=_TELEMETRY_STALENESS_S)
         self.application = application

@@ -6,8 +6,9 @@ dedicated seeded stream over the iid-sorted running pool, and every
 action (or deliberate no-op, when a spec finds no victim) is appended to
 an immutable event log.  The log — not wall-clock prints — is the
 interface the determinism tests and the goodput report consume; each
-event is also mirrored into the audit log and the
-``repro_faults_injected_total`` counter when observability is attached.
+event is also mirrored into the audit log, the
+``repro_faults_injected_total`` counter and the stream, whichever of
+them the application's observability bundle carries.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from repro.sim.rng import SeededStream
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.cluster.telemetry import PowerTelemetry
-    from repro.obs import Observability
     from repro.service.rpc import RpcFabric
 
 __all__ = ["FaultEvent", "FaultInjector"]
@@ -52,7 +52,6 @@ class FaultInjector:
         application: Application,
         telemetry: Optional["PowerTelemetry"] = None,
         fabric: Optional["RpcFabric"] = None,
-        observability: Optional["Observability"] = None,
     ) -> None:
         self.sim = sim
         self.plan = plan
@@ -60,7 +59,6 @@ class FaultInjector:
         self.application = application
         self.telemetry = telemetry
         self.fabric = fabric
-        self.observability = observability
         self.events: list[FaultEvent] = []
         self._started = False
 
@@ -210,10 +208,11 @@ class FaultInjector:
         self.events.append(
             FaultEvent(time=self.sim.now, kind=kind.value, target=target, detail=detail)
         )
-        if self.observability is None:
+        obs = self.application.observability
+        if obs is None:
             return
-        if self.observability.audit is not None:
-            self.observability.audit.record(
+        if obs.audit is not None:
+            obs.audit.record(
                 FaultEntry(
                     time=self.sim.now,
                     controller="fault-injector",
@@ -222,12 +221,12 @@ class FaultInjector:
                     detail=detail,
                 )
             )
-        if self.observability.metrics is not None:
-            self.observability.metrics.counter(
+        if obs.metrics is not None:
+            obs.metrics.counter(
                 "repro_faults_injected_total",
                 "Fault events fired by the injector",
             ).inc(kind=kind.value)
-        if self.observability.stream is not None:
-            self.observability.stream.mark(
+        if obs.stream is not None:
+            obs.stream.mark(
                 "fault", kind=kind.value, target=target, detail=detail
             )

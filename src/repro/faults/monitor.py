@@ -27,7 +27,6 @@ from repro.sim.process import PeriodicProcess
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.cluster.budget import PowerBudget
-    from repro.obs import Observability
 
 __all__ = ["ResilienceConfig", "HealthMonitor"]
 
@@ -81,13 +80,11 @@ class HealthMonitor:
         application: Application,
         budget: "PowerBudget",
         config: Optional[ResilienceConfig] = None,
-        observability: Optional["Observability"] = None,
     ) -> None:
         self.sim = sim
         self.application = application
         self.budget = budget
         self.config = config if config is not None else ResilienceConfig()
-        self.observability = observability
         #: (stage, wanted level, reserved watts) per crash awaiting respawn.
         self._pending_respawns: list[tuple[Stage, int, float]] = []
         self._hangs_detected = 0
@@ -219,9 +216,10 @@ class HealthMonitor:
 
     # ------------------------------------------------------------------
     def _audit(self, action: str, target: str, detail: str) -> None:
-        if self.observability is None or self.observability.audit is None:
+        obs = self.application.observability
+        if obs is None or obs.audit is None:
             return
-        self.observability.audit.record(
+        obs.audit.record(
             ResilienceEntry(
                 time=self.sim.now,
                 controller="health-monitor",

@@ -110,8 +110,8 @@ class GoodputReport:
             hangs_detected=monitor.hangs_detected,
             respawns=monitor.respawns,
             faults_injected=len(injector.events),
-            degraded_ticks=controller.degraded_ticks,
-            safety_clamps=controller.safety_clamps,
+            degraded_ticks=controller.tally.degraded_ticks,
+            safety_clamps=controller.tally.safety_clamps,
             p99_s=result.latency.p99,
             qps=result.queries_completed / result.duration_s,
             average_power_watts=result.average_power_watts,

@@ -17,6 +17,7 @@ from repro.units import EPSILON_WATTS
 from repro.cluster.budget import PowerBudget
 from repro.cluster.core import Core
 from repro.cluster.dvfs import DvfsActuator
+from repro.core.controller import ControllerTally
 from repro.sim.engine import Simulator
 
 __all__ = ["ClampEvent", "ClampingActuator"]
@@ -40,6 +41,9 @@ class ClampingActuator(DvfsActuator):
         super().__init__(sim)
         self.budget = budget
         self.clamps: List[ClampEvent] = []
+        #: Counts every clamp as a safety clamp; a supervisor points it
+        #: at the tally its rungs share.
+        self.tally = ControllerTally()
 
     @property
     def clamped_actions(self) -> int:
@@ -65,6 +69,7 @@ class ClampingActuator(DvfsActuator):
                 applied = current if fundable is None else max(current, fundable)
                 reason = "budget-headroom"
         if reason:
+            self.tally.safety_clamps += 1
             self.clamps.append(
                 ClampEvent(
                     time=self.sim.now,

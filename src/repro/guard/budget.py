@@ -22,15 +22,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any
 
 from repro.errors import ClusterError
 from repro.cluster.budget import PowerBudget
 from repro.core.controller import BaseController
 from repro.guard.ladder import step_down_hottest
-from repro.obs.audit import AuditLog, BudgetChangeEntry, SloRetargetEntry
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.slo import SloTracker
+from repro.obs import Observability
+from repro.obs.audit import BudgetChangeEntry, SloRetargetEntry
 from repro.service.application import Application
 
 __all__ = [
@@ -108,8 +107,6 @@ def apply_budget_change(
     controller: BaseController,
     requested_watts: float,
     now: float,
-    audit: Optional[AuditLog] = None,
-    metrics: Optional[MetricsRegistry] = None,
     source: str = "ctl",
 ) -> BudgetChange:
     """Move the power cap live, enforcing and auditing the change.
@@ -121,7 +118,8 @@ def apply_budget_change(
     ``budget-change`` frequency action on ``controller``) until the
     draw fits under the new cap.  Raising the cap never touches
     frequencies; the controller spends the new headroom on its own
-    schedule.
+    schedule.  The change is audited and counted into the
+    application's observability bundle.
     """
     if not math.isfinite(requested_watts) or requested_watts <= 0.0:
         raise ClusterError(
@@ -146,8 +144,9 @@ def apply_budget_change(
         step_downs=step_downs,
         source=source,
     )
-    if audit is not None:
-        audit.record(
+    obs = application.observability
+    if obs is not None and obs.audit is not None:
+        obs.audit.record(
             BudgetChangeEntry(
                 time=now,
                 controller=controller.name,
@@ -160,8 +159,8 @@ def apply_budget_change(
                 source=source,
             )
         )
-    if metrics is not None:
-        metrics.counter(
+    if obs is not None and obs.metrics is not None:
+        obs.metrics.counter(
             "repro_budget_changes_total",
             "Live power-budget adjustments applied through the guard",
         ).inc(source=source)
@@ -170,19 +169,20 @@ def apply_budget_change(
 
 def retarget_slo(
     *,
-    slo: SloTracker,
+    obs: Observability,
     target_s: float,
     now: float,
-    controller_name: str = "serve",
-    audit: Optional[AuditLog] = None,
-    metrics: Optional[MetricsRegistry] = None,
     source: str = "ctl",
 ) -> SloRetarget:
-    """Move a live SLO target, auditing the change.
+    """Move the live target of the bundle's SLO tracker, auditing and
+    counting the change into the same bundle.
 
     Completions already in the attainment window keep the verdicts they
     were scored with; the new target applies from the next completion.
     """
+    slo = obs.slo
+    if slo is None:
+        raise ClusterError("no SLO tracker to retarget; arm the 'slo' pillar")
     if not math.isfinite(target_s) or target_s <= 0.0:
         raise ClusterError(
             f"SLO target must be a finite number > 0 s, got {target_s}"
@@ -195,18 +195,18 @@ def retarget_slo(
         target_s=float(target_s),
         source=source,
     )
-    if audit is not None:
-        audit.record(
+    if obs.audit is not None:
+        obs.audit.record(
             SloRetargetEntry(
                 time=now,
-                controller=controller_name,
+                controller="serve",
                 previous_target_s=previous,
                 target_s=float(target_s),
                 source=source,
             )
         )
-    if metrics is not None:
-        metrics.counter(
+    if obs.metrics is not None:
+        obs.metrics.counter(
             "repro_slo_retargets_total",
             "Live SLO retargets applied through the guard",
         ).inc(source=source)

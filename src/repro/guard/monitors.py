@@ -238,25 +238,26 @@ class OscillationMonitor(GuardMonitor):
 class SloStormMonitor(GuardMonitor):
     """SLO-violation-storm detector on the burn-rate gauge.
 
-    Late-bound to the tracker: the supervisor arms it via
-    :meth:`attach` when the stack builder hands an
-    :class:`~repro.obs.slo.SloTracker` to the controller.  Fires once
-    the windowed error-budget burn rate exceeds ``burn_threshold`` for
-    ``storm_ticks`` consecutive ticks, and keeps firing every tick the
-    storm persists (sustained storms must keep demotion pressure on and
-    hold off re-promotion).
+    Watches the run's :class:`~repro.obs.slo.SloTracker`, which the
+    supervisor reads from its application's observability bundle; with
+    no tracker it never fires.  Fires once the windowed error-budget
+    burn rate exceeds ``burn_threshold`` for ``storm_ticks`` consecutive
+    ticks, and keeps firing every tick the storm persists (sustained
+    storms must keep demotion pressure on and hold off re-promotion).
     """
 
     name = "slo-storm"
 
-    def __init__(self, burn_threshold: float, storm_ticks: int) -> None:
+    def __init__(
+        self,
+        burn_threshold: float,
+        storm_ticks: int,
+        tracker: Optional[SloTracker] = None,
+    ) -> None:
         self.burn_threshold = float(burn_threshold)
         self.storm_ticks = int(storm_ticks)
-        self.tracker: Optional[SloTracker] = None
-        self._streak = 0
-
-    def attach(self, tracker: SloTracker) -> None:
         self.tracker = tracker
+        self._streak = 0
 
     def check(self, now: float) -> List[GuardViolation]:
         if self.tracker is None:

@@ -43,9 +43,7 @@ from repro.guard.monitors import (
     SloStormMonitor,
 )
 from repro.guard.violations import GuardTransition, GuardViolation
-from repro.obs.audit import AuditLog, GuardTransitionEntry, GuardViolationEntry
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.slo import SloTracker
+from repro.obs.audit import GuardTransitionEntry, GuardViolationEntry
 from repro.service.application import Application
 from repro.service.command_center import CommandCenter
 from repro.sim.engine import Simulator
@@ -138,12 +136,16 @@ class SupervisedController(BaseController):
                 )
         self.modes: Tuple[str, ...] = tuple(r.name for r in self._rungs)
         # One shared action log: rung actions land in the supervisor's
-        # list, so RunResult.actions matches the unsupervised twin.
+        # list, so RunResult.actions matches the unsupervised twin.  One
+        # shared tally: every rung's degraded ticks and safety clamps,
+        # and the actuator's clamps, count into the supervisor's.
+        self.actuator.tally = self.tally
         for rung in self._rungs:
             rung.actions = self.actions
+            rung.tally = self.tally
         self._mode_index = 0
         self._storm = SloStormMonitor(
-            self.guard.burn_threshold, self.guard.storm_ticks
+            self.guard.burn_threshold, self.guard.storm_ticks, self.slo
         )
         self._monitors: List[GuardMonitor] = [
             BudgetCapMonitor(budget),
@@ -164,7 +166,7 @@ class SupervisedController(BaseController):
         self._mode_since = sim.now
 
     # ------------------------------------------------------------------
-    # Controller interface: attach points forward to every rung
+    # Controller interface
     # ------------------------------------------------------------------
     @property
     def mode(self) -> str:
@@ -175,63 +177,12 @@ class SupervisedController(BaseController):
     def active(self) -> BaseController:
         return self._rungs[self._mode_index]
 
-    def attach_audit(self, audit: AuditLog) -> None:
-        super().attach_audit(audit)
-        for rung in self._rungs:
-            rung.attach_audit(audit)
-
-    def attach_metrics(self, registry: MetricsRegistry) -> None:
-        super().attach_metrics(registry)
-        for rung in self._rungs:
-            rung.attach_metrics(registry)
-
     def attach_telemetry(
         self, telemetry: PowerTelemetry, staleness_s: float = 15.0
     ) -> None:
         super().attach_telemetry(telemetry, staleness_s)
         for rung in self._rungs:
             rung.attach_telemetry(telemetry, staleness_s)
-
-    def attach_slo(self, slo: SloTracker) -> None:
-        super().attach_slo(slo)
-        self._storm.attach(slo)
-
-    # The base class tallies these as plain attributes; the supervisor
-    # aggregates across rungs, so reads go through properties and the
-    # base-class writes (init to zero, the occasional own clamp) are
-    # folded into a private component.
-    @property
-    def degraded_ticks(self) -> int:
-        return self._own_degraded_ticks + sum(
-            r.degraded_ticks for r in self._rungs
-        )
-
-    @degraded_ticks.setter
-    def degraded_ticks(self, value: int) -> None:
-        rung_total = (
-            sum(r.degraded_ticks for r in self._rungs)
-            if hasattr(self, "_rungs")
-            else 0
-        )
-        self._own_degraded_ticks = value - rung_total
-
-    @property
-    def safety_clamps(self) -> int:
-        return (
-            self._own_safety_clamps
-            + sum(r.safety_clamps for r in self._rungs)
-            + self.actuator.clamped_actions
-        )
-
-    @safety_clamps.setter
-    def safety_clamps(self, value: int) -> None:
-        other = (
-            sum(r.safety_clamps for r in self._rungs)
-            + self.actuator.clamped_actions
-            if hasattr(self, "_rungs")
-            else 0
-        )
-        self._own_safety_clamps = value - other
 
     def stop(self) -> None:
         self.mode_seconds[self.mode] += self.sim.now - self._mode_since

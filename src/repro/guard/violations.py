@@ -14,11 +14,6 @@ from typing import Any
 
 __all__ = ["GuardViolation", "GuardTransition"]
 
-#: Severity levels, mild to severe.  Severity is descriptive — every
-#: violation counts equally against the degradation-ladder window — but
-#: it survives into the audit log for post-hoc triage.
-SEVERITIES = ("warning", "critical")
-
 
 @dataclass(frozen=True)
 class GuardViolation:
@@ -27,7 +22,10 @@ class GuardViolation:
     ``value`` is the observed quantity and ``limit`` the bound it
     crossed; monitors without a natural scalar pair (e.g. the NaN
     detector) put the offending reading in ``message`` and report a
-    representative pair here.
+    representative pair here.  ``severity`` (``"warning"`` or
+    ``"critical"``) is descriptive: every violation counts the same
+    against the degradation-ladder window, and the severity survives
+    into the audit log for post-hoc triage.
     """
 
     time: float

@@ -174,8 +174,9 @@ def _observability_from_spec(
 ) -> Optional[Observability]:
     """An observability bundle with exactly the pillars the spec arms.
 
-    The accounting pillars are constructed here but stay unattached; the
-    builder's ``arm`` phase binds them to whatever ``build`` produced.
+    ``build`` hands the bundle to every application it makes, where each
+    producer reads its pillars; the ``arm`` phase subscribes the
+    listening pillars to whatever ``build`` produced.
     An SLO pillar resolves its target from the ``slo_target_s`` option
     (mandatory for latency scenarios) or the Table-3 deployment's QoS
     target (the qos default).
@@ -604,32 +605,26 @@ class StackBuilder:
         return self
 
     def _arm_stack(self, stack: _Stack) -> None:
-        """Bind one stack to the run's observability and install chaos."""
+        """Subscribe the run's listening pillars to one stack and install
+        chaos.  Every producer already reads its pillars from the
+        application it was built on."""
         obs = self._observability
         application = stack.application
-        controller = stack.controller
         if obs is not None:
-            if obs.metrics is not None and application.fabric is not None:
-                application.fabric.attach_registry(obs.metrics)
             if obs.attribution is not None:
                 obs.attribution.attach(application)
             if obs.slo is not None:
                 obs.slo.attach(application)
-            if controller is not None and obs.audit is not None:
-                controller.attach_audit(obs.audit)
-            if controller is not None and obs.slo is not None:
-                controller.attach_slo(obs.slo)
         if stack.harness is not None:
-            assert self.sim is not None and controller is not None
+            assert self.sim is not None and stack.controller is not None
             stack.harness.install(
                 sim=self.sim,
                 machine=stack.machine,
                 application=application,
-                controller=controller,
+                controller=stack.controller,
                 budget=stack.budget,
                 telemetry=self.telemetry,
                 streams=stack.streams,
-                observability=obs,
             )
 
     def _attach_stream(

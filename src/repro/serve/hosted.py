@@ -10,10 +10,12 @@ and the equivalence goldens can drive one directly.
 
 Live mutations go through the guard layer: :meth:`apply_budget` calls
 :func:`repro.guard.apply_budget_change` (clamped to the feasible floor,
-overdraw corrected by stepping the hottest instances down, audited) and
-:meth:`retarget_slo` calls :func:`repro.guard.retarget_slo`.  Submitted
-specs are normalised by :func:`ensure_serve_pillars` so every hosted
-run has the metrics/audit/stream pillars those paths record into.
+overdraw corrected by stepping the hottest instances down), which
+audits and counts into the application's observability bundle, and
+:meth:`retarget_slo` hands the run's bundle to
+:func:`repro.guard.retarget_slo`; each then marks the stream.
+Submitted specs are normalised by :func:`ensure_serve_pillars` so every
+hosted run has the metrics/audit/stream pillars those paths record into.
 """
 
 from __future__ import annotations
@@ -166,8 +168,6 @@ class HostedRun:
             controller=builder.controller,
             requested_watts=float(watts),
             now=self.sim_now,
-            audit=None if obs is None else obs.audit,
-            metrics=None if obs is None else obs.metrics,
             source=source,
         )
         if obs is not None and obs.stream is not None:
@@ -191,12 +191,7 @@ class HostedRun:
         if self.done:
             raise ServeError(f"run {self.name!r} has already finished")
         retarget = retarget_slo(
-            slo=obs.slo,
-            target_s=float(target_s),
-            now=self.sim_now,
-            audit=obs.audit,
-            metrics=obs.metrics,
-            source=source,
+            obs=obs, target_s=float(target_s), now=self.sim_now, source=source
         )
         if obs.stream is not None:
             obs.stream.mark(

@@ -23,7 +23,6 @@ from repro.cluster.machine import Machine
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.obs import Observability
-    from repro.obs.metrics import MetricsRegistry
     from repro.service.resilience import RetryPolicy
     from repro.service.rpc import RpcFabric
     from repro.sim.rng import RandomStreams
@@ -49,6 +48,10 @@ class Application:
     center — through the fabric, with its latency and message accounting
     (Section 8.5: "the joint design of service and query in our approach
     is extensible to include the network delays").
+
+    ``observability`` is the run's bundle: every producer built on the
+    application (controller, fabric, fault injector, health monitor,
+    retry layers) reads its pillars from it.
     """
 
     def __init__(
@@ -67,6 +70,10 @@ class Application:
         self.fabric = fabric
         self.observability = observability
         self._metrics = None if observability is None else observability.metrics
+        if fabric is not None:
+            # The fabric carries this application's traffic, so it counts
+            # into this application's registry.
+            fabric.registry = self._metrics
         self._stages: list[Stage] = []
         self._stage_by_name: dict[str, Stage] = {}
         # One pre-bound onward route per stage index: creating a fresh
@@ -118,21 +125,19 @@ class Application:
         return stage
 
     def attach_resilience(
-        self,
-        policy: "RetryPolicy",
-        streams: "RandomStreams",
-        metrics: Optional["MetricsRegistry"] = None,
+        self, policy: "RetryPolicy", streams: "RandomStreams"
     ) -> None:
         """Attach a timeout/retry layer to every stage of the pipeline.
 
         Each stage gets its own named stream (``resilience:<stage>``) so
         backoff jitter never perturbs the workload streams, and adding a
-        stage's retries never shifts another stage's.
+        stage's retries never shifts another stage's.  The layers count
+        into this application's registry.
         """
         self._resilient = True
         for stage in self._stages:
             stage.attach_resilience(
-                policy, streams.stream(f"resilience:{stage.name}"), metrics
+                policy, streams.stream(f"resilience:{stage.name}"), self._metrics
             )
 
     @property

@@ -44,7 +44,10 @@ class RpcFabric:
         self.latency_s = float(latency_s)
         self._messages = 0
         self._messages_lost = 0
-        self._registry: Optional["MetricsRegistry"] = None
+        #: Per-link message counts and hop time land here; the
+        #: :class:`~repro.service.application.Application` the fabric
+        #: serves sets it to its own registry.
+        self.registry: Optional["MetricsRegistry"] = None
         self._links: Counter[tuple[str, str]] = Counter()
         self._fault_until = 0.0
         self._fault_extra_delay_s = 0.0
@@ -114,12 +117,12 @@ class RpcFabric:
                         break
                     self._messages_lost += 1
                     delay += self._fault_retransmit_timeout_s
-        if self._registry is not None:
-            self._registry.counter(
+        if self.registry is not None:
+            self.registry.counter(
                 "repro_rpc_messages_total", "Messages carried by the fabric"
             ).inc(src=src, dst=dst)
             if delay > 0.0:
-                self._registry.counter(
+                self.registry.counter(
                     "repro_rpc_hop_seconds_total",
                     "Cumulative one-way transit time paid on the fabric",
                 ).inc(delay)
@@ -127,11 +130,6 @@ class RpcFabric:
             deliver()
         else:
             self.sim.schedule(delay, deliver, priority=EventPriority.NORMAL)
-
-    # ------------------------------------------------------------------
-    def attach_registry(self, registry: "MetricsRegistry") -> None:
-        """Route per-link message counts and hop time into a registry."""
-        self._registry = registry
 
     # ------------------------------------------------------------------
     @property

@@ -12,45 +12,37 @@ the identity function).
 Conventions
 -----------
 * ``Watts`` / ``Joules`` — power and energy.
-* ``Hz`` / ``Ghz`` — frequency.  The simulator works in GHz throughout
-  (the paper's ladder is 1.2–2.4 GHz); ``Hz`` exists for interop.
+* ``Ghz`` — frequency.  The simulator works in GHz throughout (the
+  paper's ladder is 1.2–2.4 GHz).
 * ``DvfsLevel`` — an integer index on a
   :class:`~repro.cluster.frequency.FrequencyLadder` (0 is the floor).
 * ``SimTime`` — a point on (or duration along) the simulated clock, in
   seconds.
 
-Tolerance helpers
------------------
-Computed power/latency values should not be compared with ``==``.  The
-idioms live here: :func:`approx_eq` for tolerance comparison and
-:func:`exactly` for the rare intentional bitwise sentinel check (for
+Comparisons
+-----------
+Computed power values should not be compared with ``==``:
+:data:`EPSILON_WATTS` is the slack for power comparisons, and
+:func:`exactly` marks the rare intentional bitwise sentinel check (for
 example "was this latency configured to literally ``0.0``?").
 """
 
 from __future__ import annotations
 
-import math
 from typing import NewType
 
 __all__ = [
     "Watts",
     "Joules",
-    "Hz",
     "Ghz",
     "DvfsLevel",
     "SimTime",
     "EPSILON_WATTS",
-    "EPSILON_GHZ",
-    "EPSILON_SECONDS",
-    "approx_eq",
     "exactly",
-    "ghz_to_hz",
-    "hz_to_ghz",
 ]
 
 Watts = NewType("Watts", float)
 Joules = NewType("Joules", float)
-Hz = NewType("Hz", float)
 Ghz = NewType("Ghz", float)
 DvfsLevel = NewType("DvfsLevel", int)
 SimTime = NewType("SimTime", float)
@@ -58,36 +50,6 @@ SimTime = NewType("SimTime", float)
 #: Slack for power comparisons: far below the smallest ladder step's
 #: power delta, far above accumulated float noise.
 EPSILON_WATTS: Watts = Watts(1e-9)
-
-#: Slack for ladder-frequency matching (the ladder step is 0.1 GHz).
-EPSILON_GHZ: Ghz = Ghz(1e-6)
-
-#: Slack for simulated-time comparisons.
-EPSILON_SECONDS: SimTime = SimTime(1e-9)
-
-_GHZ_PER_HZ = 1e-9
-
-
-def ghz_to_hz(value: Ghz) -> Hz:
-    """Convert gigahertz to hertz."""
-    return Hz(float(value) / _GHZ_PER_HZ)
-
-
-def hz_to_ghz(value: Hz) -> Ghz:
-    """Convert hertz to gigahertz."""
-    return Ghz(float(value) * _GHZ_PER_HZ)
-
-
-def approx_eq(left: float, right: float, tolerance: float = 1e-9) -> bool:
-    """Tolerance equality for power/latency floats.
-
-    The approved replacement for ``==`` on computed quantities: absolute
-    tolerance, so it behaves sensibly around zero (where
-    :func:`math.isclose`'s default relative tolerance collapses).
-    """
-    if tolerance < 0.0:
-        raise ValueError(f"tolerance must be >= 0, got {tolerance}")
-    return math.isclose(left, right, rel_tol=0.0, abs_tol=tolerance)
 
 
 def exactly(value: float, sentinel: float) -> bool:

@@ -29,11 +29,7 @@ from repro.workloads.sirius import (
     sirius_profiles,
 )
 from repro.workloads.traces import FIG11_DURATION_S, fig11_trace
-from repro.workloads.websearch import (
-    WEBSEARCH_QOS_TARGET_S,
-    WEBSEARCH_STAGES,
-    websearch_profiles,
-)
+from repro.workloads.websearch import WEBSEARCH_STAGES, websearch_profiles
 
 __all__ = [
     "LoadLevel",
@@ -54,7 +50,6 @@ __all__ = [
     "sirius_profiles",
     "FIG11_DURATION_S",
     "fig11_trace",
-    "WEBSEARCH_QOS_TARGET_S",
     "WEBSEARCH_STAGES",
     "websearch_profiles",
 ]

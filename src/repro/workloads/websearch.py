@@ -19,17 +19,10 @@ from __future__ import annotations
 from repro.service.demand import LogNormalDemand
 from repro.service.profile import PowerLawSpeedup, ServiceProfile
 
-__all__ = [
-    "WEBSEARCH_STAGES",
-    "WEBSEARCH_QOS_TARGET_S",
-    "websearch_profiles",
-]
+__all__ = ["WEBSEARCH_STAGES", "websearch_profiles"]
 
 #: Pipeline order: leaves first, then aggregation.
 WEBSEARCH_STAGES = ("LEAF", "AGG")
-
-#: Table 3's latency QoS for Web Search.
-WEBSEARCH_QOS_TARGET_S = 0.250
 
 _LADDER_FLOOR_GHZ = 1.2
 

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+from typing import Optional
+
 import pytest
 
 from repro.cluster.budget import PowerBudget
 from repro.cluster.dvfs import DvfsActuator
 from repro.cluster.frequency import HASWELL_LADDER
 from repro.cluster.machine import Machine
+from repro.obs import Observability
 from repro.service.application import Application
 from repro.service.command_center import CommandCenter
 from repro.service.demand import DeterministicDemand, LogNormalDemand
@@ -60,16 +63,25 @@ def budget(machine: Machine) -> PowerBudget:
     return PowerBudget(machine, 13.56)
 
 
-@pytest.fixture
-def two_stage_app(sim: Simulator, machine: Machine) -> Application:
-    """A minimal pipeline: fast stage A (0.2 s) then slow stage B (1.0 s)."""
-    app = Application("test-app", sim, machine)
+def make_two_stage_app(
+    sim: Simulator, machine: Machine, observability: Optional[Observability] = None
+) -> Application:
+    """A minimal pipeline: fast stage A (0.2 s) then slow stage B (1.0 s).
+
+    A controller built on it reads its pillars from ``observability``.
+    """
+    app = Application("test-app", sim, machine, observability=observability)
     stage_a = app.add_stage(make_profile("A", mean=0.2))
     stage_b = app.add_stage(make_profile("B", mean=1.0))
     level = HASWELL_LADDER.level_of(1.8)
     stage_a.launch_instance(level)
     stage_b.launch_instance(level)
     return app
+
+
+@pytest.fixture
+def two_stage_app(sim: Simulator, machine: Machine) -> Application:
+    return make_two_stage_app(sim, machine)
 
 
 @pytest.fixture

@@ -20,12 +20,13 @@ from repro.core.baselines import (
 )
 from repro.core.controller import ControllerConfig, PowerChiefController
 from repro.errors import ConfigurationError
+from repro.obs import Observability
 from repro.obs.metrics import MetricsRegistry
 from repro.service.command_center import CommandCenter
 from repro.service.instance import Job
 from repro.service.query import Query
 
-from tests.conftest import submit_two_stage_query
+from tests.conftest import make_two_stage_app, submit_two_stage_query
 
 
 LEVEL_1_2 = HASWELL_LADDER.min_level
@@ -86,18 +87,16 @@ class TestStaticController:
 
 class TestSafetyClamp:
     def test_retuning_a_crashed_instance_is_refused_and_counted(
-        self, sim, two_stage_app, machine
+        self, sim, machine
     ):
-        controller, _, _ = make_controller(
-            StaticController, sim, two_stage_app, machine
-        )
         registry = MetricsRegistry()
-        controller.attach_metrics(registry)
-        stage = two_stage_app.stage("B")
+        app = make_two_stage_app(sim, machine, Observability(metrics=registry))
+        controller, _, _ = make_controller(StaticController, sim, app, machine)
+        stage = app.stage("B")
         victim = stage.instances[0]
         stage.crash_instance(victim)
         controller.set_instance_level(victim, LEVEL_1_2, "test")
-        assert controller.safety_clamps == 1
+        assert controller.tally.safety_clamps == 1
         assert registry.counter("repro_controller_safety_clamps_total").value(
             controller=controller.name
         ) == 1

@@ -20,11 +20,14 @@ from repro.guard import (
     feasible_floor_watts,
     retarget_slo,
 )
+from repro.obs import Observability
 from repro.obs.audit import AuditLog, BudgetChangeEntry, SloRetargetEntry
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.slo import SloTracker
 from repro.service.command_center import CommandCenter
-from repro.units import EPSILON_WATTS, approx_eq, exactly
+from repro.units import EPSILON_WATTS, exactly
+
+from tests.conftest import make_two_stage_app
 
 
 @pytest.fixture
@@ -105,8 +108,8 @@ class TestApplyBudgetChange:
         )
         result = change(controller, 0.001 + 0.0)
         assert result.clamped is True
-        assert approx_eq(result.applied_watts, floor)
-        assert approx_eq(result.floor_watts, floor)
+        assert result.applied_watts == pytest.approx(floor, abs=1e-9)
+        assert result.floor_watts == pytest.approx(floor, abs=1e-9)
         assert controller.budget.draw() <= result.applied_watts + EPSILON_WATTS
         # Every instance was walked to the ladder minimum.
         for instance in controller.application.running_instances():
@@ -119,12 +122,16 @@ class TestApplyBudgetChange:
                 change(controller, watts)
         assert exactly(controller.budget.budget_watts, cap)
 
-    def test_change_is_audited_and_counted(self, controller):
+    def test_change_is_audited_and_counted(self, sim, machine, budget):
         audit = AuditLog()
         metrics = MetricsRegistry()
-        result = change(
-            controller, 8.0, audit=audit, metrics=metrics, source="smoke"
+        app = make_two_stage_app(
+            sim, machine, Observability(audit=audit, metrics=metrics)
         )
+        controller = StaticController(
+            sim, app, CommandCenter(sim, app), budget, DvfsActuator(sim)
+        )
+        result = change(controller, 8.0, source="smoke")
         entries = [
             e for e in audit.entries if isinstance(e, BudgetChangeEntry)
         ]
@@ -162,7 +169,9 @@ class TestRetargetSlo:
         audit = AuditLog()
         metrics = MetricsRegistry()
         result = retarget_slo(
-            slo=slo, target_s=1.5, now=42.0, audit=audit, metrics=metrics
+            obs=Observability(slo=slo, audit=audit, metrics=metrics),
+            target_s=1.5,
+            now=42.0,
         )
         assert exactly(slo.target_s, 1.5)
         assert exactly(result.previous_target_s, 3.0)
@@ -179,5 +188,5 @@ class TestRetargetSlo:
         slo = SloTracker(target_s=3.0)
         for target in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ClusterError, match="> 0 s"):
-                retarget_slo(slo=slo, target_s=target, now=0.0)
+                retarget_slo(obs=Observability(slo=slo), target_s=target, now=0.0)
         assert exactly(slo.target_s, 3.0)

@@ -190,8 +190,9 @@ class TestSloStormMonitor:
 
     def test_fires_after_streak_and_keeps_firing(self):
         burn_box = {"burn": 5.0}
-        monitor = SloStormMonitor(2.0, storm_ticks=3)
-        monitor.attach(self._tracker(burn_box))
+        monitor = SloStormMonitor(
+            2.0, storm_ticks=3, tracker=self._tracker(burn_box)
+        )
         assert monitor.check(1.0) == []
         assert monitor.check(2.0) == []
         assert len(monitor.check(3.0)) == 1  # streak reaches storm_ticks
@@ -199,9 +200,9 @@ class TestSloStormMonitor:
 
     def test_streak_resets_when_burn_subsides(self):
         burn_box = {"burn": 5.0}
-        monitor = SloStormMonitor(2.0, storm_ticks=2)
-        # Arming is permanent by design: there is no detach.
-        monitor.attach(self._tracker(burn_box))
+        monitor = SloStormMonitor(
+            2.0, storm_ticks=2, tracker=self._tracker(burn_box)
+        )
         assert monitor.check(1.0) == []
         burn_box["burn"] = 1.0
         assert monitor.check(2.0) == []  # streak broken

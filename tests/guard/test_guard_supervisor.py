@@ -11,10 +11,13 @@ from repro.cluster.dvfs import DvfsActuator
 from repro.cluster.frequency import HASWELL_LADDER
 from repro.core.baselines import StaticController
 from repro.guard import GuardConfig, SupervisedController
+from repro.obs import Observability
 from repro.obs.audit import AuditLog, GuardTransitionEntry, GuardViolationEntry
 from repro.obs.metrics import MetricsRegistry
 from repro.service.command_center import CommandCenter
 from repro.units import EPSILON_WATTS
+
+from tests.conftest import make_two_stage_app
 
 
 STORMY = GuardConfig(
@@ -41,15 +44,19 @@ def build_supervisor(sim, app, machine, budget_watts=13.56, guard=STORMY):
     return supervisor, budget
 
 
-def stormy_tracker(burn_box):
-    return SimpleNamespace(burn_rate=lambda now: burn_box["burn"])
+def stormy_app(sim, machine, burn_box, **pillars):
+    """The two-stage app with an SLO tracker burning at ``burn_box``'s
+    rate (plus any other pillars) in its observability bundle."""
+    tracker = SimpleNamespace(burn_rate=lambda now: burn_box["burn"])
+    return make_two_stage_app(sim, machine, Observability(slo=tracker, **pillars))
 
 
 class TestLadderWalk:
-    def test_demotes_one_rung_per_window_breach(self, sim, two_stage_app, machine):
-        supervisor, _ = build_supervisor(sim, two_stage_app, machine)
+    def test_demotes_one_rung_per_window_breach(self, sim, machine):
         burn_box = {"burn": 10.0}
-        supervisor.attach_slo(stormy_tracker(burn_box))
+        supervisor, _ = build_supervisor(
+            sim, stormy_app(sim, machine, burn_box), machine
+        )
         assert supervisor.mode == "static"
         supervisor.adjust(10.0)
         assert supervisor.mode == "static"  # one violation, demote_after=2
@@ -62,21 +69,21 @@ class TestLadderWalk:
         supervisor.adjust(40.0)
         assert supervisor.mode == "safe"
 
-    def test_stays_at_the_bottom_rung(self, sim, two_stage_app, machine):
-        supervisor, _ = build_supervisor(sim, two_stage_app, machine)
+    def test_stays_at_the_bottom_rung(self, sim, machine):
         burn_box = {"burn": 10.0}
-        supervisor.attach_slo(stormy_tracker(burn_box))
+        supervisor, _ = build_supervisor(
+            sim, stormy_app(sim, machine, burn_box), machine
+        )
         for tick in range(1, 9):
             supervisor.adjust(tick * 10.0)
         assert supervisor.mode == "safe"
         assert [t.to_mode for t in supervisor.transitions] == ["conserve", "safe"]
 
-    def test_promotes_one_rung_per_probation_window(
-        self, sim, two_stage_app, machine
-    ):
-        supervisor, _ = build_supervisor(sim, two_stage_app, machine)
+    def test_promotes_one_rung_per_probation_window(self, sim, machine):
         burn_box = {"burn": 10.0}
-        supervisor.attach_slo(stormy_tracker(burn_box))
+        supervisor, _ = build_supervisor(
+            sim, stormy_app(sim, machine, burn_box), machine
+        )
         for tick in (10.0, 20.0, 30.0, 40.0):
             supervisor.adjust(tick)
         assert supervisor.mode == "safe"
@@ -93,10 +100,11 @@ class TestLadderWalk:
         assert summary.safe_mode_engaged
         assert summary.recovered
 
-    def test_fresh_violation_restarts_probation(self, sim, two_stage_app, machine):
-        supervisor, _ = build_supervisor(sim, two_stage_app, machine)
+    def test_fresh_violation_restarts_probation(self, sim, machine):
         burn_box = {"burn": 10.0}
-        supervisor.attach_slo(stormy_tracker(burn_box))
+        supervisor, _ = build_supervisor(
+            sim, stormy_app(sim, machine, burn_box), machine
+        )
         supervisor.adjust(10.0)
         supervisor.adjust(20.0)
         assert supervisor.mode == "conserve"
@@ -110,14 +118,12 @@ class TestLadderWalk:
         supervisor.adjust(76.0)
         assert supervisor.mode == "static"  # 76 - 45 >= 30s
 
-    def test_transitions_are_audited_and_counted(self, sim, two_stage_app, machine):
-        supervisor, _ = build_supervisor(sim, two_stage_app, machine)
+    def test_transitions_are_audited_and_counted(self, sim, machine):
         audit = AuditLog()
         registry = MetricsRegistry()
-        supervisor.attach_audit(audit)
-        supervisor.attach_metrics(registry)
         burn_box = {"burn": 10.0}
-        supervisor.attach_slo(stormy_tracker(burn_box))
+        app = stormy_app(sim, machine, burn_box, audit=audit, metrics=registry)
+        supervisor, _ = build_supervisor(sim, app, machine)
         supervisor.adjust(10.0)
         supervisor.adjust(20.0)
         violations = audit.of_kind(GuardViolationEntry)
@@ -148,16 +154,14 @@ class TestLadderWalk:
 
 
 class TestCapEnforcement:
-    def test_breach_is_stepped_down_within_the_tick(
-        self, sim, two_stage_app, machine
-    ):
+    def test_breach_is_stepped_down_within_the_tick(self, sim, machine):
+        registry = MetricsRegistry()
+        app = make_two_stage_app(sim, machine, Observability(metrics=registry))
         draw = float(machine.total_power())
         # A cap below current draw: already in breach before the tick.
         supervisor, budget = build_supervisor(
-            sim, two_stage_app, machine, budget_watts=draw * 0.8
+            sim, app, machine, budget_watts=draw * 0.8
         )
-        registry = MetricsRegistry()
-        supervisor.attach_metrics(registry)
         supervisor.adjust(10.0)
         assert budget.draw() <= budget.budget_watts + EPSILON_WATTS
         assert supervisor.enforced_step_downs > 0
@@ -176,15 +180,16 @@ class TestCapEnforcement:
 
         from tests.conftest import make_profile
 
-        app = Application("floor", sim, machine)
+        registry = MetricsRegistry()
+        app = Application(
+            "floor", sim, machine, observability=Observability(metrics=registry)
+        )
         stage = app.add_stage(make_profile("A", mean=0.2))
         stage.launch_instance(int(HASWELL_LADDER.min_level))
         floor_draw = float(machine.total_power())
         supervisor, budget = build_supervisor(
             sim, app, machine, budget_watts=floor_draw * 0.5
         )
-        registry = MetricsRegistry()
-        supervisor.attach_metrics(registry)
         supervisor.adjust(10.0)  # nothing above the floor: cannot shed
         assert budget.draw() > budget.budget_watts
         assert supervisor.enforced_step_downs == 0
@@ -197,11 +202,12 @@ class TestAggregation:
         self, sim, two_stage_app, machine
     ):
         supervisor, _ = build_supervisor(sim, two_stage_app, machine)
-        assert supervisor.degraded_ticks == 0
-        supervisor._rungs[0].degraded_ticks += 3
-        assert supervisor.degraded_ticks == 3
-        supervisor.degraded_ticks += 1  # a base-class write folds in too
-        assert supervisor.degraded_ticks == 4
+        assert supervisor.tally.degraded_ticks == 0
+        supervisor._rungs[0].tally.degraded_ticks += 3
+        assert supervisor.tally.degraded_ticks == 3
+        supervisor.tally.degraded_ticks += 1  # a base-class write folds in too
+        assert supervisor.tally.degraded_ticks == 4
+        assert all(rung.tally is supervisor.tally for rung in supervisor._rungs)
 
     def test_safety_clamps_include_the_actuator(self, sim, two_stage_app, machine):
         draw = float(machine.total_power())
@@ -212,7 +218,7 @@ class TestAggregation:
         # The wrapped policy asks for an unfundable boost: clamped.
         supervisor.actuator.set_level(instance.core, instance.level + 2)
         assert supervisor.actuator.clamped_actions == 1
-        assert supervisor.safety_clamps == 1
+        assert supervisor.tally.safety_clamps == 1
 
     def test_summary_to_dict_shape(self, sim, two_stage_app, machine):
         supervisor, _ = build_supervisor(sim, two_stage_app, machine)
@@ -224,10 +230,11 @@ class TestAggregation:
         assert payload["recovered"] is True
         assert set(payload["mode_seconds"]) == {"static", "conserve", "safe"}
 
-    def test_single_rung_ladder(self, sim, two_stage_app, machine):
+    def test_single_rung_ladder(self, sim, machine):
+        burn_box = {"burn": 10.0}
         supervisor, _ = build_supervisor(
             sim,
-            two_stage_app,
+            stormy_app(sim, machine, burn_box),
             machine,
             guard=GuardConfig(
                 ladder="safe",
@@ -236,8 +243,6 @@ class TestAggregation:
                 storm_ticks=1,
             ),
         )
-        burn_box = {"burn": 10.0}
-        supervisor.attach_slo(stormy_tracker(burn_box))
         supervisor.adjust(10.0)
         assert supervisor.mode == "safe"
         burn_box["burn"] = 0.0

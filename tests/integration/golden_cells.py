@@ -28,6 +28,10 @@ writes, and the headline numbers at :data:`HEADLINE_KWARGS`
 Regenerate (only when a PR *intends* a behavioural change) with::
 
     PYTHONPATH=src python tests/integration/golden_cells.py --regen
+
+It rewrites the three files and prints one line per pinned digest that
+moved (file, cell or group, part, old and new digest); a re-pin that
+changes nothing prints nothing.
 """
 
 from __future__ import annotations
@@ -293,23 +297,37 @@ def load_output_goldens() -> dict[str, object]:
     return json.loads(OUTPUT_PATH.read_text())
 
 
+def _flatten(tree: object, key: tuple[str, ...] = ()) -> dict[tuple[str, ...], object]:
+    """Every digest of a pinned file, keyed by its path through the JSON."""
+    if not isinstance(tree, dict):
+        return {key: tree}
+    flat: dict[tuple[str, ...], object] = {}
+    for name, value in tree.items():
+        flat.update(_flatten(value, key + (name,)))
+    return flat
+
+
+def _repin(path: Path, digests: dict) -> None:
+    """Pin ``digests`` in ``path``, printing each pinned digest that moved."""
+    before = _flatten(json.loads(path.read_text())) if path.exists() else {}
+    after = _flatten(digests)
+    for key in sorted(before.keys() | after.keys()):
+        old, new = before.get(key, "(none)"), after.get(key, "(none)")
+        if old != new:
+            print(f"{path.name}: {' / '.join(key)}: {old} -> {new}")
+    path.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
+
+
 def _regen() -> None:
-    goldens = {}
-    for name, spec in golden_cells().items():
-        goldens[name] = cell_digest(spec)
-        print(f"{name}: {goldens[name]}")
-    GOLDEN_PATH.write_text(json.dumps(goldens, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {GOLDEN_PATH}")
-    observed = {}
-    for name, spec in observed_cells().items():
-        observed[name] = observed_parts(spec)
-        print(f"{name}: {observed[name]}")
-    OBSERVED_PATH.write_text(json.dumps(observed, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {OBSERVED_PATH}")
-    outputs = output_digests()
-    print(json.dumps(outputs, indent=2, sort_keys=True))
-    OUTPUT_PATH.write_text(json.dumps(outputs, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {OUTPUT_PATH}")
+    _repin(
+        GOLDEN_PATH,
+        {name: cell_digest(spec) for name, spec in golden_cells().items()},
+    )
+    _repin(
+        OBSERVED_PATH,
+        {name: observed_parts(spec) for name, spec in observed_cells().items()},
+    )
+    _repin(OUTPUT_PATH, output_digests())
 
 
 if __name__ == "__main__":

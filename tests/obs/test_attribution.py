@@ -271,7 +271,6 @@ class TestTerminalFailure:
         application.attach_resilience(
             RetryPolicy(timeout_s=0.5, max_attempts=1, jitter_fraction=0.0),
             RandomStreams(1),
-            registry,
         )
         collector = AttributionCollector(registry=registry)
         collector.attach(application)

@@ -1,7 +1,8 @@
 """Tests for the controller decision audit log.
 
-The scripted scenario attaches an audit log to a real
-:class:`~repro.core.controller.PowerChiefController`, floods one stage,
+The scripted scenario builds a real
+:class:`~repro.core.controller.PowerChiefController` on an application
+whose observability bundle carries an audit log, floods one stage,
 and checks that the recorded entries reproduce the controller's actual
 decisions: Equation-1 readings recompute to the recorded metric, and each
 :class:`BoostEntry` carries exactly the ``T_inst`` / ``T_freq`` estimates
@@ -19,6 +20,7 @@ from repro.cluster.dvfs import DvfsActuator
 from repro.core.controller import ControllerConfig, PowerChiefController
 from repro.core.metrics import equation1_metric
 from repro.errors import ConfigurationError
+from repro.obs import Observability
 from repro.obs.audit import (
     AuditLog,
     BoostEntry,
@@ -32,10 +34,14 @@ from repro.service.command_center import CommandCenter
 from repro.service.instance import Job
 from repro.service.query import Query
 
-from tests.conftest import submit_two_stage_query
+from tests.conftest import make_two_stage_app, submit_two_stage_query
 
 
-def make_audited_controller(sim, app, machine, **config_overrides):
+def make_audited_controller(sim, machine, **config_overrides):
+    """A PowerChief controller on a two-stage app whose observability
+    bundle carries an audit log; returns the controller and the log."""
+    audit = AuditLog()
+    app = make_two_stage_app(sim, machine, Observability(audit=audit))
     settings = dict(
         adjust_interval_s=5.0,
         balance_threshold_s=0.25,
@@ -47,8 +53,6 @@ def make_audited_controller(sim, app, machine, **config_overrides):
     controller = PowerChiefController(
         sim, app, command_center, PowerBudget(machine, 13.56), DvfsActuator(sim), config
     )
-    audit = AuditLog()
-    controller.attach_audit(audit)
     return controller, audit
 
 
@@ -103,12 +107,13 @@ class TestAuditLog:
 
 
 class TestScriptedScenario:
-    def test_boost_entries_match_decisions(self, sim, two_stage_app, machine):
-        controller, audit = make_audited_controller(sim, two_stage_app, machine)
+    def test_boost_entries_match_decisions(self, sim, machine):
+        controller, audit = make_audited_controller(sim, machine)
+        app = controller.application
         controller.start()
         for qid in range(10):
-            submit_two_stage_query(two_stage_app, qid)
-        flood_stage_b(two_stage_app)
+            submit_two_stage_query(app, qid)
+        flood_stage_b(app)
         sim.run(until=60.0)
 
         boosts = audit.of_kind(BoostEntry)
@@ -124,12 +129,11 @@ class TestScriptedScenario:
             assert entry.recycled_watts == decision.recycle_plan.recycled_watts
             assert len(entry.planned_drops) == len(decision.recycle_plan.drops)
 
-    def test_bottleneck_readings_recompute_equation1(
-        self, sim, two_stage_app, machine
-    ):
-        controller, audit = make_audited_controller(sim, two_stage_app, machine)
+    def test_bottleneck_readings_recompute_equation1(self, sim, machine):
+        controller, audit = make_audited_controller(sim, machine)
+        app = controller.application
         controller.start()
-        flood_stage_b(two_stage_app)
+        flood_stage_b(app)
         sim.run(until=60.0)
 
         rankings = audit.of_kind(BottleneckEntry)
@@ -150,10 +154,11 @@ class TestScriptedScenario:
             assert entry.bottleneck == entry.readings[-1].instance
             assert entry.spread == pytest.approx(metrics[-1] - metrics[0])
 
-    def test_every_tick_is_accounted_for(self, sim, two_stage_app, machine):
-        controller, audit = make_audited_controller(sim, two_stage_app, machine)
+    def test_every_tick_is_accounted_for(self, sim, machine):
+        controller, audit = make_audited_controller(sim, machine)
+        app = controller.application
         controller.start()
-        flood_stage_b(two_stage_app, count=20)
+        flood_stage_b(app, count=20)
         sim.run(until=60.0)
         # Each adjust tick records one ranking pass, then either a boost
         # or a skip — nothing falls through unaudited.
@@ -163,10 +168,11 @@ class TestScriptedScenario:
         assert len(rankings) == controller.ticks
         assert len(boosts) + len(skips) == controller.ticks
 
-    def test_recycle_entries_are_consistent(self, sim, two_stage_app, machine):
-        controller, audit = make_audited_controller(sim, two_stage_app, machine)
+    def test_recycle_entries_are_consistent(self, sim, machine):
+        controller, audit = make_audited_controller(sim, machine)
+        app = controller.application
         controller.start()
-        flood_stage_b(two_stage_app)
+        flood_stage_b(app)
         sim.run(until=120.0)
         for entry in audit.of_kind(RecycleEntry):
             assert entry.drops
@@ -177,14 +183,14 @@ class TestScriptedScenario:
                 assert drop.to_level < drop.from_level
                 assert drop.watts_freed > 0.0
 
-    def test_withdraw_entries_record_utilization(self, sim, two_stage_app, machine):
+    def test_withdraw_entries_record_utilization(self, sim, machine):
         # Short withdraw cadence + a load burst that then drains: clones
         # launched for the burst go idle and get withdrawn below 20 %.
         controller, audit = make_audited_controller(
-            sim, two_stage_app, machine, withdraw_interval_s=20.0
+            sim, machine, withdraw_interval_s=20.0
         )
         controller.start()
-        flood_stage_b(two_stage_app, count=30)
+        flood_stage_b(controller.application, count=30)
         sim.run(until=300.0)
         withdraws = audit.of_kind(WithdrawEntry)
         withdraw_actions = [
@@ -218,10 +224,11 @@ class TestScriptedScenario:
         assert controller.audit is None
         assert controller.decisions, "scenario should still decide something"
 
-    def test_jsonl_export_of_live_log(self, sim, two_stage_app, machine, tmp_path):
-        controller, audit = make_audited_controller(sim, two_stage_app, machine)
+    def test_jsonl_export_of_live_log(self, sim, machine, tmp_path):
+        controller, audit = make_audited_controller(sim, machine)
+        app = controller.application
         controller.start()
-        flood_stage_b(two_stage_app)
+        flood_stage_b(app)
         sim.run(until=60.0)
         path = audit.write_jsonl(tmp_path / "audit.jsonl")
         entries = [json.loads(line) for line in path.read_text().splitlines()]

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main
 from repro.scenario import ScenarioSpec
+
+EXAMPLES = Path(__file__).resolve().parents[2] / "examples" / "scenarios"
 
 
 @pytest.fixture
@@ -141,6 +144,17 @@ class TestRunCommand:
             == 0
         )
         assert "source=cache" in capsys.readouterr().out
+
+    def test_run_on_a_qos_spec_prints_the_qos_line(self, capsys):
+        # The example spec is `repro qos sirius powerchief` at its
+        # defaults for rate 4, 120 s and seed 5: both print one line.
+        path = EXAMPLES / "qos_sirius.json"
+        assert main(["run", "--scenario", str(path)]) == 0
+        line = capsys.readouterr().out.splitlines()[-1]
+        assert "saving" in line
+        argv = ["qos", "sirius", "powerchief", "--rate", "4", "--duration", "120"]
+        assert main(argv + ["--seed", "5"]) == 0
+        assert capsys.readouterr().out == line + "\n"
 
     def test_run_writes_json(self, tiny_scenario, tmp_path, capsys):
         _, path = tiny_scenario

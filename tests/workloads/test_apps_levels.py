@@ -6,11 +6,12 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.scenario import ScenarioSpec, StackBuilder
+from repro.scenario.config import TABLE3_SETUPS
 from repro.service.stage import StageKind
 from repro.workloads.levels import LoadLevel, load_levels_for, saturation_rate
 from repro.workloads.nlp import NLP_STAGES, nlp_profiles
 from repro.workloads.sirius import SIRIUS_STAGES, sirius_profiles
-from repro.workloads.websearch import WEBSEARCH_QOS_TARGET_S, websearch_profiles
+from repro.workloads.websearch import websearch_profiles
 
 from tests.conftest import make_profile
 
@@ -126,7 +127,7 @@ class TestWebSearchWorkload:
         assert app.stage("AGG").kind is StageKind.PIPELINE
 
     def test_qos_target_is_250ms(self):
-        assert WEBSEARCH_QOS_TARGET_S == pytest.approx(0.250)
+        assert TABLE3_SETUPS["websearch"].qos_target_s == pytest.approx(0.250)
 
     def test_leaf_demand_is_total_across_pool(self):
         profiles = {p.name: p for p in websearch_profiles()}
