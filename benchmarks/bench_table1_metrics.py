@@ -9,7 +9,6 @@ instance, while the Equation-1 metric follows the queue.
 
 # The bursty two-stage pipeline runs on test profiles that no scenario
 # spec can name, so this bench assembles its stack by hand.
-# repro-lint: disable-file=scenario-bypass
 
 from __future__ import annotations
 

@@ -16,7 +16,6 @@ Run:  python examples/custom_pipeline.py
 
 # Demonstrating the low-level API (no scenario layer) is the point of
 # this example, so the staged-assembly bypass is intentional.
-# repro-lint: disable-file=scenario-bypass
 
 from repro import (
     Application,

@@ -42,9 +42,6 @@ Commands:
   optional content-addressed cache keyed on the scenario digest.
 * ``scenario`` — spec tooling: ``validate`` checks spec files and prints
   their digests; ``dump`` prints a spec's canonical JSON form.
-* ``lint`` — the domain-aware static-analysis pass (:mod:`repro.lint`)
-  over source trees; exits 0 when clean, 1 on findings, 2 on a crash in
-  the tool itself.
 * ``serve`` — the ``reprod`` control-plane daemon: hosts armed stacks,
   paces them against the wall clock (``--rate`` sim-seconds per real
   second, or ``--turbo``), takes live commands over a line-delimited
@@ -162,8 +159,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="high",
         help="load level relative to baseline saturation (default: high)",
     )
-    latency.add_argument("--rate", type=float, help="explicit arrival rate (qps)")
-    latency.add_argument("--duration", type=float, default=600.0)
+    latency.add_argument("--rate", type=_positive_float, help="explicit arrival rate (qps)")
+    latency.add_argument("--duration", type=_positive_float, default=600.0)
     latency.add_argument("--seed", type=int, default=3)
     latency.add_argument(
         "--budget-watts",
@@ -235,8 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
         "headline",
         help="measure the paper's abstract numbers via the figure runner",
     )
-    headline.add_argument("--duration", type=float, default=600.0)
-    headline.add_argument("--qos-duration", type=float, default=800.0)
+    headline.add_argument("--duration", type=_positive_float, default=600.0)
+    headline.add_argument("--qos-duration", type=_positive_float, default=800.0)
     headline.add_argument(
         "--workers",
         type=int,
@@ -264,8 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="high",
         help="load level relative to baseline saturation (default: high)",
     )
-    trace.add_argument("--rate", type=float, help="explicit arrival rate (qps)")
-    trace.add_argument("--duration", type=float, default=300.0)
+    trace.add_argument("--rate", type=_positive_float, help="explicit arrival rate (qps)")
+    trace.add_argument("--duration", type=_positive_float, default=300.0)
     trace.add_argument("--seed", type=int, default=3)
     trace.add_argument(
         "--output",
@@ -315,32 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="report format (default: text)",
     )
 
-    lint = commands.add_parser(
-        "lint",
-        help="run the domain-aware static-analysis pass over source trees",
-    )
-    lint.add_argument(
-        "paths",
-        nargs="*",
-        default=["src"],
-        help="files or directories to lint (default: src)",
-    )
-    lint.add_argument(
-        "--format",
-        choices=("text", "json", "sarif"),
-        default="text",
-        help="report format (default: text)",
-    )
-    lint.add_argument(
-        "--select",
-        help="comma-separated rule ids to run (default: all rules)",
-    )
-    lint.add_argument(
-        "--list-rules",
-        action="store_true",
-        help="print the rule catalog and exit",
-    )
-
     chaos = commands.add_parser(
         "chaos",
         help="one latency run under a fault plan, with goodput report",
@@ -361,8 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="high",
         help="load level relative to baseline saturation (default: high)",
     )
-    chaos.add_argument("--rate", type=float, help="explicit arrival rate (qps)")
-    chaos.add_argument("--duration", type=float, default=300.0)
+    chaos.add_argument("--rate", type=_positive_float, help="explicit arrival rate (qps)")
+    chaos.add_argument("--duration", type=_positive_float, default=300.0)
     chaos.add_argument("--seed", type=int, default=3)
     chaos.add_argument(
         "--no-baseline",
@@ -401,8 +372,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="high",
         help="load level relative to baseline saturation (default: high)",
     )
-    guard.add_argument("--rate", type=float, help="explicit arrival rate (qps)")
-    guard.add_argument("--duration", type=float, default=600.0)
+    guard.add_argument("--rate", type=_positive_float, help="explicit arrival rate (qps)")
+    guard.add_argument("--duration", type=_positive_float, default=600.0)
     guard.add_argument("--seed", type=int, default=3)
     guard.add_argument(
         "--slo-target",
@@ -460,8 +431,8 @@ def build_parser() -> argparse.ArgumentParser:
     qos = commands.add_parser("qos", help="one Table-3 QoS-mode run")
     qos.add_argument("app", choices=("sirius", "websearch"))
     qos.add_argument("policy", choices=QOS_POLICIES)
-    qos.add_argument("--rate", type=float, help="arrival rate (qps)")
-    qos.add_argument("--duration", type=float, default=400.0)
+    qos.add_argument("--rate", type=_positive_float, help="arrival rate (qps)")
+    qos.add_argument("--duration", type=_positive_float, default=400.0)
     qos.add_argument("--seed", type=int, default=3)
     qos.add_argument("--json", help="write the full result to this path")
 
@@ -746,7 +717,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     logger = logging.getLogger("repro.cli")
     rate = _resolve_rate(args)
     target = Path(args.output)
-    target.mkdir(parents=True, exist_ok=True)
     observe = ["trace", "metrics", "audit", "attribution", "slo", "energy"]
     options = {
         "slo_target_s": args.slo_target,
@@ -762,17 +732,19 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         "tracing %s/%s at %.2f qps for %.0fs", args.app, args.policy,
         rate, args.duration,
     )
-    builder = StackBuilder(
-        ScenarioSpec.latency(
-            args.app,
-            args.policy,
-            ("constant", rate),
-            args.duration,
-            seed=args.seed,
-            observe=observe,
-            **options,
-        )
+    spec = ScenarioSpec.latency(
+        args.app,
+        args.policy,
+        ("constant", rate),
+        args.duration,
+        seed=args.seed,
+        observe=observe,
+        **options,
     )
+    builder = StackBuilder(spec)
+    # Only once the spec and its pillars are accepted: a refused run
+    # leaves no directory behind.
+    target.mkdir(parents=True, exist_ok=True)
     result = builder.execute()
     observability = builder.observability
     assert observability is not None
@@ -846,43 +818,6 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     else:
         print(render_explain(report))
     return 0
-
-
-def _cmd_lint(args: argparse.Namespace) -> int:
-    """Exit codes: 0 clean, 1 findings, 2 the linter itself crashed."""
-    import json as json_module
-
-    from repro.lint import default_registry, lint_paths, report_to_sarif
-
-    try:
-        registry = default_registry()
-        if args.list_rules:
-            for rule, description, scope in registry.describe():
-                scoped = f" [{', '.join(scope)}]" if scope else ""
-                print(f"{rule}{scoped}: {description}")
-            return 0
-        report = lint_paths(
-            args.paths,
-            registry=registry,
-            select=args.select,  # None = all; "" must error, not pass
-        )
-    except ReproError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    except Exception as error:  # a crash must never read as "clean"
-        print(f"repro-lint internal error: {error!r}", file=sys.stderr)
-        return 2
-    if args.format == "json":
-        print(json_module.dumps(report.to_dict(), indent=2, sort_keys=True))
-    elif args.format == "sarif":
-        print(
-            json_module.dumps(
-                report_to_sarif(report, registry), indent=2, sort_keys=True
-            )
-        )
-    else:
-        print(report.format_text())
-    return 1 if report.findings else 0
 
 
 def _resolve_rate(args: argparse.Namespace) -> float:
@@ -1118,7 +1053,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "guard": _cmd_guard,
         "run": _cmd_run,
         "scenario": _cmd_scenario,
-        "lint": _cmd_lint,
         "serve": _cmd_serve,
         "ctl": _cmd_ctl,
     }

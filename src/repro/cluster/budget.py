@@ -108,15 +108,23 @@ class PowerBudget:
         if not self.fits(extra_watts):
             raise PowerBudgetExceeded(extra_watts, self.available())
 
-    def assert_within(self) -> None:
+    def assert_within(self, subject: str = "the machine") -> None:
         """Assert the hard invariant: total draw never exceeds the budget.
 
         Controllers call this after applying a reallocation plan; a failure
-        is a bug in the controller, not a recoverable condition.
+        is a bug in the controller, not a recoverable condition.  The
+        message names ``subject`` as what draws, the draw, the budget and
+        the excess.
         """
         draw = self.draw()
         if draw > self.budget_watts + _EPSILON_WATTS:
-            raise PowerBudgetExceeded(draw - self.budget_watts, 0.0)
+            excess = draw - self.budget_watts
+            raise PowerBudgetExceeded(
+                excess,
+                0.0,
+                f"{subject} draws {draw:.3f} W against the "
+                f"{self.budget_watts:.3f} W budget, {excess:.3f} W over",
+            )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -7,6 +7,8 @@ still letting programming errors (``TypeError`` and friends) propagate.
 
 from __future__ import annotations
 
+from typing import Optional
+
 __all__ = [
     "ReproError",
     "SimulationError",
@@ -50,11 +52,16 @@ class FrequencyError(ClusterError):
 
 
 class PowerBudgetExceeded(ClusterError):
-    """Raised when an action would push total draw above the power budget."""
+    """Raised when an action would push total draw above the power budget,
+    or when the draw is found above it (``message`` then says by how much;
+    ``requested`` is the excess and ``available`` 0)."""
 
-    def __init__(self, requested: float, available: float) -> None:
+    def __init__(
+        self, requested: float, available: float, message: Optional[str] = None
+    ) -> None:
         super().__init__(
-            f"requested {requested:.3f} W but only {available:.3f} W "
+            message
+            or f"requested {requested:.3f} W but only {available:.3f} W "
             f"of the budget is available"
         )
         self.requested = requested

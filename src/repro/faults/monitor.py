@@ -157,7 +157,7 @@ class HealthMonitor:
                 if not self._looks_hung(instance, now):
                     continue
                 self._hangs_detected += 1
-                self._audit(
+                self._record(
                     "hang-detected",
                     instance.name,
                     f"no progress for >= {self.config.hang_service_timeout_s:.0f}s; "
@@ -210,21 +210,29 @@ class HealthMonitor:
             detail = f"replacement at level {candidate}"
             if candidate != level:
                 detail += f" (wanted {level}; stepped down for power)"
-            self._audit("respawn", instance.name, detail)
+            self._record("respawn", instance.name, detail)
             return True
         return False  # no level fits the budget right now
 
     # ------------------------------------------------------------------
-    def _audit(self, action: str, target: str, detail: str) -> None:
+    def _record(self, action: str, target: str, detail: str) -> None:
+        """Mirror one recovery action into the audit log and the
+        ``repro_health_actions_total`` counter, whichever are armed."""
         obs = self.application.observability
-        if obs is None or obs.audit is None:
+        if obs is None:
             return
-        obs.audit.record(
-            ResilienceEntry(
-                time=self.sim.now,
-                controller="health-monitor",
-                action=action,
-                target=target,
-                detail=detail,
+        if obs.audit is not None:
+            obs.audit.record(
+                ResilienceEntry(
+                    time=self.sim.now,
+                    controller="health-monitor",
+                    action=action,
+                    target=target,
+                    detail=detail,
+                )
             )
-        )
+        if obs.metrics is not None:
+            obs.metrics.counter(
+                "repro_health_actions_total",
+                "Recovery actions taken by the health monitor, by action",
+            ).inc(action=action)

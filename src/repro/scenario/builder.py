@@ -526,7 +526,7 @@ class StackBuilder:
             machine,
             machine.peak_power() if plan.budget_watts is None else plan.budget_watts,
         )
-        budget.assert_within()
+        budget.assert_within(f"the {spec.app} allocation")
         command_center = plan.command_center(sim, application)
         dvfs = DvfsActuator(sim)
         controller = (

@@ -7,11 +7,11 @@ between simulation advances, so every mutation (a live budget change, a
 pause) lands at a quiescent point and the run stays deterministic for
 the event sequence it actually executed.
 
-Pacing is the one place wall clock is allowed (the sim core stays pure
-under ``repro lint``): each loop iteration converts elapsed real time
-into a simulated-time deadline per run (``rate`` sim-seconds per real
-second) and ticks the run there, blocking up to ``poll_interval_s`` in
-``select`` between iterations.  ``turbo`` ignores the wall clock and
+Pacing is the one place wall clock is allowed (the ``wall-clock``
+determinism rule keeps the sim core pure): each loop iteration converts
+elapsed real time into a simulated-time deadline per run (``rate``
+sim-seconds per real second) and ticks the run there, blocking up to
+``poll_interval_s`` in ``select`` between iterations.  ``turbo`` ignores the wall clock and
 advances a fixed simulated quantum per iteration instead, without
 sleeping in ``select`` while any run can advance: it goes as fast as
 the host allows (one core busy) and drains the command socket between

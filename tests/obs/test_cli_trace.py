@@ -150,3 +150,21 @@ class TestTraceCommand:
         )
         assert code == 0
         assert "sirius/powerchief" in capsys.readouterr().out
+
+    def test_refused_spec_leaves_no_output_directory(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(
+            [
+                "trace",
+                "sirius",
+                "--slo-attainment",
+                "1.5",
+                "--duration",
+                "10",
+                "--output",
+                str(out),
+            ]
+        )
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()

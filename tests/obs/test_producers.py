@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from collections import Counter
 
+import pytest
+
 from repro.faults import chaos_spec
 from repro.guard import GuardConfig
 from repro.obs.audit import ResilienceEntry
@@ -106,10 +108,30 @@ class TestChaosProducers:
         assert total(registry, "repro_attempt_timeouts_total") == sum(
             layer.timeouts for layer in layers
         )
-        # The health monitor audits (it has no counter) into the same
-        # bundle: one entry per hang it caught and per respawn it made.
+        # The health monitor audits into the same bundle: one entry per
+        # hang it caught and per respawn it made.
         monitor = harness.monitor
         assert monitor.hangs_detected > 0 and monitor.respawns > 0
         assert len(obs.audit.of_kind(ResilienceEntry)) == (
             monitor.hangs_detected + monitor.respawns
         )
+
+    @pytest.mark.parametrize("guard", [None, GuardConfig()], ids=["bare", "guarded"])
+    def test_health_monitor_counts_what_it_audits(self, guard):
+        spec = chaos_spec(
+            "sirius",
+            "powerchief",
+            ("constant", 3.0),
+            300.0,
+            "all-faults",
+            seed=3,
+            guard=guard,
+        )
+        builder = StackBuilder(spec)
+        builder.execute()
+        monitor = builder.chaos.monitor
+        assert (monitor.hangs_detected, monitor.respawns) == (1, 3)
+        actions = builder.observability.metrics.get("repro_health_actions_total")
+        assert actions is not None
+        assert actions.value(action="hang-detected") == monitor.hangs_detected
+        assert actions.value(action="respawn") == monitor.respawns

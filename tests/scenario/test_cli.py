@@ -58,20 +58,45 @@ class TestLatencyFlags:
             ("watts", "nan"),
             ("watts", "1e400"),
             ("--poll", "inf"),
+            ("--rate", "0"),
+            ("--rate", "nan"),
+            ("--duration", "-5"),
+            ("--duration", "nan"),
+            ("--qos-duration", "-1"),
+            ("--qos-duration", "inf"),
         ],
     )
     def test_bad_values_rejected_at_parse_time(self, flag, value, capsys):
         # ``watts`` is ``repro ctl budget``'s positional, ``--poll`` a
-        # ``repro serve`` flag; the rest are latency flags.
-        argv = {
-            "watts": ["ctl", "budget", "run0"],
-            "--poll": ["serve", "--poll"],
-        }.get(flag, ["latency", "sirius", "static", flag])
+        # ``repro serve`` flag, ``--qos-duration`` a ``repro headline``
+        # flag; ``--rate`` and ``--duration`` are tried on every command
+        # that takes them, and the rest are latency flags.
+        runs = (
+            ["latency", "sirius", "static"],
+            ["trace", "sirius"],
+            ["chaos", "sirius"],
+            ["guard", "sirius"],
+            ["qos", "sirius", "pegasus"],
+        )
+        argvs = {
+            "watts": [["ctl", "budget", "run0"]],
+            "--poll": [["serve", "--poll"]],
+            "--qos-duration": [["headline", "--qos-duration"]],
+            "--rate": [[*run, "--rate"] for run in runs],
+            "--duration": [[*run, "--duration"] for run in (*runs, ["headline"])],
+        }.get(flag, [["latency", "sirius", "static", flag]])
         parser = build_parser()
-        with pytest.raises(SystemExit) as excinfo:
-            parser.parse_args([*argv, value])
-        assert excinfo.value.code == 2
-        assert flag in capsys.readouterr().err
+        for argv in argvs:
+            with pytest.raises(SystemExit) as excinfo:
+                parser.parse_args([*argv, value])
+            assert excinfo.value.code == 2
+            assert flag in capsys.readouterr().err
+
+    def test_budget_below_the_allocation_names_draw_and_budget(self, capsys):
+        argv = ["latency", "sirius", "powerchief", "--budget-watts", "9", "--duration", "30"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "13.560 W" in err and "9.000 W" in err
 
     def test_drain_defaults_to_zero(self):
         args = build_parser().parse_args(
