@@ -39,7 +39,9 @@ Commands:
 * ``run`` — execute one scenario spec file (``--scenario spec.json``)
   through the staged stack builder: latency, QoS, sharded and
   chaos-armed runs all drive off the same declarative JSON, with an
-  optional content-addressed cache keyed on the scenario digest.
+  optional content-addressed cache keyed on the scenario digest.  It
+  prints the report the spec calls for (the summary line with
+  ``--cache-dir``).
 * ``scenario`` — spec tooling: ``validate`` checks spec files and prints
   their digests; ``dump`` prints a spec's canonical JSON form.
 * ``serve`` — the ``reprod`` control-plane daemon: hosts armed stacks,
@@ -50,7 +52,10 @@ Commands:
   status, move the power budget or SLO target live (guarded and
   audited), pause/resume/drain/stop runs, fetch results, watch streams.
 
-Both single-run commands can archive their full result with ``--json``.
+``latency``, ``qos``, ``trace``, ``chaos`` and ``guard`` are presets:
+their flags make a spec, and the runner ``run`` uses executes it.
+``latency``, ``qos``, ``chaos``, ``guard`` and ``run`` archive their
+full result (``chaos`` and ``guard``: the report) with ``--json``.
 The global ``--log-level`` flag configures one shared structured-logging
 setup (module, simulated time, wall time) for every subcommand.
 """
@@ -62,21 +67,21 @@ import logging
 import math
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from repro.errors import ReproError
 from repro.experiments.campaign import default_registry
 from repro.obs import setup_logging
 from repro.experiments.export import scenario_payload, write_json
-from repro.scenario.builder import StackBuilder, run_scenario
+from repro.scenario.builder import StackBuilder
 from repro.scenario.spec import LATENCY_POLICIES, QOS_POLICIES, ScenarioSpec
 from repro.workloads.levels import LoadLevel
 from repro.workloads.nlp import nlp_load_levels
 from repro.workloads.sirius import sirius_load_levels
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
-    from repro.faults import FaultEvent, GoodputReport
-    from repro.scenario.results import RunResult
+    from repro.faults import GoodputReport
+    from repro.experiments.parallel import CellResult
 
 __all__ = ["main", "build_parser"]
 
@@ -119,10 +124,56 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _named_plan_names() -> tuple[str, ...]:
-    from repro.faults.plan import named_plans
+def _add_run_flags(
+    command: argparse.ArgumentParser,
+    duration_s: float,
+    policy: Optional[str] = None,
+    plan: Optional[str] = None,
+    qos: bool = False,
+) -> None:
+    """Add the flags every run command shares, with this command's defaults.
 
-    return named_plans()
+    Fresh arguments for each command: ``set_defaults`` on a parser shared
+    through ``parents=`` writes one command's default into all of them.
+    """
+    command.add_argument(
+        "app", choices=("sirius", "websearch") if qos else ("sirius", "nlp")
+    )
+    if policy is None:
+        command.add_argument(
+            "policy", choices=QOS_POLICIES if qos else LATENCY_POLICIES
+        )
+    else:
+        command.add_argument(
+            "policy", choices=LATENCY_POLICIES, nargs="?", default=policy
+        )
+    if plan is not None:
+        from repro.faults.plan import named_plans
+
+        command.add_argument(
+            "--plan",
+            default=plan,
+            help="built-in plan name or a path to a plan .json "
+            f"(built-ins: {', '.join(named_plans())}; default: {plan})",
+        )
+    if not qos:
+        command.add_argument(
+            "--load",
+            choices=tuple(level.value for level in LoadLevel),
+            default="high",
+            help="load level relative to baseline saturation (default: high)",
+        )
+    command.add_argument(
+        "--rate", type=_positive_float, help="explicit arrival rate (qps)"
+    )
+    command.add_argument("--duration", type=_positive_float, default=duration_s)
+    command.add_argument("--seed", type=int, default=3)
+    if plan is not None:
+        command.add_argument(
+            "--no-baseline",
+            action="store_true",
+            help="skip the fault-free baseline run (no delta section)",
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -151,17 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     latency = commands.add_parser(
         "latency", help="one Table-2 latency-mitigation run"
     )
-    latency.add_argument("app", choices=("sirius", "nlp"))
-    latency.add_argument("policy", choices=LATENCY_POLICIES)
-    latency.add_argument(
-        "--load",
-        choices=tuple(level.value for level in LoadLevel),
-        default="high",
-        help="load level relative to baseline saturation (default: high)",
-    )
-    latency.add_argument("--rate", type=_positive_float, help="explicit arrival rate (qps)")
-    latency.add_argument("--duration", type=_positive_float, default=600.0)
-    latency.add_argument("--seed", type=int, default=3)
+    _add_run_flags(latency, duration_s=600.0)
     latency.add_argument(
         "--budget-watts",
         type=_positive_float,
@@ -251,19 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="one fully observed run: query trace (JSONL + Perfetto), "
         "metrics dump and controller audit log",
     )
-    trace.add_argument("app", choices=("sirius", "nlp"))
-    trace.add_argument(
-        "policy", choices=LATENCY_POLICIES, nargs="?", default="powerchief"
-    )
-    trace.add_argument(
-        "--load",
-        choices=tuple(level.value for level in LoadLevel),
-        default="high",
-        help="load level relative to baseline saturation (default: high)",
-    )
-    trace.add_argument("--rate", type=_positive_float, help="explicit arrival rate (qps)")
-    trace.add_argument("--duration", type=_positive_float, default=300.0)
-    trace.add_argument("--seed", type=int, default=3)
+    _add_run_flags(trace, duration_s=300.0, policy="powerchief")
     trace.add_argument(
         "--output",
         default="trace-out",
@@ -316,30 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
         "chaos",
         help="one latency run under a fault plan, with goodput report",
     )
-    chaos.add_argument("app", choices=("sirius", "nlp"))
-    chaos.add_argument(
-        "policy", choices=LATENCY_POLICIES, nargs="?", default="powerchief"
-    )
-    chaos.add_argument(
-        "--plan",
-        default="all-faults",
-        help="built-in plan name or a path to a plan .json "
-        f"(built-ins: {', '.join(_named_plan_names())}; default: all-faults)",
-    )
-    chaos.add_argument(
-        "--load",
-        choices=tuple(level.value for level in LoadLevel),
-        default="high",
-        help="load level relative to baseline saturation (default: high)",
-    )
-    chaos.add_argument("--rate", type=_positive_float, help="explicit arrival rate (qps)")
-    chaos.add_argument("--duration", type=_positive_float, default=300.0)
-    chaos.add_argument("--seed", type=int, default=3)
-    chaos.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="skip the fault-free baseline run (no delta section)",
-    )
+    _add_run_flags(chaos, duration_s=300.0, policy="powerchief", plan="all-faults")
     chaos.add_argument(
         "--fail-on-goodput-delta",
         type=_positive_float,
@@ -355,26 +361,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="one supervised chaos run: monitors, degradation ladder and "
         "safe mode armed; prints the goodput report with guard section",
     )
-    guard.add_argument("app", choices=("sirius", "nlp"))
-    guard.add_argument(
-        "policy", choices=LATENCY_POLICIES, nargs="?", default="powerchief"
+    _add_run_flags(
+        guard, duration_s=600.0, policy="powerchief", plan="telemetry-dark"
     )
-    guard.add_argument(
-        "--plan",
-        default="telemetry-dark",
-        help="built-in plan name or a path to a plan .json "
-        f"(built-ins: {', '.join(_named_plan_names())}; "
-        "default: telemetry-dark)",
-    )
-    guard.add_argument(
-        "--load",
-        choices=tuple(level.value for level in LoadLevel),
-        default="high",
-        help="load level relative to baseline saturation (default: high)",
-    )
-    guard.add_argument("--rate", type=_positive_float, help="explicit arrival rate (qps)")
-    guard.add_argument("--duration", type=_positive_float, default=600.0)
-    guard.add_argument("--seed", type=int, default=3)
     guard.add_argument(
         "--slo-target",
         type=_positive_float,
@@ -421,19 +410,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="consecutive over-threshold ticks before the storm monitor "
         "fires (default: 3)",
     )
-    guard.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="skip the fault-free baseline run (no delta section)",
-    )
     guard.add_argument("--json", help="write the full report to this path")
 
     qos = commands.add_parser("qos", help="one Table-3 QoS-mode run")
-    qos.add_argument("app", choices=("sirius", "websearch"))
-    qos.add_argument("policy", choices=QOS_POLICIES)
-    qos.add_argument("--rate", type=_positive_float, help="arrival rate (qps)")
-    qos.add_argument("--duration", type=_positive_float, default=400.0)
-    qos.add_argument("--seed", type=int, default=3)
+    _add_run_flags(qos, duration_s=400.0, qos=True)
     qos.add_argument("--json", help="write the full result to this path")
 
     serve = commands.add_parser(
@@ -584,24 +564,116 @@ def _cmd_figures(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_latency(args: argparse.Namespace) -> int:
-    kwargs = {}
-    if args.budget_watts is not None:
-        kwargs["budget_watts"] = args.budget_watts
-    if args.cores is not None:
-        kwargs["n_cores"] = args.cores
-    result = run_scenario(
-        ScenarioSpec.latency(
-            args.app,
-            args.policy,
-            ("constant", _resolve_rate(args)),
-            args.duration,
-            seed=args.seed,
-            drain_s=args.drain,
-            **kwargs,
+def _preset_spec(args: argparse.Namespace) -> ScenarioSpec:
+    """The spec a run command's flags describe."""
+    rate = args.rate
+    if args.command == "qos":
+        if rate is None:
+            from repro.experiments.figures import fig13, fig14
+
+            sirius = args.app == "sirius"
+            rate = fig13.SIRIUS_QOS_RATE_QPS if sirius else fig14.WEBSEARCH_QOS_RATE_QPS
+        return ScenarioSpec.qos(args.app, args.policy, rate, args.duration, seed=args.seed)
+    if rate is None:
+        levels = sirius_load_levels() if args.app == "sirius" else nlp_load_levels()
+        rate = levels.rate(LoadLevel(args.load))
+    trace = ("constant", rate)
+    if args.command in ("chaos", "guard"):
+        from repro.faults import chaos_spec, load_plan
+
+        guard, slo_target = None, None
+        if args.command == "guard":
+            from repro.guard import GuardConfig
+
+            guard = GuardConfig(
+                ladder=args.ladder,
+                demote_after=args.demote_after,
+                violation_window_s=args.window,
+                probation_s=args.probation,
+                burn_threshold=args.burn_threshold,
+                storm_ticks=args.storm_ticks,
+            )
+            slo_target = args.slo_target
+        plan = load_plan(args.plan, args.duration)
+        return chaos_spec(
+            args.app, args.policy, trace, args.duration, plan, seed=args.seed,
+            guard=guard, slo_target_s=slo_target,
         )
+    options: dict[str, object]
+    if args.command == "latency":
+        options = {"budget_watts": args.budget_watts, "drain_s": args.drain}
+        if args.cores is not None:
+            options["n_cores"] = args.cores
+    else:  # trace: every pillar, with the artifacts bound for --output
+        observe = ["trace", "metrics", "audit", "attribution", "slo", "energy"]
+        options = {
+            "slo_target_s": args.slo_target,
+            "slo_attainment": args.slo_attainment,
+        }
+        if args.stream:
+            observe.append("stream")
+            options.update(
+                stream_path=str(Path(args.output) / "stream.jsonl"),
+                stream_interval_s=args.stream_interval,
+            )
+        options["observe"] = observe
+    return ScenarioSpec.latency(
+        args.app, args.policy, trace, args.duration, seed=args.seed, **options
     )
-    print(_describe_scenario_result(result))
+
+
+class _Run(NamedTuple):
+    """A run: its stack and result; with chaos, the report and twin's result."""
+
+    builder: StackBuilder
+    result: "CellResult"
+    report: Optional["GoodputReport"]
+    baseline: Optional["CellResult"]
+
+
+def _run_spec(
+    spec: ScenarioSpec,
+    twin: Optional[ScenarioSpec] = None,
+    output: Optional[str] = None,
+) -> _Run:
+    """The one runner behind every run command: build, execute, report.
+
+    ``output`` is made once the spec is accepted (a refused run leaves
+    no directory) and gets the artifacts of the pillars the run armed.
+    A single-stack chaos run prints the goodput report, against the
+    fault-free ``twin``'s result when given; any other run prints the
+    summary line.
+    """
+    builder = StackBuilder(spec)
+    if output is not None:
+        Path(output).mkdir(parents=True, exist_ok=True)
+    result = builder.execute()
+    if output is not None and builder.observability is not None:
+        from repro.obs.explain import write_artifacts
+
+        write_artifacts(output, builder.observability, result.queries_completed)
+    chaos = builder.chaos
+    if chaos is None:
+        print(_describe_scenario_result(result))
+        return _Run(builder, result, None, None)
+    report = chaos.report(result)
+    baseline = None if twin is None else StackBuilder(twin).execute()
+    title = f"{spec.app}/{spec.policy} under plan {chaos.plan.name!r}"
+    if spec.guard:
+        from repro.guard.config import guard_from_spec
+
+        target = dict(spec.options).get("slo_target_s")
+        slo = "" if target is None else f", SLO target {target:g}s"
+        title += f", supervised (ladder {guard_from_spec(spec.guard).ladder}{slo})"
+    print(f"{title}:")
+    print()
+    print(report.render(baseline))
+    return _Run(builder, result, report, baseline)
+
+
+def _cmd_latency(args: argparse.Namespace) -> int:
+    """``latency`` and ``qos``: one run, and its result with ``--json``."""
+    result = _run_spec(_preset_spec(args)).result
     if args.json:
         path = write_json(args.json, scenario_payload(result)["result"])
         print(f"result written to {path}")
@@ -648,16 +720,23 @@ def _describe_scenario_result(result: object) -> str:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    from repro.experiments.parallel import run_cells
-
     spec = _load_scenario(args.scenario)
-    (outcome,) = run_cells([spec], cache=args.cache_dir).outcomes
-    source = "cache" if outcome.source == "cache" else "computed"
     print(f"scenario {spec.label}")
-    print(f"digest={outcome.digest[:16]} source={source}")
-    print(_describe_scenario_result(outcome.result()))
+    if args.cache_dir is None:
+        print(f"digest={spec.digest()[:16]} source=computed")
+        payload = scenario_payload(_run_spec(spec).result)
+    else:
+        # A cache entry holds only the result payload, while a goodput
+        # report reads the live stack: a cached run prints its summary.
+        from repro.experiments.parallel import run_cells
+
+        (outcome,) = run_cells([spec], cache=args.cache_dir).outcomes
+        source = "cache" if outcome.source == "cache" else "computed"
+        print(f"digest={outcome.digest[:16]} source={source}")
+        print(_describe_scenario_result(outcome.result()))
+        payload = outcome.payload
     if args.json:
-        path = write_json(args.json, outcome.payload)
+        path = write_json(args.json, payload)
         print(f"result written to {path}")
     return 0
 
@@ -710,43 +789,14 @@ def _cmd_headline(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    import json as json_module
-
     from repro.obs.audit import BoostEntry, BottleneckEntry, WithdrawEntry
 
-    logger = logging.getLogger("repro.cli")
-    rate = _resolve_rate(args)
-    target = Path(args.output)
-    observe = ["trace", "metrics", "audit", "attribution", "slo", "energy"]
-    options = {
-        "slo_target_s": args.slo_target,
-        "slo_attainment": args.slo_attainment,
-    }
-    if args.stream:
-        observe.append("stream")
-        options.update(
-            stream_path=str(target / "stream.jsonl"),
-            stream_interval_s=args.stream_interval,
-        )
-    logger.info(
-        "tracing %s/%s at %.2f qps for %.0fs", args.app, args.policy,
-        rate, args.duration,
+    spec = _preset_spec(args)
+    logging.getLogger("repro.cli").info(
+        "tracing %s/%s at %.2f qps for %.0fs", spec.app, spec.policy,
+        spec.trace[1], spec.duration_s,
     )
-    spec = ScenarioSpec.latency(
-        args.app,
-        args.policy,
-        ("constant", rate),
-        args.duration,
-        seed=args.seed,
-        observe=observe,
-        **options,
-    )
-    builder = StackBuilder(spec)
-    # Only once the spec and its pillars are accepted: a refused run
-    # leaves no directory behind.
-    target.mkdir(parents=True, exist_ok=True)
-    result = builder.execute()
-    observability = builder.observability
+    observability = _run_spec(spec, output=args.output).builder.observability
     assert observability is not None
     tracer, metrics, audit = (
         observability.tracer,
@@ -760,30 +810,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         observability.energy,
     )
     assert attribution is not None and slo is not None and energy is not None
-    tracer.write_jsonl(target / "trace.jsonl")
-    tracer.write_chrome_trace(target / "trace.chrome.json")
-    (target / "metrics.prom").write_text(metrics.render_prometheus())
-    audit.write_jsonl(target / "audit.jsonl")
-    (target / "attribution.json").write_text(
-        json_module.dumps(
-            {
-                "report": attribution.report().to_dict(),
-                "dropped": attribution.dropped,
-                "queries": [qa.to_dict() for qa in attribution.attributions],
-            },
-            sort_keys=True,
-        )
-    )
-    (target / "slo.json").write_text(
-        json_module.dumps(slo.to_dict(), sort_keys=True)
-    )
-    (target / "energy.json").write_text(
-        json_module.dumps(
-            energy.to_dict(result.queries_completed), sort_keys=True
-        )
-    )
     dropped = f" ({tracer.dropped} dropped)" if tracer.dropped else ""
-    print(_describe_scenario_result(result))
     print(
         f"trace: {len(tracer)} spans{dropped}; audit: "
         f"{len(audit.of_kind(BottleneckEntry))} bottleneck / "
@@ -797,6 +824,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         f"{slo.target_s}s, {energy.total_joules():.1f} J split over "
         f"{len(energy.stage_names)} stages"
     )
+    target = Path(args.output)
     streamed = ", stream.jsonl" if args.stream else ""
     print(
         f"artifacts in {target}/: trace.jsonl, trace.chrome.json "
@@ -820,130 +848,57 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     return 0
 
 
-def _resolve_rate(args: argparse.Namespace) -> float:
-    if args.rate is not None:
-        return args.rate
-    levels = sirius_load_levels() if args.app == "sirius" else nlp_load_levels()
-    return levels.rate(LoadLevel(args.load))
-
-
-def _run_chaos(
-    spec: ScenarioSpec, twin: Optional[ScenarioSpec]
-) -> tuple["GoodputReport", tuple["FaultEvent", ...], Optional["RunResult"]]:
-    """Run a chaos spec, then its fault-free twin when one is given.
-
-    Returns the goodput report, the fault event log and the twin's
-    result (``None`` without a twin).
-    """
-    builder = StackBuilder(spec)
-    result = builder.execute()
-    chaos = builder.chaos
-    assert chaos is not None and chaos.injector is not None
-    baseline = None if twin is None else run_scenario(twin)
-    return chaos.report(result), tuple(chaos.injector.events), baseline
-
-
-def _chaos_command(
-    args: argparse.Namespace, title: str, **chaos: object
-) -> tuple["GoodputReport", Optional["RunResult"]]:
-    """The shared body of ``chaos`` and ``guard``: run, print, archive.
-
-    Unless ``--no-baseline`` is given, the same cell also runs without
-    the plan.  Returns the goodput report and that baseline's result.
-    """
+def _cmd_chaos(args: argparse.Namespace) -> int:
+    """``chaos`` and ``guard``: the run against its fault-free twin (unless
+    ``--no-baseline``), the report with ``--json``, then the goodput gate."""
     import dataclasses
 
-    from repro.faults import chaos_spec, load_plan
-
-    plan = load_plan(args.plan, args.duration)
-    trace = ("constant", _resolve_rate(args))
-    spec = chaos_spec(
-        args.app, args.policy, trace, args.duration, plan, seed=args.seed, **chaos
-    )
-    twin = None
-    if not args.no_baseline:
-        twin = ScenarioSpec.latency(
-            args.app, args.policy, trace, args.duration, seed=args.seed
-        )
-    report, events, baseline = _run_chaos(spec, twin)
-    print(f"{args.app}/{args.policy} under plan {plan.name!r}{title}:")
-    print()
-    print(report.render(baseline))
-    if args.json:
-        payload = {
-            "app": args.app,
-            "policy": args.policy,
-            "seed": args.seed,
-            "plan": plan.to_dict(),
-            "report": dataclasses.asdict(report),
-            "events": [dataclasses.asdict(event) for event in events],
-        }
-        path = write_json(args.json, payload)
-        print(f"report written to {path}")
-    return report, baseline
-
-
-def _cmd_chaos(args: argparse.Namespace) -> int:
-    if args.fail_on_goodput_delta is not None and args.no_baseline:
+    gate = getattr(args, "fail_on_goodput_delta", None)  # guard has none
+    if gate is not None and args.no_baseline:
         raise ReproError(
             "--fail-on-goodput-delta needs the fault-free baseline; "
             "drop --no-baseline"
         )
-    report, baseline = _chaos_command(args, "")
-    if args.fail_on_goodput_delta is not None:
-        assert baseline is not None  # guarded above
-        base_fraction = baseline.completion_fraction
-        faulty_fraction = report.goodput_fraction
-        if base_fraction <= 0.0:
-            raise ReproError(
-                "baseline completed no queries; goodput delta is undefined"
-            )
-        delta_pct = (base_fraction - faulty_fraction) / base_fraction * 100.0
-        print()
-        print(
-            f"goodput delta vs baseline: {delta_pct:+.2f}% "
-            f"(gate: {args.fail_on_goodput_delta:.2f}%)"
+    spec = _preset_spec(args)
+    twin = None
+    if not args.no_baseline:
+        twin = ScenarioSpec.latency(
+            spec.app, spec.policy, spec.trace, spec.duration_s, seed=spec.seed
         )
-        if delta_pct > args.fail_on_goodput_delta:
-            print(
-                f"goodput gate breached: faulty run completed "
-                f"{delta_pct:.2f}% fewer admitted queries than the "
-                f"baseline (allowed {args.fail_on_goodput_delta:.2f}%)",
-                file=sys.stderr,
-            )
-            return 1
-    return 0
-
-
-def _cmd_guard(args: argparse.Namespace) -> int:
-    from repro.guard import GuardConfig
-
-    guard_config = GuardConfig(
-        ladder=args.ladder,
-        demote_after=args.demote_after,
-        violation_window_s=args.window,
-        probation_s=args.probation,
-        burn_threshold=args.burn_threshold,
-        storm_ticks=args.storm_ticks,
-    )
-    _chaos_command(
-        args,
-        f", supervised (ladder {args.ladder}, SLO target {args.slo_target:g}s)",
-        guard=guard_config,
-        slo_target_s=args.slo_target,
-    )
-    return 0
-
-
-def _cmd_qos(args: argparse.Namespace) -> int:
-    rate = args.rate if args.rate is not None else (7.0 if args.app == "sirius" else 8.0)
-    result = run_scenario(
-        ScenarioSpec.qos(args.app, args.policy, rate, args.duration, seed=args.seed)
-    )
-    print(_describe_scenario_result(result))
+    run = _run_spec(spec, twin)
     if args.json:
-        path = write_json(args.json, scenario_payload(result)["result"])
-        print(f"result written to {path}")
+        chaos = run.builder.chaos
+        assert chaos is not None and chaos.injector is not None
+        payload = {
+            "app": spec.app,
+            "policy": spec.policy,
+            "seed": spec.seed,
+            "plan": chaos.plan.to_dict(),
+            "report": dataclasses.asdict(run.report),
+            "events": [dataclasses.asdict(event) for event in chaos.injector.events],
+        }
+        path = write_json(args.json, payload)
+        print(f"report written to {path}")
+    if gate is None:
+        return 0
+    assert run.report is not None and run.baseline is not None
+    base_fraction = run.baseline.completion_fraction
+    faulty_fraction = run.report.goodput_fraction
+    if base_fraction <= 0.0:
+        raise ReproError(
+            "baseline completed no queries; goodput delta is undefined"
+        )
+    delta_pct = (base_fraction - faulty_fraction) / base_fraction * 100.0
+    print()
+    print(f"goodput delta vs baseline: {delta_pct:+.2f}% (gate: {gate:.2f}%)")
+    if delta_pct > gate:
+        print(
+            f"goodput gate breached: faulty run completed "
+            f"{delta_pct:.2f}% fewer admitted queries than the "
+            f"baseline (allowed {gate:.2f}%)",
+            file=sys.stderr,
+        )
+        return 1
     return 0
 
 
@@ -951,8 +906,8 @@ def _parse_tcp(text: Optional[str]) -> tuple[Optional[str], Optional[int]]:
     if text is None:
         return None, None
     host, sep, port = text.rpartition(":")
-    if not sep or not host or not port.isdigit():
-        raise ReproError(f"--tcp takes HOST:PORT, got {text!r}")
+    if not sep or not host or not port.isdigit() or int(port) > 65535:
+        raise ReproError(f"--tcp takes HOST:PORT with a port up to 65535, got {text!r}")
     return host, int(port)
 
 
@@ -980,6 +935,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         daemon.serve_forever()
     except KeyboardInterrupt:
         daemon.shutdown()
+    except OSError as error:
+        print(f"error: reprod cannot serve on {where}: {error}", file=sys.stderr)
+        return 1
     print("reprod stopped")
     return 0
 
@@ -988,6 +946,7 @@ def _cmd_ctl(args: argparse.Namespace) -> int:
     import json as _json
 
     from repro.serve import CtlClient
+    from repro.serve.protocol import COMMANDS
 
     host, port = _parse_tcp(args.tcp)
     client = CtlClient(
@@ -1003,36 +962,21 @@ def _cmd_ctl(args: argparse.Namespace) -> int:
         print(f"error: cannot reach reprod at {where}: {error}", file=sys.stderr)
         return 1
     with client as ctl:
+        # The argparse dests carry the protocol's argument names: send
+        # every required one and each optional one that is set.
+        required, optional = COMMANDS[args.action]
+        call_args = {name: getattr(args, name) for name in required}
+        call_args.update(
+            (name, getattr(args, name)) for name in optional if getattr(args, name)
+        )
+        if args.action == "submit":
+            call_args["spec"] = _load_scenario(args.spec).to_dict()
+        result = ctl.call(args.action, **call_args)
         if args.action == "watch":
-            ctl.call("watch", run=args.run)
             for event in ctl.events(max_events=args.count):
                 print(_json.dumps(event, sort_keys=True))
-            return 0
-        call_args: dict[str, object] = {}
-        if args.action == "submit":
-            spec = _load_scenario(args.spec)
-            call_args["spec"] = spec.to_dict()
-            if args.name:
-                call_args["name"] = args.name
-            if args.paused:
-                call_args["paused"] = True
-        elif args.action == "status":
-            if args.run:
-                call_args["run"] = args.run
-        elif args.action == "budget":
-            call_args = {"run": args.run, "watts": args.watts}
-        elif args.action == "slo":
-            call_args = {"run": args.run, "target_s": args.target_s}
-        elif args.action == "audit":
-            call_args = {"run": args.run}
-            if args.kind:
-                call_args["kind"] = args.kind
-            if args.tail is not None:
-                call_args["tail"] = args.tail
-        elif args.action in ("pause", "resume", "drain", "stop", "result"):
-            call_args = {"run": args.run}
-        result = ctl.call(args.action, **call_args)
-        print(_json.dumps(result, indent=2, sort_keys=True))
+        else:
+            print(_json.dumps(result, indent=2, sort_keys=True))
     return 0
 
 
@@ -1044,13 +988,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     handlers = {
         "figures": _cmd_figures,
         "latency": _cmd_latency,
-        "qos": _cmd_qos,
+        "qos": _cmd_latency,
         "campaign": _cmd_campaign,
         "headline": _cmd_headline,
         "trace": _cmd_trace,
         "explain": _cmd_explain,
         "chaos": _cmd_chaos,
-        "guard": _cmd_guard,
+        "guard": _cmd_chaos,
         "run": _cmd_run,
         "scenario": _cmd_scenario,
         "serve": _cmd_serve,

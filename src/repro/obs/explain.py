@@ -1,12 +1,13 @@
 """``repro explain``: post-mortem answers from archived run artifacts.
 
-``repro trace`` leaves a directory of artifacts — ``attribution.json``,
-``slo.json``, ``energy.json``, ``audit.jsonl``, ``stream.jsonl``,
-``trace.jsonl`` — and this module reads whichever subset exists and
-builds one report answering the two questions every postmortem starts
-with: *why was the latency high* (which component, which stage, did the
-controller agree, what held up the slowest queries) and *where did the
-power go* (joules per stage, per query).  Every section is optional: a
+:func:`write_artifacts` leaves a traced run's directory of artifacts —
+``attribution.json``, ``slo.json``, ``energy.json``, ``audit.jsonl``,
+``trace.jsonl``, with ``stream.jsonl`` written as the run goes — and
+this module reads whichever subset exists and builds one report
+answering the two questions every postmortem starts with: *why was the
+latency high* (which component, which stage, did the controller agree,
+what held up the slowest queries) and *where did the power go* (joules
+per stage, per query).  Every section is optional: a
 directory holding only a span trace still explains via the span-derived
 attribution fallback.
 
@@ -21,7 +22,7 @@ from __future__ import annotations
 import json
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Iterator, Mapping, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Any, Iterator, Mapping, Optional, Sequence, Union
 
 from repro.errors import ConfigurationError, ReproError
 from repro.obs.attribution import (
@@ -35,7 +36,10 @@ from repro.obs.attribution import (
 )
 from repro.obs.trace import spans_from_jsonl
 
-__all__ = ["build_explain_report", "render_explain"]
+if TYPE_CHECKING:  # pragma: no cover - type-only import
+    from repro.obs import Observability
+
+__all__ = ["build_explain_report", "render_explain", "write_artifacts"]
 
 #: What a lookup raises when an artifact's JSON has the wrong shape (a
 #: span whose stamps are out of order raises ConfigurationError).
@@ -123,6 +127,37 @@ def _tail_section(queries: Sequence[QueryAttribution]) -> Optional[dict[str, Any
         "queuing_fraction": waiting / stage_time if stage_time > 0.0 else 0.0,
         "report": tail.to_dict(),
     }
+
+
+def write_artifacts(
+    directory: Union[str, Path],
+    observability: "Observability",
+    queries_completed: int,
+) -> None:
+    """Write the artifact of every pillar ``observability`` armed into
+    ``directory`` (the stream pillar writes its own while the run goes)."""
+    target = Path(directory)
+    obs = observability
+    if obs.tracer is not None:
+        obs.tracer.write_jsonl(target / "trace.jsonl")
+        obs.tracer.write_chrome_trace(target / "trace.chrome.json")
+    if obs.metrics is not None:
+        (target / "metrics.prom").write_text(obs.metrics.render_prometheus())
+    if obs.audit is not None:
+        obs.audit.write_jsonl(target / "audit.jsonl")
+    documents: dict[str, Any] = {}
+    if obs.attribution is not None:
+        documents["attribution.json"] = {
+            "report": obs.attribution.report().to_dict(),
+            "dropped": obs.attribution.dropped,
+            "queries": [qa.to_dict() for qa in obs.attribution.attributions],
+        }
+    if obs.slo is not None:
+        documents["slo.json"] = obs.slo.to_dict()
+    if obs.energy is not None:
+        documents["energy.json"] = obs.energy.to_dict(queries_completed)
+    for name, document in documents.items():
+        (target / name).write_text(json.dumps(document, sort_keys=True))
 
 
 def build_explain_report(directory: Union[str, Path]) -> dict[str, Any]:

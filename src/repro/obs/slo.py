@@ -42,7 +42,22 @@ if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.obs.metrics import MetricsRegistry
     from repro.service.query import Query
 
-__all__ = ["SloTracker"]
+__all__ = ["SloTracker", "check_attainment_goal", "check_slo_target", "check_slo_window"]
+
+
+def check_slo_target(target_s: float) -> None:
+    if not math.isfinite(target_s) or target_s <= 0.0:
+        raise ConfigurationError(f"SLO target must be a finite number > 0, got {target_s}")
+
+
+def check_attainment_goal(attainment_goal: float) -> None:
+    if not 0.0 < attainment_goal < 1.0:
+        raise ConfigurationError(f"attainment goal must be in (0, 1), got {attainment_goal}")
+
+
+def check_slo_window(window_s: float) -> None:
+    if not (math.isfinite(window_s) and window_s > 0.0):
+        raise ConfigurationError(f"window must be a finite number > 0, got {window_s}")
 
 
 class SloTracker:
@@ -56,18 +71,9 @@ class SloTracker:
         max_events: int = 500_000,
         registry: Optional["MetricsRegistry"] = None,
     ) -> None:
-        if not math.isfinite(target_s) or target_s <= 0.0:
-            raise ConfigurationError(
-                f"SLO target must be a finite number > 0, got {target_s}"
-            )
-        if not 0.0 < attainment_goal < 1.0:
-            raise ConfigurationError(
-                f"attainment goal must be in (0, 1), got {attainment_goal}"
-            )
-        if not (math.isfinite(window_s) and window_s > 0.0):
-            raise ConfigurationError(
-                f"window must be a finite number > 0, got {window_s}"
-            )
+        check_slo_target(target_s)
+        check_attainment_goal(attainment_goal)
+        check_slo_window(window_s)
         if max_events <= 0:
             raise ConfigurationError(
                 f"max_events must be > 0, got {max_events}"

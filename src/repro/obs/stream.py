@@ -31,7 +31,12 @@ from repro.errors import ConfigurationError
 from repro.sim.engine import Simulator
 from repro.sim.events import Event
 
-__all__ = ["StreamExporter"]
+__all__ = ["StreamExporter", "check_stream_interval"]
+
+
+def check_stream_interval(interval_s: float) -> None:
+    if interval_s <= 0.0:
+        raise ConfigurationError(f"stream interval must be > 0, got {interval_s}")
 
 
 class StreamExporter:
@@ -42,10 +47,7 @@ class StreamExporter:
         path: Optional[Union[str, Path]] = None,
         interval_s: float = 5.0,
     ) -> None:
-        if interval_s <= 0.0:
-            raise ConfigurationError(
-                f"stream interval must be > 0, got {interval_s}"
-            )
+        check_stream_interval(interval_s)
         self.path = None if path is None else Path(path)
         self.interval_s = float(interval_s)
         self.snapshots_written = 0

@@ -28,7 +28,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Optional, Sequence, Union
+from typing import Any, Callable, Mapping, Optional, Sequence, Union
 
 from repro.errors import ConfigurationError, FrequencyError
 from repro.cluster.frequency import HASWELL_LADDER
@@ -41,6 +41,8 @@ from repro.core.controller import ControllerConfig
 from repro.core.metrics import MetricKind
 from repro.faults.plan import FaultPlan
 from repro.guard.config import GuardConfig, guard_from_spec, guard_to_spec
+from repro.obs.slo import check_attainment_goal, check_slo_target, check_slo_window
+from repro.obs.stream import check_stream_interval
 from repro.scenario.config import TABLE3_SETUPS, app_stage_names
 from repro.workloads.loadgen import (
     ConstantLoad,
@@ -100,23 +102,23 @@ _CONTROLLER_FIELDS = frozenset(
 
 _GUARD_FIELDS = frozenset(f.name for f in dataclasses.fields(GuardConfig))
 
-#: The numeric options the builder reads: the QoS controller knobs, then
-#: the accounting-plane knobs the observability bundle consumes.
-_NUMERIC_OPTIONS = frozenset(
-    {
-        "hold_fraction",
-        "conserve_fraction",
-        "guard_fraction",
-        "e2e_window_s",
-        "slo_target_s",
-        "slo_attainment",
-        "slo_window_s",
-        "stream_interval_s",
-    }
-)
+#: The numeric options the builder reads, each with the range check a
+#: spec runs on it: the QoS controller knobs (checked only when their
+#: policy is built), then the accounting-plane knobs the observability
+#: bundle consumes, checked as the pillar that reads each one checks it.
+_NUMERIC_OPTIONS: dict[str, Optional[Callable[[float], None]]] = {
+    "hold_fraction": None,
+    "conserve_fraction": None,
+    "guard_fraction": None,
+    "e2e_window_s": None,
+    "slo_target_s": check_slo_target,
+    "slo_attainment": check_attainment_goal,
+    "slo_window_s": check_slo_window,
+    "stream_interval_s": check_stream_interval,
+}
 
 #: Options a QoS scenario accepts.
-_QOS_OPTIONS = _NUMERIC_OPTIONS | {"stream_path"}
+_QOS_OPTIONS = _NUMERIC_OPTIONS.keys() | {"stream_path"}
 
 
 @dataclass(frozen=True)
@@ -537,6 +539,12 @@ class ScenarioSpec:
                     raise ConfigurationError(
                         f"option {key!r} must be a finite number, got {value!r}"
                     )
+                check = _NUMERIC_OPTIONS[key]
+                if check is not None:
+                    try:
+                        check(float(value))
+                    except ConfigurationError as error:
+                        raise ConfigurationError(f"option {key!r}: {error}") from None
         for key, _ in self.guard:
             if key not in _GUARD_FIELDS:
                 known = ", ".join(sorted(_GUARD_FIELDS))

@@ -157,10 +157,10 @@ class ReproDaemon:
         if self._selector is not None:
             raise ServeError("the daemon is already serving")
         self._selector = selectors.DefaultSelector()
-        self._bind()
-        self._running = True
-        last = time.monotonic()
         try:
+            self._bind()
+            self._running = True
+            last = time.monotonic()
             while self._running:
                 events = self._selector.select(timeout=self._select_timeout())
                 for key, mask in events:
@@ -193,25 +193,25 @@ class ReproDaemon:
 
     def _bind(self) -> None:
         assert self._selector is not None
+        addresses: list[tuple[int, Any]] = []
         if self.socket_path is not None:
             if os.path.exists(self.socket_path):
                 os.unlink(self.socket_path)
-            listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            listener.bind(self.socket_path)
-            listener.listen(16)
-            listener.setblocking(False)
-            self._selector.register(listener, selectors.EVENT_READ, None)
-            self._listeners.append(listener)
+            addresses.append((socket.AF_UNIX, self.socket_path))
         if self.host is not None:
             if self.port is None:
                 raise ServeError("a TCP host needs a port")
-            listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            listener.bind((self.host, self.port))
+            addresses.append((socket.AF_INET, (self.host, self.port)))
+        for family, address in addresses:
+            listener = socket.socket(family, socket.SOCK_STREAM)
+            # Listed before bind(), so a refused address still closes it.
+            self._listeners.append(listener)
+            if family == socket.AF_INET:
+                listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            listener.bind(address)
             listener.listen(16)
             listener.setblocking(False)
             self._selector.register(listener, selectors.EVENT_READ, None)
-            self._listeners.append(listener)
 
     def _accept(self, listener: Any) -> None:
         assert self._selector is not None

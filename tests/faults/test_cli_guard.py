@@ -23,11 +23,11 @@ class _StubReport:
 
 
 def _stub_chaos(goodput_fraction: float, baseline_fraction: float = 1.0):
-    """What the CLI's chaos seam returns: report, event log, baseline."""
-    return (
-        _StubReport(goodput_fraction),
-        (),
-        SimpleNamespace(completion_fraction=baseline_fraction),
+    """What the CLI's runner hands the goodput gate: the chaos run's
+    report and its fault-free twin's result."""
+    return SimpleNamespace(
+        report=_StubReport(goodput_fraction),
+        baseline=SimpleNamespace(completion_fraction=baseline_fraction),
     )
 
 
@@ -38,7 +38,7 @@ def _arm_stub(monkeypatch, chaos_result):
         calls.append((args, kwargs))
         return chaos_result
 
-    monkeypatch.setattr(repro.cli, "_run_chaos", fake_run)
+    monkeypatch.setattr(repro.cli, "_run_spec", fake_run)
     return calls
 
 
@@ -71,7 +71,7 @@ class TestGoodputGate:
         )
         captured = capsys.readouterr()
         assert code == 0
-        # The seam got the chaos spec and its fault-free twin.
+        # The runner got the chaos spec and its fault-free twin.
         (spec, twin), _ = calls[0]
         assert spec.chaos is not None and spec.drain_s > 0.0
         assert twin.chaos is None and exactly(twin.drain_s, 0.0)
@@ -102,15 +102,6 @@ class TestGoodputGate:
 
 
 class TestGuardCommand:
-    def test_defaults_parse(self):
-        args = build_parser().parse_args(["guard", "sirius"])
-        assert args.policy == "powerchief"
-        assert args.plan == "telemetry-dark"
-        assert exactly(args.duration, 600.0)
-        assert exactly(args.slo_target, 20.0)
-        assert args.ladder == "conserve,safe"
-        assert args.demote_after == 2
-
     @pytest.mark.parametrize(
         "flag,value",
         [

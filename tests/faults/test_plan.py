@@ -123,7 +123,9 @@ class TestNonFiniteNumbers:
         path = tmp_path / "plan.json"
         path.write_text(json.dumps(_plan(spec)))
         runs = []
-        monkeypatch.setattr(repro.cli, "_run_chaos", lambda *args: runs.append(args))
+        monkeypatch.setattr(
+            repro.cli, "_run_spec", lambda *args, **kwargs: runs.append(args)
+        )
         code = main(
             [
                 "chaos",

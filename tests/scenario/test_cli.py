@@ -3,14 +3,24 @@
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import pytest
 
+import repro.cli
 from repro.cli import build_parser, main
 from repro.scenario import ScenarioSpec
 
-EXAMPLES = Path(__file__).resolve().parents[2] / "examples" / "scenarios"
+ROOT = Path(__file__).resolve().parents[2]
+EXAMPLES = ROOT / "examples" / "scenarios"
+
+
+def _write_preset_spec(argv, path):
+    """Write the spec a run command's ``argv`` builds to ``path``."""
+    spec = repro.cli._preset_spec(build_parser().parse_args(argv))
+    path.write_text(spec.to_json(indent=2), encoding="utf-8")
+    return spec
 
 
 @pytest.fixture
@@ -107,6 +117,48 @@ class TestLatencyFlags:
         assert args.cores is None
 
 
+class TestRunFlags:
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["latency", "sirius", "static"], {"duration": 600.0}),
+            (
+                ["trace", "sirius"],
+                {
+                    "duration": 300.0,
+                    "policy": "powerchief",
+                    "slo_target": 2.0,
+                    "output": "trace-out",
+                },
+            ),
+            (
+                ["chaos", "sirius"],
+                {"duration": 300.0, "policy": "powerchief", "plan": "all-faults"},
+            ),
+            (
+                ["guard", "sirius"],
+                {
+                    "duration": 600.0,
+                    "policy": "powerchief",
+                    "plan": "telemetry-dark",
+                    "slo_target": 20.0,
+                    "ladder": "conserve,safe",
+                    "demote_after": 2,
+                },
+            ),
+            (["qos", "sirius", "pegasus"], {"duration": 400.0}),
+        ],
+        ids=["latency", "trace", "chaos", "guard", "qos"],
+    )
+    def test_each_command_keeps_its_own_defaults(self, argv, expected):
+        # Shared flags are added afresh to each command, so one command's
+        # default never leaks into another.
+        args = build_parser().parse_args(argv)
+        shared = {"seed": 3} if argv[0] == "qos" else {"seed": 3, "load": "high"}
+        for name, value in {**shared, **expected}.items():
+            assert getattr(args, name) == value, name
+
+
 class TestScenarioCommand:
     def test_validate_ok(self, tiny_scenario, capsys):
         spec, path = tiny_scenario
@@ -121,20 +173,27 @@ class TestScenarioCommand:
         assert main(["scenario", "validate", str(bad)]) == 1
         assert "invalid" in capsys.readouterr().out
 
-    def test_validate_rejects_a_spec_run_cannot_build(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"trace": ["custom", "X"]},
+            {"observe": ["slo"], "options": {"slo_target_s": 2.0, "slo_attainment": 1.5}},
+            {"observe": ["slo"], "options": {"slo_target_s": -3.0}},
+            {"observe": ["slo"], "options": {"slo_target_s": 2.0, "slo_window_s": 0.0}},
+            {"observe": ["stream"], "options": {"stream_interval_s": -1.0}},
+        ],
+        ids=["custom-trace", "attainment", "slo-target", "slo-window", "stream-interval"],
+    )
+    def test_validate_rejects_a_spec_run_cannot_build(self, fields, tmp_path, capsys):
         custom = tmp_path / "custom.json"
-        custom.write_text(
-            json.dumps(
-                {
-                    "kind": "latency",
-                    "app": "sirius",
-                    "policy": "static",
-                    "duration_s": 10,
-                    "trace": ["custom", "X"],
-                }
-            ),
-            encoding="utf-8",
-        )
+        spec = {
+            "kind": "latency",
+            "app": "sirius",
+            "policy": "static",
+            "duration_s": 10,
+            "trace": ["constant", 1.0],
+        }
+        custom.write_text(json.dumps({**spec, **fields}), encoding="utf-8")
         assert main(["scenario", "validate", str(custom)]) == 1
         assert "invalid" in capsys.readouterr().out
 
@@ -170,16 +229,48 @@ class TestRunCommand:
         )
         assert "source=cache" in capsys.readouterr().out
 
-    def test_run_on_a_qos_spec_prints_the_qos_line(self, capsys):
-        # The example spec is `repro qos sirius powerchief` at its
-        # defaults for rate 4, 120 s and seed 5: both print one line.
-        path = EXAMPLES / "qos_sirius.json"
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["latency", "nlp", "inst-boost", "--rate", "1.5", "--duration", "60"],
+            ["qos", "sirius", "powerchief", "--rate", "4", "--duration", "120"],
+            ["chaos", "sirius", "--plan", "crash-heavy", "--duration", "60", "--no-baseline"],
+            ["guard", "sirius", "--rate", "2", "--duration", "60", "--no-baseline"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_run_on_a_preset_spec_prints_the_preset_report(
+        self, argv, tmp_path, capsys
+    ):
+        path = tmp_path / "preset.json"
+        spec = _write_preset_spec(argv, path)
+        assert main(argv) == 0
+        preset = capsys.readouterr().out
         assert main(["run", "--scenario", str(path)]) == 0
-        line = capsys.readouterr().out.splitlines()[-1]
-        assert "saving" in line
-        argv = ["qos", "sirius", "powerchief", "--rate", "4", "--duration", "120"]
-        assert main(argv + ["--seed", "5"]) == 0
-        assert capsys.readouterr().out == line + "\n"
+        scenario, digest, *report = capsys.readouterr().out.splitlines(True)
+        assert scenario == f"scenario {spec.label}\n"
+        assert digest == f"digest={spec.digest()[:16]} source=computed\n"
+        assert "".join(report) == preset
+
+    def test_run_on_a_trace_spec_prints_the_summary_line(self, tmp_path, capsys):
+        out = tmp_path / "trace-out"
+        argv = ["trace", "sirius", "--rate", "1", "--duration", "30", "--output", str(out)]
+        path = tmp_path / "trace.json"
+        _write_preset_spec(argv, path)
+        assert main(argv) == 0
+        summary = capsys.readouterr().out.splitlines()[0]
+        assert main(["run", "--scenario", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines()[2:] == [summary]
+
+    def test_cached_run_prints_the_summary_line(self, tmp_path, capsys):
+        path = tmp_path / "chaos.json"
+        _write_preset_spec(["chaos", "sirius", "--plan", "crash-heavy", "--duration", "60"], path)
+        argv = ["run", "--scenario", str(path), "--cache-dir", str(tmp_path / "c")]
+        for source in ("computed", "cache"):
+            assert main(argv) == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert lines[1].endswith(f"source={source}")
+            assert len(lines) == 3 and " queries, mean " in lines[2]
 
     def test_run_writes_json(self, tiny_scenario, tmp_path, capsys):
         _, path = tiny_scenario
@@ -190,3 +281,19 @@ class TestRunCommand:
         payload = json.loads(out_path.read_text(encoding="utf-8"))
         assert payload["kind"] == "latency"
         assert payload["result"]["queries_completed"] > 0
+
+
+@pytest.mark.parametrize("doc", ["scenarios.md", "tutorial.md"])
+def test_docs_quote_each_example_digest_as_it_is(doc):
+    # A quoted digest belongs to the example file named last before it.
+    text = (ROOT / "docs" / doc).read_text(encoding="utf-8")
+    example, quoted = None, 0
+    for match in re.finditer(r"examples/scenarios/(\w+)\.json|\b([0-9a-f]{16})\b", text):
+        if match.group(1):
+            example = match.group(1)
+            continue
+        assert example is not None, f"{doc} quotes {match.group(2)} for no example"
+        spec = ScenarioSpec.from_json((EXAMPLES / f"{example}.json").read_text())
+        assert match.group(2) == spec.digest()[:16], f"{doc}: {example}.json"
+        quoted += 1
+    assert quoted == 2

@@ -26,7 +26,7 @@ from repro.cli import main
 from repro.errors import ProtocolError, ServeError
 from repro.scenario.spec import ScenarioSpec, StageAllocation
 from repro.serve import CtlClient, ReproDaemon
-from repro.serve.protocol import MAX_LINE_BYTES
+from repro.serve.protocol import MAX_LINE_BYTES, encode_request
 from repro.units import exactly
 
 SPEC = ScenarioSpec.latency(
@@ -100,6 +100,16 @@ def _exists(path):
 
 def _client(path) -> CtlClient:
     return CtlClient(path, timeout_s=10.0)
+
+
+@contextlib.contextmanager
+def _held_port():
+    """A loopback port another socket listens on: the daemon's
+    ``SO_REUSEADDR`` bind to it is refused, so no serve loop starts."""
+    with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as holder:
+        holder.bind(("127.0.0.1", 0))
+        holder.listen(1)
+        yield holder.getsockname()[1]
 
 
 class TestCommands:
@@ -607,6 +617,114 @@ class TestConstruction:
         assert captured.out == ""
         (line,) = captured.err.splitlines()
         assert line.startswith(f"error: cannot reach reprod at {path}: ")
+
+    def test_refused_tcp_bind_leaves_no_listener_and_no_socket_file(self, tmp_path):
+        path = str(tmp_path / "reprod.sock")
+        with _held_port() as port:
+            server = ReproDaemon(path, host="127.0.0.1", port=port, turbo=True)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", ResourceWarning)
+                with pytest.raises(OSError):
+                    server.serve_forever()
+                gc.collect()
+        assert [w for w in caught if w.category is ResourceWarning] == []
+        assert server._listeners == []
+        assert not _exists(path)
+
+    def test_serve_reports_a_refused_bind_as_one_error_line(self, tmp_path, capsys):
+        path = str(tmp_path / "reprod.sock")
+        with _held_port() as port:
+            argv = ["serve", "--socket", path, "--tcp", f"127.0.0.1:{port}"]
+            assert main(argv) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: reprod cannot serve on ")
+        assert not _exists(path)
+
+    def test_serve_refuses_a_port_past_65535(self, tmp_path, capsys):
+        path = str(tmp_path / "reprod.sock")
+        assert main(["serve", "--socket", path, "--tcp", "127.0.0.1:99999"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: --tcp takes HOST:PORT")
+        assert not _exists(path)
+
+
+class _StubClient:
+    """Stands in for ``CtlClient``: checks each request against the
+    protocol's table, as the real client does, and records it."""
+
+    sent: list = []
+
+    def __init__(self, *args, **kwargs):
+        pass
+
+    def connect(self):
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        pass
+
+    def call(self, cmd, **args):
+        encode_request(0, cmd, args)
+        self.sent.append((cmd, args))
+        return {"ok": True}
+
+    def events(self, max_events=None):
+        return iter([{"event": "snapshot", "run": "run0"}] * max_events)
+
+
+#: ``repro ctl`` arguments and the request arguments they must send.
+CTL_REQUESTS = [
+    (["ping"], {}),
+    (["submit", "SPEC"], {"spec": SPEC.to_dict()}),
+    (
+        ["submit", "SPEC", "--name", "mine", "--paused"],
+        {"spec": SPEC.to_dict(), "name": "mine", "paused": True},
+    ),
+    (["status"], {}),
+    (["status", "run0"], {"run": "run0"}),
+    (["budget", "run0", "40"], {"run": "run0", "watts": 40.0}),
+    (["slo", "run0", "2.5"], {"run": "run0", "target_s": 2.5}),
+    (["pause", "run0"], {"run": "run0"}),
+    (["resume", "run0"], {"run": "run0"}),
+    (["drain", "run0"], {"run": "run0"}),
+    (["stop", "run0"], {"run": "run0"}),
+    (["result", "run0"], {"run": "run0"}),
+    (["audit", "run0"], {"run": "run0"}),
+    (
+        ["audit", "run0", "--kind", "budget-change", "--tail", "3"],
+        {"run": "run0", "kind": "budget-change", "tail": 3},
+    ),
+    (["watch", "run0", "--count", "2"], {"run": "run0"}),
+    (["shutdown"], {}),
+]
+
+
+class TestCtlCommand:
+    @pytest.mark.parametrize(
+        "argv, request_args",
+        CTL_REQUESTS,
+        ids=[" ".join(argv) for argv, _ in CTL_REQUESTS],
+    )
+    def test_each_subcommand_sends_its_request(
+        self, argv, request_args, tmp_path, monkeypatch, capsys
+    ):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(SPEC.to_json(), encoding="utf-8")
+        argv = [str(spec_path) if arg == "SPEC" else arg for arg in argv]
+        monkeypatch.setattr("repro.serve.CtlClient", _StubClient)
+        monkeypatch.setattr(_StubClient, "sent", [])
+        assert main(["ctl", *argv]) == 0
+        assert _StubClient.sent == [(argv[0], request_args)]
+        out = capsys.readouterr().out
+        if argv[0] == "watch":
+            assert out.splitlines() == ['{"event": "snapshot", "run": "run0"}'] * 2
+        else:
+            assert json.loads(out) == {"ok": True}
 
 
 def _read_lines(sock: socket.socket, count: int) -> list[dict]:
