@@ -924,14 +924,19 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         quantum_s=args.quantum,
         poll_interval_s=args.poll,
     )
-    for path in args.specs or ():
-        spec = _load_scenario(path)
-        run = daemon.submit(spec, paused=args.paused)
-        print(f"submitted {path} as {run.name} (end_s={run.end_s:g})")
+    runs = [
+        (path, daemon.submit(_load_scenario(path), paused=args.paused))
+        for path in args.specs or ()
+    ]
     where = args.socket if args.tcp is None else f"{args.socket} and {args.tcp}"
     pacing = "turbo" if args.turbo else f"rate {args.rate:g} sim-s/s"
-    print(f"reprod listening on {where} ({pacing})", flush=True)
     try:
+        # Announce nothing until every listener is bound: a refused bind
+        # aborts the submitted runs.
+        daemon.bind()
+        for path, run in runs:
+            print(f"submitted {path} as {run.name} (end_s={run.end_s:g})")
+        print(f"reprod listening on {where} ({pacing})", flush=True)
         daemon.serve_forever()
     except KeyboardInterrupt:
         daemon.shutdown()

@@ -35,7 +35,17 @@ from repro.service.application import Application
 from repro.service.command_center import CommandCenter
 from repro.sim.engine import Simulator
 
-__all__ = ["PowerChiefConserveController"]
+__all__ = ["PowerChiefConserveController", "check_conserve_fractions"]
+
+
+def check_conserve_fractions(
+    conserve_fraction: float = 0.75, guard_fraction: float = 0.92
+) -> None:
+    if not 0.0 < conserve_fraction < guard_fraction <= 1.0:
+        raise ConfigurationError(
+            "fractions must satisfy 0 < conserve < guard <= 1, got "
+            f"{conserve_fraction}, {guard_fraction}"
+        )
 
 
 class PowerChiefConserveController(BaseController):
@@ -57,11 +67,7 @@ class PowerChiefConserveController(BaseController):
     ) -> None:
         if qos_target_s <= 0.0:
             raise ConfigurationError(f"QoS target must be > 0, got {qos_target_s}")
-        if not 0.0 < conserve_fraction < guard_fraction <= 1.0:
-            raise ConfigurationError(
-                "fractions must satisfy 0 < conserve < guard <= 1, got "
-                f"{conserve_fraction}, {guard_fraction}"
-            )
+        check_conserve_fractions(conserve_fraction, guard_fraction)
         super().__init__(sim, application, command_center, budget, dvfs, config)
         self.qos_target_s = float(qos_target_s)
         self.conserve_fraction = float(conserve_fraction)

@@ -32,7 +32,14 @@ from repro.service.application import Application
 from repro.service.command_center import CommandCenter
 from repro.sim.engine import Simulator
 
-__all__ = ["PegasusController"]
+__all__ = ["PegasusController", "check_hold_fraction"]
+
+
+def check_hold_fraction(hold_fraction: float) -> None:
+    if not 0.0 < hold_fraction < 1.0:
+        raise ConfigurationError(
+            f"hold fraction must be in (0, 1), got {hold_fraction}"
+        )
 
 
 class PegasusController(BaseController):
@@ -53,10 +60,7 @@ class PegasusController(BaseController):
     ) -> None:
         if qos_target_s <= 0.0:
             raise ConfigurationError(f"QoS target must be > 0, got {qos_target_s}")
-        if not 0.0 < hold_fraction < 1.0:
-            raise ConfigurationError(
-                f"hold fraction must be in (0, 1), got {hold_fraction}"
-            )
+        check_hold_fraction(hold_fraction)
         super().__init__(sim, application, command_center, budget, dvfs, config)
         self.qos_target_s = float(qos_target_s)
         self.hold_fraction = float(hold_fraction)

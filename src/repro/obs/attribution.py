@@ -35,8 +35,9 @@ A query whose records follow one another inside the window, with no
 fault or backoff interval, books each record's queue and service time
 directly: those are exactly the sweep's segments, in the sweep's order.
 
-:class:`AttributionCollector` ingests live queries as an
-``Application`` completion listener; :func:`tail_report` rolls up the
+:class:`AttributionCollector` keeps each live query's facts as an
+``Application`` completion listener and attributes them, once each, when
+its views are first read; :func:`tail_report` rolls up the
 slowest queries alone, the tail the paper's conclusion leaves for
 future work: its blame ranking names the stage that dominates the tail,
 and its ``queue``/``service`` totals say whether waiting or serving did.
@@ -51,7 +52,7 @@ from typing import TYPE_CHECKING, Any, Iterable, Mapping, Optional, Sequence
 from repro.errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
-    from repro.obs.metrics import MetricsRegistry
+    from repro.obs.metrics import Counter, MetricsRegistry
     from repro.obs.trace import Span
     from repro.service.query import Query
     from repro.service.records import AttemptRecord
@@ -157,11 +158,11 @@ class QueryAttribution:
 _Visit = tuple[float, float, float, str]
 #: One labelled interval as the sweep reads it: (start, end, label, stage).
 _Interval = tuple[float, float, str, str]
-#: What :func:`_attribute` decomposes a completed query from: qid,
-#: arrival, completion, e2e latency, retried, visits and lost intervals.
-_Facts = tuple[
-    int, float, float, float, bool, tuple[_Visit, ...], tuple[_Interval, ...]
-]
+#: What :func:`_attribute` decomposes a completed query from, as one flat
+#: tuple: qid, arrival, completion, e2e latency, retried and the tuple of
+#: lost intervals, then four fields per visit (enqueue, start, finish,
+#: stage).
+_Facts = tuple[Any, ...]
 
 
 def _lost_intervals(attempts: Sequence["AttemptRecord"]) -> list[_Interval]:
@@ -313,29 +314,36 @@ def _attribute(
 
 def attribute_query(query: "Query") -> QueryAttribution:
     """Decompose one completed query's latency; see the module docstring."""
-    return _attribute(*_facts(query))
+    return _attribute_facts(_facts(query))
 
 
 def _facts(query: "Query") -> _Facts:
-    """The completed query's stamps, complete stage records and lost
-    intervals: everything :func:`_attribute` reads."""
+    """The completed query's stamps, lost intervals and complete stage
+    records: everything :func:`_attribute` reads, flat."""
     if query.arrival_time is None or query.completion_time is None:
         raise ConfigurationError(
             f"query {query.qid} has not completed; nothing to attribute"
         )
-    visits = tuple(
-        (rec.enqueue_time, rec.start_time, rec.finish_time, rec.stage_name)
-        for rec in query.records
-        if rec.start_time is not None and rec.finish_time is not None
-    )
-    return (
+    facts = [
         query.qid,
         query.arrival_time,
         query.completion_time,
         query.end_to_end_latency,
         query.retried,
-        visits,
-        tuple(_lost_intervals(query.attempts)),
+        tuple(_lost_intervals(query.attempts)) if query.attempts else (),
+    ]
+    for rec in query.records:
+        if rec.start_time is not None and rec.finish_time is not None:
+            facts += (rec.enqueue_time, rec.start_time, rec.finish_time, rec.stage_name)
+    return tuple(facts)
+
+
+def _attribute_facts(facts: _Facts) -> QueryAttribution:
+    """:func:`_attribute` of one query's flat facts."""
+    fields = iter(facts[6:])
+    visits = tuple(zip(fields, fields, fields, fields))
+    return _attribute(
+        facts[0], facts[1], facts[2], facts[3], facts[4], visits, facts[5]
     )
 
 
@@ -481,17 +489,22 @@ def tail_report(
 
 
 class AttributionCollector:
-    """Attributes queries live, as an application completion listener.
+    """Attributes queries as an application completion listener, when
+    the attribution is read.
 
-    Bounded like the other pillars: past ``max_queries`` the per-query
-    records stop accumulating (counted in ``dropped``) while the
-    aggregate roll-up keeps ingesting every query, so the report stays
-    exact even on runs far larger than the buffer.
+    The completion path keeps facts, not views: each completed query is
+    kept as one flat tuple of what :func:`attribute_query` reads of it
+    (its stamps, lost intervals and visits), and nothing is attributed
+    there.  The first read of :meth:`report`, :attr:`attributions` or
+    the ``repro_attributed_seconds_total`` counter attributes every kept
+    query not yet folded, once and in completion order, into all three,
+    so each float is summed in the order an eager roll-up would sum it.
 
-    The completion path keeps facts, not views: each kept query is kept
-    as what :func:`attribute_query` reads of it (its stamps, visits and
-    lost intervals), and its :class:`QueryAttribution` is built from
-    them when :attr:`attributions` is first read.
+    Bounded like the other pillars: past ``max_queries`` the collector
+    folds what it kept, then folds each later query as it completes,
+    into the roll-up and the counter but not the per-query list (counted
+    in ``dropped``), so the report stays exact even on runs far larger
+    than the buffer.
     """
 
     def __init__(
@@ -507,10 +520,13 @@ class AttributionCollector:
         self.registry = registry
         self.dropped = 0
         self._report = report_from_attributions(())
-        #: The kept queries, in completion order.
-        self._kept: list[_Facts] = []
-        #: Attributions built so far, one per kept query in order.
+        #: Kept queries not yet folded, in completion order.
+        self._pending: list[_Facts] = []
+        #: The kept queries folded so far, attributed, in completion order.
         self._attributions: list[QueryAttribution] = []
+        #: ``repro_attributed_seconds_total``, registered at the first
+        #: completion.
+        self._counter: Optional["Counter"] = None
 
     # ------------------------------------------------------------------
     def attach(self, application: Any) -> None:
@@ -519,22 +535,21 @@ class AttributionCollector:
         application.add_failure_listener(self.observe_failure)
 
     def observe(self, query: "Query") -> None:
-        """Ingest one completed query."""
-        facts = _facts(query)
-        attribution = _attribute(*facts)
-        self._report.add(attribution)
-        if len(self._kept) < self.max_queries:
-            self._kept.append(facts)
-        else:
-            self.dropped += 1
-        if self.registry is not None:
-            counter = self.registry.counter(
+        """Keep one completed query's facts (past ``max_queries``, fold
+        it instead)."""
+        if self.registry is not None and self._counter is None:
+            self._counter = self.registry.counter(
                 "repro_attributed_seconds_total",
                 "End-to-end latency attributed, by component",
             )
-            for name, seconds in attribution.components.items():
-                if seconds > 0.0:
-                    counter.inc(seconds, component=name)
+            self._counter.on_read(self._fold)
+        facts = _facts(query)
+        if len(self._attributions) + len(self._pending) < self.max_queries:
+            self._pending.append(facts)
+        else:
+            self._fold()
+            self.dropped += 1
+            self._add(_attribute_facts(facts))
 
     def observe_failure(self, query: "Query") -> None:
         """Count a terminal failure (no e2e latency to attribute)."""
@@ -545,24 +560,42 @@ class AttributionCollector:
                 "Queries that failed terminally (nothing to attribute)",
             ).inc()
 
+    def _fold(self) -> None:
+        """Attribute the kept queries not yet folded, in completion
+        order, into the kept attributions, the roll-up and the counter."""
+        built = self._attributions
+        for facts in self._pending:
+            attribution = _attribute_facts(facts)
+            built.append(attribution)
+            self._add(attribution)
+        self._pending.clear()
+
+    def _add(self, attribution: QueryAttribution) -> None:
+        """Fold one attribution into the roll-up and the counter."""
+        self._report.add(attribution)
+        counter = self._counter
+        if counter is not None:
+            for name, seconds in attribution.components.items():
+                if seconds > 0.0:
+                    counter.inc(seconds, component=name)
+
     # ------------------------------------------------------------------
     @property
     def attributions(self) -> list[QueryAttribution]:
         """The kept queries' attributions, in completion order."""
-        built = self._attributions
-        for facts in self._kept[len(built):]:
-            built.append(_attribute(*facts))
-        return built
+        self._fold()
+        return self._attributions
 
     def __len__(self) -> int:
-        return len(self._kept)
+        return len(self._attributions) + len(self._pending)
 
     def report(self) -> AttributionReport:
         """A copy of the roll-up so far."""
+        self._fold()
         return AttributionReport.from_dict(self._report.to_dict())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"AttributionCollector({self._report.count} queries, "
+            f"AttributionCollector({len(self) + self.dropped} queries, "
             f"{self._report.failed} failed)"
         )

@@ -12,6 +12,10 @@ Design constraints:
 * **Zero-cost when absent.**  Every producer holds an ``Optional``
   registry (or instrument) and guards its emit; no registry means no
   attribute lookups beyond a single ``is not None``.
+* **Read when read.**  A series whose value its producer already keeps
+  is read from it (``set_function``), and a producer that defers its
+  updates brings a series up to date just before it is read
+  (``on_read``): neither writes on every event.
 * **Deterministic.**  Instruments carry no wall-clock state of their
   own; anything time-like is observed by the caller from the simulated
   clock, so two runs of the same seed render byte-identical dumps.
@@ -130,34 +134,57 @@ def _format_labels(labels: Mapping[str, _LabelValue]) -> str:
 
 @dataclass
 class _Series:
-    """What counters and gauges share: values by label set, and an
-    optional function the unlabelled series is read from."""
+    """What counters and gauges share: values by label set, and the
+    label sets read from a function instead."""
 
     name: str
     help_text: str
     _values: dict[_LabelKey, float] = field(default_factory=dict)
-    _function: Optional[Callable[[], float]] = None
+    _functions: dict[_LabelKey, Callable[[], float]] = field(default_factory=dict)
+    #: Called before every read, one per producer that folds its updates
+    #: in when the series is read.
+    _refreshes: list[Callable[[], None]] = field(default_factory=list)
 
     #: The ``# TYPE`` the series renders under.
     kind: ClassVar[str]
 
-    def set_function(self, function: Callable[[], float]) -> None:
-        """Read the unlabelled series from ``function`` from now on, as
-        ``prometheus_client``'s ``Gauge.set_function`` does: a value the
-        caller already keeps is read when the instrument is, not written
-        on every change.  It replaces whatever that series held."""
-        self._values.pop((), None)
-        self._function = function
+    def set_function(
+        self, function: Callable[[], float], **labels: _LabelValue
+    ) -> None:
+        """Read the series of ``labels`` from ``function`` from now on,
+        as ``prometheus_client``'s ``labels(...).set_function`` does: a
+        value the caller already keeps is read when the instrument is,
+        not written on every change.  It replaces whatever that label
+        set held."""
+        key = _label_key(labels)
+        self._values.pop(key, None)
+        self._functions[key] = function
+
+    def on_read(self, refresh: Callable[[], None]) -> None:
+        """Call ``refresh`` before every :meth:`value` and
+        :meth:`render`, so a producer that defers its updates brings the
+        series up to date just before it is read.  Producers sharing the
+        instrument each add their own."""
+        self._refreshes.append(refresh)
 
     def value(self, **labels: _LabelValue) -> float:
-        if not labels and self._function is not None:
-            return float(self._function())
-        return self._values.get(_label_key(labels), 0.0)
+        for refresh in self._refreshes:
+            refresh()
+        key = _label_key(labels)
+        function = self._functions.get(key)
+        if function is not None:
+            return float(function())
+        return self._values.get(key, 0.0)
 
     def render(self) -> list[str]:
+        for refresh in self._refreshes:
+            refresh()
         values = self._values
-        if self._function is not None:
-            values = {**values, (): float(self._function())}
+        if self._functions:
+            values = {
+                **values,
+                **{key: float(fn()) for key, fn in self._functions.items()},
+            }
         lines = [
             f"# HELP {self.name} {_escape_help(self.help_text)}",
             f"# TYPE {self.name} {self.kind}",

@@ -14,10 +14,12 @@ tracker watches it two ways:
 
 The tracker is a plain completion/failure listener — it needs no
 simulator handle because every query already carries its settle time —
-and exposes ``repro_slo_*`` instruments when given a registry: a
-counter of judged queries, and two gauges registered at the first
-settle that read the attainment and the burn rate (over the window
-ending at the settle ingested last) when the registry is read.  Like
+and exposes ``repro_slo_*`` instruments when given a registry, all read
+from the tracker when the registry is read: a counter of judged queries
+by outcome, whose ``ok`` and ``violation`` series are registered at the
+first settle of each, and two gauges registered at the first settle
+that read the attainment and the burn rate (over the window ending at
+the settle ingested last).  Like
 every pillar it is opt-in and bounded: the per-event history that feeds
 the window and the explain timeline is capped, while the overall
 counters stay exact.
@@ -45,19 +47,25 @@ if TYPE_CHECKING:  # pragma: no cover - type-only imports
 __all__ = ["SloTracker", "check_attainment_goal", "check_slo_target", "check_slo_window"]
 
 
-def check_slo_target(target_s: float) -> None:
-    if not math.isfinite(target_s) or target_s <= 0.0:
-        raise ConfigurationError(f"SLO target must be a finite number > 0, got {target_s}")
+def check_slo_target(slo_target_s: float) -> None:
+    if not math.isfinite(slo_target_s) or slo_target_s <= 0.0:
+        raise ConfigurationError(
+            f"SLO target must be a finite number > 0, got {slo_target_s}"
+        )
 
 
-def check_attainment_goal(attainment_goal: float) -> None:
-    if not 0.0 < attainment_goal < 1.0:
-        raise ConfigurationError(f"attainment goal must be in (0, 1), got {attainment_goal}")
+def check_attainment_goal(slo_attainment: float) -> None:
+    if not 0.0 < slo_attainment < 1.0:
+        raise ConfigurationError(
+            f"attainment goal must be in (0, 1), got {slo_attainment}"
+        )
 
 
-def check_slo_window(window_s: float) -> None:
-    if not (math.isfinite(window_s) and window_s > 0.0):
-        raise ConfigurationError(f"window must be a finite number > 0, got {window_s}")
+def check_slo_window(slo_window_s: float) -> None:
+    if not (math.isfinite(slo_window_s) and slo_window_s > 0.0):
+        raise ConfigurationError(
+            f"window must be a finite number > 0, got {slo_window_s}"
+        )
 
 
 class SloTracker:
@@ -134,10 +142,20 @@ class SloTracker:
         self._ingested_at = time
         registry = self.registry
         if registry is not None:
-            registry.counter(
-                "repro_slo_queries_total",
-                "Queries judged against the SLO target",
-            ).inc(outcome="ok" if ok else "violation")
+            # Each outcome's series is registered at its first settle.
+            if (self._total - self._violations if ok else self._violations) == 1:
+                counter = registry.counter(
+                    "repro_slo_queries_total",
+                    "Queries judged against the SLO target",
+                )
+                if ok:
+                    counter.set_function(
+                        lambda: self._total - self._violations, outcome="ok"
+                    )
+                else:
+                    counter.set_function(
+                        lambda: self._violations, outcome="violation"
+                    )
             if self._total == 1:
                 registry.gauge(
                     "repro_slo_attainment",

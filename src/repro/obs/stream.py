@@ -34,9 +34,11 @@ from repro.sim.events import Event
 __all__ = ["StreamExporter", "check_stream_interval"]
 
 
-def check_stream_interval(interval_s: float) -> None:
-    if interval_s <= 0.0:
-        raise ConfigurationError(f"stream interval must be > 0, got {interval_s}")
+def check_stream_interval(stream_interval_s: float) -> None:
+    if stream_interval_s <= 0.0:
+        raise ConfigurationError(
+            f"stream interval must be > 0, got {stream_interval_s}"
+        )
 
 
 class StreamExporter:

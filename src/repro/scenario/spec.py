@@ -37,13 +37,16 @@ from repro.cluster.contention import (
     LinearContention,
     NoContention,
 )
+from repro.core.conserve import check_conserve_fractions
 from repro.core.controller import ControllerConfig
 from repro.core.metrics import MetricKind
+from repro.core.pegasus import check_hold_fraction
 from repro.faults.plan import FaultPlan
 from repro.guard.config import GuardConfig, guard_from_spec, guard_to_spec
 from repro.obs.slo import check_attainment_goal, check_slo_target, check_slo_window
 from repro.obs.stream import check_stream_interval
 from repro.scenario.config import TABLE3_SETUPS, app_stage_names
+from repro.service.command_center import check_e2e_window
 from repro.workloads.loadgen import (
     ConstantLoad,
     DiurnalLoad,
@@ -102,15 +105,17 @@ _CONTROLLER_FIELDS = frozenset(
 
 _GUARD_FIELDS = frozenset(f.name for f in dataclasses.fields(GuardConfig))
 
-#: The numeric options the builder reads, each with the range check a
-#: spec runs on it: the QoS controller knobs (checked only when their
-#: policy is built), then the accounting-plane knobs the observability
-#: bundle consumes, checked as the pillar that reads each one checks it.
-_NUMERIC_OPTIONS: dict[str, Optional[Callable[[float], None]]] = {
-    "hold_fraction": None,
-    "conserve_fraction": None,
-    "guard_fraction": None,
-    "e2e_window_s": None,
+#: The numeric options the builder reads, each mapped to the range check
+#: of the component that reads it: the QoS controller knobs, then the
+#: accounting-plane knobs the observability bundle consumes.  A spec
+#: calls each check once, with the options mapped to it as keyword
+#: arguments, so the conserve controller's two fractions are checked
+#: against each other, a missing one at its default.
+_NUMERIC_OPTIONS: dict[str, Callable[..., None]] = {
+    "hold_fraction": check_hold_fraction,
+    "conserve_fraction": check_conserve_fractions,
+    "guard_fraction": check_conserve_fractions,
+    "e2e_window_s": check_e2e_window,
     "slo_target_s": check_slo_target,
     "slo_attainment": check_attainment_goal,
     "slo_window_s": check_slo_window,
@@ -529,6 +534,7 @@ class ScenarioSpec:
             # Value checks up front too (finite intervals, integral
             # counts), so a bad block fails at spec time.
             controller_from_spec(self.controller)
+        numeric: dict[str, float] = {}
         for key, value in self.options:
             if key in _NUMERIC_OPTIONS and value is not None:
                 try:
@@ -539,12 +545,18 @@ class ScenarioSpec:
                     raise ConfigurationError(
                         f"option {key!r} must be a finite number, got {value!r}"
                     )
-                check = _NUMERIC_OPTIONS[key]
-                if check is not None:
-                    try:
-                        check(float(value))
-                    except ConfigurationError as error:
-                        raise ConfigurationError(f"option {key!r}: {error}") from None
+                numeric[key] = float(value)
+        for check in dict.fromkeys(_NUMERIC_OPTIONS[key] for key in numeric):
+            named = {
+                key: value
+                for key, value in numeric.items()
+                if _NUMERIC_OPTIONS[key] is check
+            }
+            try:
+                check(**named)
+            except ConfigurationError as error:
+                options = " and ".join(repr(key) for key in named)
+                raise ConfigurationError(f"option {options}: {error}") from None
         for key, _ in self.guard:
             if key not in _GUARD_FIELDS:
                 known = ", ".join(sorted(_GUARD_FIELDS))

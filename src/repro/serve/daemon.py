@@ -151,14 +151,32 @@ class ReproDaemon:
     # ------------------------------------------------------------------
     # The serve loop
     # ------------------------------------------------------------------
-    def serve_forever(self) -> None:
-        """Bind, then loop until :meth:`shutdown` (or a ``shutdown``
-        command) flips the flag.  Safe to call exactly once."""
+    def bind(self) -> None:
+        """Open every listener: the unix socket, then the TCP port.
+
+        :meth:`serve_forever` binds first unless this already did, so a
+        caller that announces the daemon binds, announces, then serves.
+        A refused address closes every listener, removes the socket file
+        and raises.
+        """
         if self._selector is not None:
-            raise ServeError("the daemon is already serving")
+            raise ServeError("the daemon is already bound")
         self._selector = selectors.DefaultSelector()
         try:
             self._bind()
+        except BaseException:
+            self._close_all()
+            raise
+
+    def serve_forever(self) -> None:
+        """Bind unless :meth:`bind` already did, then loop until
+        :meth:`shutdown` (or a ``shutdown`` command) flips the flag.
+        Safe to call exactly once."""
+        if self._running:
+            raise ServeError("the daemon is already serving")
+        if self._selector is None:
+            self.bind()
+        try:
             self._running = True
             last = time.monotonic()
             while self._running:

@@ -23,6 +23,7 @@ from repro.cluster.machine import Machine
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.obs import Observability
+    from repro.obs.metrics import Histogram, MetricsRegistry
     from repro.service.resilience import RetryPolicy
     from repro.service.rpc import RpcFabric
     from repro.sim.rng import RandomStreams
@@ -51,7 +52,11 @@ class Application:
 
     ``observability`` is the run's bundle: every producer built on the
     application (controller, fabric, fault injector, health monitor,
-    retry layers) reads its pillars from it.
+    retry layers) reads its pillars from it.  Its registry reads the
+    ``repro_queries_*_total{app}`` series from this application's own
+    counts, each registered at its first event, so two applications
+    sharing a registry need distinct names (a sharded run's are
+    ``app[i]``).
     """
 
     def __init__(
@@ -90,6 +95,9 @@ class Application:
         self._timed_out = 0
         self._retried_completed = 0
         self._resilient = False
+        #: The end-to-end latency histogram, looked up at the first
+        #: completion when a registry is armed.
+        self._latency: Optional["Histogram"] = None
 
     # ------------------------------------------------------------------
     # Topology construction
@@ -225,10 +233,10 @@ class Application:
             )
         query.arrival_time = self.sim._now
         self._submitted += 1
-        if self._metrics is not None:
+        if self._metrics is not None and self._submitted == 1:
             self._metrics.counter(
                 "repro_queries_submitted_total", "Queries injected into the pipeline"
-            ).inc(app=self.name)
+            ).set_function(lambda: self._submitted, app=self.name)
         self._advance(0, query)
 
     def _advance(self, stage_index: int, query: Query) -> None:
@@ -239,14 +247,10 @@ class Application:
             if query.retried:
                 self._retried_completed += 1
             if self._metrics is not None:
-                self._metrics.counter(
-                    "repro_queries_completed_total",
-                    "Queries that finished the last pipeline stage",
-                ).inc(app=self.name)
-                self._metrics.histogram(
-                    "repro_query_e2e_latency_seconds",
-                    "End-to-end response latency",
-                ).observe(query.end_to_end_latency)
+                latency = self._latency
+                if latency is None:
+                    latency = self._latency = self._first_completion(self._metrics)
+                latency.observe(query.end_to_end_latency)
             if self.fabric is not None:
                 # The latency statistics travel to the command center as
                 # one RPC message per query (Section 4.1, Figure 6).
@@ -269,13 +273,24 @@ class Application:
         """Terminal failure: the query exhausted a stage's retry budget."""
         query.failed_time = self.sim.now
         self._timed_out += 1
-        if self._metrics is not None:
+        if self._metrics is not None and self._timed_out == 1:
             self._metrics.counter(
                 "repro_queries_timed_out_total",
                 "Queries that failed terminally after exhausting retries",
-            ).inc(app=self.name)
+            ).set_function(lambda: self._timed_out, app=self.name)
         for listener in tuple(self._failure_listeners):
             listener(query)
+
+    def _first_completion(self, metrics: "MetricsRegistry") -> "Histogram":
+        """Register the completion count at the first completion; the
+        latency histogram every completion observes."""
+        metrics.counter(
+            "repro_queries_completed_total",
+            "Queries that finished the last pipeline stage",
+        ).set_function(lambda: self._completed, app=self.name)
+        return metrics.histogram(
+            "repro_query_e2e_latency_seconds", "End-to-end response latency"
+        )
 
     def _on_instance_crash(self, stage: Stage, instance: ServiceInstance) -> None:
         for listener in tuple(self._crash_listeners):

@@ -36,7 +36,16 @@ from repro.service.window import LatencyWindow
 from repro.sim.engine import Simulator
 from repro.util.percentile import LatencySummary, summarize
 
-__all__ = ["CommandCenter"]
+__all__ = ["CommandCenter", "check_e2e_window"]
+
+
+def _check_span(name: str, span_s: float) -> None:
+    if not (math.isfinite(span_s) and span_s > 0.0):
+        raise ConfigurationError(f"{name} must be a finite number > 0 s, got {span_s}")
+
+
+def check_e2e_window(e2e_window_s: float) -> None:
+    _check_span("e2e window", e2e_window_s)
 
 
 class CommandCenter:
@@ -49,11 +58,8 @@ class CommandCenter:
         window_s: float = 60.0,
         e2e_window_s: float = 30.0,
     ) -> None:
-        for name, span in (("window", window_s), ("e2e window", e2e_window_s)):
-            if not (math.isfinite(span) and span > 0.0):
-                raise ConfigurationError(
-                    f"{name} must be a finite number > 0 s, got {span}"
-                )
+        _check_span("window", window_s)
+        check_e2e_window(e2e_window_s)
         self.sim = sim
         self.application = application
         self.window_s = float(window_s)

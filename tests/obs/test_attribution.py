@@ -614,9 +614,10 @@ def _query_streams(draw):
 
 
 class TestCollectorKeepsFacts:
-    """The collector rolls every query up as it completes, keeps what
-    its attribution is built from, and builds the attributions on read;
-    both views match the reference."""
+    """The collector keeps what each query's attribution is built from
+    as it completes, and attributes every kept query once, in completion
+    order, on the first read of any of its views (the report, the
+    attributions, the counter); every view matches the reference."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -666,18 +667,31 @@ class TestCollectorKeepsFacts:
         queries = [in_order, repeated, retried, in_order]
         for qid, query in enumerate(queries[:3]):
             query.qid = qid
-        collector = AttributionCollector()
-        with mock.patch(
-            "repro.obs.attribution._attribute", wraps=_attribute
-        ) as attributed:
-            for query in queries:
-                assert collector.observe(query) is None
-            # One attribution per query, for the roll-up.
-            assert attributed.call_count == 4
-            built = collector.attributions
-            assert attributed.call_count == 8
-            assert collector.attributions is built
-            assert attributed.call_count == 8
+        for first in ("report", "attributions", "counter"):
+            registry = MetricsRegistry()
+            collector = AttributionCollector(registry=registry)
+            reads = {
+                "report": collector.report,
+                "attributions": lambda: collector.attributions,
+                "counter": lambda: registry.get(
+                    "repro_attributed_seconds_total"
+                ).render(),
+            }
+            with mock.patch(
+                "repro.obs.attribution._attribute", wraps=_attribute
+            ) as attributed:
+                for query in queries:
+                    assert collector.observe(query) is None
+                # Observing keeps facts and attributes nothing.
+                assert attributed.call_count == 0
+                reads[first]()
+                # The first read of any view attributes each query once.
+                assert attributed.call_count == 4
+                for read in reads.values():
+                    read()
+                built = collector.attributions
+                assert collector.attributions is built
+                assert attributed.call_count == 4
         assert [qa.qid for qa in built] == [0, 1, 2, 0]
         assert [qa.to_dict() for qa in built] == [
             attribute_query(query).to_dict() for query in queries

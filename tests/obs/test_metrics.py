@@ -83,7 +83,8 @@ class TestGauge:
 
 
 class TestSetFunction:
-    """The unlabelled series can be read from a function at read time."""
+    """A series can be read from a function at read time, and brought up
+    to date just before it is read."""
 
     @pytest.mark.parametrize("kind", [Counter, Gauge])
     def test_reads_the_function_when_read(self, kind):
@@ -112,6 +113,73 @@ class TestSetFunction:
         gauge.set_function(lambda: 1.5)
         assert gauge.value() == 1.5
         assert gauge.render()[2:] == ["g 1.5"]
+
+    @pytest.mark.parametrize("kind", [Counter, Gauge])
+    def test_a_labelled_series_reads_its_function(self, kind):
+        source = [2]
+        instrument = kind("x", "help")
+        instrument.set_function(lambda: source[0], app="nlp")
+        assert instrument.value(app="nlp") == 2.0
+        assert isinstance(instrument.value(app="nlp"), float)
+        assert instrument.value(app="sirius") == 0.0
+        assert instrument.value() == 0.0
+        source[0] = 9
+        assert instrument.value(app="nlp") == 9.0
+        assert instrument.render()[2:] == ['x{app="nlp"} 9']
+
+    @pytest.mark.parametrize("kind", [Counter, Gauge])
+    def test_labelled_functions_render_in_order_beside_stored_series(self, kind):
+        stored, read = kind("x", "help"), kind("x", "help")
+        for app, amount in (("a", 1.0), ("b", 2.5), ("c", 3.0), ("d", 4.0)):
+            stored.inc(amount, app=app)
+        read.inc(2.5, app="b")
+        read.inc(4.0, app="d")
+        read.set_function(lambda: 3, app="c")
+        read.set_function(lambda: 1, app="a")
+        read.set_function(lambda: 7, outcome="ok", app="e")
+        stored.inc(7.0, app="e", outcome="ok")
+        assert read.render() == stored.render()
+        assert read.value(outcome="ok", app="e") == 7.0
+
+    def test_a_labelled_function_replaces_the_stored_label_set(self):
+        counter = Counter("c", "help")
+        counter.inc(5.0, app="nlp")
+        counter.inc(1.0, app="sirius")
+        counter.set_function(lambda: 1.5, app="nlp")
+        assert counter.value(app="nlp") == 1.5
+        assert counter.render()[2:] == ['c{app="nlp"} 1.5', 'c{app="sirius"} 1']
+
+    def test_on_read_refreshes_before_every_read(self):
+        counter = Counter("c", "help")
+        pending = [0.5, 0.25]
+
+        def fold() -> None:
+            while pending:
+                counter.inc(pending.pop(0), component="queue")
+
+        counter.on_read(fold)
+        assert counter._values == {}
+        assert counter.value(component="queue") == 0.75
+        pending.append(1.0)
+        assert counter.render()[2:] == ['c{component="queue"} 1.75']
+        pending.append(2.0)
+        assert counter.value(component="queue") == 3.75
+
+    def test_each_producer_sharing_a_series_refreshes_it(self):
+        registry = MetricsRegistry()
+        for component, pending in (("queue", [0.5]), ("service", [0.25])):
+            counter = registry.counter("repro_c_total", "help")
+
+            def fold(counter=counter, component=component, pending=pending):
+                while pending:
+                    counter.inc(pending.pop(), component=component)
+
+            counter.on_read(fold)
+        text = registry.counter("repro_c_total").render()[2:]
+        assert text == [
+            'repro_c_total{component="queue"} 0.5',
+            'repro_c_total{component="service"} 0.25',
+        ]
 
 
 class TestHistogram:

@@ -197,6 +197,21 @@ class TestScenarioCommand:
         assert main(["scenario", "validate", str(custom)]) == 1
         assert "invalid" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "options",
+        [{"conserve_fraction": 5.0}, {"hold_fraction": -1.0}, {"e2e_window_s": 0.0}],
+        ids=["conserve-fraction", "hold-fraction", "e2e-window"],
+    )
+    def test_validate_rejects_a_qos_option_its_policy_refuses(
+        self, options, tmp_path, capsys
+    ):
+        payload = ScenarioSpec.qos("sirius", "powerchief", 4.0, 30.0).to_dict()
+        payload["options"] = options
+        custom = tmp_path / "qos.json"
+        custom.write_text(json.dumps(payload), encoding="utf-8")
+        assert main(["scenario", "validate", str(custom)]) == 1
+        assert "invalid" in capsys.readouterr().out
+
     def test_validate_missing_file(self, tmp_path, capsys):
         missing = tmp_path / "nope.json"
         assert main(["scenario", "validate", str(missing)]) != 0

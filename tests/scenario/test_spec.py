@@ -278,6 +278,40 @@ class TestValuesTheBuilderReads:
     def test_numeric_option_must_be_finite(self, key, value):
         self.refused(key, options={key: value})
 
+    @pytest.mark.parametrize(
+        "options, match",
+        [
+            ({"hold_fraction": -1.0}, "hold fraction must be in"),
+            ({"hold_fraction": 1.0}, "hold fraction must be in"),
+            ({"conserve_fraction": 5.0}, "fractions must satisfy"),
+            ({"guard_fraction": -0.5}, "fractions must satisfy"),
+            ({"guard_fraction": 1.5}, "fractions must satisfy"),
+            # Each against the other's default (0.92 and 0.75).
+            ({"conserve_fraction": 0.95}, "fractions must satisfy"),
+            ({"guard_fraction": 0.7}, "fractions must satisfy"),
+            (
+                {"conserve_fraction": 0.9, "guard_fraction": 0.9},
+                "option 'conserve_fraction' and 'guard_fraction': fractions",
+            ),
+            ({"e2e_window_s": 0.0}, "e2e window must be"),
+            ({"e2e_window_s": -5.0}, "e2e window must be"),
+        ],
+    )
+    @pytest.mark.parametrize("policy", ["pegasus", "powerchief"])
+    def test_qos_controller_option_refused_as_its_policy_refuses_it(
+        self, policy, options, match
+    ):
+        with pytest.raises(ConfigurationError, match=match):
+            ScenarioSpec.qos("sirius", policy, 4.0, 30.0, **options)
+
+    def test_qos_fractions_are_checked_together(self):
+        # Either fraction may move past the other's default when the
+        # other moves too.
+        spec = ScenarioSpec.qos(
+            "sirius", "powerchief", 4.0, 30.0, conserve_fraction=0.95, guard_fraction=0.99
+        )
+        assert ScenarioSpec.from_json(spec.to_json()) == spec
+
     def test_unknown_qos_option_refused(self):
         with pytest.raises(ConfigurationError, match="unknown qos options: hold_fracton"):
             ScenarioSpec.qos("sirius", "pegasus", 1.0, 60.0, hold_fracton=0.8)

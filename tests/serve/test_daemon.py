@@ -19,6 +19,7 @@ import socket
 import threading
 import time
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -636,9 +637,23 @@ class TestConstruction:
         with _held_port() as port:
             argv = ["serve", "--socket", path, "--tcp", f"127.0.0.1:{port}"]
             assert main(argv) == 1
-        (line,) = capsys.readouterr().err.splitlines()
+        captured = capsys.readouterr()
+        # Nothing claims the daemon listened.
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
         assert line.startswith("error: reprod cannot serve on ")
         assert not _exists(path)
+
+    def test_a_refused_bind_announces_no_boot_submitted_run(self, tmp_path, capsys):
+        path = str(tmp_path / "reprod.sock")
+        spec = str(Path(__file__).parents[2] / "examples/scenarios/latency_basic.json")
+        with _held_port() as port:
+            argv = ["serve", "--socket", path, "--tcp", f"127.0.0.1:{port}", "--spec", spec]
+            assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: reprod cannot serve on ")
 
     def test_serve_refuses_a_port_past_65535(self, tmp_path, capsys):
         path = str(tmp_path / "reprod.sock")
