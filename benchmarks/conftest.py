@@ -1,15 +1,14 @@
-"""Shared helpers for the benchmark harness.
+"""Shared helpers for the ablation, oracle, sweep and table benches.
 
-Each benchmark regenerates one table or figure of the paper's evaluation:
-it runs the experiment once inside pytest-benchmark (rounds=1 — these are
-full simulation campaigns, not microbenchmarks), prints the ASCII analog
-of the figure, and asserts the paper's qualitative shape so a regression
-that flips a conclusion fails the bench rather than silently printing
-different numbers.
+Each bench runs one ablation, sweep or table experiment once inside
+pytest-benchmark (rounds=1: these are simulation campaigns, not
+microbenchmarks), prints what it measured, and asserts the conclusion
+it reproduces.  The paper's figure claims are tier-1 tests
+(``tests/integration/test_paper_claims.py``).
 
 Run with::
 
-    pytest benchmarks/ --benchmark-only
+    PYTHONPATH=src:. python -m pytest benchmarks --ignore=benchmarks/perf --benchmark-disable -q
 """
 
 from __future__ import annotations
@@ -33,14 +32,6 @@ def engine_workers(n_cells: int) -> int:
 def run_once(benchmark, func, *args, **kwargs):
     """Benchmark ``func`` with a single round/iteration and return its result."""
     return benchmark.pedantic(func, args=args, kwargs=kwargs, rounds=1, iterations=1)
-
-
-def run_figures_once(benchmark, *figures):
-    """Benchmark one pass of the figure runner; each figure's result."""
-    from repro.experiments.campaign import run_figures
-
-    results, _ = run_once(benchmark, run_figures, list(figures))
-    return results
 
 
 def show(text: str) -> None:

@@ -612,10 +612,7 @@ def _preset_spec(args: argparse.Namespace) -> ScenarioSpec:
         }
         if args.stream:
             observe.append("stream")
-            options.update(
-                stream_path=str(Path(args.output) / "stream.jsonl"),
-                stream_interval_s=args.stream_interval,
-            )
+            options["stream_interval_s"] = args.stream_interval
         options["observe"] = observe
     return ScenarioSpec.latency(
         args.app, args.policy, trace, args.duration, seed=args.seed, **options
@@ -639,7 +636,9 @@ def _run_spec(
     """The one runner behind every run command: build, execute, report.
 
     ``output`` is made once the spec is accepted (a refused run leaves
-    no directory) and gets the artifacts of the pillars the run armed.
+    no directory) and gets the artifacts of the pillars the run armed;
+    the stream pillar writes its ``stream.jsonl`` there while the run
+    goes.
     A single-stack chaos run prints the goodput report, against the
     fault-free ``twin``'s result when given; any other run prints the
     summary line.
@@ -647,6 +646,8 @@ def _run_spec(
     builder = StackBuilder(spec)
     if output is not None:
         Path(output).mkdir(parents=True, exist_ok=True)
+        if builder.observability is not None and builder.observability.stream is not None:
+            builder.observability.stream.path = Path(output) / "stream.jsonl"
     result = builder.execute()
     if output is not None and builder.observability is not None:
         from repro.obs.explain import write_artifacts

@@ -3,14 +3,14 @@
 ``run_campaign`` regenerates the complete evaluation section — Figures
 2-14 and Tables 1/4 — renders each as text, and optionally archives the
 renders plus a combined Markdown report to a directory.  This is what
-``python -m repro campaign`` drives; the per-figure shape assertions live
-in the benchmark suite, not here.
+``python -m repro campaign`` drives; the paper's shape claims are checked
+on the same results by ``tests/integration/test_paper_claims.py``.
 
 Every figure of :func:`default_registry` is a
 :class:`~repro.experiments.figures.common.Figure`: scenario cells plus a
 reducer.  :func:`run_figures` is the one runner for figures — the
-campaign, ``repro figures``, the headline summary, the figure tests and
-benches all go through it.  It runs the union of the figures' cells
+campaign, ``repro figures``, the headline summary and the figure tests
+all go through it.  It runs the union of the figures' cells
 through the parallel cell engine (:mod:`repro.experiments.parallel`)
 once per distinct digest, so ``max_workers`` fans out cells and
 ``cache_dir`` memoizes each run: a changed figure recomputes exactly its

@@ -3,8 +3,9 @@
 One module per table/figure of the paper's evaluation; each exposes a
 ``figure(...)`` function returning a :class:`Figure` — the scenario cells
 the figure needs, a reducer building its structured result from their
-results, and a ``render_*`` function producing the ASCII analog of the
-figure.  :func:`repro.experiments.campaign.run_figures` runs them.
+results, and the render producing the ASCII analog of the figure
+(Figures 12 and 14 share the renders of Figures 10 and 13).
+:func:`repro.experiments.campaign.run_figures` runs them.
 """
 
 from repro.experiments.figures.common import (
@@ -21,13 +22,7 @@ from repro.experiments.figures.fig10 import (
     render_improvement_figure,
 )
 from repro.experiments.figures.fig11 import Fig11Result, render_fig11
-from repro.experiments.figures.fig12 import render_fig12
-from repro.experiments.figures.fig13 import (
-    QosFigureResult,
-    render_fig13,
-    render_qos_figure,
-)
-from repro.experiments.figures.fig14 import render_fig14
+from repro.experiments.figures.fig13 import QosFigureResult, render_qos_figure
 from repro.experiments.figures.tables import (
     TABLE1_ROWS,
     TABLE4_SYSTEMS,
@@ -52,11 +47,8 @@ __all__ = [
     "render_improvement_figure",
     "Fig11Result",
     "render_fig11",
-    "render_fig12",
     "QosFigureResult",
-    "render_fig13",
     "render_qos_figure",
-    "render_fig14",
     "TABLE1_ROWS",
     "TABLE4_SYSTEMS",
     "SystemCapabilities",

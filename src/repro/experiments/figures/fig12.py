@@ -12,15 +12,10 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.experiments.figures.common import DEFAULT_SEEDS, Figure
-from repro.experiments.figures.fig10 import (
-    POLICIES,
-    ImprovementFigureResult,
-    improvement_figure,
-    render_improvement_figure,
-)
+from repro.experiments.figures.fig10 import POLICIES, improvement_figure
 from repro.workloads.nlp import nlp_load_levels
 
-__all__ = ["figure", "render_fig12"]
+__all__ = ["figure"]
 
 
 def figure(
@@ -32,8 +27,3 @@ def figure(
     return improvement_figure(
         "nlp", "Figure 12", nlp_load_levels(), duration_s, seeds, policies
     )
-
-
-def render_fig12(result: ImprovementFigureResult) -> str:
-    """ASCII rendering of Figure 12."""
-    return render_improvement_figure(result)

@@ -24,7 +24,6 @@ __all__ = [
     "figure",
     "qos_figure",
     "render_qos_figure",
-    "render_fig13",
 ]
 
 POLICIES = ("baseline", "pegasus", "powerchief")
@@ -145,7 +144,3 @@ def render_qos_figure(result: QosFigureResult, every_nth_sample: int = 8) -> str
         timeline_rows.append(tuple(row))
     sections.append(format_table(headers, timeline_rows))
     return "\n".join(sections)
-
-
-def render_fig13(result: QosFigureResult) -> str:
-    return render_qos_figure(result)

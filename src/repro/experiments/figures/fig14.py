@@ -13,13 +13,9 @@ from __future__ import annotations
 
 from repro.scenario.config import TABLE3_WEBSEARCH
 from repro.experiments.figures.common import Figure
-from repro.experiments.figures.fig13 import (
-    QosFigureResult,
-    qos_figure,
-    render_qos_figure,
-)
+from repro.experiments.figures.fig13 import qos_figure
 
-__all__ = ["figure", "render_fig14", "WEBSEARCH_QOS_RATE_QPS"]
+__all__ = ["figure", "WEBSEARCH_QOS_RATE_QPS"]
 
 #: Arrival rate for the Web Search QoS runs: ~40% leaf utilisation,
 #: matching the figure's baseline latency fraction of ~0.45.
@@ -33,7 +29,3 @@ def figure(
 ) -> Figure:
     """The three QoS policies on the Table-3 Web Search deployment."""
     return qos_figure("Figure 14", TABLE3_WEBSEARCH, rate_qps, duration_s, seed)
-
-
-def render_fig14(result: QosFigureResult) -> str:
-    return render_qos_figure(result)

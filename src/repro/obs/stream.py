@@ -17,8 +17,9 @@ fault injector stamps every fault it fires — so the stream doubles as
 an annotated timeline for ``repro explain``.
 
 With ``path=None`` the exporter buffers lines in memory (``lines``),
-which is what spec-driven runs without a ``stream_path`` option and the
-test suite use.
+which is what a spec-driven run does unless its runner sets ``path``
+before the run is armed: a spec carries no output path, and
+``repro trace --stream --output DIR`` writes ``DIR/stream.jsonl``.
 """
 
 from __future__ import annotations

@@ -37,8 +37,10 @@ hooks) from any phase when a run must be torn down early.
 
 The spec is the whole input: trace, contention, chaos plan, Table-3
 deployment and the observability pillars (``observe`` plus the ``slo_*``
-and ``stream_*`` options) all come from it.  The pillars a run armed are
-read back from :attr:`StackBuilder.observability`.
+and ``stream_interval_s`` options) all come from it.  The pillars a run
+armed are read back from :attr:`StackBuilder.observability`; a spec
+names no file, so a caller that wants the stream on disk sets its
+``path`` before ``arm``.
 """
 
 from __future__ import annotations
@@ -197,10 +199,8 @@ def _observability_from_spec(
         )
     stream = None
     if "stream" in observe:
-        path = options.get("stream_path")
         stream = StreamExporter(
-            path=None if path is None else str(path),
-            interval_s=float(options.get("stream_interval_s", 5.0)),
+            interval_s=float(options.get("stream_interval_s", 5.0))
         )
     return Observability(
         tracer=(

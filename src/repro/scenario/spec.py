@@ -122,8 +122,21 @@ _NUMERIC_OPTIONS: dict[str, Callable[..., None]] = {
     "stream_interval_s": check_stream_interval,
 }
 
-#: Options a QoS scenario accepts.
-_QOS_OPTIONS = _NUMERIC_OPTIONS.keys() | {"stream_path"}
+#: Options every run reads: the accounting plane's knobs.
+_ACCOUNTING_OPTIONS = frozenset(
+    {"slo_target_s", "slo_attainment", "slo_window_s", "stream_interval_s"}
+)
+
+#: The options a (kind, policy) run reads besides the accounting ones:
+#: every QoS run sizes its end-to-end window, Pegasus reads its hold
+#: fraction and PowerChief's conserve controller its two fractions.
+_POLICY_OPTIONS = {
+    ("qos", "baseline"): frozenset({"e2e_window_s"}),
+    ("qos", "pegasus"): frozenset({"e2e_window_s", "hold_fraction"}),
+    ("qos", "powerchief"): frozenset(
+        {"e2e_window_s", "conserve_fraction", "guard_fraction"}
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -492,11 +505,6 @@ class ScenarioSpec:
                 raise ConfigurationError("qos scenarios cannot be sharded")
             if self.drain_s > 0.0:
                 raise ConfigurationError("qos scenarios have no drain window")
-            unknown = sorted({key for key, _ in self.options} - _QOS_OPTIONS)
-            if unknown:
-                raise ConfigurationError(
-                    f"unknown qos options: {', '.join(unknown)}"
-                )
         if self.contention and self.contention[0] not in _CONTENTION_KINDS:
             raise ConfigurationError(
                 f"unknown contention spec kind {self.contention[0]!r} "
@@ -557,6 +565,23 @@ class ScenarioSpec:
             except ConfigurationError as error:
                 options = " and ".join(repr(key) for key in named)
                 raise ConfigurationError(f"option {options}: {error}") from None
+        # After the range checks, so a value out of range is refused as
+        # the policy that reads it would refuse it.  An option its run
+        # does not read would only split one run into two digests.
+        read = _ACCOUNTING_OPTIONS | _POLICY_OPTIONS.get(
+            (self.kind, self.policy), frozenset()
+        )
+        unread = sorted({key for key, _ in self.options} - read)
+        unknown = [key for key in unread if key not in _NUMERIC_OPTIONS]
+        if unknown:
+            raise ConfigurationError(
+                f"unknown {self.kind} options: {', '.join(unknown)}"
+            )
+        if unread:
+            raise ConfigurationError(
+                f"{self.kind} policy {self.policy!r} does not read "
+                f"{', '.join(unread)} (it reads {', '.join(sorted(read))})"
+            )
         for key, _ in self.guard:
             if key not in _GUARD_FIELDS:
                 known = ", ".join(sorted(_GUARD_FIELDS))

@@ -1,8 +1,9 @@
 """Unit tests for the per-figure definitions (structure, not shapes).
 
-Shapes are asserted by the benchmarks at full duration; these tests run
-short figures through the figure runner and verify the result structures
-and renderings.
+The paper's shapes are checked at full size in
+``tests/integration/test_paper_claims.py``; these tests run short
+figures through the figure runner and verify the result structures and
+renderings.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from repro.experiments.figures import (
     render_fig02,
     render_fig04,
     render_fig11,
-    render_fig13,
     render_improvement_figure,
+    render_qos_figure,
     render_table1,
     render_table4,
 )
@@ -131,7 +132,7 @@ class TestQosFigures:
         result = run(fig13.figure(duration_s=150.0, seed=3))
         assert result.run_for("baseline").average_power_fraction == pytest.approx(1.0)
         assert 0.0 <= result.saving_over_baseline("powerchief") <= 1.0
-        text = render_fig13(result)
+        text = render_qos_figure(result)
         assert "Figure 13" in text
         assert "saving vs baseline" in text
 

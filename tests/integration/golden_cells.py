@@ -23,7 +23,10 @@ The output goldens pin what users read: every figure/table render of
 the default campaign registry at full size, the stdout and ``--json``
 payload of the single-run CLI commands, every artifact ``repro trace``
 writes, and the headline numbers at :data:`HEADLINE_KWARGS`
-(``output_digests.json``).
+(``output_digests.json``).  The renders come from
+:func:`registry_results`, which the paper's shape claims
+(``test_paper_claims.py``) read too, so a re-pin cannot hide a claim
+that flipped.
 
 Regenerate (only when a PR *intends* a behavioural change) with::
 
@@ -37,6 +40,7 @@ changes nothing prints nothing.
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -231,14 +235,24 @@ def _run_cli(argv: list[str]) -> str:
     return out.getvalue()
 
 
-def render_digest(name: str) -> str:
-    """SHA-256 of one default-registry artefact rendered at full size,
-    reduced through the figure runner ``repro campaign`` uses."""
+@functools.cache
+def registry_results() -> dict[str, object]:
+    """Every default-registry artefact's result at full size, from one
+    pass of the figure runner ``repro campaign`` uses, so each distinct
+    cell is simulated once however many readers there are."""
     from repro.experiments.campaign import default_registry, run_figures
 
+    registry = default_registry()
+    results, _ = run_figures(list(registry.values()))
+    return dict(zip(registry, results))
+
+
+def render_digest(name: str) -> str:
+    """SHA-256 of one default-registry artefact rendered at full size."""
+    from repro.experiments.campaign import default_registry
+
     figure = default_registry()[name]
-    (result,), _ = run_figures([figure])
-    return _sha256(figure.render(result).encode("utf-8"))
+    return _sha256(figure.render(registry_results()[name]).encode("utf-8"))
 
 
 def cli_parts(name: str) -> dict[str, str]:

@@ -151,6 +151,36 @@ class TestTraceCommand:
         assert code == 0
         assert "sirius/powerchief" in capsys.readouterr().out
 
+    def test_streamed_spec_names_no_output_file(self, tmp_path, monkeypatch):
+        # The stream is written to OUTPUT/stream.jsonl while the run
+        # goes, yet the spec that ran names no file: running it again,
+        # from anywhere, writes nothing there.
+        import repro.cli
+
+        out = tmp_path / "out"
+        specs = []
+        run_spec = repro.cli._run_spec
+
+        def recording(spec, *args, **kwargs):
+            specs.append(spec)
+            return run_spec(spec, *args, **kwargs)
+
+        monkeypatch.setattr(repro.cli, "_run_spec", recording)
+        argv = ["trace", "sirius", "--duration", "30", "--rate", "1.0"]
+        assert main(argv + ["--stream", "--output", str(out)]) == 0
+        stream = out / "stream.jsonl"
+        assert stream.read_text().splitlines()
+        (spec,) = specs
+        assert str(out) not in spec.to_json()
+        stream.unlink()
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        (elsewhere / "spec.json").write_text(spec.to_json())
+        monkeypatch.chdir(elsewhere)
+        assert main(["run", "--scenario", "spec.json"]) == 0
+        assert not stream.exists()
+        assert sorted(path.name for path in elsewhere.iterdir()) == ["spec.json"]
+
     def test_refused_spec_leaves_no_output_directory(self, tmp_path, capsys):
         out = tmp_path / "out"
         code = main(

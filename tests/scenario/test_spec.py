@@ -13,12 +13,20 @@ from repro.core.controller import ControllerConfig
 from repro.errors import ConfigurationError
 from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
 from repro.scenario import (
+    LATENCY_POLICIES,
     SCENARIO_FORMAT_VERSION,
     ScenarioSpec,
     StageAllocation,
 )
 from repro.scenario.config import app_stage_names, app_stages
 from repro.workloads.loadgen import ConstantLoad, LoadTrace, PiecewiseLoad
+
+
+def option_spec(kind: str, policy: str, **options) -> ScenarioSpec:
+    """A short Sirius spec of ``kind`` under ``policy`` with ``options``."""
+    if kind == "latency":
+        return ScenarioSpec.latency("sirius", policy, ("constant", 1.0), 30.0, **options)
+    return ScenarioSpec.qos("sirius", policy, 4.0, 30.0, **options)
 
 
 def latency_spec(**overrides) -> ScenarioSpec:
@@ -316,6 +324,47 @@ class TestValuesTheBuilderReads:
         with pytest.raises(ConfigurationError, match="unknown qos options: hold_fracton"):
             ScenarioSpec.qos("sirius", "pegasus", 1.0, 60.0, hold_fracton=0.8)
 
+    @pytest.mark.parametrize(
+        "kind, policy, option",
+        [
+            ("latency", "powerchief", "slo_targte_s"),
+            ("latency", "powerchief", "stream_path"),
+            ("latency", "powerchief", "hold_fraction"),
+            ("latency", "static", "e2e_window_s"),
+            ("qos", "pegasus", "conserve_fraction"),
+            ("qos", "powerchief", "hold_fraction"),
+            ("qos", "baseline", "guard_fraction"),
+        ],
+    )
+    def test_option_its_run_does_not_read_refused(self, kind, policy, option):
+        # Such an option used to change the digest and nothing else: two
+        # cache entries for one run.
+        if option.endswith(("_fraction", "_window_s")):
+            match = f"{kind} policy '{policy}' does not read {option} \\(it reads "
+        else:
+            match = f"unknown {kind} options: {option}$"
+        with pytest.raises(ConfigurationError, match=match):
+            option_spec(kind, policy, **{option: 0.8})
+
+    @pytest.mark.parametrize(
+        "kind, policy, options",
+        [
+            *(("latency", policy, {}) for policy in LATENCY_POLICIES),
+            ("qos", "baseline", {"e2e_window_s": 30.0}),
+            ("qos", "pegasus", {"e2e_window_s": 30.0, "hold_fraction": 0.8}),
+            ("qos", "powerchief", {"conserve_fraction": 0.7, "guard_fraction": 0.9}),
+        ],
+    )
+    def test_option_accepted_where_its_run_reads_it(self, kind, policy, options):
+        accounting = {
+            "slo_target_s": 2.0,
+            "slo_attainment": 0.95,
+            "slo_window_s": 30.0,
+            "stream_interval_s": 5.0,
+        }
+        spec = option_spec(kind, policy, **accounting, **options)
+        assert ScenarioSpec.from_json(spec.to_json()) == spec
+
     def test_valid_blocks_keep_their_digest(self):
         # Values are refused, never coerced: a valid spec is unchanged.
         spec = latency_spec(
@@ -324,7 +373,7 @@ class TestValuesTheBuilderReads:
             allocation=(("ASR", 2, 8), ("IMM", 1, 8), ("QA", 2, 8)),
             controller=(("adjust_interval_s", 25), ("min_queue_for_instance", 3)),
             guard=(("demote_after", 1), ("probation_s", 60)),
-            options=(("e2e_window_s", 30),),
+            options=(("slo_window_s", 30),),
         )
         assert ScenarioSpec.from_json(spec.to_json()).digest() == spec.digest()
         assert spec.to_dict()["controller"]["adjust_interval_s"] == 25
@@ -417,7 +466,7 @@ class TestRoundTrip:
             drain_s=30.0,
             chaos="crash-heavy",
             controller=(("adjust_interval_s", 25.0), ("stale_metric_guard", True)),
-            options=(("n_cores", 16),),
+            options=(("slo_target_s", 3.0),),
         )
         restored = ScenarioSpec.from_json(spec.to_json())
         assert restored == spec
