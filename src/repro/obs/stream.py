@@ -85,9 +85,10 @@ class StreamExporter:
         self._next_due = sim.now
         sim.add_event_hook(self._on_event)
 
-    def _on_event(self, _event: Event) -> None:
-        assert self._sim is not None
-        now = self._sim.now
+    def _on_event(self, event: Event) -> None:
+        # The engine sets its clock to this very float before it calls a
+        # hook, so the event's time is the clock's reading.
+        now = event.time
         if now < self._next_due:
             return
         self._snapshot(now)

@@ -2,7 +2,7 @@
 
 The service/query joint design already stamps enqueue / start / finish
 times into each :class:`~repro.service.records.StageRecord`; the tracer
-keeps each completed record's fields in a bounded in-memory buffer and
+packs each completed record's fields into a bounded in-memory buffer and
 turns them into :class:`Span` records — one per (query, instance) visit
 — when the trace is first read.  Two export formats:
 
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import logging
+import struct
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable, Optional, Union
@@ -47,8 +48,10 @@ __all__ = [
 #: Chrome trace events use microsecond timestamps.
 _US = 1e6
 
-#: A span's fields, in :class:`Span`'s order.
-_Fields = tuple[int, str, int, str, float, float, float, int, int, float]
+#: A kept span's numbers, packed: its enqueue, start, finish and work
+#: seconds, then its qid, instance id, queue length at arrival and
+#: service level (``-1`` for none).  64 bytes.
+_RECORD = struct.Struct("=4d4q")
 
 
 def _check_order(
@@ -154,10 +157,12 @@ class TraceBuffer:
     cheap.  ``dropped`` says exactly how much is missing.
 
     The completion path keeps facts: :meth:`emit_record` checks the
-    record's order and keeps its fields as one flat tuple of numbers and
-    strings, which the garbage collector stops tracking after its first
-    pass (the record itself would stay tracked for the rest of the run).
-    Each span is built from its kept fields, in order, when first read.
+    record's order, packs its numbers into one 64-byte record appended
+    to a ``bytearray`` and appends its stage and instance names (strings
+    the stage and instance already hold) to two lists.  A kept span
+    costs about 80 bytes and no object the garbage collector tracks; the
+    record itself is not kept.  Each span is built from its kept record,
+    in order, when first read.
     """
 
     def __init__(
@@ -168,8 +173,12 @@ class TraceBuffer:
         if max_spans <= 0:
             raise ConfigurationError(f"max_spans must be > 0, got {max_spans}")
         self.max_spans = int(max_spans)
-        #: Each completed record's span fields, in emit order.
-        self._records: list[_Fields] = []
+        #: Each kept record's numbers, packed by :data:`_RECORD`, in emit
+        #: order.
+        self._records = bytearray()
+        #: Each kept record's stage and instance names, in emit order.
+        self._stages: list[str] = []
+        self._instances: list[str] = []
         #: Spans built so far, one per kept record in order.
         self._spans: list[Span] = []
         self.dropped = 0
@@ -181,37 +190,59 @@ class TraceBuffer:
         read."""
         start, finish = record.start_time, record.finish_time
         assert start is not None and finish is not None
-        instance, enqueue = record.instance_name, record.enqueue_time
-        _check_order(qid, instance, enqueue, start, finish)
-        if len(self._records) >= self.max_spans:
+        enqueue = record.enqueue_time
+        if not enqueue <= start <= finish:
+            _check_order(qid, record.instance_name, enqueue, start, finish)
+        stages = self._stages
+        if len(stages) >= self.max_spans:
             self.dropped += 1
-            if self.registry is not None:
+            if self.dropped == 1 and self.registry is not None:
                 self.registry.counter(
                     "repro_trace_spans_dropped_total",
                     "Spans discarded because the trace buffer was full",
-                ).inc()
+                ).set_function(lambda: self.dropped)
             return
         level = record.service_level
-        self._records.append(
-            (
-                qid,
-                record.stage_name,
-                record.instance_id,
-                instance,
-                enqueue,
-                start,
-                finish,
-                record.queue_at_arrival,
-                -1 if level is None else level,
-                work,
-            )
+        self._records += _RECORD.pack(
+            enqueue,
+            start,
+            finish,
+            work,
+            qid,
+            record.instance_id,
+            record.queue_at_arrival,
+            -1 if level is None else level,
         )
+        stages.append(record.stage_name)
+        self._instances.append(record.instance_name)
 
     def _built(self) -> list[Span]:
         """The spans, after building any records kept since the last read."""
         spans = self._spans
-        for fields in self._records[len(spans):]:
-            spans.append(Span(*fields))
+        built = len(spans)
+        if built < len(self._stages):
+            stages, instances = self._stages, self._instances
+            # The view is released on leaving the block: while a buffer
+            # export lives, the bytearray cannot grow.
+            with memoryview(self._records) as view:
+                for index, fields in enumerate(
+                    _RECORD.iter_unpack(view[built * _RECORD.size:]), built
+                ):
+                    enqueue, start, finish, work, qid, iid, queue, level = fields
+                    spans.append(
+                        Span(
+                            qid,
+                            stages[index],
+                            iid,
+                            instances[index],
+                            enqueue,
+                            start,
+                            finish,
+                            queue,
+                            level,
+                            work,
+                        )
+                    )
         return spans
 
     # ------------------------------------------------------------------
@@ -220,7 +251,7 @@ class TraceBuffer:
         return tuple(self._built())
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._stages)
 
     def _warn_if_truncated(self, target: Path) -> None:
         if self.dropped:

@@ -445,9 +445,16 @@ _DURATIONS = st.one_of(
 )
 
 
+#: Arrival stamps at the edges of the float range: zero, subnormals and
+#: 1e300, where every later stamp rounds back to the arrival.
+_EDGE_ARRIVALS = st.sampled_from([0.0, 5e-324, 2.2e-308, 1e4, 1e300])
+
+
 @st.composite
-def _in_order_queries(draw):
-    arrival = draw(st.floats(min_value=0.0, max_value=1e4, allow_nan=False))
+def _in_order_queries(
+    draw, arrivals=st.floats(min_value=0.0, max_value=1e4, allow_nan=False)
+):
+    arrival = draw(arrivals)
     clock = arrival
     visits = []
     for _ in range(draw(st.integers(min_value=1, max_value=4))):
@@ -464,6 +471,24 @@ def _in_order_queries(draw):
             for index, (stage, enqueue, _, finish) in enumerate(visits)
         ]
     return _query(visits, arrival, clock + draw(_DURATIONS), attempts)
+
+
+@st.composite
+def _scatter_gather_queries(draw):
+    """Ten visits: ASR, eight IMM shards dispatched together that
+    overlap one another (so the query takes the sweep), then QA."""
+    arrival = draw(st.one_of(_EDGE_ARRIVALS, st.floats(0.0, 1e4)))
+    enqueue = arrival + draw(_DURATIONS)
+    start = enqueue + draw(_DURATIONS)
+    visits = [("ASR", enqueue, start, start + draw(_DURATIONS))]
+    fan_out = visits[0][3] + draw(_DURATIONS)
+    for _ in range(8):
+        start = fan_out + draw(_DURATIONS)
+        visits.append(("IMM", fan_out, start, start + draw(_DURATIONS)))
+    gather = max(visit[3] for visit in visits) + draw(_DURATIONS)
+    start = gather + draw(_DURATIONS)
+    visits.append(("QA", gather, start, start + draw(_DURATIONS)))
+    return _query(visits, arrival, visits[-1][3] + draw(_DURATIONS))
 
 
 class TestDirectBooking:
@@ -573,12 +598,27 @@ class TestBlameStage:
 
 @st.composite
 def _query_streams(draw):
-    """Completed queries in completion order, numbered: in-order ones
-    with distinct or repeated stages and empty intervals, some carrying
-    completed attempts and some a timed-out first attempt."""
-    queries = draw(st.lists(_in_order_queries(), min_size=1, max_size=8))
-    for qid, query in enumerate(queries):
+    """Completed queries in completion order, numbered from 0 or from
+    past 2**31: in-order ones with distinct or repeated stages and empty
+    intervals, some with stamps at the edges of the float range, and
+    ten-visit scatter-gather ones; some retried, some carrying completed
+    attempts and some a timed-out first attempt."""
+    queries = draw(
+        st.lists(
+            st.one_of(
+                _in_order_queries(),
+                _in_order_queries(_EDGE_ARRIVALS),
+                _scatter_gather_queries(),
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    first_qid = draw(st.sampled_from([0, 2**31, 2**62]))
+    for qid, query in enumerate(queries, first_qid):
         query.qid = qid
+        # The flag rides through as is, with lost time or without.
+        query.retried = draw(st.booleans())
         if not query.attempts and draw(st.booleans()):
             # Lost time before the first visit: a fault, then backoff
             # until the visit's dispatch.

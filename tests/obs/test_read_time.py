@@ -1,24 +1,35 @@
 """Read-time counters render what per-event writes rendered.
 
 The query counters read ``Application``'s own counts, the SLO outcome
-counter reads the tracker's, and the attribution roll-up (report,
-attributions and ``repro_attributed_seconds_total``) is built on its
-first read.  :class:`EagerWrites` feeds a second registry the writes
-those series used to take on every event: an ``inc`` per submit,
-completion, timeout and settle, the latency histogram per completion and
-each completion's positive attributed components.  Read at any point of
-a run, the two registries render the same Prometheus text, series that
+counter reads the tracker's, the attribution failure and dropped-span
+counters read the collector's and the trace buffer's, and the
+attribution roll-up (report, attributions and
+``repro_attributed_seconds_total``) is built on its first read.
+:class:`EagerWrites` feeds a second registry the writes those series
+used to take on every event: an ``inc`` per submit, completion, timeout,
+settle and dropped span, the latency histogram per completion and each
+completion's positive attributed components.  Read at any point of a
+run, the two registries render the same Prometheus text, series that
 must stay absent included.  :class:`TestOperationCounts` pins that the
-completion path makes no registry call per query.
+completion path makes no registry call per query, per failure or per
+dropped span.
 """
 
 from __future__ import annotations
 
 import collections
+from typing import Optional
 from unittest import mock
 
 from repro.cluster.frequency import HASWELL_LADDER
-from repro.obs import AttributionCollector, MetricsRegistry, Observability, SloTracker
+from repro.cluster.machine import Machine
+from repro.obs import (
+    AttributionCollector,
+    MetricsRegistry,
+    Observability,
+    SloTracker,
+    TraceBuffer,
+)
 from repro.obs import attribution, metrics
 from repro.obs.attribution import attribute_query
 from repro.scenario.builder import StackBuilder
@@ -26,6 +37,7 @@ from repro.scenario.spec import ScenarioSpec
 from repro.service.application import Application
 from repro.service.query import Query
 from repro.service.resilience import RetryPolicy
+from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
 
 from tests.conftest import make_profile
@@ -40,6 +52,12 @@ HELP = {
     "repro_query_e2e_latency_seconds": "End-to-end response latency",
     "repro_slo_queries_total": "Queries judged against the SLO target",
     "repro_attributed_seconds_total": "End-to-end latency attributed, by component",
+    "repro_attribution_failures_total": (
+        "Queries that failed terminally (nothing to attribute)"
+    ),
+    "repro_trace_spans_dropped_total": (
+        "Spans discarded because the trace buffer was full"
+    ),
 }
 
 ALL_PILLARS = ("trace", "metrics", "audit", "attribution", "slo", "energy", "stream")
@@ -49,15 +67,35 @@ class EagerWrites:
     """A registry fed, per event, the writes the read-time series replaced.
 
     Its listeners are attached after the run's own pillars, so each sees
-    a settle after the tracker and the collector have.
+    a settle after the tracker and the collector have.  With a tracer,
+    its ``emit_record`` is wrapped to count each span it drops.
     """
 
-    def __init__(self, application: Application, slo: SloTracker) -> None:
+    def __init__(
+        self,
+        application: Application,
+        slo: SloTracker,
+        tracer: Optional[TraceBuffer] = None,
+    ) -> None:
         self.registry = MetricsRegistry()
         self.app = application.name
         self.slo = slo
         application.add_completion_listener(self._completed)
         application.add_failure_listener(self._failed)
+        if tracer is not None:
+            emit_record = tracer.emit_record
+
+            def counted(*args) -> None:
+                dropped = tracer.dropped
+                emit_record(*args)
+                if tracer.dropped > dropped:
+                    self.registry.counter(
+                        "repro_trace_spans_dropped_total",
+                        HELP["repro_trace_spans_dropped_total"],
+                    ).inc()
+
+            # Instances look ``emit_record`` up on every completion.
+            tracer.emit_record = counted
 
     def submitted(self) -> None:
         self.registry.counter(
@@ -86,6 +124,10 @@ class EagerWrites:
             "repro_queries_timed_out_total", HELP["repro_queries_timed_out_total"]
         ).inc(app=self.app)
         self._judge(False)
+        self.registry.counter(
+            "repro_attribution_failures_total",
+            HELP["repro_attribution_failures_total"],
+        ).inc()
 
     def _judge(self, ok: bool) -> None:
         self.registry.counter(
@@ -168,8 +210,12 @@ class TestSameTextAsEagerWrites:
 
     def test_timeouts_retries_and_every_settle(self, sim, machine):
         registry = MetricsRegistry()
+        tracer = TraceBuffer(max_spans=2, registry=registry)
         application = Application(
-            "solo", sim, machine, observability=Observability(metrics=registry)
+            "solo",
+            sim,
+            machine,
+            observability=Observability(tracer=tracer, metrics=registry),
         )
         stage = application.add_stage(make_profile("S", mean=1.0))
         stage.launch_instance(HASWELL_LADDER.min_level)
@@ -180,7 +226,7 @@ class TestSameTextAsEagerWrites:
         slo = SloTracker(target_s=1.0, registry=registry)
         slo.attach(application)
         AttributionCollector(registry=registry).attach(application)
-        eager = EagerWrites(application, slo)
+        eager = EagerWrites(application, slo, tracer)
         # Read part-way through: at every settle.
         application.add_completion_listener(
             lambda query: assert_same_text(registry, eager)
@@ -202,9 +248,12 @@ class TestSameTextAsEagerWrites:
             sim.schedule(at, lambda query=Query(qid, {"S": demand}): submit(query))
         sim.run()
         assert (application.completed, application.timed_out) == (3, 1)
+        assert tracer.dropped > 0
         assert_same_text(registry, eager)
         text = registry.render_prometheus()
         assert 'repro_queries_timed_out_total{app="solo"} 1' in text
+        assert "repro_attribution_failures_total 1" in text
+        assert f"repro_trace_spans_dropped_total {tracer.dropped}" in text
         assert 'outcome="violation"' in text
         assert 'component="fault"' in text
         assert 'component="retry_backoff"' in text
@@ -216,6 +265,26 @@ def _counting(counts: collections.Counter, name: str, function):
         return function(*args, **kwargs)
 
     return counted
+
+
+def _run_counting(run) -> collections.Counter:
+    """The registry lookups, ``Counter.inc`` calls, label keys and
+    attributions made while ``run()`` runs."""
+    counts: collections.Counter = collections.Counter()
+    registry, counter = metrics.MetricsRegistry, metrics.Counter
+    with mock.patch.object(
+        registry, "counter", _counting(counts, "counter", registry.counter)
+    ), mock.patch.object(
+        registry, "histogram", _counting(counts, "histogram", registry.histogram)
+    ), mock.patch.object(
+        counter, "inc", _counting(counts, "inc", counter.inc)
+    ), mock.patch.object(
+        metrics, "_label_key", _counting(counts, "_label_key", metrics._label_key)
+    ), mock.patch.object(
+        attribution, "_attribute", _counting(counts, "_attribute", attribution._attribute)
+    ):
+        run()
+    return counts
 
 
 class TestOperationCounts:
@@ -238,20 +307,7 @@ class TestOperationCounts:
             sample_interval_s=1000.0,
         )
         builder = StackBuilder(spec).build().arm().start()
-        counts: collections.Counter = collections.Counter()
-        registry, counter = metrics.MetricsRegistry, metrics.Counter
-        with mock.patch.object(
-            registry, "counter", _counting(counts, "counter", registry.counter)
-        ), mock.patch.object(
-            registry, "histogram", _counting(counts, "histogram", registry.histogram)
-        ), mock.patch.object(
-            counter, "inc", _counting(counts, "inc", counter.inc)
-        ), mock.patch.object(
-            metrics, "_label_key", _counting(counts, "_label_key", metrics._label_key)
-        ), mock.patch.object(
-            attribution, "_attribute", _counting(counts, "_attribute", attribution._attribute)
-        ):
-            builder.run()
+        counts = _run_counting(builder.run)
         builder.drain()
         builder.collect()
         return builder.application.completed, counts
@@ -262,4 +318,40 @@ class TestOperationCounts:
         assert long_completed > 1.5 * short_completed
         # The patches count: the first events register their series.
         assert short["counter"] > 0 and short["_label_key"] > 0
+        assert long == short
+
+    @staticmethod
+    def _run_failing(rounds: int) -> tuple[int, collections.Counter]:
+        """``rounds`` rounds, 20 s apart, on one stage traced into a
+        4-span buffer: per round 0.3 s of work completes and 3 s times
+        out twice and fails.  The registry is the tracer's and the
+        collector's alone (the retry layer writes per attempt)."""
+        sim = Simulator()
+        registry = MetricsRegistry()
+        tracer = TraceBuffer(max_spans=4, registry=registry)
+        application = Application(
+            "solo", sim, Machine(sim, n_cores=8), observability=Observability(tracer=tracer)
+        )
+        stage = application.add_stage(make_profile("S", mean=1.0))
+        stage.launch_instance(HASWELL_LADDER.min_level)
+        application.attach_resilience(
+            RetryPolicy(timeout_s=1.0, max_attempts=2, jitter_fraction=0.0),
+            RandomStreams(1),
+        )
+        collector = AttributionCollector(registry=registry)
+        collector.attach(application)
+        for index in range(rounds):
+            for qid, demand in ((2 * index, 0.3), (2 * index + 1, 3.0)):
+                query = Query(qid, {"S": demand})
+                sim.schedule(20.0 * index, application.submit, query)
+        counts = _run_counting(sim.run)
+        assert (application.completed, application.timed_out) == (rounds, rounds)
+        assert collector.report().failed == rounds
+        return tracer.dropped, counts
+
+    def test_counts_do_not_grow_with_failures_or_dropped_spans(self):
+        short_dropped, short = self._run_failing(5)
+        long_dropped, long = self._run_failing(10)
+        assert long_dropped > 1.5 * short_dropped > 0
+        assert short["counter"] > 0
         assert long == short

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from unittest import mock
 
 import pytest
 
@@ -62,6 +63,34 @@ class TestCadence:
         assert [p["seq"] for p in payloads] == [0, 1, 2]
         assert [p["n"] for p in payloads] == [1, 2, 3]
         exporter.close()
+
+
+class TestHookCost:
+    @staticmethod
+    def _clock_reads(events: int) -> int:
+        """``Simulator.now`` reads while ``events`` no-op events fire
+        under an attached exporter."""
+        sim = Simulator()
+        exporter = StreamExporter(interval_s=5.0)
+        exporter.attach(sim)
+        for index in range(events):
+            sim.schedule(0.01 * index, lambda: None)
+        reads = 0
+        clock = Simulator.now.fget
+
+        def counted(self):
+            nonlocal reads
+            reads += 1
+            return clock(self)
+
+        with mock.patch.object(Simulator, "now", property(counted)):
+            sim.run()
+        assert exporter.snapshots_written > 0
+        exporter.close()
+        return reads
+
+    def test_the_hook_reads_the_event_time_not_the_clock(self):
+        assert self._clock_reads(10) == self._clock_reads(1_000)
 
 
 class TestMarks:

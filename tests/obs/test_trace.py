@@ -133,23 +133,51 @@ class TestTraceBuffer:
             TraceBuffer(max_spans=0)
 
 
+#: Stamps at the edges of the float range a packed record must carry
+#: exactly: zero, subnormals, ordinary values and 1e300.
+_STAMPS = st.one_of(
+    st.sampled_from([0.0, 5e-324, 2.2e-308, 1.0, 1e300]),
+    st.floats(min_value=0.0, max_value=1e300, allow_nan=False),
+)
+
+
+@st.composite
+def _emits(draw):
+    """One ``(qid, work, record)`` emit: qids past 2**31, no service
+    level or any level, and stamps anywhere in the float range."""
+    enqueue = draw(_STAMPS)
+    start = draw(st.sampled_from([enqueue, enqueue + draw(_STAMPS)]))
+    finish = draw(st.sampled_from([start, start + draw(_STAMPS)]))
+    qid = draw(st.sampled_from([0, 7, 2**31 - 1, 2**31, 2**40, 2**63 - 1]))
+    record = make_record(
+        qid,
+        enqueue_time=enqueue,
+        start_time=start,
+        finish_time=finish,
+        service_level=draw(st.one_of(st.none(), st.integers(0, 11))),
+    )
+    return qid, draw(_STAMPS), record
+
+
 class TestKeptRecords:
-    """``emit_record`` keeps the record's fields; spans are built when
+    """``emit_record`` packs the record's fields; spans are built when
     read."""
 
     def test_kept_fields_leave_the_collector(self):
-        # Plain numbers and strings: after one collection the collector
-        # no longer tracks the kept entries, and no record is pinned.
+        # One packed record and two name references per span: nothing
+        # the buffer keeps for its spans is an object the collector
+        # tracks, even before a collection, and no record is pinned.
         buffer = TraceBuffer()
         for qid in range(3):
             buffer.emit_record(qid, 1.0, make_record(qid))
-        gc.collect()
-        assert not any(gc.is_tracked(entry) for entry in buffer._records)
+        kept = gc.get_referents(*vars(buffer).values())
+        assert {"B", "B_0", "B_1", "B_2"} <= set(kept)
+        assert not any(gc.is_tracked(entry) for entry in kept)
         assert [span.qid for span in buffer.spans] == [0, 1, 2]
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(
-        st.lists(st.sampled_from(["record", "read"]), max_size=30),
+        st.lists(st.one_of(st.just("read"), _emits()), max_size=30),
         st.integers(min_value=1, max_value=12),
     )
     def test_reads_back_as_the_eager_build(self, ops, bound):
@@ -157,12 +185,11 @@ class TestKeptRecords:
         buffer = TraceBuffer(max_spans=bound, registry=registry)
         kept: list[Span] = []
         dropped = 0
-        for qid, op in enumerate(ops):
+        for op in ops:
             if op == "read":
                 assert buffer.spans == tuple(kept)
                 continue
-            work = qid / 4.0
-            record = make_record(qid)
+            qid, work, record = op
             buffer.emit_record(qid, work, record)
             span = eager_span(qid, work, record)
             if len(kept) < bound:
