@@ -70,7 +70,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from repro.errors import ReproError
-from repro.experiments.campaign import default_registry
+from repro.experiments.campaign import ARTEFACTS, default_registry
 from repro.obs import setup_logging
 from repro.experiments.export import scenario_payload, write_json
 from repro.scenario.builder import StackBuilder
@@ -195,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     figures.add_argument(
         "which",
-        choices=sorted(default_registry()) + ["all"],
+        choices=sorted(ARTEFACTS) + ["all"],
         help="figure/table id, or 'all'",
     )
 

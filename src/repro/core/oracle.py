@@ -14,11 +14,13 @@ M/G/1 approximation of the pipeline's mean response time — queries split
 evenly across a stage's instances, Pollaczek-Khinchine waiting per
 instance, stages summed.  The analytical score makes the search cheap
 (~10^5 configurations in well under a second); the winning allocation is
-then run in the real simulator by the oracle ablation benchmark.
+then run in the real simulator by the ``oracle`` artefact
+(:func:`repro.experiments.figures.ablations.oracle`).
 
-The paper's prediction, which `bench_oracle_static.py` verifies: under
-the steady load the oracle was sized for it is excellent, but under the
-fluctuating Figure-11 trace PowerChief's dynamic reallocation beats it.
+The paper's prediction, which that artefact's claims check: sized for
+the load that arrives, the oracle's plan is excellent, but sized for a
+stale low-load forecast it collapses, while PowerChief needs no
+forecast at all.
 """
 
 from __future__ import annotations

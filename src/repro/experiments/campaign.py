@@ -1,10 +1,11 @@
-"""Full evaluation campaigns: every figure and table in one run.
+"""Full evaluation campaigns: every figure, table and ablation in one run.
 
 ``run_campaign`` regenerates the complete evaluation section — Figures
-2-14 and Tables 1/4 — renders each as text, and optionally archives the
-renders plus a combined Markdown report to a directory.  This is what
-``python -m repro campaign`` drives; the paper's shape claims are checked
-on the same results by ``tests/integration/test_paper_claims.py``.
+2-14, Tables 1/4 and the ablations and sweeps — renders each as text,
+and optionally archives the renders plus a combined Markdown report to a
+directory.  This is what ``python -m repro campaign`` drives; the
+paper's claims are checked on the same results by
+``tests/integration/test_paper_claims.py``.
 
 Every figure of :func:`default_registry` is a
 :class:`~repro.experiments.figures.common.Figure`: scenario cells plus a
@@ -20,6 +21,7 @@ changed cells, and every render is rebuilt from results.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from importlib import import_module
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Optional, Sequence, Union
 
@@ -29,7 +31,13 @@ from repro.experiments.parallel import EngineReport, ResultCache, run_cells
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.experiments.figures.common import Figure
 
-__all__ = ["CampaignResult", "default_registry", "run_campaign", "run_figures"]
+__all__ = [
+    "ARTEFACTS",
+    "CampaignResult",
+    "default_registry",
+    "run_campaign",
+    "run_figures",
+]
 
 
 @dataclass
@@ -59,29 +67,36 @@ class CampaignResult:
         return "\n".join(sections)
 
 
-def default_registry() -> dict[str, Figure]:
-    """The full evaluation: every figure/table keyed by artefact id."""
-    from repro.experiments.figures import (
-        fig02,
-        fig04,
-        fig10,
-        fig11,
-        fig12,
-        fig13,
-        fig14,
-        tables,
-    )
+#: Every artefact of the evaluation: its id, and the module under
+#: :mod:`repro.experiments.figures` and the function there that builds
+#: its :class:`Figure`.  The CLI lists these ids without importing any
+#: figure module.
+ARTEFACTS: dict[str, tuple[str, str]] = {
+    "ablation-interference": ("ablations", "interference"),
+    "ablation-intervals": ("ablations", "intervals"),
+    "ablation-mechanisms": ("ablations", "mechanisms"),
+    "ablation-metric": ("ablations", "metric"),
+    "budget-sweep": ("ablations", "budget_sweep"),
+    "fig02": ("fig02", "figure"),
+    "fig04": ("fig04", "figure"),
+    "fig10": ("fig10", "figure"),
+    "fig11": ("fig11", "figure"),
+    "fig12": ("fig12", "figure"),
+    "fig13": ("fig13", "figure"),
+    "fig14": ("fig14", "figure"),
+    "oracle": ("ablations", "oracle"),
+    "seeds": ("ablations", "seed_sensitivity"),
+    "sharding": ("ablations", "sharding"),
+    "table1": ("tables", "table1"),
+    "table4": ("tables", "table4"),
+}
 
+
+def default_registry() -> dict[str, Figure]:
+    """The full evaluation: every artefact of :data:`ARTEFACTS`, built."""
     return {
-        "fig02": fig02.figure(),
-        "fig04": fig04.figure(),
-        "fig10": fig10.figure(),
-        "fig11": fig11.figure(),
-        "fig12": fig12.figure(),
-        "fig13": fig13.figure(),
-        "fig14": fig14.figure(),
-        "table1": tables.static_table(tables.render_table1),
-        "table4": tables.static_table(tables.render_table4),
+        name: getattr(import_module(f"repro.experiments.figures.{module}"), builder)()
+        for name, (module, builder) in ARTEFACTS.items()
     }
 
 

@@ -5,9 +5,12 @@ One module per table/figure of the paper's evaluation; each exposes a
 the figure needs, a reducer building its structured result from their
 results, and the render producing the ASCII analog of the figure
 (Figures 12 and 14 share the renders of Figures 10 and 13).
-:func:`repro.experiments.campaign.run_figures` runs them.
+:mod:`~repro.experiments.figures.ablations` holds the ablations and
+sweeps, one builder each, sharing the :class:`Variants` result and its
+render.  :func:`repro.experiments.campaign.run_figures` runs them all.
 """
 
+from repro.experiments.figures.ablations import Variants, render_variants
 from repro.experiments.figures.common import (
     DEFAULT_SEEDS,
     Figure,
@@ -55,4 +58,6 @@ __all__ = [
     "render_table1",
     "render_table4",
     "static_table",
+    "Variants",
+    "render_variants",
 ]

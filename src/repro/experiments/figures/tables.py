@@ -22,6 +22,8 @@ __all__ = [
     "TABLE4_SYSTEMS",
     "render_table4",
     "static_table",
+    "table1",
+    "table4",
 ]
 
 
@@ -53,6 +55,11 @@ def render_table1() -> str:
         + "\n"
         + format_table(["metric", "calculation", "MetricKind"], rows)
     )
+
+
+def table1() -> Figure:
+    """Table 1 as an artefact."""
+    return static_table(render_table1)
 
 
 @dataclass(frozen=True)
@@ -111,3 +118,8 @@ def render_table4() -> str:
             rows,
         )
     )
+
+
+def table4() -> Figure:
+    """Table 4 as an artefact."""
+    return static_table(render_table4)

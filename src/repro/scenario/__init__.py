@@ -10,11 +10,7 @@ engine's cache digests, the sharded runs and the ``reprod``
 daemon all sit on top of this package.
 """
 
-from repro.scenario.builder import (
-    LATENCY_CONTROLLERS,
-    StackBuilder,
-    run_scenario,
-)
+from repro.scenario.builder import StackBuilder, run_scenario
 from repro.scenario.results import (
     QosRunResult,
     RunResult,
@@ -40,7 +36,6 @@ __all__ = [
     "SCENARIO_FORMAT_VERSION",
     "LATENCY_POLICIES",
     "QOS_POLICIES",
-    "LATENCY_CONTROLLERS",
     "ScenarioSpec",
     "StageAllocation",
     "StackBuilder",

@@ -532,6 +532,19 @@ class ScenarioSpec:
             _check_allocation_stages(
                 self.app, [entry[0] for entry in self.allocation]
             )
+        # Every instance a stack launches takes a core of its machine;
+        # each shard is a stack with a machine of its own.
+        if self.kind == "qos":
+            instances = sum(TABLE3_SETUPS[self.app].instances_per_stage.values())
+        elif self.allocation is not None:
+            instances = sum(entry[1] for entry in self.allocation)
+        else:
+            instances = len(app_stage_names(self.app))
+        if instances > self.n_cores:
+            raise ConfigurationError(
+                f"a {self.app} stack launches {instances} instances, one "
+                f"core each, but n_cores is {self.n_cores}"
+            )
         for key, _ in self.controller:
             if key not in _CONTROLLER_FIELDS:
                 known = ", ".join(sorted(_CONTROLLER_FIELDS))

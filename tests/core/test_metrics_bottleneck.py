@@ -9,6 +9,8 @@ from repro.core.metrics import MetricKind, compute_metric, equation1_metric
 from repro.errors import ServiceError
 from repro.service.command_center import CommandCenter
 from repro.service.application import Application
+from repro.service.instance import Job
+from repro.service.query import Query
 from repro.service.window import LatencyWindow
 
 from tests.conftest import submit_two_stage_query
@@ -159,3 +161,31 @@ class TestBottleneckIdentifier:
         identifier = BottleneckIdentifier(command_center, MetricKind.AVG_SERVING)
         bottleneck = identifier.bottleneck(two_stage_app)
         assert bottleneck.instance.stage_name == "B"
+
+    def test_only_equation1_follows_a_burst(self, sim, two_stage_app, command_center):
+        # Section 4.2 on Table 1: history says B is the slow service, then
+        # a burst piles onto A.  Every historical metric still points at
+        # B; the Equation-1 metric follows the queue to A.
+        for qid in range(50):
+            submit_two_stage_query(two_stage_app, qid)
+        sim.run()
+        instance_a = two_stage_app.stage("A").instances[0]
+        instance_b = two_stage_app.stage("B").instances[0]
+        for qid in range(100, 140):
+            instance_a.enqueue(
+                Job(Query(qid, {"A": 0.2}), work=0.2, on_done=lambda query: None)
+            )
+        for kind in (
+            MetricKind.AVG_SERVING,
+            MetricKind.AVG_PROCESSING,
+            MetricKind.P99_SERVING,
+            MetricKind.P99_PROCESSING,
+        ):
+            metric_a = compute_metric(command_center, instance_a, kind)
+            metric_b = compute_metric(command_center, instance_b, kind)
+            assert metric_b > metric_a, f"{kind} should still favour B"
+        assert compute_metric(command_center, instance_a) > compute_metric(
+            command_center, instance_b
+        )
+        identifier = BottleneckIdentifier(command_center, MetricKind.POWERCHIEF)
+        assert identifier.bottleneck(two_stage_app).instance is instance_a

@@ -5,7 +5,12 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ExperimentError
-from repro.experiments.campaign import default_registry, run_campaign, run_figures
+from repro.experiments.campaign import (
+    ARTEFACTS,
+    default_registry,
+    run_campaign,
+    run_figures,
+)
 from repro.experiments.figures import Figure
 from repro.scenario import ScenarioSpec
 
@@ -66,6 +71,11 @@ class TestCampaign:
     def test_default_registry_covers_the_evaluation(self):
         registry = default_registry()
         assert set(registry) == {
+            "ablation-interference",
+            "ablation-intervals",
+            "ablation-mechanisms",
+            "ablation-metric",
+            "budget-sweep",
             "fig02",
             "fig04",
             "fig10",
@@ -73,17 +83,26 @@ class TestCampaign:
             "fig12",
             "fig13",
             "fig14",
+            "oracle",
+            "seeds",
+            "sharding",
             "table1",
             "table4",
         }
+        assert list(registry) == list(ARTEFACTS)
 
     def test_default_registry_shares_runs_between_figures(self):
         registry = default_registry()
         digests = [cell.digest() for figure in registry.values() for cell in figure.cells]
-        assert (len(digests), len(set(digests))) == (83, 71)
+        assert (len(digests), len(set(digests))) == (138, 116)
         fig04 = {cell.digest() for cell in registry["fig04"].cells}
         fig10 = {cell.digest() for cell in registry["fig10"].cells}
         assert len(fig04) == 12 and fig04 <= fig10
+        # Interference's isolated runs and the seed sweep's seeds 3 and 5
+        # are Figure 10's high-load runs.
+        interference = {cell.digest() for cell in registry["ablation-interference"].cells}
+        seeds = {cell.digest() for cell in registry["seeds"].cells}
+        assert (len(interference & fig10), len(seeds & fig10)) == (4, 4)
 
     def test_default_static_tables_render_without_simulation(self):
         registry = default_registry()

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import repro.cli as cli_module
@@ -11,9 +16,10 @@ from repro.experiments.figures import static_table
 
 @pytest.fixture
 def tiny_registry(monkeypatch):
+    """Two real artefact names whose figures render a fixed text."""
     rendered = {
-        "figX": static_table(lambda: "X RENDER"),
-        "figY": static_table(lambda: "Y RENDER"),
+        "table1": static_table(lambda: "X RENDER"),
+        "table4": static_table(lambda: "Y RENDER"),
     }
     monkeypatch.setattr(cli_module, "default_registry", lambda: rendered)
     return rendered
@@ -21,7 +27,7 @@ def tiny_registry(monkeypatch):
 
 class TestFiguresCommand:
     def test_single_figure(self, tiny_registry, capsys):
-        assert main(["figures", "figX"]) == 0
+        assert main(["figures", "table1"]) == 0
         out = capsys.readouterr().out
         assert "X RENDER" in out
         assert "Y RENDER" not in out
@@ -31,22 +37,44 @@ class TestFiguresCommand:
         out = capsys.readouterr().out
         assert out.index("X RENDER") < out.index("Y RENDER")
 
-    def test_registry_covers_the_whole_evaluation(self):
-        registry = cli_module.default_registry()
-        assert set(registry) == {
-            "fig02",
-            "fig04",
-            "fig10",
-            "fig11",
-            "fig12",
-            "fig13",
-            "fig14",
-            "table1",
-            "table4",
-        }
+    def test_choices_are_the_registry(self, capsys):
+        assert set(cli_module.default_registry()) == set(cli_module.ARTEFACTS)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["figures", "fig99"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'fig99'" in err
+        assert all(repr(name) in err for name in cli_module.ARTEFACTS)
 
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["--help"])
         assert excinfo.value.code == 0
         assert "PowerChief" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "call", ["build_parser()", "main(['serve', '--help'])"], ids=["parser", "serve-help"]
+)
+def test_start_up_imports_no_figure_module(call):
+    """The artefact names come from a table, so building the parser (every
+    command does) and ``repro serve --help`` build no figure."""
+    script = (
+        "import contextlib, io, sys\n"
+        "from repro.cli import build_parser, main\n"
+        "with contextlib.redirect_stdout(io.StringIO()), "
+        "contextlib.suppress(SystemExit):\n"
+        f"    {call}\n"
+        "print(sorted(m for m in sys.modules if m.startswith('repro.experiments.figures')))\n"
+    )
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -10,10 +10,15 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import ExperimentError
+from repro.cluster.frequency import HASWELL_LADDER
+from repro.cluster.power import DEFAULT_POWER_MODEL
+from repro.core.oracle import best_static_allocation
+from repro.errors import ConfigurationError, ExperimentError
 from repro.experiments.campaign import run_figures
 from repro.experiments.figures import (
+    TABLE4_SYSTEMS,
     Figure,
+    ablations,
     fig02,
     fig04,
     fig10,
@@ -27,7 +32,11 @@ from repro.experiments.figures import (
     render_qos_figure,
     render_table1,
     render_table4,
+    render_variants,
 )
+from repro.scenario import ScenarioSpec, StackBuilder
+from repro.scenario.config import TABLE2_CONTROLLER_CONFIG
+from repro.workloads.sirius import sirius_load_levels
 
 SHORT = 200.0
 SEEDS = (3,)
@@ -156,3 +165,82 @@ class TestStaticTables:
             line for line in text.splitlines() if line.startswith("PowerChief")
         )
         assert powerchief_line.count("yes") == 5
+
+    def test_a_run_exhibits_powerchiefs_table4_capabilities(self):
+        row = next(system for system in TABLE4_SYSTEMS if system.system == "PowerChief")
+        assert all(
+            (
+                row.multi_stage_awareness,
+                row.power_constraint,
+                row.commodity_hardware,
+                row.runtime_system,
+                row.power_management,
+            )
+        )
+        builder = StackBuilder(
+            ScenarioSpec.latency(
+                "sirius", "powerchief", ("constant", sirius_load_levels().high_qps),
+                200.0, seed=3, controller=TABLE2_CONTROLLER_CONFIG,
+            )
+        )
+        builder.execute()
+        app, controller = builder.application, builder.controller
+        # Multi-stage awareness: per-stage pools managed independently.
+        assert len(app.stages) == 3
+        # Power constraint: the budget held throughout.
+        builder.budget.assert_within()
+        # Runtime system: the control loop ticked.
+        assert controller.ticks >= 7
+        # Power management: DVFS and launch actions were taken.
+        assert controller.actions
+        # Commodity hardware: only the stock DVFS ladder was used.
+        for instance in app.running_instances():
+            HASWELL_LADDER.validate_level(instance.level)
+        # One prior system per distinguishing gap.
+        assert sum(1 for system in TABLE4_SYSTEMS if system.multi_stage_awareness) == 3
+        assert sum(1 for system in TABLE4_SYSTEMS if system.power_constraint) == 3
+
+
+class TestAblations:
+    def test_variants_keep_cell_order_and_render(self):
+        result = run(ablations.sharding(duration_s=60.0))
+        assert list(result.runs) == ["1 shard, 1x load", "4 shards, 4x load"]
+        assert result.completed("4 shards, 4x load") > result.completed("1 shard, 1x load")
+        text = render_variants(result)
+        assert text.splitlines()[1].startswith("Sharded deployment")
+        assert "4 shards, 4x load" in text
+        with pytest.raises(ExperimentError):
+            result.mean("8 shards")
+
+    def test_a_variant_averages_its_seeds(self):
+        result = run(ablations.metric(duration_s=60.0, seeds=(3, 5)))
+        runs = result.runs["powerchief"]
+        assert len(runs) == 2 and len(result.runs) == len(ablations.METRICS)
+        assert result.mean("powerchief") == pytest.approx(
+            (runs[0].latency.mean + runs[1].latency.mean) / 2
+        )
+
+    def test_every_swept_budget_funds_each_stage(self):
+        for budget in ablations.BUDGETS:
+            allocation = ablations.equal_split_allocation(budget)
+            draw = sum(
+                DEFAULT_POWER_MODEL.power_of_level(HASWELL_LADDER, entry.level)
+                for entry in allocation.values()
+            )
+            assert draw <= budget + 1e-9
+        with pytest.raises(ConfigurationError, match="funds no ladder level"):
+            ablations.equal_split_allocation(1.0)
+
+    def test_oracle_plans_are_searched_once(self, monkeypatch):
+        searches = []
+
+        def counted(*args, **kwargs):
+            searches.append(kwargs["rate_qps"])
+            return best_static_allocation(*args, **kwargs)
+
+        ablations._oracle_plans.cache_clear()
+        monkeypatch.setattr(ablations, "best_static_allocation", counted)
+        first, second = ablations.oracle(), ablations.oracle(duration_s=60.0)
+        assert len(searches) == 2
+        assert first.cells[0].allocation == second.cells[0].allocation
+        ablations._oracle_plans.cache_clear()

@@ -1,34 +1,49 @@
-"""The paper's shape claims, checked on the figures the campaign renders.
+"""The paper's shape claims, checked on the artefacts the campaign renders.
 
 PowerChief's evaluation (Section 8) is a set of shape claims: which
 policy wins in each regime, the rough size of the win, and where the
 crossovers fall.  Absolute latencies are not expected to match a
 simulated testbed; these shapes are.  Each claim is one test, checked on
 the full-size result of one default-registry artefact at its default
-seeds (3 and 5; 3 for Figures 11, 13 and 14), or on the abstract's
-headline numbers aggregated from Figures 10, 12, 13 and 14.  Those are
-the results whose renders ``output_digests.json`` pins
-(:func:`~tests.integration.golden_cells.registry_results`), so the
+seeds (3 and 5; 3 for Figures 11, 13 and 14 and for most ablations), or
+on the abstract's headline numbers aggregated from Figures 10, 12, 13
+and 14.  Those are the results whose renders ``output_digests.json``
+pins (:func:`~tests.integration.golden_cells.registry_results`), so the
 claims simulate nothing of their own, and a model change that re-pins
 the renders still has to keep every claim.
 
 A claim reads one value from a result and compares it with a constant,
 or with ``factor`` times a second value of the same result.  The
 headline holds the abstract's claims; a figure holds the claims the
-abstract does not state.
+abstract does not state; an ablation or sweep (``figures/ablations.py``)
+holds the conclusions the paper argues beyond its figures.
+Three conclusions need what no spec can say — a controller swapped for
+a subclass, or a count of metric evaluations — and are the tests at the
+end of this module.
 """
 
 from __future__ import annotations
 
 import operator
+import statistics
 from operator import attrgetter
 from typing import Any, Callable, NamedTuple
 
 import pytest
 
+from repro.cluster.frequency import HASWELL_LADDER
+from repro.cluster.power import DEFAULT_POWER_MODEL
+from repro.core import bottleneck
+from repro.core.controller import PowerChiefController
+from repro.core.metrics import compute_metric
+from repro.core.recycling import PowerRecycler
 from repro.experiments.campaign import default_registry
+from repro.experiments.figures import DEFAULT_SEEDS, ablations
 from repro.experiments.headline import compute_headline
-from repro.scenario.config import TABLE2_POWER_BUDGET_WATTS
+from repro.scenario import ScenarioSpec, StackBuilder, StageAllocation, builder, run_scenario
+from repro.scenario.config import TABLE2_CONTROLLER_CONFIG, TABLE2_POWER_BUDGET_WATTS
+from repro.workloads.sirius import SIRIUS_STAGES, sirius_load_levels
+from repro.workloads.traces import FIG11_DURATION_S, fig11_trace
 
 from tests.integration.golden_cells import registry_results
 
@@ -100,6 +115,42 @@ def power(policy: str) -> Callable[[Any], float]:
 def violations(policy: str) -> Callable[[Any], float]:
     return lambda result: result.run_for(policy).violation_fraction
 
+
+# Readings of an ablation's variants.
+def mean_of(variant: str) -> Callable[[Any], float]:
+    return lambda result: result.mean(variant)
+
+
+def fastest(prefix: str = "") -> Callable[[Any], float]:
+    """The smallest mean latency among the variants named ``prefix...``."""
+    return lambda result: min(
+        result.mean(name) for name in result.runs if name.startswith(prefix)
+    )
+
+
+def slowdown(policy: str) -> Callable[[Any], float]:
+    """A policy's contended mean latency over its isolated one."""
+    return lambda result: result.mean(f"{policy} contended") / result.mean(
+        f"{policy} isolated"
+    )
+
+
+def budget_gain(budget: float) -> Callable[[Any], float]:
+    """The static allocation's mean latency over PowerChief's at ``budget``."""
+    return lambda result: result.mean(f"static {budget:g} W") / result.mean(
+        f"powerchief {budget:g} W"
+    )
+
+
+def seed_gains(result: Any) -> list[float]:
+    """PowerChief's improvement over the static allocation, seed by seed."""
+    return [
+        result.mean(f"static, seed {seed}") / result.mean(f"powerchief, seed {seed}")
+        for seed in ablations.SEEDS
+    ]
+
+
+TIGHTEST, LOOSEST = ablations.BUDGETS[0], ablations.BUDGETS[-1]
 
 CLAIMS = [
     # Figure 2: which stage is boosted matters (the paper's motivation;
@@ -259,6 +310,113 @@ CLAIMS = [
         "headline", "websearch-saves-more-than-pegasus",
         attrgetter("websearch_power_saving"), ">", attrgetter("websearch_pegasus_saving"),
     ),
+    # Section 4.2: metrics blind to the realtime queue mis-identify
+    # bottlenecks, so Equation 1 is (within 10% of) the best metric and
+    # beats serving-time history, which cannot see a queue at all.
+    Claim(
+        "ablation-metric", "eq1-within-1.1x-the-best",
+        mean_of("powerchief"), "<=", fastest(), 1.1,
+    ),
+    Claim(
+        "ablation-metric", "eq1-beats-avg-serving",
+        mean_of("powerchief"), "<", mean_of("avg_serving"),
+    ),
+    # Section 8.1: the Table-2 interval sits near the best one, and the
+    # balance threshold gates noise without disabling the mechanism.
+    Claim(
+        "ablation-intervals", "table2-interval-within-1.3x-the-best",
+        mean_of("adjust 25 s"), "<=", fastest("adjust"), 1.3,
+    ),
+    Claim(
+        "ablation-intervals", "huge-threshold-over-1.5x-calibrated",
+        mean_of("threshold 1000 s"), ">", mean_of("threshold 0.25 s"), 1.5,
+    ),
+    Claim(
+        "ablation-intervals", "calibrated-threshold-within-1.3x-none",
+        mean_of("threshold 0.25 s"), "<=", mean_of("threshold 0 s"), 1.3,
+    ),
+    # Section 6: the full engine beats each single technique under
+    # fluctuating load, and removing withdraw never helps.
+    Claim(
+        "ablation-mechanisms", "full-beats-frequency-only",
+        mean_of("full"), "<=", mean_of("frequency only"),
+    ),
+    Claim(
+        "ablation-mechanisms", "full-within-1.3x-instance-only",
+        mean_of("full"), "<=", mean_of("instance only"), 1.3,
+    ),
+    Claim(
+        "ablation-mechanisms", "no-withdraw-at-least-0.9x-full",
+        mean_of("no withdraw"), ">=", mean_of("full"), 0.9,
+    ),
+    # Section 8.5: collocation interference costs every policy, the
+    # clone-heavy PowerChief relatively more than the 3-core static
+    # baseline, and the order-of-magnitude headline survives it.
+    *(
+        Claim(
+            "ablation-interference", f"{policy}-pays-under-contention",
+            mean_of(f"{policy} contended"), ">=", mean_of(f"{policy} isolated"), 0.99,
+        )
+        for policy in ablations.POLICIES
+    ),
+    Claim(
+        "ablation-interference", "powerchief-slows-at-least-0.95x-static",
+        slowdown("powerchief"), ">=", slowdown("static"), 0.95,
+    ),
+    Claim(
+        "ablation-interference", "contended-powerchief-over-8x-static",
+        lambda r: r.mean("static contended") / r.mean("powerchief contended"), ">", 8.0,
+    ),
+    # Section 2.1: perfect knowledge wins, PowerChief comes close with
+    # none, and a stale forecast collapses the static allocation.
+    Claim(
+        "oracle", "clairvoyant-beats-powerchief",
+        mean_of("oracle, actual load"), "<=", mean_of("powerchief, no forecast"),
+    ),
+    Claim(
+        "oracle", "powerchief-within-1.5x-clairvoyant",
+        mean_of("powerchief, no forecast"), "<=", mean_of("oracle, actual load"), 1.5,
+    ),
+    Claim(
+        "oracle", "stale-over-5x-powerchief",
+        mean_of("oracle, stale low-load forecast"), ">",
+        mean_of("powerchief, no forecast"), 5.0,
+    ),
+    # The budget sweep: an order of magnitude at Table 2's cap, the most
+    # there, most of it gone at 45 W, and PowerChief never worse for
+    # more power.
+    Claim("budget-sweep", "table2-budget-over-8x", budget_gain(TIGHTEST), ">", 8.0),
+    Claim(
+        "budget-sweep", "tightest-budget-gains-most",
+        budget_gain(TIGHTEST), "==",
+        lambda r: max(budget_gain(budget)(r) for budget in ablations.BUDGETS),
+    ),
+    Claim(
+        "budget-sweep", "tightest-budget-gains-over-3x-loosest",
+        budget_gain(TIGHTEST), ">", budget_gain(LOOSEST), 3.0,
+    ),
+    Claim(
+        "budget-sweep", "powerchief-holds-as-budget-grows",
+        mean_of(f"powerchief {LOOSEST:g} W"), "<=", mean_of(f"powerchief {TIGHTEST:g} W"), 1.1,
+    ),
+    # Figure 10's high-load conclusion at every one of five seeds, with
+    # a moderate spread.
+    Claim("seeds", "every-seed-over-8x", lambda r: min(seed_gains(r)), ">", 8.0),
+    Claim(
+        "seeds", "improvement-cv-under-0.5",
+        lambda r: statistics.stdev(seed_gains(r)) / statistics.mean(seed_gains(r)), "<", 0.5,
+    ),
+    # Section 7.2: one PowerChief per shard serves 4x the load at about
+    # the single-shard latency.
+    Claim(
+        "sharding", "4-shards-complete-over-3x",
+        lambda r: r.completed("4 shards, 4x load"), ">",
+        lambda r: r.completed("1 shard, 1x load"), 3.0,
+    ),
+    Claim(
+        "sharding", "4-shards-mean-within-1.35x",
+        mean_of("4 shards, 4x load"), "<=", mean_of("1 shard, 1x load"), 1.35,
+    ),
 ]
 
 
@@ -289,3 +447,95 @@ def test_every_simulated_figure_and_the_headline_has_a_claim() -> None:
     simulated = {name for name, figure in default_registry().items() if figure.cells}
     claimed = {claim.figure for claim in CLAIMS}
     assert simulated | {"headline"} <= claimed, sorted(simulated | {"headline"} - claimed)
+
+
+def test_deboost_cloning_pays_off(monkeypatch) -> None:
+    """Without de-boost cloning, the literal Algorithm 1 prices a clone
+    at the boosted bottleneck's power and can skip it forever: on Figure
+    11's trace that costs over 1.5x the full engine's mean latency."""
+    full = registry_results()["ablation-mechanisms"].mean("full")
+    spec = ScenarioSpec.latency(
+        "sirius", "powerchief", fig11_trace(sirius_load_levels().high_qps),
+        FIG11_DURATION_S, seed=3, controller=TABLE2_CONTROLLER_CONFIG,
+    )
+    assert spec in ablations.mechanisms().cells
+
+    class NoDeboostController(PowerChiefController):
+        def __init__(self, *args: Any, **kwargs: Any) -> None:
+            super().__init__(*args, **kwargs)
+            self.engine.enable_deboost_clone = False
+
+    monkeypatch.setitem(builder.LATENCY_CONTROLLERS, "powerchief", NoDeboostController)
+    assert run_scenario(spec).latency.mean > 1.5 * full
+
+
+class SlowestFirstRecycler(PowerRecycler):
+    """Drains the near-bottleneck instances first."""
+
+    def victim_order(self, victims_fast_to_slow):
+        return list(reversed(victims_fast_to_slow))
+
+
+class EvenOddRecycler(PowerRecycler):
+    """Interleaves the victims, ignoring the latency ranking."""
+
+    def victim_order(self, victims_fast_to_slow):
+        victims = list(victims_fast_to_slow)
+        return victims[::2] + victims[1::2]
+
+
+def test_greedy_recycling_is_best(monkeypatch) -> None:
+    """Section 6.1: recycling from the fastest instances first is within
+    10% of the best victim order tried; draining slow instances makes new
+    bottlenecks.  Greedy is Figure 10's medium-load PowerChief."""
+    greedy = registry_results()["fig10"].cell("powerchief", "medium").mean_latency_s
+    rate = sirius_load_levels().medium_qps
+    specs = [
+        ScenarioSpec.latency("sirius", "powerchief", ("constant", rate), 600.0, seed=seed)
+        for seed in DEFAULT_SEEDS
+    ]
+    assert set(specs) <= set(default_registry()["fig10"].cells)
+
+    def mean_with(recycler: type[PowerRecycler]) -> float:
+        class Patched(PowerChiefController):
+            def __init__(self, *args: Any, **kwargs: Any) -> None:
+                super().__init__(*args, **kwargs)
+                machine = self.budget.machine
+                self.recycler = recycler(machine.power_model, machine.ladder)
+                self.engine.recycler = self.recycler
+
+        monkeypatch.setitem(builder.LATENCY_CONTROLLERS, "powerchief", Patched)
+        runs = [run_scenario(spec) for spec in specs]
+        return sum(run.latency.mean for run in runs) / len(runs)
+
+    others = {cls.__name__: mean_with(cls) for cls in (SlowestFirstRecycler, EvenOddRecycler)}
+    assert greedy <= min(greedy, *others.values()) * 1.1, (greedy, others)
+
+
+def test_one_command_center_ranks_more_as_the_fleet_grows(monkeypatch) -> None:
+    """Section 7.2: ranking evaluates a metric per instance, so one
+    command center over the whole fleet does not scale for free."""
+    evaluations = []
+
+    def counted(*args: Any, **kwargs: Any) -> float:
+        evaluations.append(args)
+        return compute_metric(*args, **kwargs)
+
+    monkeypatch.setattr(bottleneck, "compute_metric", counted)
+
+    def per_ranking(per_stage: int) -> int:
+        n_instances = len(SIRIUS_STAGES) * per_stage
+        level = HASWELL_LADDER.level_of(1.8)
+        spec = ScenarioSpec.latency(
+            "sirius", "static", ("constant", 1.0), 10.0,
+            budget_watts=n_instances * DEFAULT_POWER_MODEL.power(1.8),
+            allocation={stage: StageAllocation(per_stage, level) for stage in SIRIUS_STAGES},
+            n_cores=n_instances,
+        )
+        stack = StackBuilder(spec).build()
+        identifier = bottleneck.BottleneckIdentifier(stack.command_center)
+        evaluations.clear()
+        identifier.ranked(stack.application)
+        return len(evaluations)
+
+    assert per_ranking(64) > 4 * per_ranking(1)

@@ -69,7 +69,7 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 
 #: The scanned trees and the fewest files each must yield, so a wrong
 #: root cannot pass by scanning nothing.
-TREES = {"src": 51, "tests": 51, "examples": 3, "benchmarks": 19}
+TREES = {"src": 51, "tests": 51, "examples": 3, "benchmarks": 7}
 
 #: (path, rule) -> why that file may break that rule.  An entry that
 #: exempts nothing fails the scan, so none outlives its cause.
@@ -77,10 +77,6 @@ EXEMPT = {
     ("examples/custom_pipeline.py", "scenario-bypass"): (
         "demonstrating the low-level API (no scenario layer) is the point "
         "of this example, so the staged-assembly bypass is intentional"
-    ),
-    ("benchmarks/bench_table1_metrics.py", "scenario-bypass"): (
-        "the bursty two-stage pipeline runs on test profiles that no "
-        "scenario spec can name, so this bench assembles its stack by hand"
     ),
 }
 
@@ -513,40 +509,29 @@ AUDIT_MUTANTS = {
         ),
     ),
     "SB-1": (
-        "benchmarks/bench_scalability_sharding.py",
+        "src/repro/guard/supervisor.py",
         (
             (
-                "from repro.core.bottleneck import BottleneckIdentifier\n",
-                "from repro.core.bottleneck import BottleneckIdentifier\n"
-                "from repro.service.command_center import CommandCenter\n",
-            ),
-            (
-                "BottleneckIdentifier(builder.command_center)",
-                "BottleneckIdentifier(CommandCenter(builder.sim, builder.application))",
+                "EstimateSanityMonitor(application, command_center),",
+                "EstimateSanityMonitor(application, CommandCenter(sim, application)),",
             ),
         ),
         (
             (
                 "scenario-bypass",
-                "identifier = BottleneckIdentifier("
-                "CommandCenter(builder.sim, builder.application))",
+                "EstimateSanityMonitor(application, CommandCenter(sim, application)),",
             ),
         ),
     ),
     "SB-2": (
-        "benchmarks/bench_table4_comparison.py",
+        "src/repro/guard/budget.py",
         (
             (
-                "from repro.cluster.frequency import HASWELL_LADDER\n",
-                "from repro.cluster.budget import PowerBudget\n"
-                "from repro.cluster.frequency import HASWELL_LADDER\n",
-            ),
-            (
                 "    budget.assert_within()\n",
-                "    PowerBudget(app.machine, budget.budget_watts).assert_within()\n",
+                "    PowerBudget(budget.machine, budget.budget_watts).assert_within()\n",
             ),
         ),
-        (("scenario-bypass", "PowerBudget(app.machine, budget.budget_watts).assert_within()"),),
+        (("scenario-bypass", "PowerBudget(budget.machine, budget.budget_watts).assert_within()"),),
     ),
     "SB-3": (
         "src/repro/serve/hosted.py",

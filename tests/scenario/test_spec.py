@@ -17,6 +17,7 @@ from repro.scenario import (
     SCENARIO_FORMAT_VERSION,
     ScenarioSpec,
     StageAllocation,
+    run_scenario,
 )
 from repro.scenario.config import app_stage_names, app_stages
 from repro.workloads.loadgen import ConstantLoad, LoadTrace, PiecewiseLoad
@@ -445,6 +446,42 @@ class TestAppAndStages:
                 app, "static", ("constant", 1.0), 60.0, allocation=allocation
             )
             assert ScenarioSpec.from_json(spec.to_json()) == spec
+
+    @pytest.mark.parametrize(
+        "fields, instances",
+        [
+            ({}, 3),
+            (
+                {
+                    "budget_watts": 60.0,
+                    "allocation": {
+                        "ASR": StageAllocation(4, 1),
+                        "IMM": StageAllocation(2, 1),
+                        "QA": StageAllocation(3, 1),
+                    },
+                },
+                9,
+            ),
+            (None, 11),
+            ({"shards": 3}, 3),
+        ],
+        ids=["one-per-stage", "allocation", "qos-table3", "sharded-per-stack"],
+    )
+    def test_one_stack_must_fit_its_cores(self, fields, instances):
+        def spec(n_cores):
+            if fields is None:
+                return ScenarioSpec.qos("sirius", "baseline", 1.0, 20.0, n_cores=n_cores)
+            return ScenarioSpec.latency(
+                "sirius", "static", ("constant", 1.0), 20.0, n_cores=n_cores, **fields
+            )
+
+        match = f"launches {instances} instances, one core each, but n_cores is {instances - 1}"
+        with pytest.raises(ConfigurationError, match=match):
+            spec(instances - 1)
+        payload = dict(spec(instances).to_dict(), n_cores=instances - 1)
+        with pytest.raises(ConfigurationError, match=match):
+            ScenarioSpec.from_json(json.dumps(payload))
+        assert run_scenario(spec(instances)).queries_completed > 0
 
     def test_stage_names_match_the_profiles_the_builder_makes(self):
         for app in APPS:
